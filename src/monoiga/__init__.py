@@ -11,6 +11,7 @@ from .assembly import (
     KroneckerOperator,
     QuadratureRule,
     UnivariateMatrices,
+    WeightedMass,
     kron_matvec,
     reaction_mass,
     rhs_vectors,

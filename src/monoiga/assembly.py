@@ -3,8 +3,8 @@
 All operators are expressed through tensor-product structure where the
 geometry allows it: univariate matrices in time, Kronecker-factored or
 pulled-back spatial matrices, and a :class:`KroneckerOperator` representing
-sums of scaled Kronecker products plus an optional unstructured correction
-(the reaction matrix).
+sums of scaled Kronecker products plus an optional correction (the frozen
+reaction term, applied matrix-free by :class:`WeightedMass`).
 """
 
 import functools
@@ -20,6 +20,7 @@ __all__ = [
     "QuadratureRule",
     "UnivariateMatrices",
     "KroneckerOperator",
+    "WeightedMass",
     "univariate_matrix",
     "univariate_matrices",
     "time_matrices",
@@ -159,6 +160,9 @@ class SpatialQuadratureData:
         self.c1 = [
             s.collocation_matrix(r.points, 1) for s, r in zip(self.spaces, self.rules)
         ]
+        # Dense copies for the matrix-free weighted mass: a dense product
+        # along one axis beats the sparse one at the sizes this solver runs.
+        self.c0_dense = [c.toarray() for c in self.c0]
         # Kronecker factors run from direction d down to direction 1 so the
         # flattened column index is colexicographic.
         self.ckron0 = kron_chain([self.c0[l] for l in reversed(range(d))])
@@ -261,12 +265,26 @@ class TimeQuadratureData:
         )
         self.c0 = space_time.time_collocation(self.rule.points, 0)
         self.c1 = space_time.time_collocation(self.rule.points, 1)
+        self.c0_dense = self.c0.toarray()
         # Physical time measure: dt = T dtau.
         self.weights = self.rule.flat_weights * self.final_time
 
     @property
     def points(self):
         return self.rule.points
+
+
+def _apply_factors(time_mat, space_mats, tensor):
+    """Apply ``time_mat`` along axis 0 and ``space_mats[l]`` along direction l.
+
+    ``tensor`` is shaped (N_t, n_d, ..., n_1); ``space_mats`` lists one
+    matrix per spatial direction, direction 1 first.
+    """
+    d = len(space_mats)
+    out = mode_apply(time_mat, tensor, 0)
+    for l in range(d):
+        out = mode_apply(space_mats[l], out, 1 + (d - 1 - l))
+    return out
 
 
 def field_on_grid(space_time, coeffs, time_colloc, space_collocs, orders=None):
@@ -276,12 +294,88 @@ def field_on_grid(space_time, coeffs, time_colloc, space_collocs, orders=None):
     ``space_collocs`` one collocation matrix per spatial direction
     (direction 1 first).  Returns an array shaped (Q_t, Q_d, ..., Q_1).
     """
-    d = space_time.num_spatial_dims
     U = np.asarray(coeffs, dtype=float).reshape(space_time.coeff_shape)
-    out = mode_apply(time_colloc, U, 0)
-    for l in range(d):
-        out = mode_apply(space_collocs[l], out, 1 + (d - 1 - l))
-    return out
+    return _apply_factors(time_colloc, space_collocs, U)
+
+
+class WeightedMass:
+    """Space-time mass matrix with a pointwise weight, applied matrix-free.
+
+    Represents ``(C_t kron C_s)^T diag(W) (C_t kron C_s)``, where ``C_t`` is
+    the temporal collocation matrix, ``C_s`` the Kronecker product of the
+    spatial ones (direction d slowest) and ``W`` the weight on the tensor
+    quadrature grid.  A matvec evaluates the field on the grid, scales it by
+    ``W`` and integrates against the basis one axis at a time (sum
+    factorization), so only the grid of weights is stored.
+
+    ``time_colloc`` is dense, shape (Q_t, N_t); ``space_collocs`` are dense,
+    direction 1 first, shapes (Q_l, n_l); ``weights`` is shaped
+    (Q_t, Q_d, ..., Q_1).
+    """
+
+    def __init__(self, time_colloc, space_collocs, weights):
+        self.time_colloc = np.asarray(time_colloc, dtype=float)
+        self.space_collocs = [np.asarray(c, dtype=float) for c in space_collocs]
+        self.data = np.asarray(weights, dtype=float)
+        grid = (self.time_colloc.shape[0],) + tuple(
+            c.shape[0] for c in reversed(self.space_collocs)
+        )
+        if self.data.shape != grid:
+            raise ValueError(
+                "weight grid has shape %s, quadrature grid is %s"
+                % (self.data.shape, grid)
+            )
+        self.coeff_shape = (self.time_colloc.shape[1],) + tuple(
+            c.shape[1] for c in reversed(self.space_collocs)
+        )
+
+    @property
+    def shape(self):
+        n = int(np.prod(self.coeff_shape))
+        return (n, n)
+
+    @property
+    def nnz(self):
+        """Stored values: one weight per quadrature point."""
+        return self.data.size
+
+    def matvec(self, x):
+        X = np.asarray(x, dtype=float).reshape(self.coeff_shape)
+        vals = _apply_factors(self.time_colloc, self.space_collocs, X)
+        vals *= self.data
+        out = _apply_factors(
+            self.time_colloc.T, [c.T for c in self.space_collocs], vals
+        )
+        return out.reshape(-1)
+
+    def __matmul__(self, x):
+        return self.matvec(x)
+
+    def tosparse(self):
+        """Assemble the operator as a CSR matrix (for direct solves and tests).
+
+        One spatial weighted mass per temporal quadrature point, accumulated
+        into the temporal blocks whose basis functions overlap there.
+        """
+        nt = self.coeff_shape[0]
+        ct = self.time_colloc
+        C = kron_chain([sp.csr_matrix(c) for c in reversed(self.space_collocs)])
+        CT = sp.csc_matrix(C.T)
+        smats = [
+            sp.csr_matrix(CT @ sp.diags(w.reshape(-1)) @ C) for w in self.data
+        ]
+        active = ct != 0.0
+        blocks = [[None] * nt for _ in range(nt)]
+        for i, j in zip(*np.nonzero(active.T.astype(int) @ active)):
+            acc = None
+            for q in np.nonzero(active[:, i] & active[:, j])[0]:
+                term = (ct[q, i] * ct[q, j]) * smats[q]
+                acc = term if acc is None else acc + term
+            blocks[i][j] = acc
+        return sp.csr_matrix(sp.bmat(blocks, format="csr"))
+
+    def toarray(self):
+        return self.tosparse().toarray()
 
 
 def reaction_mass(
@@ -298,7 +392,8 @@ def reaction_mass(
 
     The coefficient ``c1 (u - a)(u - 1) + c2 w`` is evaluated at the
     quadrature nodes from the spline expansions of the previous iterates.
-    Returns an unstructured sparse matrix of size ``N_dof``.
+    Returns a :class:`WeightedMass` of size ``N_dof`` that stores the weighted
+    coefficient per quadrature point; ``tosparse()`` assembles it.
     """
     c1 = constants["c1"]
     a = constants["a"]
@@ -314,37 +409,14 @@ def reaction_mass(
     if time_data is None:
         time_data = TimeQuadratureData(space_time, final_time)
 
-    u_vals = field_on_grid(space_time, u_prev, time_data.c0, spatial_data.c0)
-    w_vals = field_on_grid(space_time, w_prev, time_data.c0, spatial_data.c0)
-    cr = c1 * (u_vals - a) * (u_vals - 1.0) + c2 * w_vals
-
-    nt = space_time.num_time
-    qt = time_data.c0.shape[0]
-    ct = time_data.c0.toarray()
-    wt = time_data.weights
-    ws_base = (spatial_data.wgrid * np.abs(spatial_data.detj)).reshape(-1)
-    C = spatial_data.ckron0
-    CT = sp.csc_matrix(C.T)
-
-    # Spatial weighted mass per temporal quadrature point, then temporal
-    # blocks accumulated on the (2 p_t + 1)-band.
-    smats = []
-    for q in range(qt):
-        w = ws_base * cr[q].reshape(-1)
-        smats.append(sp.csr_matrix(CT @ sp.diags(w) @ C))
-    blocks = [[None] * nt for _ in range(nt)]
-    pt = space_time.time.degree
-    for i in range(nt):
-        for j in range(max(0, i - pt), min(nt, i + pt + 1)):
-            hits = np.nonzero(ct[:, i] * ct[:, j])[0]
-            if hits.size == 0:
-                continue
-            acc = None
-            for q in hits:
-                term = (ct[q, i] * ct[q, j] * wt[q]) * smats[q]
-                acc = term if acc is None else acc + term
-            blocks[i][j] = acc
-    return sp.csr_matrix(sp.bmat(blocks, format="csr"))
+    ct = time_data.c0_dense
+    cs = spatial_data.c0_dense
+    u_vals = field_on_grid(space_time, u_prev, ct, cs)
+    w_vals = field_on_grid(space_time, w_prev, ct, cs)
+    weights = c1 * (u_vals - a) * (u_vals - 1.0) + c2 * w_vals
+    weights *= spatial_data.wgrid * np.abs(spatial_data.detj)
+    weights *= time_data.weights.reshape((-1,) + (1,) * len(cs))
+    return WeightedMass(ct, cs, weights)
 
 
 def rhs_vectors(
@@ -402,8 +474,9 @@ class KroneckerOperator:
     """Sum of scaled Kronecker products ``sum_k c_k (T_k kron S_k)``.
 
     Each term pairs a temporal factor of size ``N_t`` with a spatial factor
-    of size ``N_s``.  An optional unstructured ``correction`` matrix (the
-    reaction mass) is added to the matvec.
+    of size ``N_s``.  An optional ``correction`` (the frozen reaction term, a
+    :class:`WeightedMass`, or any matrix supporting ``@``) is added to the
+    matvec.
     """
 
     def __init__(self, num_time, num_space, terms=None, correction=None):
@@ -450,7 +523,10 @@ class KroneckerOperator:
             term = coef * sp.kron(tmat, smat, format="csr")
             acc = term if acc is None else acc + term
         if self.correction is not None:
-            corr = sp.csr_matrix(self.correction)
+            corr = self.correction
+            if hasattr(corr, "tosparse"):
+                corr = corr.tosparse()
+            corr = sp.csr_matrix(corr)
             acc = corr if acc is None else acc + corr
         if acc is None:
             acc = sp.csr_matrix(self.shape)

@@ -364,7 +364,7 @@ def write_iteration_log(path, history):
             fh.write("%d,%.17g\n" % (i, r))
 
 
-_GMRES_BLOCK = 64
+_GMRES_BLOCK = 4
 
 
 def gmres(op, rhs, precond=None, tol=1e-8, max_iter=None, x0=None, log_path=None):
@@ -373,10 +373,11 @@ def gmres(op, rhs, precond=None, tol=1e-8, max_iter=None, x0=None, log_path=None
     The Arnoldi basis is built with classical Gram-Schmidt plus one
     re-orthogonalization pass.  Convergence is declared when the relative
     preconditioned residual drops below ``tol``.  ``max_iter=None`` means at
-    most ``n`` iterations, still without restarting.  The Krylov basis and
-    the Hessenberg workspace grow with the iterations actually taken, so
-    memory scales with ``n`` times the iterations, not with ``max_iter``.
-    ``log_path`` writes the residual history as CSV.
+    most ``n`` iterations, still without restarting.  The Krylov basis (one
+    array, a basis vector per row) and the Hessenberg workspace start at a
+    few columns and double when full, so memory scales with ``n`` times the
+    iterations taken, not with ``max_iter``.  ``log_path`` writes the
+    residual history as CSV.
 
     Returns ``(x, iterations, residual_history)``.
     """
@@ -398,9 +399,9 @@ def gmres(op, rhs, precond=None, tol=1e-8, max_iter=None, x0=None, log_path=None
         if log_path is not None:
             write_iteration_log(log_path, [0.0])
         return x0.copy(), 0, [0.0]
-    V = [z / beta]
-    # Arnoldi workspace for the first block of iterations; doubled on demand.
     m = min(max_iter, _GMRES_BLOCK)
+    V = np.empty((m + 1, n))
+    V[0] = z / beta
     H = np.zeros((m + 1, m))
     cs = np.zeros(m)
     sn = np.zeros(m)
@@ -412,16 +413,18 @@ def gmres(op, rhs, precond=None, tol=1e-8, max_iter=None, x0=None, log_path=None
         if j == m:
             grow = min(2 * m, max_iter) - m
             m += grow
+            V = np.concatenate([V, np.empty((grow, n))])
             H = np.pad(H, ((0, grow), (0, grow)))
             cs = np.pad(cs, (0, grow))
             sn = np.pad(sn, (0, grow))
             gvec = np.pad(gvec, (0, grow))
+        basis = V[: j + 1]
         wv = psolve(matvec(V[j]))
         # classical Gram-Schmidt with a second pass
-        h = np.array([vi @ wv for vi in V])
-        wv = wv - np.tensordot(h, np.array(V), axes=(0, 0))
-        h2 = np.array([vi @ wv for vi in V])
-        wv = wv - np.tensordot(h2, np.array(V), axes=(0, 0))
+        h = basis @ wv
+        wv = wv - h @ basis
+        h2 = basis @ wv
+        wv = wv - h2 @ basis
         h = h + h2
         hnorm = np.linalg.norm(wv)
         H[: j + 1, j] = h
@@ -446,7 +449,7 @@ def gmres(op, rhs, precond=None, tol=1e-8, max_iter=None, x0=None, log_path=None
         if rel <= tol or hnorm == 0.0:
             k_done = j + 1
             break
-        V.append(wv / hnorm)
+        V[j + 1] = wv / hnorm
     else:
         if log_path is not None:
             write_iteration_log(log_path, history)
@@ -456,7 +459,7 @@ def gmres(op, rhs, precond=None, tol=1e-8, max_iter=None, x0=None, log_path=None
             residuals=history,
         )
     y = sla.solve_triangular(H[:k_done, :k_done], gvec[:k_done])
-    x = x0 + np.tensordot(y, np.array(V[:k_done]), axes=(0, 0))
+    x = x0 + y @ V[:k_done]
     if log_path is not None:
         write_iteration_log(log_path, history)
     return x, k_done, history

@@ -35,6 +35,7 @@ from .linalg import (
 )
 from .stabilization import (
     _ResidualGrid,
+    _StabilizationGrid,
     assemble_stabilization,
     compute_tau,
     compute_theta,
@@ -203,12 +204,14 @@ class _Workspace:
         self.mass_precond = KroneckerMassPreconditioner(st.spatial)
         self.tau = None
         self.residual_grid = None
+        self.stab_grid = None
         if (
             config.stabilization == "spline_upwind"
             and config.indicator_update == "every_sweep"
         ):
             self.tau = compute_tau(st.time)
             self.residual_grid = _ResidualGrid(problem)
+            self.stab_grid = _StabilizationGrid(self.tau, st, geo)
 
     def operator(self, problem, u_k, w_k, stab_terms):
         st = problem.space
@@ -317,7 +320,7 @@ def fixed_point_solve(problem, config=None):
                 indicator = fresh
                 lowrank = lowrank_factorize(indicator, config.lowrank_tol)
                 stab = assemble_stabilization(
-                    ws.tau, lowrank, st, problem.geometry, problem.C_m
+                    ws.tau, lowrank, st, problem.geometry, problem.C_m, ws.stab_grid
                 )
                 stab_terms = stab.terms()
                 if frozen_stab_terms is not None:

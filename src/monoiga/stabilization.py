@@ -445,47 +445,62 @@ class StabilizationMatrices:
         return out
 
 
-def assemble_stabilization(tau, lowrank, space_time, geo, capacitance):
-    """Assemble the low-rank stabilizer as Kronecker terms.
+class _StabilizationGrid:
+    """Stabilizer quadrature data that depends only on the space and ``tau``.
 
     Quadrature cells are subdivided at the Greville abscissae so the
     piecewise-linear indicator profiles are integrated on their smoothness
-    cells.  All temporal integrals are parametric: the powers of the final
-    time carried by the upwind weights cancel against the derivative and
-    measure scalings.
+    cells.  Holds the temporal rule, the upwind weights times the quadrature
+    weights and the constrained temporal collocation matrices of derivative
+    orders ``1..p_t`` at its nodes, and the spatial quadrature data.
     """
-    st = space_time
-    p = st.time.degree
+
+    def __init__(self, tau, space_time, geo):
+        st = space_time
+        p = st.time.degree
+        trule = QuadratureRule.for_space(
+            st.time, npoints=p + 2, extra_breaks=st.time_greville()
+        )
+        self.time_points = trule.points
+        tw = trule.flat_weights
+        self.time_weights = [
+            tw * tau.evaluate(k, self.time_points) for k in range(1, p + 1)
+        ]
+        self.time_collocs = [
+            st.time_collocation(self.time_points, k) for k in range(1, p + 1)
+        ]
+        self.spatial_data = SpatialQuadratureData(
+            st.spatial,
+            geo,
+            npoints=max(s.degree for s in st.spatial) + 2,
+            extra_breaks=[s.greville() for s in st.spatial],
+        )
+
+
+def assemble_stabilization(tau, lowrank, space_time, geo, capacitance, grid=None):
+    """Assemble the low-rank stabilizer as Kronecker terms.
+
+    All temporal integrals are parametric: the powers of the final time
+    carried by the upwind weights cancel against the derivative and measure
+    scalings.  ``grid`` is the quadrature data of the same ``tau`` and space,
+    built here when not given; a solver passes it to every sweep.
+    """
     if lowrank.rank == 0:
         return StabilizationMatrices(lowrank, [], [], capacitance)
-
-    tg = lowrank.indicator.time_greville
-    trule = QuadratureRule.for_space(st.time, npoints=p + 2, extra_breaks=tg)
-    tpts = trule.points
-    tw = trule.flat_weights
-    tau_vals = [tau.evaluate(k, tpts) for k in range(1, p + 1)]
-    tcolloc = [st.time_collocation(tpts, k) for k in range(1, p + 1)]
-
-    sdata = SpatialQuadratureData(
-        st.spatial,
-        geo,
-        npoints=max(s.degree for s in st.spatial) + 2,
-        extra_breaks=[g for g in lowrank.indicator.spatial_grevilles],
-    )
-    axes = [r.points for r in sdata.rules]
+    if grid is None:
+        grid = _StabilizationGrid(tau, space_time, geo)
+    axes = [r.points for r in grid.spatial_data.rules]
 
     time_mats = []
     space_mats = []
     for r in range(lowrank.rank):
-        prof_t = lowrank.time_profile(r, tpts)
+        prof_t = lowrank.time_profile(r, grid.time_points)
         row = []
-        for k in range(1, p + 1):
-            Ck = tcolloc[k - 1]
-            wk = tw * tau_vals[k - 1] * prof_t
-            row.append(sp.csr_matrix(Ck.T @ sp.diags(wk) @ Ck))
+        for Ck, wk in zip(grid.time_collocs, grid.time_weights):
+            row.append(sp.csr_matrix(Ck.T @ sp.diags(wk * prof_t) @ Ck))
         time_mats.append(row)
         prof_s = lowrank.space_profile(r, axes)
-        space_mats.append(sdata.mass(weight_grid=prof_s))
+        space_mats.append(grid.spatial_data.mass(weight_grid=prof_s))
     return StabilizationMatrices(lowrank, time_mats, space_mats, capacitance)
 
 

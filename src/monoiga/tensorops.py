@@ -15,15 +15,24 @@ def mode_apply(mat, tensor, axis):
 
     Computes ``out[..., i, ...] = sum_j mat[i, j] * tensor[..., j, ...]``
     where the contracted index sits at position ``axis``.  ``mat`` may be
-    dense or scipy sparse.
+    dense or scipy sparse.  A dense ``mat`` is applied by (batched) matrix
+    products on the tensor reshaped to ``(before, axis, after)``, so no axis
+    is moved and no copy is made of a C-contiguous tensor.
     """
-    t = np.moveaxis(tensor, axis, 0)
-    head = t.shape[0]
-    rest = t.shape[1:]
-    flat = t.reshape(head, -1)
-    out = mat @ flat
-    out = np.asarray(out).reshape((mat.shape[0],) + rest)
-    return np.moveaxis(out, 0, axis)
+    shape = tensor.shape
+    if sp.issparse(mat):
+        t = np.moveaxis(tensor, axis, 0)
+        flat = t.reshape(shape[axis], -1)
+        out = np.asarray(mat @ flat).reshape((mat.shape[0],) + t.shape[1:])
+        return np.moveaxis(out, 0, axis)
+    left = int(np.prod(shape[:axis]))
+    right = int(np.prod(shape[axis + 1 :]))
+    t3 = np.reshape(tensor, (left, shape[axis], right))
+    if right == 1:
+        out = t3[:, :, 0] @ mat.T
+    else:
+        out = np.matmul(mat, t3)
+    return out.reshape(shape[:axis] + (mat.shape[0],) + shape[axis + 1 :])
 
 
 def outer_product_grid(vectors):

@@ -1,5 +1,7 @@
 """Tests for quadrature, matrix assembly and the Kronecker operator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,6 +12,7 @@ from monoiga.assembly import (
     QuadratureRule,
     SpatialQuadratureData,
     TimeQuadratureData,
+    WeightedMass,
     reaction_mass,
     rhs_vectors,
     spatial_operators,
@@ -157,7 +160,7 @@ class TestReactionMass:
         W_t, M_t = time_matrices(st, 1.5)
         M_s, _ = spatial_operators(st.spatial, geo)
         ref = CONSTANTS["a"] * CONSTANTS["c1"] * sp.kron(M_t, M_s)
-        assert np.max(np.abs((MR - ref).toarray())) < 1e-12
+        assert np.max(np.abs((MR.tosparse() - ref).toarray())) < 1e-12
 
     def test_vanishes_where_field_is_one(self):
         # With all-one coefficients the field equals 1 away from the first
@@ -199,6 +202,76 @@ class TestReactionMass:
         geo = builtin_geometry("unit_interval")
         with pytest.raises(ValueError, match="length"):
             reaction_mass(st, geo, CONSTANTS, np.zeros(3), np.zeros(st.num_dof))
+
+
+def random_reaction_operator(st, geo, seed=0):
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(st.num_dof)
+    w = rng.standard_normal(st.num_dof)
+    return reaction_mass(st, geo, CONSTANTS, u, w)
+
+
+class TestWeightedMass:
+    @pytest.mark.parametrize(
+        "d, geometry, p, elements",
+        [
+            (1, "unit_interval", 3, 4),
+            (2, "ellipse_annulus", 2, 3),
+            (3, "unit_cube", 2, 2),
+        ],
+    )
+    def test_matvec_matches_assembled_matrix(self, d, geometry, p, elements):
+        st = make_st(d=d, p=p, elements=elements)
+        geo = builtin_geometry(geometry, final_time=3.0)
+        MR = random_reaction_operator(st, geo)
+        assert isinstance(MR, WeightedMass)
+        assert MR.shape == (st.num_dof, st.num_dof)
+        assert MR.nnz == MR.data.size
+        x = np.random.default_rng(1).standard_normal(st.num_dof)
+        ref = MR.tosparse() @ x
+        assert np.linalg.norm(MR.matvec(x) - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert_allclose(MR @ x, MR.matvec(x), rtol=0, atol=0)
+
+    def test_rejects_mismatched_weight_grid(self):
+        with pytest.raises(ValueError, match="weight grid"):
+            WeightedMass(np.ones((4, 2)), [np.ones((3, 2))], np.ones((4, 4)))
+
+    def test_kronecker_operator_assembles_the_sum_of_its_parts(self):
+        st = make_st(d=2, p=2, elements=2)
+        geo = builtin_geometry("ellipse_annulus", final_time=2.0)
+        MR = random_reaction_operator(st, geo, seed=4)
+        W_t, M_t = time_matrices(st, 2.0)
+        M_s, K_s = spatial_operators(st.spatial, geo)
+        op = KroneckerOperator(
+            st.num_time, st.num_space, [(1.0, W_t, M_s), (1e-3, M_t, K_s)], MR
+        )
+        ref = sp.kron(W_t, M_s) + 1e-3 * sp.kron(M_t, K_s) + MR.tosparse()
+        assert np.max(np.abs((op.tosparse() - ref).toarray())) < 1e-14
+        x = np.random.default_rng(2).standard_normal(st.num_dof)
+        assert_allclose(op.matvec(x), ref @ x, rtol=1e-13, atol=1e-15)
+
+    def test_memory_scales_with_quadrature_points(self):
+        # The operator keeps a grid of weights; the assembled matrix it
+        # replaces holds (2p+1)^(d+1) entries per row in the interior.
+        st = make_st(d=3, p=3, elements=3)
+        geo = builtin_geometry("unit_cube")
+        sdata = SpatialQuadratureData(st.spatial, geo)
+        tdata = TimeQuadratureData(st, geo.final_time)
+        rng = np.random.default_rng(6)
+        u = rng.standard_normal(st.num_dof)
+        w = rng.standard_normal(st.num_dof)
+        tracemalloc.start()
+        try:
+            MR = reaction_mass(
+                st, geo, CONSTANTS, u, w, spatial_data=sdata, time_data=tdata
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        S = MR.tosparse()
+        csr_bytes = S.data.nbytes + S.indices.nbytes + S.indptr.nbytes
+        assert peak < 8 * MR.data.nbytes
+        assert peak < csr_bytes / 4
 
 
 class TestRhsVectors:
