@@ -4,7 +4,10 @@ All operators are expressed through tensor-product structure where the
 geometry allows it: univariate matrices in time, Kronecker-factored or
 pulled-back spatial matrices, and a :class:`KroneckerOperator` representing
 sums of scaled Kronecker products plus an optional correction (the frozen
-reaction term, applied matrix-free by :class:`WeightedMass`).
+reaction term, applied matrix-free by :class:`WeightedMass`).  Weighted
+tensor-product Gram matrices (pulled-back spatial mass and stiffness, the
+stabilizer's factors, the sparse form of :class:`WeightedMass`) are all
+assembled by one kernel, :func:`banded_gram`.
 """
 
 import functools
@@ -21,6 +24,7 @@ __all__ = [
     "UnivariateMatrices",
     "KroneckerOperator",
     "WeightedMass",
+    "banded_gram",
     "univariate_matrix",
     "univariate_matrices",
     "time_matrices",
@@ -135,13 +139,117 @@ def time_matrices(space_time, final_time):
     return W, M
 
 
+def _half_bandwidth(test, trial):
+    """Largest ``|i - j|`` with columns ``test[:, i]`` and ``trial[:, j]`` overlapping."""
+    overlap = (test != 0.0).T.astype(float) @ (trial != 0.0)
+    i, j = np.nonzero(overlap)
+    return int(np.max(np.abs(i - j), initial=0))
+
+
+def _pair_products(test, trial, band):
+    """``P[q, i * (2 b + 1) + o] = test[q, i] * trial[q, i + o - b]`` (zero off range)."""
+    q, n = test.shape
+    padded = np.zeros((q, n + 2 * band))
+    padded[:, band : band + n] = trial
+    cols = np.arange(n)[:, None] + np.arange(2 * band + 1)[None, :]
+    return (test[:, :, None] * padded[:, cols]).reshape(q, -1)
+
+
+def gram_band_values(tests, trials, weights, bands):
+    """Every band entry of ``(kron_k A_k)^T diag(W) (kron_k B_k)``.
+
+    ``tests[k]`` and ``trials[k]`` are dense collocation matrices of shape
+    (Q_k, n_k) paired with axis ``k`` of the weight grid ``W`` (axis 0
+    slowest), and ``bands[k]`` bounds ``|i_k - j_k|`` over the coupled basis
+    pairs.  Contracting ``W`` with the transposed pair products one axis at a
+    time (sum factorization) gives an array shaped
+    ``(n_0 (2 b_0 + 1), n_1 (2 b_1 + 1), ...)`` whose entry
+    ``(i_k, o_k)_k`` couples test ``i`` with trial ``j_k = i_k + o_k - b_k``.
+    """
+    vals = np.asarray(weights, dtype=float)
+    for k, (test, trial, band) in enumerate(zip(tests, trials, bands)):
+        vals = mode_apply(_pair_products(test, trial, band).T, vals, k)
+    return vals
+
+
+class GramPattern:
+    """CSR pattern of a banded tensor-product Gram matrix.
+
+    Row ``i = (i_0, i_1, ...)`` couples with column ``j`` when
+    ``|i_k - j_k| <= b_k`` on every axis (axis 0 slowest).  ``select`` maps
+    each stored entry, in CSR order, to its position in the flattened output
+    of :func:`gram_band_values`, so assembling is one gather.
+    """
+
+    def __init__(self, sizes, bands):
+        m = len(sizes)
+        widths = [2 * b + 1 for b in bands]
+        num_band = int(np.prod([n * w for n, w in zip(sizes, widths)]))
+        itype = np.int32 if num_band < 2**31 else np.int64
+        shape = tuple(sizes) + tuple(widths)
+        valid = np.ones(shape, dtype=bool)
+        select = np.zeros(shape, dtype=itype)
+        cols = np.zeros(shape, dtype=itype)
+        band_stride = 1
+        col_stride = 1
+        for k in reversed(range(m)):
+            n, b, w = sizes[k], bands[k], widths[k]
+            i = np.arange(n, dtype=itype)[:, None]
+            o = np.arange(w, dtype=itype)[None, :]
+            j = i + o - b
+            view = [1] * (2 * m)
+            view[k] = n
+            view[m + k] = w
+            valid &= ((j >= 0) & (j < n)).reshape(view)
+            select += ((i * w + o) * band_stride).reshape(view)
+            cols += (j * col_stride).reshape(view)
+            band_stride *= n * w
+            col_stride *= n
+        rows = col_stride
+        self.shape = (rows, rows)
+        self.select = select[valid]
+        self.indices = cols[valid]
+        self.indptr = np.zeros(rows + 1, dtype=itype)
+        np.cumsum(valid.reshape(rows, -1).sum(axis=1), out=self.indptr[1:])
+        for arr in (self.select, self.indices, self.indptr):
+            arr.flags.writeable = False
+
+    def tocsr(self, band_values):
+        """CSR matrix of the output of :func:`gram_band_values`."""
+        data = np.take(band_values.reshape(-1), self.select)
+        return sp.csr_matrix(
+            (data, self.indices.copy(), self.indptr.copy()), shape=self.shape
+        )
+
+
+@functools.lru_cache(maxsize=8)
+def gram_pattern(sizes, bands):
+    """Shared, read-only :class:`GramPattern` of the given sizes and bands."""
+    return GramPattern(sizes, bands)
+
+
+def banded_gram(tests, trials, weights, bands=None):
+    """Assemble ``(kron_k A_k)^T diag(W) (kron_k B_k)`` as a CSR matrix.
+
+    Factors pair with the axes of ``weights``, slowest first (see
+    :func:`gram_band_values`); test and trial factors have equal column
+    counts.  ``bands`` defaults to the overlap of the factors' nonzeros.  The
+    CSR pattern depends only on the sizes and bands and is built once.
+    """
+    if bands is None:
+        bands = [_half_bandwidth(a, b) for a, b in zip(tests, trials)]
+    sizes = tuple(int(t.shape[1]) for t in trials)
+    pattern = gram_pattern(sizes, tuple(int(b) for b in bands))
+    return pattern.tocsr(gram_band_values(tests, trials, weights, bands))
+
+
 class SpatialQuadratureData:
     """Tensorized quadrature, basis and geometry data over the spatial box.
 
-    Precomputes per-direction collocation matrices at the quadrature grid,
-    their Kronecker products, and the pulled-back metric quantities.  Shared
-    by the mass/stiffness/weighted assemblies so nonlinear sweeps do not
-    re-evaluate the geometry.
+    Precomputes dense per-direction collocation matrices of values (``c0``)
+    and first derivatives (``c1``) at the quadrature grid, direction 1 first,
+    and the pulled-back metric quantities.  Shared by the mass/stiffness/
+    weighted assemblies so nonlinear sweeps do not re-evaluate the geometry.
     """
 
     def __init__(self, spaces, geo, npoints=None, extra_breaks=None):
@@ -155,18 +263,16 @@ class SpatialQuadratureData:
             for s, eb in zip(self.spaces, extra_breaks)
         ]
         self.c0 = [
-            s.collocation_matrix(r.points, 0) for s, r in zip(self.spaces, self.rules)
+            s.collocation_matrix(r.points, 0).toarray()
+            for s, r in zip(self.spaces, self.rules)
         ]
         self.c1 = [
-            s.collocation_matrix(r.points, 1) for s, r in zip(self.spaces, self.rules)
+            s.collocation_matrix(r.points, 1).toarray()
+            for s, r in zip(self.spaces, self.rules)
         ]
-        # Dense copies for the matrix-free weighted mass: a dense product
-        # along one axis beats the sparse one at the sizes this solver runs.
-        self.c0_dense = [c.toarray() for c in self.c0]
-        # Kronecker factors run from direction d down to direction 1 so the
-        # flattened column index is colexicographic.
-        self.ckron0 = kron_chain([self.c0[l] for l in reversed(range(d))])
-        self._ckron1 = {}
+        # Derivatives vanish where values do, so the value overlap bounds
+        # every Gram band of these factors.
+        self.bands = [_half_bandwidth(c, c) for c in self.c0]
         # Quadrature weight grid, C order (direction d first).
         self.wgrid = outer_product_grid(
             [r.flat_weights for r in reversed(self.rules)]
@@ -176,17 +282,6 @@ class SpatialQuadratureData:
         jac = data["jac"]
         self.jinv, self.detj = jacobian_inverse_and_det(jac)
         self.grid_shape = self.wgrid.shape
-
-    def ckron_grad(self, direction):
-        """Kronecker basis matrix with the derivative in ``direction``."""
-        if direction not in self._ckron1:
-            d = len(self.spaces)
-            mats = [
-                self.c1[l] if l == direction else self.c0[l]
-                for l in reversed(range(d))
-            ]
-            self._ckron1[direction] = kron_chain(mats)
-        return self._ckron1[direction]
 
     def metric_diag(self, direction):
         """Grid of the pulled-back metric coefficient of one direction."""
@@ -203,8 +298,8 @@ class SpatialQuadratureData:
         w = self.wgrid * np.abs(self.detj)
         if weight_grid is not None:
             w = w * weight_grid
-        C = self.ckron0
-        return sp.csr_matrix(C.T @ sp.diags(w.reshape(-1)) @ C)
+        c = self.c0[::-1]
+        return banded_gram(c, c, w, self.bands[::-1])
 
     def stiffness(self):
         """Pulled-back spatial stiffness matrix."""
@@ -212,15 +307,19 @@ class SpatialQuadratureData:
         base = self.wgrid * np.abs(self.detj)
         # metric[a, b] = (J^{-1} J^{-T})_{ab}
         metric = np.einsum("...ak,...bk->...ab", self.jinv, self.jinv)
-        K = None
+        # Factors with the derivative in direction a, grid order (d first).
+        grads = [
+            [self.c1[l] if l == a else self.c0[l] for l in reversed(range(d))]
+            for a in range(d)
+        ]
+        bands = self.bands[::-1]
+        vals = 0.0
         for a in range(d):
-            Ca = self.ckron_grad(a)
             for b in range(d):
-                Cb = self.ckron_grad(b)
-                w = (base * metric[..., a, b]).reshape(-1)
-                term = Ca.T @ sp.diags(w) @ Cb
-                K = term if K is None else K + term
-        return sp.csr_matrix(K)
+                w = base * metric[..., a, b]
+                vals = vals + gram_band_values(grads[a], grads[b], w, bands)
+        sizes = tuple(c.shape[1] for c in reversed(self.c0))
+        return gram_pattern(sizes, tuple(bands)).tocsr(vals)
 
 
 def _affine_spatial_operators(spaces, geo):
@@ -263,9 +362,7 @@ class TimeQuadratureData:
         self.rule = QuadratureRule.for_space(
             space_time.time, npoints=npoints, extra_breaks=extra_breaks
         )
-        self.c0 = space_time.time_collocation(self.rule.points, 0)
-        self.c1 = space_time.time_collocation(self.rule.points, 1)
-        self.c0_dense = self.c0.toarray()
+        self.c0 = space_time.time_collocation(self.rule.points, 0).toarray()
         # Physical time measure: dt = T dtau.
         self.weights = self.rule.flat_weights * self.final_time
 
@@ -354,25 +451,10 @@ class WeightedMass:
     def tosparse(self):
         """Assemble the operator as a CSR matrix (for direct solves and tests).
 
-        One spatial weighted mass per temporal quadrature point, accumulated
-        into the temporal blocks whose basis functions overlap there.
+        Time is the slowest direction of :func:`banded_gram`.
         """
-        nt = self.coeff_shape[0]
-        ct = self.time_colloc
-        C = kron_chain([sp.csr_matrix(c) for c in reversed(self.space_collocs)])
-        CT = sp.csc_matrix(C.T)
-        smats = [
-            sp.csr_matrix(CT @ sp.diags(w.reshape(-1)) @ C) for w in self.data
-        ]
-        active = ct != 0.0
-        blocks = [[None] * nt for _ in range(nt)]
-        for i, j in zip(*np.nonzero(active.T.astype(int) @ active)):
-            acc = None
-            for q in np.nonzero(active[:, i] & active[:, j])[0]:
-                term = (ct[q, i] * ct[q, j]) * smats[q]
-                acc = term if acc is None else acc + term
-            blocks[i][j] = acc
-        return sp.csr_matrix(sp.bmat(blocks, format="csr"))
+        factors = [self.time_colloc] + self.space_collocs[::-1]
+        return banded_gram(factors, factors, self.data)
 
     def toarray(self):
         return self.tosparse().toarray()
@@ -409,8 +491,8 @@ def reaction_mass(
     if time_data is None:
         time_data = TimeQuadratureData(space_time, final_time)
 
-    ct = time_data.c0_dense
-    cs = spatial_data.c0_dense
+    ct = time_data.c0
+    cs = spatial_data.c0
     u_vals = field_on_grid(space_time, u_prev, ct, cs)
     w_vals = field_on_grid(space_time, w_prev, ct, cs)
     weights = c1 * (u_vals - a) * (u_vals - 1.0) + c2 * w_vals
@@ -458,9 +540,11 @@ def rhs_vectors(
             ).reshape(qs)
         ws = (spatial_data.wgrid * np.abs(spatial_data.detj)).reshape(-1)
         vals = fvals * ws[None, :] * time_data.weights[:, None]
-        f_mat = np.asarray(time_data.c0.T @ vals)
-        f_mat = np.asarray(spatial_data.ckron0.T @ f_mat.T).T
-        f_vec = f_mat.reshape(-1)
+        f_vec = _apply_factors(
+            time_data.c0.T,
+            [c.T for c in spatial_data.c0],
+            vals.reshape((qt,) + spatial_data.grid_shape),
+        ).reshape(-1)
 
     if mass_operator is None:
         W_t, M_t = time_matrices(space_time, final_time)

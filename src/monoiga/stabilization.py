@@ -5,13 +5,16 @@ a residual indicator sampled on the Greville grid, compressed to low rank and
 interpolated piecewise linearly back onto the domain.
 """
 
-import warnings
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.interpolate import RegularGridInterpolator
 
-from .assembly import QuadratureRule, SpatialQuadratureData, field_on_grid
+from .assembly import (
+    QuadratureRule,
+    SpatialQuadratureData,
+    banded_gram,
+    field_on_grid,
+)
 from .bspline import KnotVector, SplineSpace
 from .fields import evaluate_field
 
@@ -180,13 +183,24 @@ class ResidualIndicator:
     ``values`` is the ``N_t x N_s`` matrix of indicator entries (rows indexed
     by the constrained temporal Greville abscissae, columns colexicographic
     over the spatial Greville grid); every entry lies in [0, 1].
+    ``denominator_vanished`` records that the solution scale was zero (a
+    quiescent iterate, as on the first sweep), so every entry with a nonzero
+    residual was set to 1.
     """
 
-    def __init__(self, values, time_greville, spatial_grevilles, spatial_shape):
+    def __init__(
+        self,
+        values,
+        time_greville,
+        spatial_grevilles,
+        spatial_shape,
+        denominator_vanished=False,
+    ):
         self.values = np.asarray(values, dtype=float)
         self.time_greville = np.asarray(time_greville, dtype=float)
         self.spatial_grevilles = [np.asarray(g, dtype=float) for g in spatial_grevilles]
         self.spatial_shape = tuple(spatial_shape)
+        self.denominator_vanished = bool(denominator_vanished)
 
     @property
     def max(self):
@@ -240,7 +254,7 @@ def compute_theta(problem, u, w, grid=None):
     support extension; the denominator combines the global maxima of the
     iterate and of its time derivative.  Entries are clamped to [0, 1]; a
     vanishing denominator yields 0 where the numerator also vanishes and 1
-    (with a warning) where it does not.
+    where it does not, and is recorded as ``denominator_vanished``.
     """
     st = problem.space
     geo = problem.geometry
@@ -324,18 +338,13 @@ def compute_theta(problem, u, w, grid=None):
         theta = np.zeros_like(numer)
         hot = numer > 1e-12 * numer.max(initial=0.0)
         if np.any(hot) and numer.max(initial=0.0) > 0.0:
-            warnings.warn(
-                "residual indicator denominator vanished with a nonzero "
-                "residual; activating the stabilizer fully there",
-                RuntimeWarning,
-                stacklevel=2,
-            )
             theta[hot] = 1.0
     return ResidualIndicator(
         theta,
         st.time_greville(),
         [s.greville() for s in st.spatial],
         st.spatial_shape,
+        denominator_vanished=not denom > 0.0,
     )
 
 
@@ -423,7 +432,8 @@ class StabilizationMatrices:
 
     For every retained rank ``r`` there is one weighted spatial mass matrix
     and, per derivative order ``k``, one temporal Gram matrix; the system
-    operator receives the terms ``C_m sigma_r (S^t_{r,k} kron S^s_r)``.
+    operator receives one term per rank,
+    ``C_m sigma_r ((sum_k S^t_{r,k}) kron S^s_r)``.
     """
 
     def __init__(self, lowrank, time_mats, space_mats, capacitance):
@@ -440,8 +450,9 @@ class StabilizationMatrices:
         out = []
         for r in range(self.rank):
             coef = self.capacitance * self.lowrank.weights[r]
-            for St in self.time_mats[r]:
-                out.append((coef, St, self.space_mats[r]))
+            mats = self.time_mats[r]
+            St = sp.csr_matrix(sum(mats[1:], mats[0]))
+            out.append((coef, St, self.space_mats[r]))
         return out
 
 
@@ -467,7 +478,8 @@ class _StabilizationGrid:
             tw * tau.evaluate(k, self.time_points) for k in range(1, p + 1)
         ]
         self.time_collocs = [
-            st.time_collocation(self.time_points, k) for k in range(1, p + 1)
+            st.time_collocation(self.time_points, k).toarray()
+            for k in range(1, p + 1)
         ]
         self.spatial_data = SpatialQuadratureData(
             st.spatial,
@@ -497,7 +509,7 @@ def assemble_stabilization(tau, lowrank, space_time, geo, capacitance, grid=None
         prof_t = lowrank.time_profile(r, grid.time_points)
         row = []
         for Ck, wk in zip(grid.time_collocs, grid.time_weights):
-            row.append(sp.csr_matrix(Ck.T @ sp.diags(wk * prof_t) @ Ck))
+            row.append(banded_gram([Ck], [Ck], wk * prof_t))
         time_mats.append(row)
         prof_s = lowrank.space_profile(r, axes)
         space_mats.append(grid.spatial_data.mass(weight_grid=prof_s))

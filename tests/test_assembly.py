@@ -13,6 +13,7 @@ from monoiga.assembly import (
     SpatialQuadratureData,
     TimeQuadratureData,
     WeightedMass,
+    banded_gram,
     reaction_mass,
     rhs_vectors,
     spatial_operators,
@@ -23,6 +24,7 @@ from monoiga.assembly import (
 )
 from monoiga.bspline import SplineSpace, SpaceTimeSpace
 from monoiga.geometry import box_geometry, builtin_geometry
+from monoiga.tensorops import kron_chain
 from oracles import (
     dense_space_time_basis,
     dense_univariate,
@@ -232,6 +234,17 @@ class TestWeightedMass:
         assert np.linalg.norm(MR.matvec(x) - ref) <= 1e-13 * np.linalg.norm(ref)
         assert_allclose(MR @ x, MR.matvec(x), rtol=0, atol=0)
 
+    @pytest.mark.parametrize(
+        "d, geometry, p, elements",
+        [(1, "unit_interval", 2, 3), (2, "ellipse_annulus", 2, 2)],
+    )
+    def test_tosparse_columns_equal_matvec(self, d, geometry, p, elements):
+        st = make_st(d=d, p=p, elements=elements)
+        MR = random_reaction_operator(st, builtin_geometry(geometry), seed=3)
+        S = MR.tosparse().toarray()
+        cols = np.column_stack([MR.matvec(e) for e in np.eye(st.num_dof)])
+        assert np.max(np.abs(S - cols)) <= 1e-13 * np.max(np.abs(S))
+
     def test_rejects_mismatched_weight_grid(self):
         with pytest.raises(ValueError, match="weight grid"):
             WeightedMass(np.ones((4, 2)), [np.ones((3, 2))], np.ones((4, 4)))
@@ -272,6 +285,76 @@ class TestWeightedMass:
         csr_bytes = S.data.nbytes + S.indices.nbytes + S.indptr.nbytes
         assert peak < 8 * MR.data.nbytes
         assert peak < csr_bytes / 4
+
+
+def refined_spatial_data(spaces, geo):
+    """Quadrature data on the stabilizer's rule: p + 2 points, Greville breaks."""
+    return SpatialQuadratureData(
+        spaces,
+        geo,
+        npoints=max(s.degree for s in spaces) + 2,
+        extra_breaks=[s.greville() for s in spaces],
+    )
+
+
+class TestBandedGram:
+    @pytest.mark.parametrize(
+        "geometry, p, elements",
+        [
+            ("unit_interval", 3, [5]),
+            ("ellipse_annulus", 2, [4, 3]),
+            ("unit_cube", 2, [2, 3, 2]),
+        ],
+    )
+    def test_matches_explicit_product_with_mixed_orders(self, geometry, p, elements):
+        spaces = [SplineSpace.uniform(p, n) for n in elements]
+        data = refined_spatial_data(spaces, builtin_geometry(geometry))
+        d = len(spaces)
+        rng = np.random.default_rng(5)
+        W = rng.standard_normal(data.grid_shape) * np.abs(data.detj)
+        # Derivative on the test side in direction 1, on the trial side in
+        # direction d (both in 1D); factor lists run in grid order (d first).
+        tests = [data.c1[l] if l == 0 else data.c0[l] for l in reversed(range(d))]
+        trials = [
+            data.c1[l] if l == d - 1 else data.c0[l] for l in reversed(range(d))
+        ]
+        A = kron_chain([sp.csr_matrix(c) for c in tests]).toarray()
+        B = kron_chain([sp.csr_matrix(c) for c in trials]).toarray()
+        ref = A.T @ (W.reshape(-1)[:, None] * B)
+        G = banded_gram(tests, trials, W)
+        assert sp.isspmatrix_csr(G) and G.has_sorted_indices
+        assert np.max(np.abs(G.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "geometry, p, elements", [("ellipse_annulus", 3, [6, 2]), ("unit_cube", 2, [3, 2, 4])]
+    )
+    def test_weighted_mass_on_refined_rule_matches_triple_product(
+        self, geometry, p, elements
+    ):
+        spaces = [SplineSpace.uniform(p, n) for n in elements]
+        data = refined_spatial_data(spaces, builtin_geometry(geometry))
+        prof = np.random.default_rng(7).random(data.grid_shape)
+        C = kron_chain([sp.csr_matrix(c) for c in reversed(data.c0)])
+        w = (data.wgrid * np.abs(data.detj) * prof).reshape(-1)
+        ref = (C.T @ sp.diags(w) @ C).toarray()
+        M = data.mass(weight_grid=prof).toarray()
+        assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_mass_memory_scales_with_the_result(self):
+        # A sparse triple product with the Kronecker collocation matrix of
+        # this rule, (p+1)^3 entries per quadrature point, peaks at about 130
+        # times the bytes of the assembled mass matrix on this mesh.
+        spaces = [SplineSpace.uniform(2, 4)] * 3
+        data = refined_spatial_data(spaces, builtin_geometry("unit_cube"))
+        prof = np.random.default_rng(8).random(data.grid_shape)
+        tracemalloc.start()
+        try:
+            M = data.mass(weight_grid=prof)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        csr_bytes = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+        assert peak < 8 * csr_bytes
 
 
 class TestRhsVectors:

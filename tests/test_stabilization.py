@@ -173,7 +173,7 @@ class TestResidualIndicator:
         theta = compute_theta(problem, u, np.zeros(st.num_dof))
         assert np.all(theta.values == 1.0)
 
-    def test_zero_denominator_activates_with_warning(self):
+    def test_zero_denominator_activates_and_is_recorded(self):
         problem = make_problem(
             d=1,
             p=2,
@@ -181,8 +181,10 @@ class TestResidualIndicator:
             source=lambda x, t: np.where(t < 0.1, 1.0, 0.0),
         )
         z = np.zeros(problem.space.num_dof)
-        with pytest.warns(RuntimeWarning, match="denominator"):
-            theta = compute_theta(problem, z, z)
+        theta = compute_theta(problem, z, z)
+        assert theta.denominator_vanished
+        u = 1e-3 * RNG.standard_normal(problem.space.num_dof)
+        assert not compute_theta(problem, u, z).denominator_vanished
         assert set(np.unique(theta.values)) <= {0.0, 1.0}
         assert theta.values.max() == 1.0
         assert theta.values.min() == 0.0
