@@ -58,7 +58,6 @@ from .linalg import (
     ConsistencyError,
     DecompositionError,
     FastDiagPreconditioner,
-    KroneckerMassPreconditioner,
     NonConvergenceError,
     TimePencil,
     build_time_pencil,

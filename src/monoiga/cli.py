@@ -27,15 +27,6 @@ def _add_common(sub):
     sub.add_argument("config", help="experiment configuration file")
     sub.add_argument("--output-dir", help="override the configured output directory")
     sub.add_argument("--verbose", action="store_true", help="per-sweep progress output")
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker threads for the deterministic-parallel paths (default 1)",
-    )
-    sub.add_argument(
-        "--seed", type=int, default=0, help="reserved; the default paths are seed-free"
-    )
 
 
 def build_parser():
@@ -62,10 +53,6 @@ def main(argv=None):
             cfg.output_dir = args.output_dir
         if args.verbose:
             cfg.verbose = True
-        if args.threads < 1:
-            raise ConfigError("--threads must be at least 1")
-        cfg.threads = args.threads
-        cfg.seed = args.seed
         if args.command == "solve":
             cfg.kind = "solve"
             run_single(cfg)

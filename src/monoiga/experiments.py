@@ -1,7 +1,9 @@
 """Configuration-driven experiment runners and field output writers."""
 
+import ast
 import configparser
 import math
+import operator
 import os
 import time as _time
 from dataclasses import dataclass, field
@@ -129,12 +131,93 @@ def _manufactured_source_1d(constants):
     return fn
 
 
+# What a custom source expression may use: the variables, numeric constants,
+# ``pi``, calls of ``chi`` and of the numpy functions (bare or as
+# ``np.<name>``, positional arguments only), and arithmetic, comparison and
+# element-wise boolean operators.  ``and``, ``or``, ``not`` and chained
+# comparisons are left out: on the array variables they need the truth value
+# of an array.
+_EXPRESSION_VARIABLES = ("x", "y", "z", "t")
+_NUMPY_NAMES = ("sin", "cos", "exp", "sqrt", "pi", "abs")
+_EXPRESSION_FUNCTIONS = {k: getattr(np, k) for k in _NUMPY_NAMES if k != "pi"}
+_EXPRESSION_FUNCTIONS["chi"] = characteristic
+_OPERATORS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.FloorDiv: operator.floordiv,
+    ast.Mod: operator.mod,
+    ast.Pow: operator.pow,
+    ast.Lt: operator.lt,
+    ast.LtE: operator.le,
+    ast.Gt: operator.gt,
+    ast.GtE: operator.ge,
+    ast.Eq: operator.eq,
+    ast.NotEq: operator.ne,
+    ast.BitAnd: operator.and_,
+    ast.BitOr: operator.or_,
+    ast.UAdd: operator.pos,
+    ast.USub: operator.neg,
+    ast.Invert: operator.invert,
+}
+
+
+def _expression_name(node):
+    """The name a bare ``name`` or an ``np.<numpy name>`` node refers to."""
+    if isinstance(node, ast.Name) and node.id != "np":
+        return node.id
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "np"
+        and node.attr in _NUMPY_NAMES
+    ):
+        return node.attr
+    return None
+
+
+def _apply(fn, nodes):
+    args = [_compile_expression(n) for n in nodes]
+    return lambda env: fn(*[a(env) for a in args])
+
+
+def _compile_expression(node):
+    """Closure evaluating a whitelisted expression node on a variable dict.
+
+    Any node outside the whitelist raises :class:`ConfigError`.  The closure
+    applies the same operations in the same order as Python's evaluation.
+    """
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return lambda env, value=node.value: value
+    if isinstance(node, ast.Name) and node.id in _EXPRESSION_VARIABLES:
+        return operator.itemgetter(node.id)
+    if _expression_name(node) == "pi":
+        return lambda env: np.pi
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+        return _apply(_OPERATORS[type(node.op)], [node.left, node.right])
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _OPERATORS:
+        return _apply(_OPERATORS[type(node.op)], [node.operand])
+    if (
+        isinstance(node, ast.Compare)
+        and len(node.ops) == 1
+        and type(node.ops[0]) in _OPERATORS
+    ):
+        return _apply(_OPERATORS[type(node.ops[0])], [node.left] + node.comparators)
+    if isinstance(node, ast.Call) and not node.keywords:
+        fn = _EXPRESSION_FUNCTIONS.get(_expression_name(node.func))
+        if fn is not None:
+            return _apply(fn, node.args)
+    raise ConfigError("custom expression may not contain %r" % ast.unparse(node))
+
+
 def make_source(name, final_time, constants, params=None):
     """Build one of the shipped source terms.
 
     Names: ``none``, ``manufactured_1d``, ``gaussian_pulse_2d``,
     ``layer_pulse_3d``, ``custom`` (with an ``expression`` parameter over
-    ``x, y, z, t, chi`` and numpy).
+    ``x, y, z, t``, ``chi`` and the numpy names ``sin, cos, exp, sqrt, pi,
+    abs``, bare or as ``np.<name>``; other syntax raises :class:`ConfigError`).
     """
     params = dict(params or {})
     if name in ("none", "zero"):
@@ -181,21 +264,23 @@ def make_source(name, final_time, constants, params=None):
         if not expression:
             raise ConfigError("custom source requires an 'expression' parameter")
         t_lo = float(params.get("window_start", math.inf))
-        namespace = {"np": np, "chi": characteristic}
-        namespace.update(
-            {k: getattr(np, k) for k in ("sin", "cos", "exp", "sqrt", "pi", "abs")}
-        )
+        try:
+            tree = ast.parse(str(expression), mode="eval")
+        except SyntaxError as exc:
+            raise ConfigError("cannot parse custom expression: %s" % exc) from exc
+        evaluate = _compile_expression(tree.body)
 
         def fn(x, t):
             x = np.asarray(x, dtype=float)
-            local = dict(namespace)
-            local["x"] = x[:, 0]
-            local["y"] = x[:, 1] if x.shape[1] > 1 else np.zeros(x.shape[0])
-            local["z"] = x[:, 2] if x.shape[1] > 2 else np.zeros(x.shape[0])
-            local["t"] = np.asarray(t, dtype=float)
+            t = np.asarray(t, dtype=float)
+            variables = {
+                "x": x[:, 0],
+                "y": x[:, 1] if x.shape[1] > 1 else np.zeros(x.shape[0]),
+                "z": x[:, 2] if x.shape[1] > 2 else np.zeros(x.shape[0]),
+                "t": t,
+            }
             return np.broadcast_to(
-                np.asarray(eval(expression, {"__builtins__": {}}, local), dtype=float),
-                local["t"].shape,
+                np.asarray(evaluate(variables), dtype=float), t.shape
             ).copy()
 
         return SourceTerm(name, fn, t_lo, params)
@@ -241,8 +326,6 @@ class ExperimentConfig:
     section: object = None
     grid_shape: object = None
     verbose: bool = False
-    threads: int = 1
-    seed: int = 0
 
     def resolved(self):
         """Flat key/value view for the report echo."""
@@ -564,7 +647,6 @@ def run_compare(config):
             "fixed_point_iterations": result.iterations,
             "converged": result.converged,
             "avg_gmres": result.avg_gmres,
-            "avg_pcg": result.avg_pcg,
             "oscillation": metric,
             "wall_time": result.wall_time,
             "result": result,
@@ -583,7 +665,6 @@ def run_compare(config):
                 str(r["fixed_point_iterations"]),
                 "1" if r["converged"] else "0",
                 r["avg_gmres"],
-                r["avg_pcg"],
                 r["oscillation"],
             )
         )
@@ -594,7 +675,6 @@ def run_compare(config):
             "fixed_point_iterations",
             "converged",
             "avg_gmres_iterations",
-            "avg_pcg_iterations",
             "oscillation_metric",
         ],
         rows,

@@ -1,6 +1,6 @@
 """Structured linear algebra: eigendecompositions, the block-arrowhead
-fast-diagonalization preconditioner, Krylov solvers, and the Kronecker solve
-of the recovery-variable system.
+fast-diagonalization preconditioner, Krylov solvers, and the exact temporal
+map that solves the recovery-variable system.
 
 Complex arithmetic is confined to the preconditioner application; the outer
 Krylov iterations stay real.
@@ -9,7 +9,6 @@ Krylov iterations stay real.
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import UnivariateMatrices, time_matrices, univariate_matrix
 from .tensorops import mode_apply
@@ -20,7 +19,6 @@ __all__ = [
     "NonConvergenceError",
     "TimePencil",
     "FastDiagPreconditioner",
-    "KroneckerMassPreconditioner",
     "generalized_eig",
     "build_time_pencil",
     "gmres",
@@ -171,36 +169,6 @@ def build_time_pencil(W_t, M_t, cond_limit=1e12):
             "temporal pencil eigenvectors ill-conditioned (cond %.3e)" % cond
         )
     return TimePencil(U_full, lam, t, rho, v, g, sigma, delta)
-
-
-class KroneckerMassPreconditioner:
-    """Exact inverse of the parametric Kronecker mass matrix.
-
-    Used to precondition conjugate-gradient solves with the pulled-back
-    spatial mass matrix.
-    """
-
-    def __init__(self, spaces):
-        self.spaces = tuple(spaces)
-        self.factors = []
-        for s in self.spaces:
-            Md = UnivariateMatrices(s).mass.toarray()
-            self.factors.append(sla.cho_factor(Md))
-        self.shape_c = tuple(s.dimension for s in reversed(self.spaces))
-
-    def apply(self, r):
-        d = len(self.spaces)
-        x = np.asarray(r, dtype=float).reshape(self.shape_c)
-        for l in range(d):
-            axis = d - 1 - l
-            moved = np.moveaxis(x, axis, 0)
-            flat = moved.reshape(moved.shape[0], -1)
-            sol = sla.cho_solve(self.factors[l], flat)
-            x = np.moveaxis(sol.reshape(moved.shape), 0, axis)
-        return x.reshape(-1)
-
-    def __call__(self, r):
-        return self.apply(r)
 
 
 class FastDiagPreconditioner:
@@ -517,49 +485,24 @@ def pcg(op, rhs, precond=None, tol=1e-8, max_iter=None, log_path=None):
     )
 
 
-def solve_w_system(
-    W_t,
-    M_t,
-    M_s,
-    recovery_rate,
-    equilibrium_rate,
-    g,
-    mass_precond=None,
-    tol=1e-8,
-    direct_space=False,
-):
-    """Solve the recovery-variable system through its Kronecker structure.
+def solve_w_system(W_t, M_t, recovery_rate, equilibrium_rate, u):
+    """Exact solution of the recovery-variable system.
 
-    The operator is ``(W_t + b d_e M_t) kron M_s``; independent temporal
-    systems share one direct factorization while the spatial mass solves use
-    preconditioned conjugate gradients (or a direct factorization when
-    ``direct_space``).
-
-    Returns ``(w, pcg_iterations)``.
+    The system is ``(K_t kron M_s) w = b (M_t kron M_s) u`` with
+    ``K_t = W_t + b d_e M_t``.  The same spatial mass sits on both sides, so
+    ``w = b (K_t^{-1} M_t kron I) u``: one small dense matrix applied along
+    the time axis of ``U = u.reshape(N_t, N_s)``.  Raises
+    :class:`DecompositionError` when ``K_t`` is singular.
     """
     Kt = W_t + recovery_rate * equilibrium_rate * M_t
     Kt = Kt.toarray() if sp.issparse(Kt) else np.asarray(Kt, dtype=float)
+    Mt = M_t.toarray() if sp.issparse(M_t) else np.asarray(M_t, dtype=float)
     nt = Kt.shape[0]
-    g = np.asarray(g, dtype=float).reshape(-1)
-    ns = g.size // nt
-    if nt * ns != g.size:
-        raise ValueError("right-hand side length incompatible with factors")
-    if np.all(g == 0.0):
-        return np.zeros_like(g), []
+    u = np.asarray(u, dtype=float).reshape(-1)
+    if u.size % nt:
+        raise ValueError("potential length incompatible with the temporal factors")
     try:
-        lu = sla.lu_factor(Kt)
+        Ht = sla.solve(Kt, Mt)
     except sla.LinAlgError as exc:
         raise DecompositionError("temporal recovery matrix is singular: %s" % exc) from exc
-    G = g.reshape(nt, ns)
-    Y = sla.lu_solve(lu, G)
-    X = np.empty_like(Y)
-    iters = []
-    if direct_space:
-        solver = spla.factorized(sp.csc_matrix(M_s))
-        for i in range(nt):
-            X[i] = solver(Y[i])
-    else:
-        for i in range(nt):
-            X[i], it = pcg(M_s, Y[i], precond=mass_precond, tol=tol)
-            iters.append(it)
-    return X.reshape(-1), iters
+    return recovery_rate * (Ht @ u.reshape(nt, -1)).reshape(-1)

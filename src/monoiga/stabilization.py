@@ -165,15 +165,28 @@ def strong_residual(problem, u, w, points):
     d = st.num_spatial_dims
     x = geo.evaluate(points[:, :d])
     t = points[:, d] * geo.final_time
-    uv = data["value"]
-    res = (
-        problem.C_m * data["dt"]
-        - problem.D * data["laplacian"]
-        + problem.c1 * uv * (uv - problem.a) * (uv - 1.0)
-        + problem.c2 * uv * w_val
-    )
+    f = None
     if problem.source is not None:
-        res = res - np.asarray(problem.source(x, t), dtype=float).reshape(-1)
+        f = np.asarray(problem.source(x, t), dtype=float).reshape(-1)
+    return _residual(
+        problem, data["value"], data["dt"], data["laplacian"], w_val, f
+    )
+
+
+def _residual(problem, u, u_t, lap, w, f):
+    """``C_m u_t - D lap + c1 u (u - a)(u - 1) + c2 u w - f``, pointwise.
+
+    ``u_t`` is the physical time derivative and ``lap`` the physical
+    Laplacian; ``f`` is the source sampled at the same points, or None.
+    """
+    res = (
+        problem.C_m * u_t
+        - problem.D * lap
+        + problem.c1 * u * (u - problem.a) * (u - 1.0)
+        + problem.c2 * u * w
+    )
+    if f is not None:
+        res = res - f
     return res
 
 
@@ -287,23 +300,17 @@ def compute_theta(problem, u, w, grid=None):
             corr = np.einsum("...c,t...c->t...", grid.hess[..., a, b], grad_phys)
             lap += grid.metric[None, ..., a, b] * (second - corr)
 
-    res = (
-        problem.C_m * (u_dtau / T)
-        - problem.D * lap
-        + problem.c1 * u_val * (u_val - problem.a) * (u_val - 1.0)
-        + problem.c2 * u_val * w_val
-    )
+    f = None
     if problem.source is not None:
         qt = grid.tphys.size
         qs = grid.xphys.shape[0]
-        fv = np.empty((qt, qs))
+        f = np.empty((qt, qs))
         for i, t in enumerate(grid.tphys):
-            fv[i] = np.asarray(
+            f[i] = np.asarray(
                 problem.source(grid.xphys, np.full(qs, t)), dtype=float
             ).reshape(qs)
-        res = res - fv.reshape(res.shape)
-
-    absres = np.abs(res)
+        f = f.reshape(u_val.shape)
+    absres = np.abs(_residual(problem, u_val, u_dtau / T, lap, w_val, f))
     denom = problem.C_m * (
         np.max(np.abs(u_val), initial=0.0) / T
         + np.max(np.abs(u_dtau), initial=0.0) / T

@@ -1,5 +1,7 @@
 """Tests for the command-line runner and its exit codes."""
 
+import pytest
+
 from monoiga.cli import EXIT_CONFIG, EXIT_IO, EXIT_NONCONVERGENCE, EXIT_OK, main
 
 
@@ -55,8 +57,12 @@ def test_bad_config_exits_2(tmp_path):
 
 
 def test_bad_threads_exits_2(tmp_path):
+    # --threads and --seed did nothing and are gone: argparse rejects them
     cfg = write_quick_config(tmp_path)
-    assert main(["solve", str(cfg), "--threads", "0"]) == EXIT_CONFIG
+    for flag in ("--threads", "--seed"):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(cfg), flag, "1"])
+        assert exc.value.code == EXIT_CONFIG
 
 
 def test_nonconvergence_exits_3(tmp_path, capsys):

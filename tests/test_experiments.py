@@ -100,6 +100,43 @@ class TestSources:
         t = np.array([0.3, 0.6])
         assert_allclose(src(x, t), [0.5, 0.0], atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "expression",
+        [
+            "chi(t, 0.2, 0.5) * sin(pi * x)",
+            "sin(pi * x)",
+            "0.5 * chi(t, 0.2, 0.4) * sin(pi * x)",
+            "0.25 * exp(-500*(x-0.3)**2) * chi(t, 90.0, 100.0)",
+            "np.exp(-x**2 / 2.0) * (t > 0.5) + sqrt(abs(y)) - np.cos(+t // 7) % 3",
+            "((x > 0.5) & (t < 90.0)) | ~(y >= 0.2)",
+        ],
+    )
+    def test_custom_expression_matches_python_evaluation(self, expression):
+        # bit for bit against Python's own evaluation of the expression
+        x = RNG.uniform(0.0, 1.0, (40, 2))
+        t = np.concatenate([RNG.uniform(0.0, 1.0, 20), RNG.uniform(85.0, 105.0, 20)])
+        names = {"np": np, "chi": characteristic, "x": x[:, 0], "y": x[:, 1], "t": t}
+        names.update({k: getattr(np, k) for k in ("sin", "cos", "exp", "sqrt", "pi", "abs")})
+        ref = eval(expression, {"__builtins__": {}}, names)
+        src = make_source("custom", 1.0, CONSTANTS, {"expression": expression})
+        assert np.array_equal(src(x, t), np.broadcast_to(np.asarray(ref, dtype=float), t.shape))
+
+    @pytest.mark.parametrize(
+        "expression",
+        [
+            "().__class__.__base__.__subclasses__().__len__() + 0*t",
+            "x.real",
+            "np.linalg.norm(x)",
+            "sin(x, out=x)",
+            "0.2 < t < 0.5",
+            "t and x",
+            "x +",
+        ],
+    )
+    def test_custom_expression_outside_whitelist_raises(self, expression):
+        with pytest.raises(ConfigError, match="custom expression"):
+            make_source("custom", 1.0, CONSTANTS, {"expression": expression})
+
     def test_unknown_source_raises(self):
         with pytest.raises(ConfigError, match="unknown source"):
             make_source("warp_field", 1.0, CONSTANTS)

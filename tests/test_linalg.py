@@ -18,7 +18,6 @@ from monoiga.geometry import builtin_geometry
 from monoiga.linalg import (
     DecompositionError,
     FastDiagPreconditioner,
-    KroneckerMassPreconditioner,
     NonConvergenceError,
     build_time_pencil,
     generalized_eig,
@@ -261,39 +260,32 @@ class TestPCG:
         assert it == 0
         assert np.all(x == 0.0)
 
-    def test_mass_with_parametric_preconditioner(self):
-        for elements in (4, 8, 16):
-            spaces = [SplineSpace.uniform(2, elements)] * 2
-            geo = builtin_geometry("unit_square")
-            M_s, _ = spatial_operators(spaces, geo)
-            P = KroneckerMassPreconditioner(spaces)
-            b = RNG.standard_normal(M_s.shape[0])
-            x, it = pcg(M_s, b, precond=P, tol=1e-8)
-            assert it <= 10
-            assert np.linalg.norm(M_s @ x - b) <= 1e-7 * np.linalg.norm(b)
-
     def test_non_spd_detected(self):
         A = sp.diags([1.0, -1.0, 1.0])
         with pytest.raises(DecompositionError, match="positive definite"):
             pcg(A, np.ones(3))
 
 
+def dense_recovery_system(W_t, M_t, M_s, b, d_e, u):
+    """Oracle: the assembled ``(K_t kron M_s, b (M_t kron M_s) u)``."""
+    M_s = M_s.toarray() if sp.issparse(M_s) else M_s
+    L = np.kron((W_t + b * d_e * M_t).toarray(), M_s)
+    return L, b * np.kron(M_t.toarray(), M_s) @ u
+
+
 class TestWSystem:
     def test_zero_rhs(self):
         st = make_st(d=1, p=2, elements=3)
-        geo = builtin_geometry("unit_interval")
         W_t, M_t = time_matrices(st, 1.0)
-        M_s, _ = spatial_operators(st.spatial, geo)
-        w, iters = solve_w_system(W_t, M_t, M_s, 0.013, 1.0, np.zeros(st.num_dof))
+        w = solve_w_system(W_t, M_t, 0.013, 1.0, np.zeros(st.num_dof))
         assert np.all(w == 0.0)
 
     def test_single_space_dof_matches_dense(self):
         st = make_st(p=2, elements=4)
         W_t, M_t = time_matrices(st, 1.0)
-        Ms1 = sp.csr_matrix(np.array([[2.0]]))
-        g = RNG.standard_normal(st.num_time)
-        w, _ = solve_w_system(W_t, M_t, Ms1, 0.013, 1.0, g)
-        dense = np.kron((W_t + 0.013 * M_t).toarray(), Ms1.toarray())
+        u = RNG.standard_normal(st.num_time)
+        w = solve_w_system(W_t, M_t, 0.013, 1.0, u)
+        dense, g = dense_recovery_system(W_t, M_t, np.array([[2.0]]), 0.013, 1.0, u)
         assert np.max(np.abs(dense @ w - g)) < 1e-12
 
     def test_random_system_matches_dense_kron_solve(self):
@@ -301,10 +293,9 @@ class TestWSystem:
         geo = builtin_geometry("unit_square", final_time=3.0)
         W_t, M_t = time_matrices(st, 3.0)
         M_s, _ = spatial_operators(st.spatial, geo)
-        g = RNG.standard_normal(st.num_dof)
-        P = KroneckerMassPreconditioner(st.spatial)
-        w, _ = solve_w_system(W_t, M_t, M_s, 0.013, 1.0, g, mass_precond=P, tol=1e-13)
-        L = np.kron((W_t + 0.013 * M_t).toarray(), M_s.toarray())
+        u = RNG.standard_normal(st.num_dof)
+        w = solve_w_system(W_t, M_t, 0.013, 1.0, u)
+        L, g = dense_recovery_system(W_t, M_t, M_s, 0.013, 1.0, u)
         ref = np.linalg.solve(L, g)
         assert np.linalg.norm(w - ref) / np.linalg.norm(ref) < 1e-10
 
@@ -315,12 +306,31 @@ class TestWSystem:
             geo = builtin_geometry("unit_interval", final_time=1.0 + trial)
             W_t, M_t = time_matrices(st, 1.0 + trial)
             M_s, _ = spatial_operators(st.spatial, geo)
-            g = RNG.standard_normal(st.num_dof)
-            w, _ = solve_w_system(
-                W_t, M_t, M_s, 0.1, 2.0, g, tol=1e-13, direct_space=True
-            )
-            L = np.kron((W_t + 0.2 * M_t).toarray(), M_s.toarray())
+            u = RNG.standard_normal(st.num_dof)
+            w = solve_w_system(W_t, M_t, 0.1, 2.0, u)
+            L, g = dense_recovery_system(W_t, M_t, M_s, 0.1, 2.0, u)
             assert np.linalg.norm(L @ w - g) / np.linalg.norm(g) < 1e-10
+            ref = np.linalg.solve(L, g)
+            assert np.linalg.norm(w - ref) / np.linalg.norm(ref) < 1e-10
+
+    def test_mapped_annulus_matches_dense_kron_solve(self):
+        # the pulled-back annulus mass is not a Kronecker product
+        spatial = [SplineSpace.uniform(2, 4), SplineSpace.uniform(2, 3)]
+        st = SpaceTimeSpace(spatial, SplineSpace.uniform(2, 4))
+        geo = builtin_geometry("ellipse_annulus", final_time=2.0)
+        W_t, M_t = time_matrices(st, 2.0)
+        M_s, _ = spatial_operators(st.spatial, geo)
+        u = RNG.standard_normal(st.num_dof)
+        w = solve_w_system(W_t, M_t, 0.013, 1.0, u)
+        L, g = dense_recovery_system(W_t, M_t, M_s, 0.013, 1.0, u)
+        ref = np.linalg.solve(L, g)
+        assert np.linalg.norm(w - ref) / np.linalg.norm(ref) < 1e-10
+
+    def test_singular_temporal_matrix_raises(self):
+        st = make_st(d=1, p=2, elements=3)
+        _, M_t = time_matrices(st, 1.0)
+        with pytest.raises(DecompositionError, match="singular"):
+            solve_w_system(-0.013 * M_t, M_t, 0.013, 1.0, np.ones(st.num_dof))
 
 
 def test_iteration_logs_written(tmp_path):
