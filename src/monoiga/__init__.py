@@ -12,14 +12,12 @@ from .assembly import (
     QuadratureRule,
     UnivariateMatrices,
     WeightedMass,
-    kron_matvec,
     reaction_mass,
     rhs_vectors,
     spatial_operators,
     time_matrices,
     univariate_matrices,
     univariate_matrix,
-    write_coo,
 )
 from .bspline import (
     KnotVector,

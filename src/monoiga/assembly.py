@@ -14,7 +14,6 @@ import functools
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator
 
 from .geometry import jacobian_inverse_and_det
 from .tensorops import kron_chain, mode_apply, outer_product_grid, two_factor_matvec
@@ -31,8 +30,6 @@ __all__ = [
     "spatial_operators",
     "reaction_mass",
     "rhs_vectors",
-    "kron_matvec",
-    "write_coo",
 ]
 
 
@@ -449,7 +446,7 @@ class WeightedMass:
         return self.matvec(x)
 
     def tosparse(self):
-        """Assemble the operator as a CSR matrix (for direct solves and tests).
+        """Assemble the operator as a CSR matrix (for the tests' dense oracles).
 
         Time is the slowest direction of :func:`banded_gram`.
         """
@@ -502,56 +499,31 @@ def reaction_mass(
 
 
 def rhs_vectors(
-    space_time,
-    geo,
-    source,
-    u_prev,
-    recovery_rate,
-    final_time=None,
-    spatial_data=None,
-    time_data=None,
-    mass_operator=None,
+    space_time, geo, source, final_time=None, spatial_data=None, time_data=None
 ):
-    """Load vector of the source and right-hand side of the recovery system.
-
-    Returns ``(f_vec, g_vec)`` with ``f_vec[i] = int int f B_i`` and
-    ``g_vec = b (M_t kron M_s) u_prev``.
-    """
+    """Load vector ``f_vec[i] = int int f B_i`` of the source (zero if ``None``)."""
+    if source is None:
+        return np.zeros(space_time.num_dof)
     if final_time is None:
         final_time = geo.final_time
     if spatial_data is None:
         spatial_data = SpatialQuadratureData(space_time.spatial, geo)
     if time_data is None:
         time_data = TimeQuadratureData(space_time, final_time)
-
-    nt = space_time.num_time
-    ns = space_time.num_space
-    if source is None:
-        f_vec = np.zeros(space_time.num_dof)
-    else:
-        xq = spatial_data.physical_points()
-        tq = time_data.points * final_time
-        qs = xq.shape[0]
-        qt = tq.size
-        fvals = np.empty((qt, qs))
-        for i, t in enumerate(tq):
-            fvals[i] = np.asarray(
-                source(xq, np.full(qs, t)), dtype=float
-            ).reshape(qs)
-        ws = (spatial_data.wgrid * np.abs(spatial_data.detj)).reshape(-1)
-        vals = fvals * ws[None, :] * time_data.weights[:, None]
-        f_vec = _apply_factors(
-            time_data.c0.T,
-            [c.T for c in spatial_data.c0],
-            vals.reshape((qt,) + spatial_data.grid_shape),
-        ).reshape(-1)
-
-    if mass_operator is None:
-        W_t, M_t = time_matrices(space_time, final_time)
-        M_s = spatial_data.mass()
-        mass_operator = KroneckerOperator(nt, ns, [(1.0, M_t, M_s)])
-    g_vec = recovery_rate * mass_operator.matvec(np.asarray(u_prev, dtype=float))
-    return f_vec, g_vec
+    xq = spatial_data.physical_points()
+    tq = time_data.points * final_time
+    qs = xq.shape[0]
+    qt = tq.size
+    fvals = np.empty((qt, qs))
+    for i, t in enumerate(tq):
+        fvals[i] = np.asarray(source(xq, np.full(qs, t)), dtype=float).reshape(qs)
+    ws = (spatial_data.wgrid * np.abs(spatial_data.detj)).reshape(-1)
+    vals = fvals * ws[None, :] * time_data.weights[:, None]
+    return _apply_factors(
+        time_data.c0.T,
+        [c.T for c in spatial_data.c0],
+        vals.reshape((qt,) + spatial_data.grid_shape),
+    ).reshape(-1)
 
 
 class KroneckerOperator:
@@ -601,7 +573,7 @@ class KroneckerOperator:
         return out
 
     def tosparse(self):
-        """Materialize the operator as a sparse matrix."""
+        """Materialize the operator as a CSR matrix (for the tests' dense oracles)."""
         acc = None
         for coef, tmat, smat in self.terms:
             term = coef * sp.kron(tmat, smat, format="csr")
@@ -615,20 +587,3 @@ class KroneckerOperator:
         if acc is None:
             acc = sp.csr_matrix(self.shape)
         return sp.csr_matrix(acc)
-
-    def aslinearoperator(self):
-        return LinearOperator(self.shape, matvec=self.matvec, dtype=float)
-
-
-def kron_matvec(op, x):
-    """Matrix-vector product with a :class:`KroneckerOperator`."""
-    return op.matvec(x)
-
-
-def write_coo(mat, path):
-    """Dump a sparse matrix in coordinate text format (row, col, value)."""
-    coo = sp.coo_matrix(mat)
-    with open(path, "w") as fh:
-        fh.write("%d %d %d\n" % (coo.shape[0], coo.shape[1], coo.nnz))
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write("%d %d %.17g\n" % (i, j, v))

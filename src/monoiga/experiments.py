@@ -316,7 +316,9 @@ class ExperimentConfig:
     relaxation: float = 0.5
     tolerance: float = 1e-4
     max_iterations: int = 100
-    linear_solver: str = "auto"
+    # Inert: every solve uses preconditioned GMRES, and no solver reads this.
+    # Kept only because perfbench/workloads.py still passes it.
+    linear_solver: str = "iterative"
     linear_tol: float = 1e-8
     conv_degrees: list = field(default_factory=lambda: [2, 3])
     conv_h: list = field(default_factory=lambda: [2.0**-k for k in range(2, 7)])
@@ -348,7 +350,6 @@ class ExperimentConfig:
             max_iterations=self.max_iterations,
             stabilization=self.stabilization if stabilization is None else stabilization,
             lowrank_tol=self.lowrank_tol,
-            linear_solver=self.linear_solver,
             linear_tol=self.linear_tol,
             verbose=self.verbose,
         )
@@ -415,7 +416,6 @@ def parse_config(path):
             cfg.relaxation = float(sec.get("relaxation", cfg.relaxation))
             cfg.tolerance = float(sec.get("tolerance", cfg.tolerance))
             cfg.max_iterations = int(sec.get("max_iterations", cfg.max_iterations))
-            cfg.linear_solver = sec.get("linear_solver", cfg.linear_solver).strip()
             cfg.linear_tol = float(sec.get("linear_tol", cfg.linear_tol))
         if cp.has_section("convergence"):
             sec = cp["convergence"]
@@ -531,7 +531,6 @@ def run_convergence(config):
                 stabilization=config.stabilization,
                 lowrank_tol=config.lowrank_tol,
                 indicator_update="frozen",
-                linear_solver=config.linear_solver,
                 linear_tol=config.linear_tol,
                 evolve_recovery=False,
                 verbose=config.verbose,

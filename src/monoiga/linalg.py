@@ -324,18 +324,10 @@ class FastDiagPreconditioner:
         return self.apply(r)
 
 
-def write_iteration_log(path, history):
-    """CSV residual history: one (iteration, residual) row per entry."""
-    with open(path, "w") as fh:
-        fh.write("iteration,residual\n")
-        for i, r in enumerate(history):
-            fh.write("%d,%.17g\n" % (i, r))
-
-
 _GMRES_BLOCK = 4
 
 
-def gmres(op, rhs, precond=None, tol=1e-8, max_iter=None, x0=None, log_path=None):
+def gmres(op, rhs, precond=None, tol=1e-8, max_iter=None, x0=None):
     """Left-preconditioned GMRES without restarting.
 
     The Arnoldi basis is built with classical Gram-Schmidt plus one
@@ -344,8 +336,7 @@ def gmres(op, rhs, precond=None, tol=1e-8, max_iter=None, x0=None, log_path=None
     most ``n`` iterations, still without restarting.  The Krylov basis (one
     array, a basis vector per row) and the Hessenberg workspace start at a
     few columns and double when full, so memory scales with ``n`` times the
-    iterations taken, not with ``max_iter``.  ``log_path`` writes the
-    residual history as CSV.
+    iterations taken, not with ``max_iter``.
 
     Returns ``(x, iterations, residual_history)``.
     """
@@ -364,8 +355,6 @@ def gmres(op, rhs, precond=None, tol=1e-8, max_iter=None, x0=None, log_path=None
     z = psolve(r)
     beta = np.linalg.norm(z)
     if beta == 0.0:
-        if log_path is not None:
-            write_iteration_log(log_path, [0.0])
         return x0.copy(), 0, [0.0]
     m = min(max_iter, _GMRES_BLOCK)
     V = np.empty((m + 1, n))
@@ -419,8 +408,6 @@ def gmres(op, rhs, precond=None, tol=1e-8, max_iter=None, x0=None, log_path=None
             break
         V[j + 1] = wv / hnorm
     else:
-        if log_path is not None:
-            write_iteration_log(log_path, history)
         raise NonConvergenceError(
             "GMRES did not reach tol %.2e in %d iterations" % (tol, max_iter),
             iterations=max_iter,
@@ -428,18 +415,15 @@ def gmres(op, rhs, precond=None, tol=1e-8, max_iter=None, x0=None, log_path=None
         )
     y = sla.solve_triangular(H[:k_done, :k_done], gvec[:k_done])
     x = x0 + y @ V[:k_done]
-    if log_path is not None:
-        write_iteration_log(log_path, history)
     return x, k_done, history
 
 
-def pcg(op, rhs, precond=None, tol=1e-8, max_iter=None, log_path=None):
+def pcg(op, rhs, precond=None, tol=1e-8, max_iter=None):
     """Preconditioned conjugate gradients for SPD operators.
 
     Returns ``(x, iterations)``.  Raises :class:`NonConvergenceError` when the
     iteration budget is exhausted and :class:`DecompositionError` when
-    negative curvature reveals a non-SPD operator.  ``log_path`` writes the
-    relative residual history as CSV.
+    negative curvature reveals a non-SPD operator.
     """
     matvec = _as_matvec(op)
     psolve = _as_psolve(precond)
@@ -449,15 +433,12 @@ def pcg(op, rhs, precond=None, tol=1e-8, max_iter=None, log_path=None):
         max_iter = 10 * n
     bnorm = np.linalg.norm(rhs)
     if bnorm == 0.0:
-        if log_path is not None:
-            write_iteration_log(log_path, [0.0])
         return np.zeros(n), 0
     x = np.zeros(n)
     r = rhs.copy()
     z = psolve(r)
     p = z.copy()
     rz = r @ z
-    history = [1.0]
     for it in range(1, max_iter + 1):
         Ap = matvec(p)
         curv = p @ Ap
@@ -466,18 +447,12 @@ def pcg(op, rhs, precond=None, tol=1e-8, max_iter=None, log_path=None):
         alpha = rz / curv
         x += alpha * p
         r -= alpha * Ap
-        rel = np.linalg.norm(r) / bnorm
-        history.append(float(rel))
-        if rel <= tol:
-            if log_path is not None:
-                write_iteration_log(log_path, history)
+        if np.linalg.norm(r) / bnorm <= tol:
             return x, it
         z = psolve(r)
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new
-    if log_path is not None:
-        write_iteration_log(log_path, history)
     raise NonConvergenceError(
         "PCG did not reach tol %.2e in %d iterations" % (tol, max_iter),
         x=x,

@@ -3,9 +3,9 @@
 Each sweep freezes the reaction coefficient at the previous iterate, solves
 the two decoupled linear systems, relaxes, and stops when the max-abs change
 of the potential coefficients drops below the tolerance.  The potential
-system goes to a direct factorization or to preconditioned GMRES; the
-recovery system is solved exactly by one dense temporal matrix applied along
-the time axis (:func:`solve_w_system`).
+system is solved matrix-free by GMRES with the fast-diagonalization
+preconditioner; the recovery system is solved exactly by one dense temporal
+matrix applied along the time axis (:func:`solve_w_system`).
 """
 
 import time as _time
@@ -13,8 +13,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import (
     KroneckerOperator,
@@ -48,8 +46,6 @@ __all__ = [
     "evaluate_field",
     "l2_error",
 ]
-
-DIRECT_SOLVER_DOF_LIMIT = 20000
 
 
 class FixedPointDiverged(RuntimeError):
@@ -103,8 +99,8 @@ class FixedPointConfig:
     """Options for the fixed-point sweep.
 
     ``stabilization`` is ``"off"`` for plain Galerkin or ``"spline_upwind"``;
-    ``linear_solver`` is ``"direct"``, ``"iterative"`` or ``"auto"`` (direct
-    up to 20000 unknowns).  ``indicator_override`` replaces the residual
+    ``linear_tol`` is the relative tolerance of the preconditioned GMRES
+    solve of every sweep.  ``indicator_override`` replaces the residual
     indicator computation (testing hook).
     """
 
@@ -115,7 +111,6 @@ class FixedPointConfig:
     lowrank_tol: float = 0.1
     indicator_update: str = "every_sweep"
     indicator_freeze_tol: float = 0.02
-    linear_solver: str = "auto"
     linear_tol: float = 1e-8
     evolve_recovery: bool = True
     indicator_override: object = None
@@ -130,8 +125,6 @@ class FixedPointConfig:
             raise ValueError("unknown stabilization %r" % self.stabilization)
         if self.indicator_update not in ("every_sweep", "frozen"):
             raise ValueError("unknown indicator update %r" % self.indicator_update)
-        if self.linear_solver not in ("auto", "direct", "iterative"):
-            raise ValueError("unknown linear solver %r" % self.linear_solver)
 
 
 @dataclass
@@ -171,32 +164,21 @@ class _Workspace:
         else:
             self.M_s = self.spatial_data.mass()
             self.K_s = self.spatial_data.stiffness()
-        mass_op = KroneckerOperator(
-            st.num_time, st.num_space, [(1.0, self.M_t, self.M_s)]
-        )
-        self.f_vec, _ = rhs_vectors(
+        self.f_vec = rhs_vectors(
             st,
             geo,
             problem.source,
-            np.zeros(st.num_dof),
-            problem.b,
             spatial_data=self.spatial_data,
             time_data=self.time_data,
-            mass_operator=mass_op,
         )
-        self.use_direct = config.linear_solver == "direct" or (
-            config.linear_solver == "auto" and st.num_dof <= DIRECT_SOLVER_DOF_LIMIT
+        self.precond = FastDiagPreconditioner.build(
+            st,
+            problem.final_time,
+            problem.C_m,
+            problem.D,
+            problem.a * problem.c1,
+            spatial_data=self.spatial_data,
         )
-        self.precond = None
-        if not self.use_direct:
-            self.precond = FastDiagPreconditioner.build(
-                st,
-                problem.final_time,
-                problem.C_m,
-                problem.D,
-                problem.a * problem.c1,
-                spatial_data=self.spatial_data,
-            )
         self.tau = None
         self.residual_grid = None
         self.stab_grid = None
@@ -321,14 +303,8 @@ def fixed_point_solve(problem, config=None):
                     frozen_stab_terms = stab_terms
         op = ws.operator(problem, u, w, stab_terms)
 
-        if ws.use_direct:
-            lu = spla.splu(sp.csc_matrix(op.tosparse()))
-            u_tilde = lu.solve(ws.f_vec)
-        else:
-            u_tilde, nit, _ = gmres(
-                op, ws.f_vec, precond=ws.precond, tol=config.linear_tol
-            )
-            gmres_iters.append(nit)
+        u_tilde, nit, _ = gmres(op, ws.f_vec, precond=ws.precond, tol=config.linear_tol)
+        gmres_iters.append(nit)
 
         if config.evolve_recovery:
             w_tilde = solve_w_system(ws.W_t, ws.M_t, problem.b, problem.d_e, u)

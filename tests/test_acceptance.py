@@ -356,9 +356,7 @@ def test_criterion_9_gmres_growth_under_refinement():
         st = build_space(geo, 3, h_space, h_time)
         source = make_source("gaussian_pulse_2d", 300.0, dict(DEFAULT_CONSTANTS))
         problem = MonodomainProblem(geometry=geo, space=st, source=source, D=1e-4)
-        config = FixedPointConfig(
-            tolerance=1e-4, max_iterations=1, linear_solver="iterative"
-        )
+        config = FixedPointConfig(tolerance=1e-4, max_iterations=1)
         try:
             res = fixed_point_solve(problem, config)
         except FixedPointDiverged as exc:

@@ -20,7 +20,6 @@ from monoiga.assembly import (
     time_matrices,
     univariate_matrices,
     univariate_matrix,
-    write_coo,
 )
 from monoiga.bspline import SplineSpace, SpaceTimeSpace
 from monoiga.geometry import box_geometry, builtin_geometry
@@ -361,31 +360,18 @@ class TestRhsVectors:
     def test_zero_source_and_zero_state(self):
         st = make_st(d=1, p=2, elements=3)
         geo = builtin_geometry("unit_interval")
-        f, g = rhs_vectors(st, geo, None, np.zeros(st.num_dof), 0.013)
+        f = rhs_vectors(st, geo, None)
+        assert f.shape == (st.num_dof,)
         assert np.all(f == 0.0)
-        assert np.all(g == 0.0)
 
     def test_unit_source_entries_are_basis_integrals(self):
         st = make_st(d=2, p=2, elements=2)
         geo = builtin_geometry("unit_square", final_time=3.0)
-        f, _ = rhs_vectors(
-            st, geo, lambda x, t: np.ones(t.shape), np.zeros(st.num_dof), 0.0
-        )
+        f = rhs_vectors(st, geo, lambda x, t: np.ones(t.shape))
         pts, w = space_time_quadrature(st, npoints=4)
         B = dense_space_time_basis(st, pts, [0, 0], 0)
         ref = (w * 3.0) @ B
         assert np.max(np.abs(f - ref)) < 1e-12
-
-    def test_recovery_rhs_is_scaled_mass_matvec(self):
-        rng = np.random.default_rng(1)
-        st = make_st(d=1, p=2, elements=3)
-        geo = builtin_geometry("unit_interval", final_time=2.0)
-        u = rng.standard_normal(st.num_dof)
-        _, g = rhs_vectors(st, geo, None, u, 0.013)
-        W_t, M_t = time_matrices(st, 2.0)
-        M_s, _ = spatial_operators(st.spatial, geo)
-        ref = 0.013 * (sp.kron(M_t, M_s) @ u)
-        assert_allclose(g, ref, atol=1e-13)
 
 
 class TestKroneckerOperator:
@@ -444,17 +430,3 @@ class TestKroneckerOperator:
         op = KroneckerOperator(2, 2, [(1.0, sp.identity(2), sp.identity(2))])
         with pytest.raises(ValueError, match="dimension mismatch"):
             op.matvec(np.zeros(5))
-
-
-def test_write_coo_round_trip(tmp_path):
-    mat = sp.random(5, 5, density=0.4, random_state=12, format="csr")
-    path = tmp_path / "mat.txt"
-    write_coo(mat, path)
-    lines = path.read_text().strip().splitlines()
-    nr, nc, nnz = (int(v) for v in lines[0].split())
-    assert (nr, nc, nnz) == (5, 5, mat.nnz)
-    rebuilt = np.zeros((5, 5))
-    for ln in lines[1:]:
-        i, j, v = ln.split()
-        rebuilt[int(i), int(j)] = float(v)
-    assert_allclose(rebuilt, mat.toarray(), atol=0)

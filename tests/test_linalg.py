@@ -331,20 +331,3 @@ class TestWSystem:
         _, M_t = time_matrices(st, 1.0)
         with pytest.raises(DecompositionError, match="singular"):
             solve_w_system(-0.013 * M_t, M_t, 0.013, 1.0, np.ones(st.num_dof))
-
-
-def test_iteration_logs_written(tmp_path):
-    A = sp.diags(np.linspace(1.0, 4.0, 12))
-    b = RNG.standard_normal(12)
-    gpath = tmp_path / "gmres_log.csv"
-    x, it, hist = gmres(A, b, tol=1e-10, log_path=str(gpath))
-    lines = gpath.read_text().strip().splitlines()
-    assert lines[0] == "iteration,residual"
-    assert len(lines) == len(hist) + 1
-    assert float(lines[-1].split(",")[1]) <= 1e-10
-
-    ppath = tmp_path / "pcg_log.csv"
-    x, it = pcg(A, b, tol=1e-10, log_path=str(ppath))
-    plines = ppath.read_text().strip().splitlines()
-    assert plines[0] == "iteration,residual"
-    assert len(plines) == it + 2

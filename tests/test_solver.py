@@ -76,8 +76,11 @@ class TestFixedPoint:
         problem = make_problem(
             d=1, p=2, elements=4, source=lambda x, t: np.exp(-t)
         )
-        tight = FixedPointConfig(relaxation=1.0, tolerance=1e-13, max_iterations=300)
+        tight = FixedPointConfig(
+            relaxation=1.0, tolerance=1e-13, max_iterations=300, linear_tol=1e-13
+        )
         res = fixed_point_solve(problem, tight)
+        assert len(res.gmres_iterations) == res.iterations
         st = problem.space
         geo = problem.geometry
         W_t, M_t = time_matrices(st, problem.final_time)
@@ -85,7 +88,8 @@ class TestFixedPoint:
         MR = reaction_mass(
             st, geo, problem.reaction_constants(), res.u, res.w
         )
-        f_vec, g_vec = rhs_vectors(st, geo, problem.source, res.u, problem.b)
+        f_vec = rhs_vectors(st, geo, problem.source)
+        g_vec = problem.b * (sp.kron(M_t, M_s) @ res.u)
         op = KroneckerOperator(
             st.num_time,
             st.num_space,
@@ -152,25 +156,6 @@ class TestFixedPoint:
         r_gal = fixed_point_solve(problem, base)
         r_su = fixed_point_solve(problem, su)
         assert np.max(np.abs(r_gal.u - r_su.u)) < 1e-8
-
-    def test_iterative_path_matches_direct(self):
-        problem = make_problem(
-            d=1, p=2, elements=6, source=lambda x, t: np.cos(np.pi * t)
-        )
-        direct = fixed_point_solve(
-            problem, FixedPointConfig(relaxation=1.0, tolerance=1e-10, linear_solver="direct")
-        )
-        iterative = fixed_point_solve(
-            problem,
-            FixedPointConfig(
-                relaxation=1.0,
-                tolerance=1e-10,
-                linear_solver="iterative",
-                linear_tol=1e-12,
-            ),
-        )
-        assert np.max(np.abs(direct.u - iterative.u)) < 1e-8
-        assert len(iterative.gmres_iterations) > 0
 
     def test_stabilizer_switches_off_on_resolved_solution(self):
         from monoiga.experiments import make_source
@@ -304,7 +289,7 @@ def test_decoupled_systems_are_order_independent():
 
     def solve_u():
         MR = reaction_mass(st, geo, problem.reaction_constants(), u_k, w_k)
-        f_vec, _ = rhs_vectors(st, geo, problem.source, u_k, problem.b)
+        f_vec = rhs_vectors(st, geo, problem.source)
         op = KroneckerOperator(
             st.num_time,
             st.num_space,
@@ -314,7 +299,7 @@ def test_decoupled_systems_are_order_independent():
         return spla.spsolve(sp.csc_matrix(op.tosparse()), f_vec)
 
     def solve_w():
-        _, g_vec = rhs_vectors(st, geo, problem.source, u_k, problem.b)
+        g_vec = problem.b * (sp.kron(M_t, M_s) @ u_k)
         L = sp.kron(W_t + problem.b * problem.d_e * M_t, M_s)
         return spla.spsolve(sp.csc_matrix(L), g_vec)
 
