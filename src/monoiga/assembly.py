@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import jacobian_inverse_and_det
-from .tensorops import kron_chain, mode_apply, outer_product_grid, two_factor_matvec
+from .tensorops import kron_chain, mode_apply, outer_product_grid
 
 __all__ = [
     "QuadratureRule",
@@ -533,12 +533,19 @@ class KroneckerOperator:
     of size ``N_s``.  An optional ``correction`` (the frozen reaction term, a
     :class:`WeightedMass`, or any matrix supporting ``@``) is added to the
     matvec.
+
+    A matvec applies all terms with two sparse products: the stacked
+    temporal factors ``vstack(c_k T_k)`` act on ``X = x.reshape(N_t, N_s)``,
+    and ``hstack(S_k)`` acts on the transposed blocks, which sums the terms.
+    The stacks are built on the first matvec after a change of the terms;
+    they hold one copy of the factors, never the space-time product.
     """
 
     def __init__(self, num_time, num_space, terms=None, correction=None):
         self.num_time = int(num_time)
         self.num_space = int(num_space)
         self.terms = []
+        self._stacks = None
         if terms is not None:
             for coef, tmat, smat in terms:
                 self.add_term(coef, tmat, smat)
@@ -555,6 +562,17 @@ class KroneckerOperator:
         if smat.shape != (self.num_space, self.num_space):
             raise ValueError("spatial factor has wrong shape")
         self.terms.append((float(coef), tmat, smat))
+        self._stacks = None
+
+    def _stacked_factors(self):
+        if self._stacks is None:
+            T = sp.vstack(
+                [coef * sp.csr_matrix(tmat) for coef, tmat, _ in self.terms],
+                format="csr",
+            )
+            S = sp.hstack([sp.csr_matrix(smat) for _, _, smat in self.terms], format="csr")
+            self._stacks = (T, S)
+        return self._stacks
 
     def matvec(self, x):
         x = np.asarray(x, dtype=float).reshape(-1)
@@ -563,11 +581,14 @@ class KroneckerOperator:
                 "dimension mismatch: operator of size %d applied to vector of size %d"
                 % (self.shape[0], x.size)
             )
-        out = np.zeros_like(x)
-        for coef, tmat, smat in self.terms:
-            out += coef * two_factor_matvec(
-                tmat, smat, x, self.num_time, self.num_space
-            )
+        nt, ns = self.num_time, self.num_space
+        if self.terms:
+            T, S = self._stacked_factors()
+            Y = T @ x.reshape(nt, ns)
+            Z = Y.reshape(-1, nt, ns).transpose(0, 2, 1).reshape(-1, nt)
+            out = (S @ Z).T.reshape(-1)
+        else:
+            out = np.zeros_like(x)
         if self.correction is not None:
             out += self.correction @ x
         return out

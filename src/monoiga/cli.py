@@ -5,6 +5,8 @@ Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
 """
 
 import argparse
+import contextlib
+import logging
 import sys
 
 from .experiments import (
@@ -26,7 +28,9 @@ EXIT_IO = 4
 def _add_common(sub):
     sub.add_argument("config", help="experiment configuration file")
     sub.add_argument("--output-dir", help="override the configured output directory")
-    sub.add_argument("--verbose", action="store_true", help="per-sweep progress output")
+    sub.add_argument(
+        "--verbose", action="store_true", help="per-sweep progress on stderr"
+    )
 
 
 def build_parser():
@@ -45,33 +49,51 @@ def build_parser():
     return parser
 
 
+@contextlib.contextmanager
+def _progress_log(enabled):
+    """Send the library's INFO records (one per sweep) to stderr while open."""
+    if not enabled:
+        yield
+        return
+    logger = logging.getLogger("monoiga")
+    handler = logging.StreamHandler()
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    try:
-        cfg = parse_config(args.config)
-        if args.output_dir:
-            cfg.output_dir = args.output_dir
-        if args.verbose:
-            cfg.verbose = True
-        if args.command == "solve":
-            cfg.kind = "solve"
-            run_single(cfg)
-        elif args.command == "convergence":
-            cfg.kind = "convergence"
-            run_convergence(cfg)
-        else:
-            cfg.kind = "compare"
-            run_compare(cfg)
-    except ConfigError as exc:
-        print("configuration error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
-    except (FixedPointDiverged, NonConvergenceError) as exc:
-        print("solver did not converge: %s" % exc, file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except OSError as exc:
-        print("i/o error: %s" % exc, file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+    with _progress_log(args.verbose):
+        try:
+            cfg = parse_config(args.config)
+            if args.output_dir:
+                cfg.output_dir = args.output_dir
+            if args.command == "solve":
+                cfg.kind = "solve"
+                run_single(cfg)
+            elif args.command == "convergence":
+                cfg.kind = "convergence"
+                run_convergence(cfg)
+            else:
+                cfg.kind = "compare"
+                run_compare(cfg)
+        except ConfigError as exc:
+            print("configuration error: %s" % exc, file=sys.stderr)
+            return EXIT_CONFIG
+        except (FixedPointDiverged, NonConvergenceError) as exc:
+            print("solver did not converge: %s" % exc, file=sys.stderr)
+            return EXIT_NONCONVERGENCE
+        except OSError as exc:
+            print("i/o error: %s" % exc, file=sys.stderr)
+            return EXIT_IO
+        return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import ast
 import configparser
+import logging
 import math
 import operator
 import os
@@ -40,6 +41,8 @@ __all__ = [
     "oscillation_metric",
     "write_field",
 ]
+
+log = logging.getLogger(__name__)
 
 FLOAT_FMT = "%.17g"
 
@@ -327,7 +330,6 @@ class ExperimentConfig:
     output_times: list = field(default_factory=lambda: [0.25, 0.5, 0.75, 1.0])
     section: object = None
     grid_shape: object = None
-    verbose: bool = False
 
     def resolved(self):
         """Flat key/value view for the report echo."""
@@ -351,7 +353,6 @@ class ExperimentConfig:
             stabilization=self.stabilization if stabilization is None else stabilization,
             lowrank_tol=self.lowrank_tol,
             linear_tol=self.linear_tol,
-            verbose=self.verbose,
         )
 
 
@@ -533,7 +534,6 @@ def run_convergence(config):
                 indicator_update="frozen",
                 linear_tol=config.linear_tol,
                 evolve_recovery=False,
-                verbose=config.verbose,
             )
             result = fixed_point_solve(problem, fp)
             err = l2_error(st, geo, result.u, manufactured_exact_1d)
@@ -542,8 +542,7 @@ def run_convergence(config):
             )
             errors.append(err)
             rows.append((str(p), h, err, order))
-            if config.verbose:
-                print("p=%d h=%g error=%.3e order=%.2f" % (p, h, err, order))
+            log.info("p=%d h=%g error=%.3e order=%.2f", p, h, err, order)
         logs = np.log(np.array(errors))
         slopes[p] = float(
             np.polyfit(np.log(np.array(config.conv_h)), logs, 1)[0]
@@ -650,11 +649,7 @@ def run_compare(config):
             "wall_time": result.wall_time,
             "result": result,
         }
-        if config.verbose:
-            print(
-                "%s: %d sweeps, oscillation %.3e"
-                % (label, result.iterations, metric)
-            )
+        log.info("%s: %d sweeps, oscillation %.3e", label, result.iterations, metric)
     rows = []
     for label in ("galerkin", "spline_upwind"):
         r = report[label]

@@ -192,6 +192,15 @@ class FastDiagPreconditioner:
         self._shape_c = (self.num_time,) + tuple(
             U.shape[0] for U, _ in reversed(spatial_eigs)
         )
+        # Loop invariants of ``apply``: the arrowhead core, its Schur
+        # denominator on the last temporal block, and the adjoint eigenbasis.
+        cm = self.capacitance
+        base = self.diffusion * self.lam_s + self.reaction
+        self._H_int = cm * pencil.eigenvalues[:, None] + base[None, :]
+        self._H_last = cm * pencil.sigma + base
+        self._B = cm * pencil.g[:, None]
+        self._schur = self._H_last + np.sum(np.abs(self._B) ** 2 / self._H_int, axis=0)
+        self._U_adj = pencil.U_full.conj().T
 
     @staticmethod
     def _separable_weights(spatial_data):
@@ -275,12 +284,7 @@ class FastDiagPreconditioner:
         )
 
     def _diag_blocks(self):
-        cm = self.capacitance
-        base = self.diffusion * self.lam_s + self.reaction
-        H_int = cm * self.pencil.eigenvalues[:, None] + base[None, :]
-        H_last = cm * self.pencil.sigma + base
-        B = cm * self.pencil.g[:, None]
-        return H_int, H_last, B
+        return self._H_int, self._H_last, self._B
 
     def apply(self, r):
         """Apply the inverse through the factorized form.
@@ -294,17 +298,16 @@ class FastDiagPreconditioner:
             raise ValueError("dimension mismatch in preconditioner application")
         d = len(self.spatial_eigs)
         X = r.reshape(self._shape_c).astype(complex)
-        X = mode_apply(self.pencil.U_full.conj().T, X, 0)
+        X = mode_apply(self._U_adj, X, 0)
         for l in range(d):
             axis = 1 + (d - 1 - l)
             X = mode_apply(self.spatial_eigs[l][0].T, X, axis)
         Y = X.reshape(self.num_time, self.num_space)
 
-        H_int, H_last, B = self._diag_blocks()
+        H_int, B = self._H_int, self._B
         y_int = Y[:-1]
         y_last = Y[-1]
-        denom = H_last + np.sum(np.abs(B) ** 2 / H_int, axis=0)
-        x_last = (y_last + np.sum(np.conj(B) * y_int / H_int, axis=0)) / denom
+        x_last = (y_last + np.sum(np.conj(B) * y_int / H_int, axis=0)) / self._schur
         x_int = (y_int - B * x_last[None, :]) / H_int
         Z = np.vstack([x_int, x_last[None, :]]).reshape(self._shape_c)
 
@@ -331,14 +334,20 @@ def gmres(op, rhs, precond=None, tol=1e-8, max_iter=None, x0=None):
     """Left-preconditioned GMRES without restarting.
 
     The Arnoldi basis is built with classical Gram-Schmidt plus one
-    re-orthogonalization pass.  Convergence is declared when the relative
-    preconditioned residual drops below ``tol``.  ``max_iter=None`` means at
-    most ``n`` iterations, still without restarting.  The Krylov basis (one
-    array, a basis vector per row) and the Hessenberg workspace start at a
-    few columns and double when full, so memory scales with ``n`` times the
-    iterations taken, not with ``max_iter``.
+    re-orthogonalization pass.  Convergence is declared when the
+    preconditioned residual satisfies ``||P(b - A x)|| <= tol ||P b||``.
+    The bound is relative to the preconditioned right-hand side, not to the
+    initial residual, so a warm start ``x0`` close to the solution needs
+    fewer iterations for the same accuracy, and none when it already meets
+    the bound; with ``x0=None`` the iteration starts from zero.
+    ``max_iter=None`` means at most ``n`` iterations, still without
+    restarting.  The Krylov basis (one array, a basis vector per row) starts
+    at a few rows and doubles when full, so memory scales with ``n`` times
+    the iterations taken, not with ``max_iter``.  The Givens rotations of
+    the Hessenberg columns run on Python floats.
 
-    Returns ``(x, iterations, residual_history)``.
+    Returns ``(x, iterations, residual_history)``; the history holds the
+    relative preconditioned residual before each iteration and at the end.
     """
     matvec = _as_matvec(op)
     psolve = _as_psolve(precond)
@@ -347,34 +356,32 @@ def gmres(op, rhs, precond=None, tol=1e-8, max_iter=None, x0=None):
     if max_iter is None:
         max_iter = n
     if x0 is None:
-        r = rhs
         x0 = np.zeros(n)
+        z = psolve(rhs)
+        bnorm = beta = np.linalg.norm(z)
     else:
         x0 = np.asarray(x0, dtype=float).reshape(-1)
-        r = rhs - matvec(x0)
-    z = psolve(r)
-    beta = np.linalg.norm(z)
-    if beta == 0.0:
-        return x0.copy(), 0, [0.0]
+        bnorm = np.linalg.norm(psolve(rhs))
+        z = psolve(rhs - matvec(x0))
+        beta = np.linalg.norm(z)
+    if bnorm == 0.0:
+        return np.zeros(n), 0, [0.0]
+    if beta <= tol * bnorm:
+        return x0.copy(), 0, [float(beta / bnorm)]
     m = min(max_iter, _GMRES_BLOCK)
     V = np.empty((m + 1, n))
     V[0] = z / beta
-    H = np.zeros((m + 1, m))
-    cs = np.zeros(m)
-    sn = np.zeros(m)
-    gvec = np.zeros(m + 1)
-    gvec[0] = beta
-    history = [1.0]
+    cols = []
+    cs = []
+    sn = []
+    gvec = [float(beta)]
+    history = [float(beta / bnorm)]
     k_done = max_iter
     for j in range(max_iter):
         if j == m:
             grow = min(2 * m, max_iter) - m
             m += grow
             V = np.concatenate([V, np.empty((grow, n))])
-            H = np.pad(H, ((0, grow), (0, grow)))
-            cs = np.pad(cs, (0, grow))
-            sn = np.pad(sn, (0, grow))
-            gvec = np.pad(gvec, (0, grow))
         basis = V[: j + 1]
         wv = psolve(matvec(V[j]))
         # classical Gram-Schmidt with a second pass
@@ -383,26 +390,27 @@ def gmres(op, rhs, precond=None, tol=1e-8, max_iter=None, x0=None):
         h2 = basis @ wv
         wv = wv - h2 @ basis
         h = h + h2
-        hnorm = np.linalg.norm(wv)
-        H[: j + 1, j] = h
-        H[j + 1, j] = hnorm
+        hnorm = float(np.linalg.norm(wv))
+        col = h.tolist()
+        col.append(hnorm)
         # apply accumulated rotations
         for i in range(j):
-            temp = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-            H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-            H[i, j] = temp
-        denom = np.hypot(H[j, j], H[j + 1, j])
+            temp = cs[i] * col[i] + sn[i] * col[i + 1]
+            col[i + 1] = -sn[i] * col[i] + cs[i] * col[i + 1]
+            col[i] = temp
+        denom = float(np.hypot(col[j], col[j + 1]))
         if denom == 0.0:
-            cs[j], sn[j] = 1.0, 0.0
+            cs.append(1.0)
+            sn.append(0.0)
         else:
-            cs[j] = H[j, j] / denom
-            sn[j] = H[j + 1, j] / denom
-        H[j, j] = cs[j] * H[j, j] + sn[j] * H[j + 1, j]
-        H[j + 1, j] = 0.0
-        gvec[j + 1] = -sn[j] * gvec[j]
+            cs.append(col[j] / denom)
+            sn.append(col[j + 1] / denom)
+        col[j] = cs[j] * col[j] + sn[j] * col[j + 1]
+        cols.append(col[: j + 1])
+        gvec.append(-sn[j] * gvec[j])
         gvec[j] = cs[j] * gvec[j]
-        rel = abs(gvec[j + 1]) / beta
-        history.append(float(rel))
+        rel = abs(gvec[j + 1]) / bnorm
+        history.append(rel)
         if rel <= tol or hnorm == 0.0:
             k_done = j + 1
             break
@@ -413,7 +421,10 @@ def gmres(op, rhs, precond=None, tol=1e-8, max_iter=None, x0=None):
             iterations=max_iter,
             residuals=history,
         )
-    y = sla.solve_triangular(H[:k_done, :k_done], gvec[:k_done])
+    R = np.zeros((k_done, k_done))
+    for j, col in enumerate(cols):
+        R[: j + 1, j] = col
+    y = sla.solve_triangular(R, np.array(gvec[:k_done]))
     x = x0 + y @ V[:k_done]
     return x, k_done, history
 

@@ -4,10 +4,12 @@ Each sweep freezes the reaction coefficient at the previous iterate, solves
 the two decoupled linear systems, relaxes, and stops when the max-abs change
 of the potential coefficients drops below the tolerance.  The potential
 system is solved matrix-free by GMRES with the fast-diagonalization
-preconditioner; the recovery system is solved exactly by one dense temporal
-matrix applied along the time axis (:func:`solve_w_system`).
+preconditioner, started from the previous sweep's solution; the recovery
+system is solved exactly by one dense temporal matrix applied along the
+time axis (:func:`solve_w_system`).
 """
 
+import logging
 import time as _time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -46,6 +48,8 @@ __all__ = [
     "evaluate_field",
     "l2_error",
 ]
+
+log = logging.getLogger(__name__)
 
 
 class FixedPointDiverged(RuntimeError):
@@ -114,7 +118,6 @@ class FixedPointConfig:
     linear_tol: float = 1e-8
     evolve_recovery: bool = True
     indicator_override: object = None
-    verbose: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.relaxation <= 1.0:
@@ -262,6 +265,7 @@ def fixed_point_solve(problem, config=None):
     ws = _Workspace(problem, config)
     u = np.zeros(st.num_dof)
     w = np.zeros(st.num_dof)
+    u_tilde = None
     increments = []
     gmres_iters = []
     indicator = frozen_indicator
@@ -303,7 +307,11 @@ def fixed_point_solve(problem, config=None):
                     frozen_stab_terms = stab_terms
         op = ws.operator(problem, u, w, stab_terms)
 
-        u_tilde, nit, _ = gmres(op, ws.f_vec, precond=ws.precond, tol=config.linear_tol)
+        # Warm start from the previous sweep's unrelaxed solution: the
+        # systems of consecutive sweeps differ only in the frozen terms.
+        u_tilde, nit, _ = gmres(
+            op, ws.f_vec, precond=ws.precond, tol=config.linear_tol, x0=u_tilde
+        )
         gmres_iters.append(nit)
 
         if config.evolve_recovery:
@@ -315,8 +323,13 @@ def fixed_point_solve(problem, config=None):
         w_new = alpha * w_tilde + (1.0 - alpha) * w
         inc = float(np.max(np.abs(u_new - u)))
         increments.append(inc)
-        if config.verbose:
-            print("  sweep %3d: increment %.3e" % (k, inc))
+        log.info(
+            "sweep %3d: increment %.3e, %d GMRES iterations",
+            k,
+            inc,
+            nit,
+            extra={"sweep": k, "increment": inc, "gmres_iterations": nit},
+        )
         u, w = u_new, w_new
         if inc <= config.tolerance:
             return SolveResult(

@@ -7,7 +7,6 @@ interpolated piecewise linearly back onto the domain.
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.interpolate import RegularGridInterpolator
 
 from .assembly import (
     QuadratureRule,
@@ -17,6 +16,7 @@ from .assembly import (
 )
 from .bspline import KnotVector, SplineSpace
 from .fields import evaluate_field
+from .tensorops import mode_apply
 
 __all__ = [
     "StabilizationError",
@@ -355,6 +355,22 @@ def compute_theta(problem, u, w, grid=None):
     )
 
 
+def _hat_matrix(nodes, points):
+    """Piecewise-linear interpolation from ``nodes`` to ``points``, dense.
+
+    Row ``q`` holds the two hat-function values at ``points[q]``, clipped to
+    ``[nodes[0], nodes[-1]]``; ``nodes`` must be strictly increasing.
+    """
+    x = np.clip(np.asarray(points, dtype=float), nodes[0], nodes[-1])
+    cell = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, nodes.size - 2)
+    t = (x - nodes[cell]) / (nodes[cell + 1] - nodes[cell])
+    rows = np.arange(x.size)
+    H = np.zeros((x.size, nodes.size))
+    H[rows, cell] = 1.0 - t
+    H[rows, cell + 1] = t
+    return H
+
+
 class LowRankIndicator:
     """Truncated SVD factorization of the residual indicator.
 
@@ -397,21 +413,17 @@ class LowRankIndicator:
         """Multilinear spatial profile of column ``r`` on a tensor grid.
 
         ``axes`` lists query points per direction (direction 1 first);
-        returns the grid of values in C order (direction d first).
+        returns the grid of values in C order (direction d first).  Query
+        points outside the Greville hull take the value at its boundary.
+        Multilinear interpolation at tensor query points is the product of
+        one piecewise-linear hat matrix per direction.
         """
         grevs = self.indicator.spatial_grevilles
-        grid = self.space_factors[:, r].reshape(self.indicator.spatial_shape)
+        prof = self.space_factors[:, r].reshape(self.indicator.spatial_shape)
         d = len(grevs)
-        coords = tuple(grevs[l] for l in reversed(range(d)))
-        interp = RegularGridInterpolator(
-            coords, grid, method="linear", bounds_error=False, fill_value=None
-        )
-        mesh = np.meshgrid(*[axes[l] for l in reversed(range(d))], indexing="ij")
-        pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-        lo = np.array([c[0] for c in coords])
-        hi = np.array([c[-1] for c in coords])
-        pts = np.clip(pts, lo, hi)
-        return interp(pts).reshape(mesh[0].shape)
+        for l in range(d):
+            prof = mode_apply(_hat_matrix(grevs[l], axes[l]), prof, d - 1 - l)
+        return prof
 
 
 def lowrank_factorize(indicator, tol):

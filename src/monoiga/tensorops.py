@@ -6,6 +6,8 @@ length ``N_t * N_s`` therefore reshapes to ``(N_t, n_d, ..., n_1)`` in
 C order.
 """
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -25,8 +27,8 @@ def mode_apply(mat, tensor, axis):
         flat = t.reshape(shape[axis], -1)
         out = np.asarray(mat @ flat).reshape((mat.shape[0],) + t.shape[1:])
         return np.moveaxis(out, 0, axis)
-    left = int(np.prod(shape[:axis]))
-    right = int(np.prod(shape[axis + 1 :]))
+    left = math.prod(shape[:axis])
+    right = math.prod(shape[axis + 1 :])
     t3 = np.reshape(tensor, (left, shape[axis], right))
     if right == 1:
         out = t3[:, :, 0] @ mat.T
@@ -50,16 +52,3 @@ def kron_chain(mats):
         out = sp.kron(out, m, format="csr")
     return sp.csr_matrix(out)
 
-
-def two_factor_matvec(time_mat, space_mat, x, nt, ns):
-    """Apply ``(time_mat kron space_mat)`` to ``x`` without forming the product.
-
-    Uses the reshaping identity ``(B kron A) vec(X) = vec(A X B^T)`` adapted to
-    the C-order layout ``X = x.reshape(nt, ns)``.
-    """
-    X = x.reshape(nt, ns)
-    Y = time_mat @ X if time_mat is not None else X
-    Y = np.asarray(Y)
-    if space_mat is not None:
-        Y = np.asarray((space_mat @ Y.T)).T
-    return Y.reshape(-1)

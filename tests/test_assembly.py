@@ -426,6 +426,38 @@ class TestKroneckerOperator:
         ref = np.kron((cm * W_t + react * M_t) @ ut, m)
         assert np.max(np.abs(op.matvec(x) - ref)) < 1e-13
 
+    def test_stacked_matvec_mixes_factor_formats(self):
+        # CSR, DIA (sp.identity) and dense factors, plus a matrix-free
+        # correction, in one stacked apply.
+        st = make_st(d=2, p=2, elements=3)
+        geo = builtin_geometry("ellipse_annulus", final_time=2.0)
+        MR = random_reaction_operator(st, geo, seed=6)
+        W_t, M_t = time_matrices(st, 2.0)
+        M_s, K_s = spatial_operators(st.spatial, geo)
+        nt, ns = st.num_time, st.num_space
+        rng = np.random.default_rng(12)
+        dense_t = rng.standard_normal((nt, nt))
+        terms = [
+            (1.0, W_t, M_s),
+            (1e-3, M_t, K_s),
+            (0.7, sp.identity(nt), M_s),
+            (-0.2, dense_t, sp.identity(ns)),
+        ]
+        op = KroneckerOperator(nt, ns, terms, MR)
+        x = rng.standard_normal(st.num_dof)
+        ref = op.tosparse() @ x
+        assert np.linalg.norm(op.matvec(x) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_add_term_after_matvec(self):
+        rng = np.random.default_rng(13)
+        A, B, C, D = (rng.standard_normal((n, n)) for n in (3, 4, 3, 4))
+        op = KroneckerOperator(3, 4, [(1.5, sp.csr_matrix(A), sp.csr_matrix(B))])
+        x = rng.standard_normal(12)
+        assert_allclose(op.matvec(x), 1.5 * np.kron(A, B) @ x, rtol=1e-13)
+        op.add_term(-0.3, C, sp.csr_matrix(D))
+        dense = 1.5 * np.kron(A, B) - 0.3 * np.kron(C, D)
+        assert_allclose(op.matvec(x), dense @ x, rtol=1e-13)
+
     def test_dimension_mismatch(self):
         op = KroneckerOperator(2, 2, [(1.0, sp.identity(2), sp.identity(2))])
         with pytest.raises(ValueError, match="dimension mismatch"):

@@ -139,3 +139,13 @@ def test_repeat_runs_are_bitwise_identical(tmp_path):
     first = (tmp_path / "out" / "field_grid.csv").read_bytes()
     assert main(["solve", str(cfg)]) == EXIT_OK
     assert (tmp_path / "out" / "field_grid.csv").read_bytes() == first
+
+
+def test_verbose_logs_each_sweep_to_stderr(tmp_path, capsys):
+    cfg = write_quick_config(tmp_path)
+    assert main(["solve", str(cfg), "--verbose"]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert err.count("monoiga.solver: sweep") > 1
+    assert "GMRES iterations" in err
+    assert main(["solve", str(cfg)]) == EXIT_OK
+    assert "monoiga.solver" not in capsys.readouterr().err

@@ -201,6 +201,47 @@ class TestGMRES:
         assert it <= 3
         assert np.linalg.norm(op.matvec(x) - b) < 1e-6 * np.linalg.norm(b)
 
+    @staticmethod
+    def _perturbed_system():
+        # Surrogate operator plus a pointwise perturbation: the
+        # fast-diagonalization preconditioner is no longer exact.
+        st = make_st(d=2, p=2, elements=3)
+        geo = builtin_geometry("unit_square", final_time=1.0)
+        cm, diff, react = 1.0, 1e-4, 0.26 * 0.13
+        op = surrogate_operator(st, geo, 1.0, cm, diff, react)
+        rng = np.random.default_rng(21)
+        op.correction = sp.diags(0.05 * rng.random(st.num_dof))
+        P = FastDiagPreconditioner.build(st, 1.0, cm, diff, react)
+        return op, P, rng.standard_normal(st.num_dof)
+
+    def test_zero_start_equals_cold_start(self):
+        op, P, b = self._perturbed_system()
+        cold = gmres(op, b, precond=P, tol=1e-10)
+        zero = gmres(op, b, precond=P, tol=1e-10, x0=np.zeros(b.size))
+        assert cold[1] > 3
+        assert zero[1] == cold[1]
+        assert np.array_equal(zero[0], cold[0])
+        assert zero[2] == cold[2]
+
+    def test_exact_start_takes_no_iteration(self):
+        op, P, b = self._perturbed_system()
+        x_ref, _, _ = gmres(op, b, precond=P, tol=1e-13)
+        x, it, hist = gmres(op, b, precond=P, tol=1e-8, x0=x_ref)
+        assert it == 0
+        assert np.array_equal(x, x_ref)
+        assert hist[0] <= 1e-8
+
+    def test_warm_start_meets_the_rhs_relative_bound(self):
+        op, P, b = self._perturbed_system()
+        tol = 1e-8
+        x_ref, it_cold, _ = gmres(op, b, precond=P, tol=1e-13)
+        x0 = x_ref * (1.0 + 1e-4 * np.random.default_rng(3).standard_normal(b.size))
+        x, it, hist = gmres(op, b, precond=P, tol=tol, x0=x0)
+        assert 0 < it < it_cold
+        res = np.linalg.norm(P.apply(b - op.matvec(x)))
+        assert res <= tol * np.linalg.norm(P.apply(b))
+        assert hist[-1] <= tol
+
     def test_zero_rhs(self):
         x, it, _ = gmres(sp.identity(5), np.zeros(5))
         assert it == 0

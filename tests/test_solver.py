@@ -1,5 +1,7 @@
 """Tests for the fixed-point driver and field evaluation utilities."""
 
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -104,6 +106,23 @@ class TestFixedPoint:
             dw = alpha * np.max(np.abs(w_tilde - res.w))
             assert du < 1e-10
             assert dw < 1e-10
+
+    def test_each_sweep_logs_its_gmres_count(self, caplog):
+        problem = make_problem(
+            d=1,
+            p=2,
+            elements=4,
+            source=lambda x, t: np.where(t < 0.5, 1.0, 0.0),
+        )
+        with caplog.at_level(logging.INFO, logger="monoiga.solver"):
+            result = fixed_point_solve(problem, FixedPointConfig(tolerance=1e-6))
+        records = [r for r in caplog.records if r.name == "monoiga.solver"]
+        assert len(records) == result.iterations > 1
+        assert [r.sweep for r in records] == list(range(1, result.iterations + 1))
+        assert [r.gmres_iterations for r in records] == result.gmres_iterations
+        assert [r.increment for r in records] == result.increments
+        for record, nit in zip(records, result.gmres_iterations):
+            assert "%d GMRES iterations" % nit in record.getMessage()
 
     def test_recovery_follows_potential(self):
         problem = make_problem(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
+from scipy.interpolate import RegularGridInterpolator
 
 from monoiga.assembly import QuadratureRule, spatial_operators, univariate_matrix
 from monoiga.bspline import SplineSpace, SpaceTimeSpace
@@ -11,6 +12,7 @@ from monoiga.geometry import builtin_geometry
 from monoiga.solver import MonodomainProblem
 from monoiga.stabilization import (
     ResidualIndicator,
+    _StabilizationGrid,
     assemble_stabilization,
     compute_tau,
     compute_theta,
@@ -381,3 +383,36 @@ class TestAssembleStabilization:
         ).toarray()
         sym = 0.5 * (total + total.T)
         assert np.min(np.linalg.eigvalsh(sym)) > -1e-10
+
+
+@pytest.mark.parametrize(
+    "geometry, p, elements",
+    [("ellipse_annulus", 3, [12, 2]), ("unit_cube", 2, [4, 4, 4])],
+)
+def test_space_profile_is_multilinear_interpolation(geometry, p, elements):
+    # On the stabilizer's spatial grid, plus points outside the Greville
+    # hull, the hat-matrix profile is the multilinear interpolant of the
+    # factor column with query points clipped to the hull.
+    spatial = [SplineSpace.uniform(p, n) for n in elements]
+    st = SpaceTimeSpace(spatial, SplineSpace.uniform(p, 6))
+    geo = builtin_geometry(geometry, final_time=2.0)
+    grid = _StabilizationGrid(compute_tau(st.time), st, geo)
+    axes = [
+        np.concatenate([[-0.07], r.points, [1.0, 1.2]])
+        for r in grid.spatial_data.rules
+    ]
+    values = np.random.default_rng(11).random((st.num_time, st.num_space))
+    lr = lowrank_factorize(indicator_of(st, values), 0.05)
+    assert lr.rank >= 2
+    coords = tuple(g for g in reversed([s.greville() for s in spatial]))
+    mesh = np.meshgrid(*reversed(axes), indexing="ij")
+    pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    pts = np.clip(pts, [c[0] for c in coords], [c[-1] for c in coords])
+    for r in range(lr.rank):
+        interp = RegularGridInterpolator(
+            coords, lr.space_factors[:, r].reshape(st.spatial_shape), method="linear"
+        )
+        ref = interp(pts).reshape(mesh[0].shape)
+        prof = lr.space_profile(r, axes)
+        assert prof.shape == tuple(a.size for a in reversed(axes))
+        assert np.max(np.abs(prof - ref)) <= 1e-14 * np.max(np.abs(ref))
