@@ -12,6 +12,7 @@ from .assembly import (
     QuadratureRule,
     UnivariateMatrices,
     WeightedMass,
+    evaluate_field,
     reaction_mass,
     rhs_vectors,
     spatial_operators,
@@ -43,7 +44,6 @@ from .experiments import (
     support_bleed_margin,
     write_field,
 )
-from .fields import evaluate_field
 from .geometry import (
     GeometryError,
     GeometryMap,

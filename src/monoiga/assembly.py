@@ -15,6 +15,7 @@ import functools
 import numpy as np
 import scipy.sparse as sp
 
+from .bspline import tensor_at
 from .geometry import jacobian_inverse_and_det
 from .tensorops import kron_chain, mode_apply, outer_product_grid
 
@@ -24,6 +25,7 @@ __all__ = [
     "KroneckerOperator",
     "WeightedMass",
     "banded_gram",
+    "evaluate_field",
     "univariate_matrix",
     "univariate_matrices",
     "time_matrices",
@@ -390,6 +392,90 @@ def field_on_grid(space_time, coeffs, time_colloc, space_collocs, orders=None):
     """
     U = np.asarray(coeffs, dtype=float).reshape(space_time.coeff_shape)
     return _apply_factors(time_colloc, space_collocs, U)
+
+
+def evaluate_field(
+    space_time,
+    geo,
+    coeffs,
+    points,
+    time_derivative=False,
+    gradient=False,
+    laplacian=False,
+):
+    """Evaluate a coefficient field at parametric space-time points.
+
+    Parameters
+    ----------
+    points : ndarray, shape (m, d + 1)
+        Parametric points ``(eta_1, ..., eta_d, tau)`` in ``[0, 1]^{d+1}``.
+    time_derivative, gradient, laplacian : bool
+        Request the physical time derivative, the physical spatial gradient,
+        or the physical Laplacian alongside the values.
+
+    Returns
+    -------
+    ndarray of values when nothing extra is requested, otherwise a dict with
+    keys among ``value``, ``dt``, ``grad``, ``laplacian``.
+    """
+    d = space_time.num_spatial_dims
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.shape[1] != d + 1:
+        raise ValueError("points must have %d columns" % (d + 1))
+    if np.any(points < -1e-14) or np.any(points > 1.0 + 1e-14):
+        raise ValueError("points must lie in [0, 1]^%d" % (d + 1))
+    points = np.clip(points, 0.0, 1.0)
+
+    # Coefficients padded with the removed first temporal slab.
+    full = np.zeros((space_time.time.dimension,) + space_time.spatial_shape)
+    full[1:] = np.asarray(coeffs, dtype=float).reshape(space_time.coeff_shape)
+    spaces = list(space_time.spatial) + [space_time.time]
+
+    def at(space_orders, time_order=0):
+        return tensor_at(spaces, full, points, list(space_orders) + [time_order])
+
+    values = at([0] * d)
+    if not (time_derivative or gradient or laplacian):
+        return values
+    out = {"value": values}
+    if time_derivative:
+        out["dt"] = at([0] * d, 1) / geo.final_time
+    if gradient or laplacian:
+        # The points form the grid of the pull-back, with one time slice.
+        unit = np.eye(d, dtype=int)
+        grad_eta = np.stack([at(unit[a]) for a in range(d)], axis=-1)
+        jinv = np.linalg.inv(geo.jacobian(points[:, :d]))
+        grad, lap = laplacian_pullback(
+            jinv,
+            np.einsum("...ak,...bk->...ab", jinv, jinv),
+            geo.hessian(points[:, :d]),
+            grad_eta[None],
+            lambda a, b: at(unit[a] + unit[b])[None],
+        )
+        out["grad"] = grad[0]
+        if laplacian:
+            out["laplacian"] = lap[0]
+    return out
+
+
+def laplacian_pullback(jinv, metric, hess, grad_eta, second):
+    """Physical gradient and Laplacian from parametric derivatives.
+
+    The geometry data ``jinv``, ``metric`` (``jinv jinv^T``) and ``hess``
+    are shaped grid + (d, d) and grid + (d, d, d); the field data carry one
+    more leading (time) axis: ``grad_eta`` is (Q_t,) + grid + (d,) and
+    ``second(a, b)`` returns the parametric derivative ``d_a d_b u`` shaped
+    (Q_t,) + grid.  Returns ``(grad, lap)``.
+    """
+    # Physical gradient g_c = sum_i jinv[i, c] deta_i u
+    grad_phys = np.einsum("...ic,t...i->t...c", jinv, grad_eta)
+    d = grad_eta.shape[-1]
+    lap = np.zeros(grad_eta.shape[:-1])
+    for a in range(d):
+        for b in range(d):
+            corr = np.einsum("...c,t...c->t...", hess[..., a, b], grad_phys)
+            lap += metric[None, ..., a, b] * (second(a, b) - corr)
+    return grad_phys, lap
 
 
 class WeightedMass:

@@ -14,6 +14,7 @@ __all__ = [
     "SplineSpace",
     "SpaceTimeSpace",
     "SupportExtension",
+    "tensor_at",
     "uniform_open_knots",
 ]
 
@@ -85,27 +86,23 @@ class KnotVector:
         return "KnotVector(p=%d, n=%d)" % (self.degree, self.dimension)
 
 
-def _find_span(knots, p, x):
-    """Index of the knot span containing x; ties resolve to the right span,
-    except x = 1 which uses the last nonempty span."""
-    n = knots.size - p - 1
-    if x >= knots[n]:
-        return n - 1
-    span = int(np.searchsorted(knots, x, side="right")) - 1
-    return max(span, p)
-
-
 def _basis_all_ders(knots, p, x, nders):
-    """Nonzero basis functions and derivatives at ``x``.
+    """Nonzero basis functions and derivatives at the points ``x``.
 
-    Returns ``(first_index, ders)`` where ``ders[k, j]`` is the k-th
-    derivative of basis function ``first_index + j``.  Triangular recursion
-    with the standard derivative recurrence.
+    Returns ``(first, ders)`` where ``ders[k, m, j]`` is the k-th derivative
+    of basis function ``first[m] + j`` at ``x[m]``.  Triangular recursion
+    with the standard derivative recurrence (Piegl & Tiller, A2.2/A2.3); the
+    loops run over the degree and every point takes the same arithmetic as a
+    one-point evaluation.  The knot span of ``x`` resolves ties to the right,
+    except ``x = 1`` which uses the last nonempty span.
     """
-    span = _find_span(knots, p, x)
-    ndu = np.empty((p + 1, p + 1))
-    left = np.empty(p + 1)
-    right = np.empty(p + 1)
+    x = np.asarray(x, dtype=float)
+    n = knots.size - p - 1
+    span = np.searchsorted(knots, x, side="right") - 1
+    span = np.minimum(np.maximum(span, p), n - 1)
+    ndu = np.empty((p + 1, p + 1, x.size))
+    left = np.empty((p + 1, x.size))
+    right = np.empty((p + 1, x.size))
     ndu[0, 0] = 1.0
     for j in range(1, p + 1):
         left[j] = x - knots[span + 1 - j]
@@ -117,14 +114,14 @@ def _basis_all_ders(knots, p, x, nders):
             ndu[r, j] = saved + right[r + 1] * temp
             saved = left[j - r] * temp
         ndu[j, j] = saved
-    ders = np.zeros((nders + 1, p + 1))
-    ders[0, :] = ndu[:, p]
-    a = np.empty((2, p + 1))
+    ders = np.zeros((nders + 1, p + 1, x.size))
+    ders[0] = ndu[:, p]
+    a = np.empty((2, p + 1, x.size))
     for r in range(p + 1):
         s1, s2 = 0, 1
         a[0, 0] = 1.0
         for k in range(1, nders + 1):
-            d = 0.0
+            d = np.zeros(x.size)
             rk = r - k
             pk = p - k
             if r >= k:
@@ -142,9 +139,41 @@ def _basis_all_ders(knots, p, x, nders):
             s1, s2 = s2, s1
     fac = float(p)
     for k in range(1, nders + 1):
-        ders[k, :] *= fac
+        ders[k] *= fac
         fac *= p - k
-    return span - p, ders
+    return span - p, ders.transpose(0, 2, 1)
+
+
+def tensor_at(spaces, coeffs, points, orders):
+    """Derivative of a tensor-product spline at scattered parametric points.
+
+    ``spaces`` lists one space per direction (direction 1 first), ``coeffs``
+    has axes ``(n_k, ..., n_1, *rest)``, ``points`` is shaped ``(m, k)`` and
+    ``orders`` gives the derivative order per direction.  Each point's local
+    coefficient block is gathered and contracted one direction at a time.
+    Returns an array shaped ``(m, *rest)``.
+    """
+    k = len(spaces)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.shape[1] != k:
+        raise ValueError("points must have %d columns" % k)
+    if not np.all((points >= 0.0) & (points <= 1.0)):
+        raise ValueError("evaluation points outside [0, 1]")
+    m = points.shape[0]
+    if any(o > s.degree for s, o in zip(spaces, orders)):
+        return np.zeros((m,) + coeffs.shape[k:])
+    index = []
+    tables = []
+    for l, (s, o) in enumerate(zip(spaces, orders)):
+        first, ders = _basis_all_ders(s.knots, s.degree, points[:, l], o)
+        shape = [m] + [1] * k
+        shape[k - l] = s.degree + 1
+        index.append((first[:, None] + np.arange(s.degree + 1)).reshape(shape))
+        tables.append(ders[o])
+    val = coeffs[tuple(reversed(index))]
+    for table in reversed(tables):
+        val = np.einsum("qi,qi...->q...", table, val)
+    return val
 
 
 class SplineSpace:
@@ -208,15 +237,8 @@ class SplineSpace:
             raise ValueError(
                 "derivative order %d not in [0, %d]" % (order, self.degree)
             )
-        first, ders = _basis_all_ders(self.knots, self.degree, float(x), order)
-        return first, ders[order].copy()
-
-    def eval_all_ders(self, x, max_order):
-        """All derivatives up to ``max_order`` at ``x`` (internal fast path)."""
-        if not 0.0 <= x <= 1.0:
-            raise ValueError("evaluation point %r outside [0, 1]" % (x,))
-        max_order = min(max_order, self.degree)
-        return _basis_all_ders(self.knots, self.degree, float(x), max_order)
+        first, ders = _basis_all_ders(self.knots, self.degree, [float(x)], order)
+        return int(first[0]), ders[order, 0].copy()
 
     def greville(self):
         """Greville abscissae: averages of ``degree`` consecutive knots."""
@@ -234,19 +256,11 @@ class SplineSpace:
         """Sparse matrix of basis (derivative) values, shape (npts, dimension)."""
         points = np.atleast_1d(np.asarray(points, dtype=float))
         p = self.degree
-        k = min(order, p)
+        first, ders = _basis_all_ders(self.knots, p, points, min(order, p))
         rows = np.repeat(np.arange(points.size), p + 1)
-        cols = np.empty(points.size * (p + 1), dtype=np.int64)
-        vals = np.zeros(points.size * (p + 1))
-        for m, x in enumerate(points):
-            first, ders = _basis_all_ders(self.knots, p, float(x), k)
-            cols[m * (p + 1) : (m + 1) * (p + 1)] = first + np.arange(p + 1)
-            if order <= p:
-                vals[m * (p + 1) : (m + 1) * (p + 1)] = ders[order]
-        mat = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(points.size, self.dimension)
-        )
-        return mat
+        cols = (first[:, None] + np.arange(p + 1)).reshape(-1)
+        vals = ders[order].reshape(-1) if order <= p else np.zeros(cols.size)
+        return sp.csr_matrix((vals, (rows, cols)), shape=(points.size, self.dimension))
 
     def element_of(self, x):
         """Index of the mesh element containing ``x`` (ties to the right)."""

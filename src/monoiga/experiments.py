@@ -10,11 +10,9 @@ import time as _time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
-from .assembly import QuadratureRule, field_on_grid
+from .assembly import QuadratureRule, evaluate_field, field_on_grid
 from .bspline import SplineSpace, SpaceTimeSpace
-from .fields import evaluate_field
 from .geometry import builtin_geometry, load_geometry
 from .solver import (
     FixedPointConfig,
@@ -23,7 +21,7 @@ from .solver import (
     fixed_point_solve,
     l2_error,
 )
-from .stabilization import write_theta_csv
+from .stabilization import _hat_matrix, multilinear_grid, write_theta_csv
 
 __all__ = [
     "ConfigError",
@@ -733,25 +731,10 @@ def run_single(config):
     return result
 
 
-def _indicator_interpolator(indicator):
-    d = len(indicator.spatial_grevilles)
-    coords = [indicator.time_greville] + [
-        indicator.spatial_grevilles[l] for l in reversed(range(d))
-    ]
-    values = indicator.values.reshape(
-        (indicator.time_greville.size,) + indicator.spatial_shape
-    )
-    interp = RegularGridInterpolator(
-        tuple(coords), values, method="linear", bounds_error=False, fill_value=None
-    )
-    lo = np.array([c[0] for c in coords])
-    hi = np.array([c[-1] for c in coords])
-
-    def at(points_tau_first):
-        pts = np.clip(points_tau_first, lo, hi)
-        return interp(pts)
-
-    return at
+def _indicator_at(indicator, tau):
+    """Spatial indicator grid (C order) interpolated linearly in time at ``tau``."""
+    row = _hat_matrix(indicator.time_greville, [tau])
+    return (row @ indicator.values).reshape(indicator.spatial_shape)
 
 
 def write_field(
@@ -777,7 +760,6 @@ def write_field(
     os.makedirs(output_dir, exist_ok=True)
     d = space_time.num_spatial_dims
     T = geo.final_time
-    theta_at = _indicator_interpolator(indicator) if indicator is not None else None
 
     if section is not None:
         vals = list(section)
@@ -794,11 +776,14 @@ def write_field(
             pts = np.column_stack([line, np.full(m, tau)])
             uv = evaluate_field(space_time, geo, u, pts)
             wv = evaluate_field(space_time, geo, w, pts) if w is not None else None
-            th = (
-                theta_at(np.column_stack([np.full(m, tau), line[:, ::-1]]))
-                if theta_at is not None
-                else None
-            )
+            th = None
+            if indicator is not None:
+                # Multilinear in space: contract the hat rows point by point.
+                prof = _indicator_at(indicator, tau)
+                th = np.broadcast_to(prof, (m,) + prof.shape)
+                for l in reversed(range(d)):
+                    hat = _hat_matrix(indicator.spatial_grevilles[l], line[:, l])
+                    th = np.einsum("qi,qi...->q...", hat, th)
             for i in range(m):
                 row = list(xs[i]) + [t, uv[i]]
                 if wv is not None:
@@ -809,7 +794,7 @@ def write_field(
         header = ["x%d" % (l + 1) for l in range(d)] + ["t", "u"]
         if w is not None:
             header.append("w")
-        if theta_at is not None:
+        if indicator is not None:
             header.append("theta")
         _write_csv(os.path.join(output_dir, basename + "_section.csv"), header, rows)
 
@@ -819,8 +804,6 @@ def write_field(
     axes = [np.linspace(0.0, 1.0, n) for n in shape]
     collocs = [s.collocation_matrix(ax, 0) for s, ax in zip(space_time.spatial, axes)]
     xgrid = geo.grid_data(axes, order=0)["x"]
-    mesh = np.meshgrid(*[axes[l] for l in reversed(range(d))], indexing="ij")
-    eta = np.stack([mesh[d - 1 - l].reshape(-1) for l in range(d)], axis=-1)
     rows = []
     for t in times:
         tau = min(max(t / T, 0.0), 1.0)
@@ -829,11 +812,11 @@ def write_field(
         wgrid = (
             field_on_grid(space_time, w, tc, collocs)[0] if w is not None else None
         )
-        th = (
-            theta_at(np.column_stack([np.full(eta.shape[0], tau), eta[:, ::-1]]))
-            if theta_at is not None
-            else None
-        )
+        th = None
+        if indicator is not None:
+            th = multilinear_grid(
+                indicator.spatial_grevilles, _indicator_at(indicator, tau), axes
+            ).reshape(-1)
         coords = xgrid.reshape(-1, d)
         uflat = ugrid.reshape(-1)
         for i in range(coords.shape[0]):
@@ -853,7 +836,7 @@ def write_field(
     header = ["x%d" % (l + 1) for l in range(d)] + ["t", "u"]
     if w is not None:
         header.append("w")
-    if theta_at is not None:
+    if indicator is not None:
         header.append("theta")
     _write_csv(os.path.join(output_dir, basename + "_grid.csv"), header, rows)
 

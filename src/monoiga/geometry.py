@@ -9,7 +9,7 @@ callers.
 
 import numpy as np
 
-from .bspline import SplineSpace
+from .bspline import SplineSpace, tensor_at
 from .tensorops import mode_apply
 
 __all__ = [
@@ -71,66 +71,22 @@ class GeometryMap:
 
     def evaluate(self, points):
         """Physical images of parametric ``points`` with shape (m, d)."""
-        return self._pointwise(points, order=0)["x"]
+        return self._scattered(points, 0)
 
     def jacobian(self, points):
         """Jacobians ``J[m, c, a] = dF_c / deta_a`` at parametric points."""
-        return self._pointwise(points, order=1)["jac"]
+        return self._scattered(points, 1)
 
     def hessian(self, points):
         """Second derivatives ``H[m, c, a, b]`` at parametric points."""
-        return self._pointwise(points, order=2)["hess"]
+        return self._scattered(points, 2)
 
-    def _pointwise(self, points, order):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if points.shape[1] != self.dim:
-            raise ValueError("points must have %d columns" % self.dim)
-        m = points.shape[0]
-        out = {"x": np.empty((m, self.dim))}
-        if order >= 1:
-            out["jac"] = np.empty((m, self.dim, self.dim))
-        if order >= 2:
-            out["hess"] = np.empty((m, self.dim, self.dim, self.dim))
-        for q in range(m):
-            tabs = []
-            firsts = []
-            for s, x in zip(self.spaces, points[q]):
-                first, ders = s.eval_all_ders(x, order)
-                tabs.append(ders)
-                firsts.append(first)
-            sl = tuple(
-                slice(firsts[l], firsts[l] + self.spaces[l].degree + 1)
-                for l in reversed(range(self.dim))
-            )
-            local = self._grid[sl + (slice(None),)]
-
-            def contract(orders):
-                val = local
-                # Contract the leading axis repeatedly; axes run d-1 .. 0.
-                for l in reversed(range(self.dim)):
-                    o = min(orders[l], self.spaces[l].degree)
-                    w = tabs[l][o] if orders[l] <= self.spaces[l].degree else None
-                    if w is None:
-                        return np.zeros(self.dim)
-                    val = np.tensordot(w, val, axes=(0, 0))
-                return val
-
-            out["x"][q] = contract([0] * self.dim)
-            if order >= 1:
-                for a in range(self.dim):
-                    orders = [0] * self.dim
-                    orders[a] = 1
-                    out["jac"][q, :, a] = contract(orders)
-            if order >= 2:
-                for a in range(self.dim):
-                    for b in range(a, self.dim):
-                        orders = [0] * self.dim
-                        orders[a] += 1
-                        orders[b] += 1
-                        val = contract(orders)
-                        out["hess"][q, :, a, b] = val
-                        out["hess"][q, :, b, a] = val
-        return out
+    def _scattered(self, points, order):
+        return _derivative(
+            lambda orders: tensor_at(self.spaces, self._grid, points, orders),
+            self.dim,
+            order,
+        )
 
     def grid_data(self, axes, order=1):
         """Geometry data on a tensor grid of parametric points.
@@ -153,7 +109,6 @@ class GeometryMap:
             for s, ax in zip(self.spaces, axes)
         ]
         grid_shape = tuple(len(axes[l]) for l in reversed(range(self.dim)))
-        out = {}
 
         def tabulate(orders):
             val = self._grid
@@ -164,26 +119,10 @@ class GeometryMap:
                 val = mode_apply(collocs[l][o], val, self._axis_of(l))
             return val
 
-        out["x"] = tabulate([0] * self.dim)
-        if order >= 1:
-            jac = np.empty(grid_shape + (self.dim, self.dim))
-            for a in range(self.dim):
-                orders = [0] * self.dim
-                orders[a] = 1
-                jac[..., a] = tabulate(orders)
-            out["jac"] = jac
-        if order >= 2:
-            hess = np.empty(grid_shape + (self.dim, self.dim, self.dim))
-            for a in range(self.dim):
-                for b in range(a, self.dim):
-                    orders = [0] * self.dim
-                    orders[a] += 1
-                    orders[b] += 1
-                    val = tabulate(orders)
-                    hess[..., a, b] = val
-                    hess[..., b, a] = val
-            out["hess"] = hess
-        return out
+        names = ("x", "jac", "hess")
+        return {
+            names[k]: _derivative(tabulate, self.dim, k) for k in range(order + 1)
+        }
 
     def check_bijective(self, samples_per_element=3):
         """Verify that det J stays positive on a sample grid.
@@ -202,6 +141,29 @@ class GeometryMap:
         if np.any(det <= 0):
             raise GeometryError("geometry map has nonpositive Jacobian determinant")
         return float(det.min())
+
+
+def _derivative(tabulate, d, order):
+    """Values (order 0), Jacobians (1) or Hessians (2) of a map.
+
+    ``tabulate(orders)`` returns the derivative of per-direction ``orders``
+    with the components on the last axis; the derivative directions are
+    appended after it.
+    """
+    if order == 0:
+        return tabulate([0] * d)
+    if order == 1:
+        return np.stack(
+            [tabulate([int(l == a) for l in range(d)]) for a in range(d)], axis=-1
+        )
+    second = [[None] * d for _ in range(d)]
+    for a in range(d):
+        for b in range(a, d):
+            orders = [0] * d
+            orders[a] += 1
+            orders[b] += 1
+            second[a][b] = second[b][a] = tabulate(orders)
+    return np.stack([np.stack(row, axis=-1) for row in second], axis=-2)
 
 
 def jacobian_inverse_and_det(jac):

@@ -27,7 +27,6 @@ from .assembly import (
     spatial_operators,
     time_matrices,
 )
-from .fields import evaluate_field
 from .linalg import FastDiagPreconditioner, gmres, solve_w_system
 from .stabilization import (
     _ResidualGrid,
@@ -45,7 +44,6 @@ __all__ = [
     "SolveResult",
     "FixedPointDiverged",
     "fixed_point_solve",
-    "evaluate_field",
     "l2_error",
 ]
 

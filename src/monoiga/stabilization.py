@@ -12,10 +12,11 @@ from .assembly import (
     QuadratureRule,
     SpatialQuadratureData,
     banded_gram,
+    evaluate_field,
     field_on_grid,
+    laplacian_pullback,
 )
 from .bspline import KnotVector, SplineSpace
-from .fields import evaluate_field
 from .tensorops import mode_apply
 
 __all__ = [
@@ -287,18 +288,14 @@ def compute_theta(problem, u, w, grid=None):
         orders[a] = 1
         firsts.append(grid.spatial_field(u, orders))
     grad_eta = np.stack(firsts, axis=-1)  # (Qt, Qs..., d)
-    # Physical gradient g_c = sum_i jinv[i, c] deta_i u
-    grad_phys = np.einsum("...ic,t...i->t...c", grid.jinv, grad_eta)
 
-    lap = np.zeros_like(u_val)
-    for a in range(d):
-        for b in range(d):
-            orders = [0] * (d + 1)
-            orders[a] += 1
-            orders[b] += 1
-            second = grid.spatial_field(u, orders)
-            corr = np.einsum("...c,t...c->t...", grid.hess[..., a, b], grad_phys)
-            lap += grid.metric[None, ..., a, b] * (second - corr)
+    def second(a, b):
+        orders = [0] * (d + 1)
+        orders[a] += 1
+        orders[b] += 1
+        return grid.spatial_field(u, orders)
+
+    _, lap = laplacian_pullback(grid.jinv, grid.metric, grid.hess, grad_eta, second)
 
     f = None
     if problem.source is not None:
@@ -371,6 +368,22 @@ def _hat_matrix(nodes, points):
     return H
 
 
+def multilinear_grid(nodes, values, axes):
+    """Multilinear interpolation from one tensor grid onto another.
+
+    ``values`` holds the data on the grid of ``nodes`` (one strictly
+    increasing array per direction, direction 1 first) in C order
+    (direction d first); ``axes`` lists the query points per direction,
+    which are clipped to the node hull.  Multilinear interpolation at tensor
+    query points is the product of one piecewise-linear hat matrix per
+    direction.
+    """
+    d = len(nodes)
+    for l in range(d):
+        values = mode_apply(_hat_matrix(nodes[l], axes[l]), values, d - 1 - l)
+    return values
+
+
 class LowRankIndicator:
     """Truncated SVD factorization of the residual indicator.
 
@@ -415,15 +428,9 @@ class LowRankIndicator:
         ``axes`` lists query points per direction (direction 1 first);
         returns the grid of values in C order (direction d first).  Query
         points outside the Greville hull take the value at its boundary.
-        Multilinear interpolation at tensor query points is the product of
-        one piecewise-linear hat matrix per direction.
         """
-        grevs = self.indicator.spatial_grevilles
         prof = self.space_factors[:, r].reshape(self.indicator.spatial_shape)
-        d = len(grevs)
-        for l in range(d):
-            prof = mode_apply(_hat_matrix(grevs[l], axes[l]), prof, d - 1 - l)
-        return prof
+        return multilinear_grid(self.indicator.spatial_grevilles, prof, axes)
 
 
 def lowrank_factorize(indicator, tol):

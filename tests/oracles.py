@@ -2,12 +2,69 @@
 
 Everything here works with dense matrices and explicit pointwise basis
 evaluation; nothing is shared with the Kronecker-structured production code
-beyond the univariate basis recursion itself.
+beyond the univariate basis recursion itself, of which
+:func:`scalar_basis_ders` keeps a one-point scalar copy.
 """
 
 import numpy as np
 
 from monoiga.assembly import QuadratureRule
+
+
+def scalar_basis_ders(knots, p, x, nders):
+    """One-point Cox-de Boor recursion with derivatives (Piegl & Tiller,
+    A2.1-A2.3), written with scalar loops.
+
+    Returns ``(first, ders)`` where ``ders[k, j]`` is the k-th derivative of
+    basis function ``first + j`` at ``x``.
+    """
+    n = knots.size - p - 1
+    if x >= knots[n]:
+        span = n - 1
+    else:
+        span = max(int(np.searchsorted(knots, x, side="right")) - 1, p)
+    ndu = np.empty((p + 1, p + 1))
+    left = np.empty(p + 1)
+    right = np.empty(p + 1)
+    ndu[0, 0] = 1.0
+    for j in range(1, p + 1):
+        left[j] = x - knots[span + 1 - j]
+        right[j] = knots[span + j] - x
+        saved = 0.0
+        for r in range(j):
+            ndu[j, r] = right[r + 1] + left[j - r]
+            temp = ndu[r, j - 1] / ndu[j, r]
+            ndu[r, j] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        ndu[j, j] = saved
+    ders = np.zeros((nders + 1, p + 1))
+    ders[0, :] = ndu[:, p]
+    a = np.empty((2, p + 1))
+    for r in range(p + 1):
+        s1, s2 = 0, 1
+        a[0, 0] = 1.0
+        for k in range(1, nders + 1):
+            d = 0.0
+            rk = r - k
+            pk = p - k
+            if r >= k:
+                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
+                d = a[s2, 0] * ndu[rk, pk]
+            j1 = 1 if rk >= -1 else -rk
+            j2 = k - 1 if r - 1 <= pk else p - r
+            for j in range(j1, j2 + 1):
+                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
+                d += a[s2, j] * ndu[rk + j, pk]
+            if r <= pk:
+                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
+                d += a[s2, k] * ndu[r, pk]
+            ders[k, r] = d
+            s1, s2 = s2, s1
+    fac = float(p)
+    for k in range(1, nders + 1):
+        ders[k, :] *= fac
+        fac *= p - k
+    return span - p, ders
 
 
 def dense_basis_values(space, points, order=0):

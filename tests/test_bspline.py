@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from monoiga.bspline import (
     KnotVector,
@@ -10,6 +10,7 @@ from monoiga.bspline import (
     SplineSpace,
     uniform_open_knots,
 )
+from oracles import scalar_basis_ders
 
 
 def make_space_time(d=1, p=2, elements=4, p_t=None, elements_t=None):
@@ -105,14 +106,28 @@ class TestBasisEvaluation:
             space.eval_basis(0.5, 3)
 
     def test_collocation_matrix_rows_match_pointwise(self):
-        space = SplineSpace.uniform(3, 4)
-        pts = np.linspace(0, 1, 17)
-        C = space.collocation_matrix(pts, 1).toarray()
-        for m, x in enumerate(pts):
-            first, vals = space.eval_basis(x, 1)
-            row = np.zeros(space.dimension)
-            row[first : first + 4] = vals
-            assert_allclose(C[m], row, atol=1e-14)
+        # The batched recursion gives every point the arithmetic of a
+        # one-point call and of the scalar reference, bit for bit.
+        rng = np.random.default_rng(17)
+        for p in range(1, 5):
+            knots = np.concatenate(
+                [np.zeros(p + 1), np.sort(rng.random(5)), np.ones(p + 1)]
+            )
+            for space in (SplineSpace.uniform(p, 4), SplineSpace.from_knots(knots, p)):
+                pts = np.concatenate(
+                    [[0.0, 1.0], space.breakpoints, np.linspace(0, 1, 17), rng.random(9)]
+                )
+                for order in range(p + 2):
+                    C = space.collocation_matrix(pts, order).toarray()
+                    for m, x in enumerate(pts):
+                        row = np.zeros(space.dimension)
+                        if order <= p:
+                            first, vals = space.eval_basis(x, order)
+                            row[first : first + p + 1] = vals
+                            ref_first, ref = scalar_basis_ders(space.knots, p, x, order)
+                            assert ref_first == first
+                            assert_array_equal(vals, ref[order])
+                        assert_array_equal(C[m], row)
 
 
 class TestGreville:

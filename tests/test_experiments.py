@@ -1,5 +1,9 @@
 """Tests for sources, configuration parsing, runners and field writers."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -21,6 +25,7 @@ from monoiga.experiments import (
     write_field,
 )
 from monoiga.geometry import builtin_geometry
+from monoiga.stabilization import ResidualIndicator
 
 RNG = np.random.default_rng(31)
 
@@ -345,7 +350,7 @@ class TestWriteField:
             output_dir=str(tmp_path),
             basename="rt",
         )
-        from monoiga.fields import evaluate_field
+        from monoiga import evaluate_field
 
         lines = (tmp_path / "rt_section.csv").read_text().strip().splitlines()[1:]
         xs = np.linspace(0, 1, 7)
@@ -390,6 +395,78 @@ def test_support_bleed_margin_and_metric_cut():
     full = oscillation_metric(st, geo, u, 100.0, margin=0.0)
     cut = oscillation_metric(st, geo, u, 100.0, margin=margin)
     assert cut < full
+
+
+def test_theta_column_matches_multilinear_oracle(tmp_path):
+    # The theta column of both CSVs is the multilinear interpolant of the
+    # indicator on its Greville grid; t = 0 lies before the first constrained
+    # temporal Greville abscissa, where the value is clipped.
+    from scipy.interpolate import RegularGridInterpolator
+
+    geo = builtin_geometry("unit_square", final_time=2.0)
+    spatial = [SplineSpace.uniform(2, 3), SplineSpace.uniform(3, 2)]
+    st = SpaceTimeSpace(spatial, SplineSpace.uniform(2, 4))
+    values = RNG.random((st.num_time, st.num_space))
+    indicator = ResidualIndicator(
+        values, st.time_greville(), [s.greville() for s in spatial], st.spatial_shape
+    )
+    times = [0.0, 0.7, 2.0]
+    start, end, m = [0.1, 0.9], [0.8, 0.2], 9
+    write_field(
+        st,
+        geo,
+        np.zeros(st.num_dof),
+        indicator=indicator,
+        times=times,
+        section=start + end + [m],
+        grid_shape=(5, 4),
+        output_dir=str(tmp_path),
+        basename="th",
+    )
+    coords = (st.time_greville(),) + tuple(reversed(indicator.spatial_grevilles))
+    interp = RegularGridInterpolator(
+        coords, values.reshape((st.num_time,) + st.spatial_shape), method="linear"
+    )
+    lo = [c[0] for c in coords]
+    hi = [c[-1] for c in coords]
+
+    line = np.array(start) + np.linspace(0, 1, m)[:, None] * (np.array(end) - start)
+    axes = [np.linspace(0, 1, 5), np.linspace(0, 1, 4)]
+    mesh = np.meshgrid(axes[1], axes[0], indexing="ij")
+    grid = np.column_stack([mesh[1].reshape(-1), mesh[0].reshape(-1)])
+    for suffix, eta in (("section", line), ("grid", grid)):
+        lines = (tmp_path / ("th_%s.csv" % suffix)).read_text().splitlines()
+        assert lines[0].split(",")[-1] == "theta"
+        theta = np.array([float(ln.split(",")[-1]) for ln in lines[1:]])
+        ref = np.concatenate(
+            [
+                interp(
+                    np.clip(
+                        np.column_stack([np.full(len(eta), t / 2.0), eta[:, ::-1]]),
+                        lo,
+                        hi,
+                    )
+                )
+                for t in times
+            ]
+        )
+        assert theta.shape == ref.shape
+        assert np.max(np.abs(theta - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_import_loads_no_scipy_interpolate():
+    import monoiga
+
+    src = os.path.dirname(os.path.dirname(monoiga.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, monoiga; "
+        "print([m for m in sys.modules if m.startswith('scipy.interpolate')])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_grid_csv_includes_theta_for_stabilized_runs(quick_problem_files):

@@ -101,6 +101,25 @@ class TestEllipseAnnulus:
                 scale = max(np.max(np.abs(hess[q, c])), 1.0)
                 assert np.max(np.abs(fd - hess[q, c])) / scale < 1e-5
 
+    def test_scattered_points_match_grid_data(self):
+        axes = [np.linspace(0.0, 1.0, 11), np.array([0.0, 0.3, 0.75, 1.0])]
+        grid = self.geo.grid_data(axes, order=2)
+        mesh = np.meshgrid(axes[1], axes[0], indexing="ij")
+        pts = np.column_stack([mesh[1].reshape(-1), mesh[0].reshape(-1)])
+        for name, fn in (
+            ("x", self.geo.evaluate),
+            ("jac", self.geo.jacobian),
+            ("hess", self.geo.hessian),
+        ):
+            ref = grid[name].reshape((pts.shape[0],) + grid[name].shape[2:])
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(fn(pts) - ref)) <= 1e-12 * scale
+
+    def test_point_outside_unit_box_raises(self):
+        for bad in ([[0.5, 1.2]], [[-0.1, 0.5]], [[np.nan, 0.5]]):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                self.geo.evaluate(np.array(bad))
+
 
 def test_boxes_jacobian_positive():
     for name in ("unit_interval", "unit_square", "unit_cube"):

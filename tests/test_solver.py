@@ -8,8 +8,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
+from monoiga import evaluate_field
 from monoiga.assembly import (
     KroneckerOperator,
+    laplacian_pullback,
     reaction_mass,
     rhs_vectors,
     spatial_operators,
@@ -21,11 +23,10 @@ from monoiga.solver import (
     FixedPointConfig,
     FixedPointDiverged,
     MonodomainProblem,
-    evaluate_field,
     fixed_point_solve,
     l2_error,
 )
-from monoiga.stabilization import ResidualIndicator, compute_theta
+from monoiga.stabilization import ResidualIndicator, _ResidualGrid, compute_theta
 
 RNG = np.random.default_rng(123)
 
@@ -252,6 +253,40 @@ class TestEvaluateField:
         out = evaluate_field(st, problem.geometry, coeffs, pts, time_derivative=True)
         # field is tau = t / T, so the physical time derivative is 1 / T
         assert_allclose(out["dt"], 1.0 / 5.0, atol=1e-12)
+
+    def test_matches_residual_grid_fields(self):
+        # At the tensor product of the indicator's Gauss points the scattered
+        # path gives the value, time derivative and Laplacian that
+        # compute_theta builds on its grid.
+        geo = builtin_geometry("ellipse_annulus", final_time=3.0)
+        spatial = [SplineSpace.uniform(3, 6), SplineSpace.uniform(3, 2)]
+        st = SpaceTimeSpace(spatial, SplineSpace.uniform(3, 3))
+        grid = _ResidualGrid(MonodomainProblem(geometry=geo, space=st))
+        u = RNG.standard_normal(st.num_dof)
+        mesh = np.meshgrid(
+            grid.trule.points, *[r.points for r in reversed(grid.srules)], indexing="ij"
+        )
+        pts = np.column_stack([m.reshape(-1) for m in reversed(mesh)])
+        out = evaluate_field(st, geo, u, pts, time_derivative=True, laplacian=True)
+
+        def second(a, b):
+            orders = [0, 0, 0]
+            orders[a] += 1
+            orders[b] += 1
+            return grid.spatial_field(u, orders)
+
+        grad_eta = np.stack(
+            [grid.spatial_field(u, [1, 0, 0]), grid.spatial_field(u, [0, 1, 0])], axis=-1
+        )
+        _, lap = laplacian_pullback(grid.jinv, grid.metric, grid.hess, grad_eta, second)
+        ref = {
+            "value": grid.spatial_field(u, [0, 0, 0]),
+            "dt": grid.spatial_field(u, [0, 0, 1]) / geo.final_time,
+            "laplacian": lap,
+        }
+        for key, val in ref.items():
+            scale = np.max(np.abs(val))
+            assert np.max(np.abs(out[key] - val.reshape(-1))) <= 1e-12 * scale, key
 
     def test_point_outside_box_raises(self):
         problem = make_problem(d=1, p=2, elements=3)
