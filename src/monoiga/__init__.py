@@ -17,7 +17,6 @@ from .assembly import (
     rhs_vectors,
     spatial_operators,
     time_matrices,
-    univariate_matrices,
     univariate_matrix,
 )
 from .bspline import (

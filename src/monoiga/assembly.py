@@ -27,7 +27,6 @@ __all__ = [
     "banded_gram",
     "evaluate_field",
     "univariate_matrix",
-    "univariate_matrices",
     "time_matrices",
     "spatial_operators",
     "reaction_mass",
@@ -120,10 +119,6 @@ class UnivariateMatrices:
         self.mass = univariate_matrix(space, 0, 0, weight, rule)
         self.stiffness = univariate_matrix(space, 1, 1, weight, rule)
         self.advection = univariate_matrix(space, 0, 1, weight, rule)
-
-
-def univariate_matrices(space, weight=None):
-    return UnivariateMatrices(space, weight=weight)
 
 
 def time_matrices(space_time, final_time):
@@ -247,8 +242,12 @@ class SpatialQuadratureData:
 
     Precomputes dense per-direction collocation matrices of values (``c0``)
     and first derivatives (``c1``) at the quadrature grid, direction 1 first,
-    and the pulled-back metric quantities.  Shared by the mass/stiffness/
-    weighted assemblies so nonlinear sweeps do not re-evaluate the geometry.
+    and the inverse Jacobians and determinants there.  The metric
+    ``jinv jinv^T``, the second-derivative collocations (``c2``) and the
+    geometry Hessian (``hess``) are built on first use: only the stiffness,
+    the preconditioner and the residual indicator read them.  Shared by the
+    mass/stiffness/weighted assemblies and the indicator so nonlinear sweeps
+    do not re-evaluate the geometry.
     """
 
     def __init__(self, spaces, geo, npoints=None, extra_breaks=None):
@@ -261,14 +260,8 @@ class SpatialQuadratureData:
             QuadratureRule.for_space(s, npoints=npoints, extra_breaks=eb)
             for s, eb in zip(self.spaces, extra_breaks)
         ]
-        self.c0 = [
-            s.collocation_matrix(r.points, 0).toarray()
-            for s, r in zip(self.spaces, self.rules)
-        ]
-        self.c1 = [
-            s.collocation_matrix(r.points, 1).toarray()
-            for s, r in zip(self.spaces, self.rules)
-        ]
+        self.c0 = self._collocations(0)
+        self.c1 = self._collocations(1)
         # Derivatives vanish where values do, so the value overlap bounds
         # every Gram band of these factors.
         self.bands = [_half_bandwidth(c, c) for c in self.c0]
@@ -276,21 +269,58 @@ class SpatialQuadratureData:
         self.wgrid = outer_product_grid(
             [r.flat_weights for r in reversed(self.rules)]
         )
-        data = geo.grid_data([r.points for r in self.rules], order=1)
+        data = geo.grid_data(self._axes(), order=1)
         self.xgrid = data["x"]
         jac = data["jac"]
         self.jinv, self.detj = jacobian_inverse_and_det(jac)
         self.grid_shape = self.wgrid.shape
+        self._sample = None
 
-    def metric_diag(self, direction):
-        """Grid of the pulled-back metric coefficient of one direction."""
-        return np.einsum(
-            "...k,...k->...", self.jinv[..., direction, :], self.jinv[..., direction, :]
-        )
+    def _axes(self):
+        return [r.points for r in self.rules]
+
+    def _collocations(self, order):
+        return [
+            s.collocation_matrix(r.points, order).toarray()
+            for s, r in zip(self.spaces, self.rules)
+        ]
+
+    @functools.cached_property
+    def c2(self):
+        """Dense second-derivative collocation matrices, direction 1 first."""
+        return self._collocations(2)
+
+    @functools.cached_property
+    def metric(self):
+        """Pulled-back metric ``(J^{-1} J^{-T})_{ab}``, shaped grid + (d, d)."""
+        return np.einsum("...ak,...bk->...ab", self.jinv, self.jinv)
+
+    @functools.cached_property
+    def hess(self):
+        """Geometry Hessian ``H[..., c, a, b]``, shaped grid + (d, d, d)."""
+        return self.geo.grid_data(self._axes(), order=2)["hess"]
 
     def physical_points(self):
         """Quadrature points in physical coordinates, shape (Q, d)."""
         return self.xgrid.reshape(-1, len(self.spaces))
+
+    def sample(self, f, time_data):
+        """``f(x, t)`` on the space-time grid of this rule and ``time_data``.
+
+        ``f`` takes physical points (m, d) and times (m,); the result is
+        shaped (Q_t,) + grid.  The last sample is kept, so the load vector and
+        every indicator of a solve share one evaluation of its source.
+        """
+        last = self._sample
+        if last is None or last[0] is not f or last[1] is not time_data:
+            xq = self.physical_points()
+            qs = xq.shape[0]
+            tq = time_data.points * time_data.final_time
+            vals = np.empty((tq.size, qs))
+            for i, t in enumerate(tq):
+                vals[i] = np.asarray(f(xq, np.full(qs, t)), dtype=float).reshape(qs)
+            self._sample = (f, time_data, vals.reshape((tq.size,) + self.grid_shape))
+        return self._sample[2]
 
     def mass(self, weight_grid=None):
         """Pulled-back spatial mass matrix, optionally with a pointwise weight."""
@@ -304,8 +334,6 @@ class SpatialQuadratureData:
         """Pulled-back spatial stiffness matrix."""
         d = len(self.spaces)
         base = self.wgrid * np.abs(self.detj)
-        # metric[a, b] = (J^{-1} J^{-T})_{ab}
-        metric = np.einsum("...ak,...bk->...ab", self.jinv, self.jinv)
         # Factors with the derivative in direction a, grid order (d first).
         grads = [
             [self.c1[l] if l == a else self.c0[l] for l in reversed(range(d))]
@@ -315,7 +343,7 @@ class SpatialQuadratureData:
         vals = 0.0
         for a in range(d):
             for b in range(d):
-                w = base * metric[..., a, b]
+                w = base * self.metric[..., a, b]
                 vals = vals + gram_band_values(grads[a], grads[b], w, bands)
         sizes = tuple(c.shape[1] for c in reversed(self.c0))
         return gram_pattern(sizes, tuple(bands)).tocsr(vals)
@@ -368,6 +396,11 @@ class TimeQuadratureData:
     @property
     def points(self):
         return self.rule.points
+
+    @functools.cached_property
+    def c1(self):
+        """Dense first-derivative (parametric) constrained collocation matrix."""
+        return self.space_time.time_collocation(self.rule.points, 1).toarray()
 
 
 def _apply_factors(time_mat, space_mats, tensor):
@@ -596,19 +629,14 @@ def rhs_vectors(
         spatial_data = SpatialQuadratureData(space_time.spatial, geo)
     if time_data is None:
         time_data = TimeQuadratureData(space_time, final_time)
-    xq = spatial_data.physical_points()
-    tq = time_data.points * final_time
-    qs = xq.shape[0]
-    qt = tq.size
-    fvals = np.empty((qt, qs))
-    for i, t in enumerate(tq):
-        fvals[i] = np.asarray(source(xq, np.full(qs, t)), dtype=float).reshape(qs)
+    fvals = spatial_data.sample(source, time_data)
+    qt = fvals.shape[0]
     ws = (spatial_data.wgrid * np.abs(spatial_data.detj)).reshape(-1)
-    vals = fvals * ws[None, :] * time_data.weights[:, None]
+    vals = fvals.reshape(qt, -1) * ws[None, :] * time_data.weights[:, None]
     return _apply_factors(
         time_data.c0.T,
         [c.T for c in spatial_data.c0],
-        vals.reshape((qt,) + spatial_data.grid_shape),
+        vals.reshape(fvals.shape),
     ).reshape(-1)
 
 

@@ -225,7 +225,7 @@ class FastDiagPreconditioner:
         stiff = []
         for l in range(d):
             axis = d - 1 - l
-            coeff = detj * spatial_data.metric_diag(l)
+            coeff = detj * spatial_data.metric[..., l, l]
             denom = np.ones_like(coeff)
             for m in range(d):
                 if m == l:

@@ -7,6 +7,13 @@ system is solved matrix-free by GMRES with the fast-diagonalization
 preconditioner, started from the previous sweep's solution; the recovery
 system is solved exactly by one dense temporal matrix applied along the
 time axis (:func:`solve_w_system`).
+
+One workspace per solve holds the discretization data: a single
+default-rule Gauss grid serves the reaction mass, the load vector and the
+residual indicator, and with stabilization on it also holds the upwind
+weights and the stabilizer's refined grid.  One step turns an indicator
+into the stabilizer's Kronecker terms, whether it is recomputed every sweep
+or latched from the start.
 """
 
 import logging
@@ -18,7 +25,6 @@ import numpy as np
 
 from .assembly import (
     KroneckerOperator,
-    QuadratureRule,
     SpatialQuadratureData,
     TimeQuadratureData,
     field_on_grid,
@@ -29,14 +35,12 @@ from .assembly import (
 )
 from .linalg import FastDiagPreconditioner, gmres, solve_w_system
 from .stabilization import (
-    _ResidualGrid,
     _StabilizationGrid,
     assemble_stabilization,
     compute_tau,
     compute_theta,
     lowrank_factorize,
 )
-from .tensorops import outer_product_grid
 
 __all__ = [
     "MonodomainProblem",
@@ -48,6 +52,11 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+# With relaxation below one, the recomputed indicator is latched once its
+# damped change between sweeps (max-abs, relaxation times drift) is at most
+# this.
+INDICATOR_FREEZE_TOL = 0.02
 
 
 class FixedPointDiverged(RuntimeError):
@@ -101,9 +110,11 @@ class FixedPointConfig:
     """Options for the fixed-point sweep.
 
     ``stabilization`` is ``"off"`` for plain Galerkin or ``"spline_upwind"``;
-    ``linear_tol`` is the relative tolerance of the preconditioned GMRES
-    solve of every sweep.  ``indicator_override`` replaces the residual
-    indicator computation (testing hook).
+    ``indicator_update`` is ``"every_sweep"`` (recompute the indicator from
+    each iterate) or ``"frozen"`` (take it from a Galerkin pre-solve; see
+    :func:`fixed_point_solve`); ``linear_tol`` is the relative tolerance of
+    the preconditioned GMRES solve of every sweep.  ``indicator_override``
+    replaces the residual indicator computation (testing hook).
     """
 
     relaxation: float = 0.5
@@ -112,7 +123,6 @@ class FixedPointConfig:
     stabilization: str = "off"
     lowrank_tol: float = 0.1
     indicator_update: str = "every_sweep"
-    indicator_freeze_tol: float = 0.02
     linear_tol: float = 1e-8
     evolve_recovery: bool = True
     indicator_override: object = None
@@ -152,7 +162,12 @@ class SolveResult:
 
 
 class _Workspace:
-    """Discretization-dependent data shared across fixed-point sweeps."""
+    """Discretization-dependent data shared across fixed-point sweeps.
+
+    One default-rule quadrature grid serves the operator, the load vector
+    and the residual indicator; with stabilization on, the workspace also
+    holds the upwind weights ``tau`` and the stabilizer's refined grid.
+    """
 
     def __init__(self, problem, config):
         st = problem.space
@@ -181,15 +196,29 @@ class _Workspace:
             spatial_data=self.spatial_data,
         )
         self.tau = None
-        self.residual_grid = None
         self.stab_grid = None
-        if (
-            config.stabilization == "spline_upwind"
-            and config.indicator_update == "every_sweep"
-        ):
+        if config.stabilization == "spline_upwind":
             self.tau = compute_tau(st.time)
-            self.residual_grid = _ResidualGrid(problem)
             self.stab_grid = _StabilizationGrid(self.tau, st, geo)
+
+    def indicator(self, problem, config, u, w):
+        """Residual indicator at an iterate, on the workspace's grid."""
+        if config.indicator_override is not None:
+            return config.indicator_override(problem, u, w)
+        return compute_theta(problem, u, w, self.spatial_data, self.time_data)
+
+    def stabilizer_terms(self, problem, config, indicator):
+        """Kronecker terms of the stabilizer an indicator switches on."""
+        lowrank = lowrank_factorize(indicator, config.lowrank_tol)
+        stab = assemble_stabilization(
+            self.tau,
+            lowrank,
+            problem.space,
+            problem.geometry,
+            problem.C_m,
+            self.stab_grid,
+        )
+        return stab.terms()
 
     def operator(self, problem, u_k, w_k, stab_terms):
         st = problem.space
@@ -212,8 +241,7 @@ class _Workspace:
                 spatial_data=self.spatial_data,
                 time_data=self.time_data,
             )
-        for coef, tmat, smat in stab_terms:
-            terms.append((coef, tmat, smat))
+        terms.extend(stab_terms)
         return KroneckerOperator(st.num_time, st.num_space, terms, correction)
 
 
@@ -221,64 +249,55 @@ def fixed_point_solve(problem, config=None):
     """Run the relaxed fixed-point iteration from the zero initial iterate.
 
     Each iteration freezes the reaction coefficient (and, with stabilization
-    enabled, recomputes the residual indicator) at the previous iterate,
-    solves the decoupled potential and recovery systems, and relaxes both
-    updates.  Stops when the max-abs change of the potential coefficients is
-    at most ``config.tolerance``.
+    enabled, the residual indicator) at the previous iterate, solves the
+    decoupled potential and recovery systems, and relaxes both updates.
+    Stops when the max-abs change of the potential coefficients is at most
+    ``config.tolerance``.
 
     Raises :class:`FixedPointDiverged` (carrying the partial result) when the
     iteration budget is exhausted.
 
     With ``indicator_update == "every_sweep"`` the residual indicator is
     recomputed from the current iterate before every sweep (it then tracks
-    layers as they develop).  With ``"frozen"`` a plain Galerkin solve runs
-    first and the indicator is evaluated once at its solution; the coupled
+    layers as they develop); with relaxation below one it is damped along
+    with the iterates and latched once its damped change drops to
+    ``INDICATOR_FREEZE_TOL``.  With ``"frozen"`` a plain Galerkin solve runs
+    first and its indicator is latched from the first sweep; the coupled
     recomputation settles at a self-amplified indicator level that caps the
     accuracy on smooth problems, so the frozen variant is the one that
-    preserves optimal convergence orders.
+    preserves optimal convergence orders.  Both phases share one workspace.
     """
     if config is None:
         config = FixedPointConfig()
-    st = problem.space
     t0 = _time.perf_counter()
-
-    frozen_stab_terms = None
-    galerkin_sweeps = 0
-    frozen_indicator = None
-    if config.stabilization == "spline_upwind" and config.indicator_update == "frozen":
-        pre_cfg = replace(config, stabilization="off")
-        pre = fixed_point_solve(problem, pre_cfg)
-        galerkin_sweeps = pre.iterations
-        if config.indicator_override is not None:
-            frozen_indicator = config.indicator_override(problem, pre.u, pre.w)
-        else:
-            frozen_indicator = compute_theta(problem, pre.u, pre.w)
-        tau = compute_tau(st.time)
-        lowrank = lowrank_factorize(frozen_indicator, config.lowrank_tol)
-        stab = assemble_stabilization(
-            tau, lowrank, st, problem.geometry, problem.C_m
-        )
-        frozen_stab_terms = stab.terms()
-
     ws = _Workspace(problem, config)
+    if config.stabilization == "spline_upwind" and config.indicator_update == "frozen":
+        pre = _sweeps(problem, replace(config, stabilization="off"), ws, t0)
+        indicator = ws.indicator(problem, config, pre.u, pre.w)
+        return _sweeps(problem, config, ws, t0, pre.iterations, indicator)
+    return _sweeps(problem, config, ws, t0)
+
+
+def _sweeps(problem, config, ws, t0, done=0, indicator=None):
+    """Fixed-point sweeps ``done + 1, done + 2, ...`` from the zero iterate.
+
+    A given ``indicator`` is latched: its stabilizer serves every sweep.
+    """
+    st = problem.space
     u = np.zeros(st.num_dof)
     w = np.zeros(st.num_dof)
     u_tilde = None
     increments = []
     gmres_iters = []
-    indicator = frozen_indicator
     alpha = config.relaxation
+    stabilized = config.stabilization == "spline_upwind"
+    latched = indicator is not None
+    stab_terms = None
 
-    for k in range(galerkin_sweeps + 1, galerkin_sweeps + config.max_iterations + 1):
-        stab_terms = []
-        if config.stabilization == "spline_upwind":
-            if frozen_stab_terms is not None:
-                stab_terms = frozen_stab_terms
-            else:
-                if config.indicator_override is not None:
-                    fresh = config.indicator_override(problem, u, w)
-                else:
-                    fresh = compute_theta(problem, u, w, grid=ws.residual_grid)
+    for k in range(done + 1, done + config.max_iterations + 1):
+        if stabilized and not (latched and stab_terms is not None):
+            if not latched:
+                fresh = ws.indicator(problem, config, u, w)
                 if indicator is not None and alpha < 1.0:
                     # Relax the indicator along with the iterates: an
                     # undamped recomputation flip-flops between activation
@@ -287,23 +306,12 @@ def fixed_point_solve(problem, config=None):
                     fresh.values = (
                         alpha * fresh.values + (1.0 - alpha) * indicator.values
                     )
-                    # Once the damped indicator settles, freeze it: flickering
+                    # Once the damped indicator settles, latch it: flickering
                     # activation patterns otherwise sustain iterate cycles.
-                    if (
-                        config.indicator_freeze_tol > 0.0
-                        and k > galerkin_sweeps + 1
-                        and drift * alpha <= config.indicator_freeze_tol
-                    ):
-                        frozen_stab_terms = []
+                    latched = k > done + 1 and drift * alpha <= INDICATOR_FREEZE_TOL
                 indicator = fresh
-                lowrank = lowrank_factorize(indicator, config.lowrank_tol)
-                stab = assemble_stabilization(
-                    ws.tau, lowrank, st, problem.geometry, problem.C_m, ws.stab_grid
-                )
-                stab_terms = stab.terms()
-                if frozen_stab_terms is not None:
-                    frozen_stab_terms = stab_terms
-        op = ws.operator(problem, u, w, stab_terms)
+            stab_terms = ws.stabilizer_terms(problem, config, indicator)
+        op = ws.operator(problem, u, w, stab_terms or [])
 
         # Warm start from the previous sweep's unrelaxed solution: the
         # systems of consecutive sweeps differ only in the frozen terms.
@@ -343,7 +351,7 @@ def fixed_point_solve(problem, config=None):
     result = SolveResult(
         u,
         w,
-        galerkin_sweeps + config.max_iterations,
+        done + config.max_iterations,
         increments,
         False,
         gmres_iters,
@@ -357,44 +365,24 @@ def fixed_point_solve(problem, config=None):
     )
 
 
-def l2_error(space_time, geo, coeffs, exact, npoints_offset=2):
+def l2_error(space_time, geo, coeffs, exact):
     """Relative space-time L2 distance between a field and a reference.
 
     ``exact`` is a callable on physical coordinates and times.  Uses
-    ``degree + 2`` quadrature points per direction by default.  When the
-    reference has zero norm the absolute error is returned and a warning is
-    emitted.
+    ``degree + 2`` Gauss points per element in time and in space (the
+    largest spatial degree).  When the reference has zero norm the absolute
+    error is returned and a warning is emitted.
     """
     st = space_time
-    trule = QuadratureRule.for_space(
-        st.time, npoints=st.time.degree + npoints_offset
+    sd = SpatialQuadratureData(
+        st.spatial, geo, npoints=max(s.degree for s in st.spatial) + 2
     )
-    srules = [
-        QuadratureRule.for_space(s, npoints=s.degree + npoints_offset)
-        for s in st.spatial
-    ]
-    d = st.num_spatial_dims
-    tc = st.time_collocation(trule.points, 0)
-    scs = [s.collocation_matrix(r.points, 0) for s, r in zip(st.spatial, srules)]
-    uh = field_on_grid(st, coeffs, tc, scs)
-
-    gdata = geo.grid_data([r.points for r in srules], order=1)
-    detj = np.abs(np.linalg.det(gdata["jac"]))
-    xq = gdata["x"].reshape(-1, d)
-    T = geo.final_time
-    tq = trule.points * T
-    qs = xq.shape[0]
-    ue = np.empty((tq.size, qs))
-    for i, t in enumerate(tq):
-        ue[i] = np.asarray(exact(xq, np.full(qs, t)), dtype=float).reshape(qs)
-    uh = uh.reshape(tq.size, qs)
-    wt = trule.flat_weights * T
-    wsp = (
-        outer_product_grid([r.flat_weights for r in reversed(srules)]).reshape(-1)
-        * detj.reshape(-1)
-    )
-    werr = np.einsum("t,q,tq->", wt, wsp, (uh - ue) ** 2)
-    wref = np.einsum("t,q,tq->", wt, wsp, ue**2)
+    td = TimeQuadratureData(st, geo.final_time, npoints=st.time.degree + 2)
+    ue = sd.sample(exact, td).reshape(td.weights.size, -1)
+    uh = field_on_grid(st, coeffs, td.c0, sd.c0).reshape(ue.shape)
+    wsp = (sd.wgrid * np.abs(sd.detj)).reshape(-1)
+    werr = np.einsum("t,q,tq->", td.weights, wsp, (uh - ue) ** 2)
+    wref = np.einsum("t,q,tq->", td.weights, wsp, ue**2)
     if wref == 0.0:
         warnings.warn(
             "reference field has zero norm; returning the absolute error",

@@ -2,7 +2,10 @@
 
 The stabilizer adds scaled k-th time-derivative Gram matrices, switched on by
 a residual indicator sampled on the Greville grid, compressed to low rank and
-interpolated piecewise linearly back onto the domain.
+interpolated piecewise linearly back onto the domain.  The indicator reads
+the strong residual on the default Gauss grid of the assembly's quadrature
+data (:class:`SpatialQuadratureData`, :class:`TimeQuadratureData`), which a
+solver shares with its reaction mass and load vector.
 """
 
 import numpy as np
@@ -11,6 +14,7 @@ import scipy.sparse as sp
 from .assembly import (
     QuadratureRule,
     SpatialQuadratureData,
+    TimeQuadratureData,
     banded_gram,
     evaluate_field,
     field_on_grid,
@@ -221,46 +225,7 @@ class ResidualIndicator:
         return float(self.values.max(initial=0.0))
 
 
-class _ResidualGrid:
-    """Cached Gauss-grid data for sampling the strong residual."""
-
-    def __init__(self, problem):
-        st = problem.space
-        geo = problem.geometry
-        self.st = st
-        self.geo = geo
-        self.trule = QuadratureRule.for_space(st.time)
-        self.tc0 = st.time_collocation(self.trule.points, 0)
-        self.tc1 = st.time_collocation(self.trule.points, 1)
-        self.srules = [QuadratureRule.for_space(s) for s in st.spatial]
-        self.sc = [
-            [s.collocation_matrix(r.points, o) for o in range(3)]
-            for s, r in zip(st.spatial, self.srules)
-        ]
-        d = st.num_spatial_dims
-        gdata = geo.grid_data([r.points for r in self.srules], order=2)
-        jac = gdata["jac"]
-        det = np.linalg.det(jac)
-        self.jinv = np.linalg.inv(jac)
-        self.metric = np.einsum("...ak,...bk->...ab", self.jinv, self.jinv)
-        self.hess = gdata["hess"]
-        self.xphys = gdata["x"].reshape(-1, d)
-        self.tphys = self.trule.points * geo.final_time
-        # element -> quadrature-block bookkeeping
-        self.q_time = self.trule.npoints
-        self.q_space = [r.npoints for r in self.srules]
-        self.e_time = self.trule.num_cells
-        self.e_space = [r.num_cells for r in self.srules]
-
-    def spatial_field(self, coeffs, orders):
-        st = self.st
-        d = st.num_spatial_dims
-        tmat = self.tc1 if orders[-1] == 1 else self.tc0
-        smats = [self.sc[l][orders[l]] for l in range(d)]
-        return field_on_grid(st, coeffs, tmat, smats)
-
-
-def compute_theta(problem, u, w, grid=None):
+def compute_theta(problem, u, w, spatial_data=None, time_data=None):
     """Residual indicator on the Greville grid of the discrete space.
 
     The numerator of each entry is the maximum absolute strong residual over
@@ -269,44 +234,45 @@ def compute_theta(problem, u, w, grid=None):
     iterate and of its time derivative.  Entries are clamped to [0, 1]; a
     vanishing denominator yields 0 where the numerator also vanishes and 1
     where it does not, and is recorded as ``denominator_vanished``.
+
+    ``spatial_data`` and ``time_data`` are the default (``degree + 1``
+    points) quadrature data of the problem, built here when not given; a
+    solver passes its own, so the residual is sampled on the grid of its
+    reaction mass and load vector.
     """
     st = problem.space
     geo = problem.geometry
-    if grid is None:
-        grid = _ResidualGrid(problem)
+    if spatial_data is None:
+        spatial_data = SpatialQuadratureData(st.spatial, geo)
+    if time_data is None:
+        time_data = TimeQuadratureData(st, geo.final_time)
     d = st.num_spatial_dims
     T = geo.final_time
+    collocs = (spatial_data.c0, spatial_data.c1, spatial_data.c2)
 
-    u_val = grid.spatial_field(u, [0] * d + [0])
-    u_dtau = grid.spatial_field(u, [0] * d + [1])
-    w_val = grid.spatial_field(w, [0] * d + [0])
+    def at(coeffs, space_orders, time_order=0):
+        tmat = time_data.c1 if time_order else time_data.c0
+        smats = [collocs[o][l] for l, o in enumerate(space_orders)]
+        return field_on_grid(st, coeffs, tmat, smats)
+
+    u_val = at(u, [0] * d)
+    u_dtau = at(u, [0] * d, 1)
+    w_val = at(w, [0] * d)
 
     # Parametric first and second derivatives of the iterate.
-    firsts = []
-    for a in range(d):
-        orders = [0] * (d + 1)
-        orders[a] = 1
-        firsts.append(grid.spatial_field(u, orders))
-    grad_eta = np.stack(firsts, axis=-1)  # (Qt, Qs..., d)
-
-    def second(a, b):
-        orders = [0] * (d + 1)
-        orders[a] += 1
-        orders[b] += 1
-        return grid.spatial_field(u, orders)
-
-    _, lap = laplacian_pullback(grid.jinv, grid.metric, grid.hess, grad_eta, second)
+    unit = np.eye(d, dtype=int)
+    grad_eta = np.stack([at(u, unit[a]) for a in range(d)], axis=-1)
+    _, lap = laplacian_pullback(
+        spatial_data.jinv,
+        spatial_data.metric,
+        spatial_data.hess,
+        grad_eta,
+        lambda a, b: at(u, unit[a] + unit[b]),
+    )
 
     f = None
     if problem.source is not None:
-        qt = grid.tphys.size
-        qs = grid.xphys.shape[0]
-        f = np.empty((qt, qs))
-        for i, t in enumerate(grid.tphys):
-            f[i] = np.asarray(
-                problem.source(grid.xphys, np.full(qs, t)), dtype=float
-            ).reshape(qs)
-        f = f.reshape(u_val.shape)
+        f = spatial_data.sample(problem.source, time_data)
     absres = np.abs(_residual(problem, u_val, u_dtau / T, lap, w_val, f))
     denom = problem.C_m * (
         np.max(np.abs(u_val), initial=0.0) / T
@@ -314,10 +280,8 @@ def compute_theta(problem, u, w, grid=None):
     )
 
     # Reduce Gauss points to per-element maxima: axes (E_t, E_d, ..., E_1).
-    shape = [grid.e_time, grid.q_time]
-    for l in reversed(range(d)):
-        shape += [grid.e_space[l], grid.q_space[l]]
-    emax = absres.reshape(shape)
+    rules = [time_data.rule] + spatial_data.rules[::-1]
+    emax = absres.reshape([n for r in rules for n in (r.num_cells, r.npoints)])
     for ax in reversed(range(1, 2 * (d + 1), 2)):
         emax = emax.max(axis=ax)
 

@@ -12,13 +12,13 @@ from monoiga.assembly import (
     QuadratureRule,
     SpatialQuadratureData,
     TimeQuadratureData,
+    UnivariateMatrices,
     WeightedMass,
     banded_gram,
     reaction_mass,
     rhs_vectors,
     spatial_operators,
     time_matrices,
-    univariate_matrices,
     univariate_matrix,
 )
 from monoiga.bspline import SplineSpace, SpaceTimeSpace
@@ -57,7 +57,7 @@ class TestQuadrature:
 class TestUnivariate:
     def test_linear_single_element_exact(self):
         space = SplineSpace.uniform(1, 1)
-        mats = univariate_matrices(space)
+        mats = UnivariateMatrices(space)
         assert_allclose(mats.mass.toarray(), [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-15)
         assert_allclose(mats.stiffness.toarray(), [[1, -1], [-1, 1]], atol=1e-14)
         assert_allclose(
@@ -66,7 +66,7 @@ class TestUnivariate:
 
     def test_mass_row_sums_are_basis_integrals(self):
         space = SplineSpace.uniform(2, 3)
-        mats = univariate_matrices(space)
+        mats = UnivariateMatrices(space)
         rule = QuadratureRule.for_space(space, 5)
         C = space.collocation_matrix(rule.points, 0).toarray()
         integrals = rule.flat_weights @ C
@@ -74,8 +74,8 @@ class TestUnivariate:
 
     def test_constant_weight_is_linear(self):
         space = SplineSpace.uniform(2, 4)
-        plain = univariate_matrices(space).mass.toarray()
-        weighted = univariate_matrices(space, weight=lambda x: 3.5 * np.ones_like(x))
+        plain = UnivariateMatrices(space).mass.toarray()
+        weighted = UnivariateMatrices(space, weight=lambda x: 3.5 * np.ones_like(x))
         assert np.max(np.abs(weighted.mass.toarray() - 3.5 * plain)) < 1e-14
 
     def test_against_dense_oracle(self):
@@ -87,7 +87,7 @@ class TestUnivariate:
 
     def test_spd_structure(self):
         space = SplineSpace.uniform(2, 5)
-        mats = univariate_matrices(space)
+        mats = UnivariateMatrices(space)
         M = mats.mass.toarray()
         K = mats.stiffness.toarray()
         assert_allclose(M, M.T, atol=1e-15)
@@ -97,7 +97,7 @@ class TestUnivariate:
 
     def test_advection_integration_by_parts(self):
         space = SplineSpace.uniform(2, 4)
-        W = univariate_matrices(space).advection.toarray()
+        W = UnivariateMatrices(space).advection.toarray()
         n = space.dimension
         boundary = np.zeros((n, n))
         boundary[-1, -1] = 1.0
@@ -372,6 +372,34 @@ class TestRhsVectors:
         B = dense_space_time_basis(st, pts, [0, 0], 0)
         ref = (w * 3.0) @ B
         assert np.max(np.abs(f - ref)) < 1e-12
+
+    def test_source_sample_is_evaluated_once_per_callable_and_rule(self):
+        st = make_st(d=2, p=2, elements=2)
+        geo = builtin_geometry("ellipse_annulus", final_time=3.0)
+        sdata = SpatialQuadratureData(st.spatial, geo)
+        tdata = TimeQuadratureData(st, geo.final_time)
+        calls = []
+
+        def source(x, t):
+            calls.append(t[0])
+            return x[:, 0] * x[:, 1] + t
+
+        f = rhs_vectors(st, geo, source, spatial_data=sdata, time_data=tdata)
+        assert len(calls) == tdata.points.size
+        grid = sdata.sample(source, tdata)
+        assert len(calls) == tdata.points.size
+        x = sdata.xgrid[None]
+        t = (tdata.points * geo.final_time).reshape(-1, 1, 1)
+        assert np.array_equal(grid, x[..., 0] * x[..., 1] + t)
+        assert np.array_equal(
+            f, rhs_vectors(st, geo, source, spatial_data=sdata, time_data=tdata)
+        )
+        # Another callable or another temporal rule is sampled afresh.
+        doubled = sdata.sample(lambda x, t: 2.0 * t, tdata)
+        assert np.array_equal(doubled, np.broadcast_to(2.0 * t, grid.shape))
+        finer = TimeQuadratureData(st, geo.final_time, npoints=4)
+        shape = (finer.points.size,) + sdata.grid_shape
+        assert sdata.sample(source, finer).shape == shape
 
 
 class TestKroneckerOperator:

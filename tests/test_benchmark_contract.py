@@ -58,6 +58,21 @@ def test_traced_solve_reports_reaction_operator_size(perfbench):
     finally:
         tracer.restore()
     assert result.converged
+    # A call routed around a patched name would silently zero its layer.
+    recorded = {s.name for s in tracer.spans}
+    for layer in (
+        "assembly.setup",
+        "assembly.matvec",
+        "linalg.gmres",
+        "linalg.precond_apply",
+        "linalg.precond_build",
+        "linalg.recovery",
+        "stabilization.theta",
+        "stabilization.lowrank",
+        "stabilization.assemble",
+        "stabilization.tau",
+    ):
+        assert layer in recorded, layer
     spans = [s for s in tracer.spans if s.name == "assembly.reaction_mass"]
     assert spans
     assert all(s.attrs["nnz"] > 0 and s.attrs["bytes"] > 0 for s in spans)

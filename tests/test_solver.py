@@ -11,6 +11,9 @@ from numpy.testing import assert_allclose
 from monoiga import evaluate_field
 from monoiga.assembly import (
     KroneckerOperator,
+    SpatialQuadratureData,
+    TimeQuadratureData,
+    field_on_grid,
     laplacian_pullback,
     reaction_mass,
     rhs_vectors,
@@ -26,7 +29,7 @@ from monoiga.solver import (
     fixed_point_solve,
     l2_error,
 )
-from monoiga.stabilization import ResidualIndicator, _ResidualGrid, compute_theta
+from monoiga.stabilization import ResidualIndicator, compute_theta
 
 RNG = np.random.default_rng(123)
 
@@ -205,6 +208,55 @@ class TestFixedPoint:
         result = fixed_point_solve(problem, coupled)
         assert result.indicator.max < 0.1
 
+    @pytest.mark.parametrize("update", ["every_sweep", "frozen"])
+    def test_one_quadrature_grid_per_rule(self, monkeypatch, update):
+        # One default-rule grid serves the operator, the load vector and the
+        # indicator (the frozen mode's Galerkin pre-solve included), and the
+        # stabilizer adds its refined grid.
+        built = []
+        init = SpatialQuadratureData.__init__
+
+        def counting_init(self, spaces, geo, npoints=None, extra_breaks=None):
+            default = npoints is None and extra_breaks is None
+            built.append("default" if default else "refined")
+            init(self, spaces, geo, npoints=npoints, extra_breaks=extra_breaks)
+
+        monkeypatch.setattr(SpatialQuadratureData, "__init__", counting_init)
+        problem = make_problem(
+            d=1,
+            p=2,
+            elements=4,
+            source=lambda x, t: np.sin(np.pi * t) * np.ones(t.shape),
+        )
+        config = FixedPointConfig(
+            stabilization="spline_upwind", indicator_update=update, tolerance=1e-6
+        )
+        assert fixed_point_solve(problem, config).converged
+        assert sorted(built) == ["default", "refined"]
+
+    def test_indicator_on_solver_data_equals_standalone(self):
+        from monoiga.experiments import make_source
+        from monoiga.solver import _Workspace
+
+        T = 40.0
+        constants = {"C_m": 1.0, "D": 1e-4, "c1": 0.26, "a": 0.13}
+        geo = builtin_geometry("ellipse_annulus", final_time=T)
+        spatial = [SplineSpace.uniform(2, 8), SplineSpace.uniform(2, 2)]
+        st = SpaceTimeSpace(spatial, SplineSpace.uniform(2, 4))
+        source = make_source("gaussian_pulse_2d", T, constants)
+        problem = MonodomainProblem(geometry=geo, space=st, source=source)
+        ws = _Workspace(problem, FixedPointConfig(stabilization="spline_upwind"))
+        rng = np.random.default_rng(7)
+        # A smooth ramp in time plus a small perturbation keeps most
+        # entries below the clamp.
+        ramp = np.outer(st.time_greville(), np.ones(st.num_space)).reshape(-1)
+        u = ramp + 1e-3 * rng.standard_normal(st.num_dof)
+        w = 1e-2 * rng.standard_normal(st.num_dof)
+        shared = compute_theta(problem, u, w, ws.spatial_data, ws.time_data).values
+        alone = compute_theta(problem, u, w).values
+        assert np.mean(alone < 1.0) > 0.5
+        assert np.max(np.abs(shared - alone)) <= 1e-14 * np.max(np.abs(alone))
+
 
 class TestEvaluateField:
     def test_all_one_coefficients_beyond_initial_layer(self):
@@ -255,33 +307,40 @@ class TestEvaluateField:
         assert_allclose(out["dt"], 1.0 / 5.0, atol=1e-12)
 
     def test_matches_residual_grid_fields(self):
-        # At the tensor product of the indicator's Gauss points the scattered
+        # At the tensor product of the default Gauss points the scattered
         # path gives the value, time derivative and Laplacian that
-        # compute_theta builds on its grid.
+        # compute_theta builds from the shared quadrature data.
         geo = builtin_geometry("ellipse_annulus", final_time=3.0)
         spatial = [SplineSpace.uniform(3, 6), SplineSpace.uniform(3, 2)]
         st = SpaceTimeSpace(spatial, SplineSpace.uniform(3, 3))
-        grid = _ResidualGrid(MonodomainProblem(geometry=geo, space=st))
+        sdata = SpatialQuadratureData(st.spatial, geo)
+        tdata = TimeQuadratureData(st, geo.final_time)
         u = RNG.standard_normal(st.num_dof)
         mesh = np.meshgrid(
-            grid.trule.points, *[r.points for r in reversed(grid.srules)], indexing="ij"
+            tdata.points, *[r.points for r in reversed(sdata.rules)], indexing="ij"
         )
         pts = np.column_stack([m.reshape(-1) for m in reversed(mesh)])
         out = evaluate_field(st, geo, u, pts, time_derivative=True, laplacian=True)
+        collocs = (sdata.c0, sdata.c1, sdata.c2)
+
+        def field(orders):
+            tmat = tdata.c1 if orders[-1] == 1 else tdata.c0
+            smats = [collocs[o][l] for l, o in enumerate(orders[:-1])]
+            return field_on_grid(st, u, tmat, smats)
 
         def second(a, b):
             orders = [0, 0, 0]
             orders[a] += 1
             orders[b] += 1
-            return grid.spatial_field(u, orders)
+            return field(orders)
 
-        grad_eta = np.stack(
-            [grid.spatial_field(u, [1, 0, 0]), grid.spatial_field(u, [0, 1, 0])], axis=-1
+        grad_eta = np.stack([field([1, 0, 0]), field([0, 1, 0])], axis=-1)
+        _, lap = laplacian_pullback(
+            sdata.jinv, sdata.metric, sdata.hess, grad_eta, second
         )
-        _, lap = laplacian_pullback(grid.jinv, grid.metric, grid.hess, grad_eta, second)
         ref = {
-            "value": grid.spatial_field(u, [0, 0, 0]),
-            "dt": grid.spatial_field(u, [0, 0, 1]) / geo.final_time,
+            "value": field([0, 0, 0]),
+            "dt": field([0, 0, 1]) / geo.final_time,
             "laplacian": lap,
         }
         for key, val in ref.items():
