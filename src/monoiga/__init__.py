@@ -10,14 +10,12 @@ structured linear systems.
 from .assembly import (
     KroneckerOperator,
     QuadratureRule,
-    UnivariateMatrices,
     WeightedMass,
     evaluate_field,
     reaction_mass,
     rhs_vectors,
     spatial_operators,
     time_matrices,
-    univariate_matrix,
 )
 from .bspline import (
     KnotVector,

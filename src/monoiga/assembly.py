@@ -1,13 +1,14 @@
 """Quadrature and Galerkin assembly for the space-time discretization.
 
-All operators are expressed through tensor-product structure where the
-geometry allows it: univariate matrices in time, Kronecker-factored or
-pulled-back spatial matrices, and a :class:`KroneckerOperator` representing
-sums of scaled Kronecker products plus an optional correction (the frozen
-reaction term, applied matrix-free by :class:`WeightedMass`).  Weighted
-tensor-product Gram matrices (pulled-back spatial mass and stiffness, the
-stabilizer's factors, the sparse form of :class:`WeightedMass`) are all
-assembled by one kernel, :func:`banded_gram`.
+The space-time operator is a :class:`KroneckerOperator`: a sum of scaled
+Kronecker products of temporal and pulled-back spatial matrices plus an
+optional correction (the frozen reaction term, applied matrix-free by
+:class:`WeightedMass`).  Every Gram matrix -- the temporal advection and
+mass, the spatial mass and stiffness on any geometry, the preconditioner's
+univariate factors, the stabilizer's factors and the sparse form of
+:class:`WeightedMass` -- is assembled by one kernel, :func:`banded_gram`,
+from the collocation matrices of :class:`SpatialQuadratureData` and
+:class:`TimeQuadratureData`.
 """
 
 import functools
@@ -17,16 +18,14 @@ import scipy.sparse as sp
 
 from .bspline import tensor_at
 from .geometry import jacobian_inverse_and_det
-from .tensorops import kron_chain, mode_apply, outer_product_grid
+from .tensorops import mode_apply, outer_product_grid
 
 __all__ = [
     "QuadratureRule",
-    "UnivariateMatrices",
     "KroneckerOperator",
     "WeightedMass",
     "banded_gram",
     "evaluate_field",
-    "univariate_matrix",
     "time_matrices",
     "spatial_operators",
     "reaction_mass",
@@ -83,54 +82,6 @@ class QuadratureRule:
     @property
     def flat_weights(self):
         return self.weights.reshape(-1)
-
-
-def univariate_matrix(space, order_test=0, order_trial=0, weight=None, rule=None):
-    """Weighted Gram matrix ``int w b_j^{(trial)} b_i^{(test)}`` on [0, 1].
-
-    Row index is the test function.  ``weight`` may be a callable on the
-    quadrature points or an array of per-point values.  Banded with bandwidth
-    ``2 p + 1``; returned in CSR form.
-    """
-    if rule is None:
-        rule = QuadratureRule.for_space(space)
-    pts = rule.points
-    w = rule.flat_weights.copy()
-    if weight is not None:
-        wv = weight(pts) if callable(weight) else weight
-        w = w * np.asarray(wv, dtype=float).reshape(-1)
-    ctest = space.collocation_matrix(pts, order_test)
-    ctrial = space.collocation_matrix(pts, order_trial)
-    return sp.csr_matrix(ctest.T @ sp.diags(w) @ ctrial)
-
-
-class UnivariateMatrices:
-    """Mass, stiffness and advection matrices of a univariate space.
-
-    ``advection[i, j] = int w b'_j b_i``; the derivative acts on the trial
-    (column) index.
-    """
-
-    def __init__(self, space, weight=None, rule=None):
-        if rule is None:
-            npts = space.degree + 1 if weight is None else space.degree + 2
-            rule = QuadratureRule.for_space(space, npoints=npts)
-        self.space = space
-        self.mass = univariate_matrix(space, 0, 0, weight, rule)
-        self.stiffness = univariate_matrix(space, 1, 1, weight, rule)
-        self.advection = univariate_matrix(space, 0, 1, weight, rule)
-
-
-def time_matrices(space_time, final_time):
-    """Constrained temporal matrices ``(W_t, M_t)`` in physical time.
-
-    The advection matrix is invariant under the time scaling; the mass
-    matrix picks up a factor of the final time.
-    """
-    full = UnivariateMatrices(space_time.time)
-    W = sp.csr_matrix(full.advection[1:, 1:])
-    M = sp.csr_matrix(final_time * full.mass[1:, 1:])
-    return W, M
 
 
 def _half_bandwidth(test, trial):
@@ -349,35 +300,16 @@ class SpatialQuadratureData:
         return gram_pattern(sizes, tuple(bands)).tocsr(vals)
 
 
-def _affine_spatial_operators(spaces, geo):
-    scales, _ = geo.affine_scales
-    mats = [UnivariateMatrices(s) for s in spaces]
-    d = len(spaces)
-    mass_factors = [scales[l] * mats[l].mass for l in range(d)]
-    M = kron_chain([mass_factors[l] for l in reversed(range(d))])
-    K = None
-    for a in range(d):
-        factors = []
-        for l in reversed(range(d)):
-            if l == a:
-                factors.append(mats[l].stiffness / scales[l])
-            else:
-                factors.append(scales[l] * mats[l].mass)
-        term = kron_chain(factors)
-        K = term if K is None else K + term
-    return sp.csr_matrix(M), sp.csr_matrix(K)
-
-
-def spatial_operators(spaces, geo, npoints=None):
+def spatial_operators(spaces, geo, spatial_data=None):
     """Pulled-back spatial mass and stiffness matrices ``(M_s, K_s)``.
 
-    Kronecker-factored (exact) for axis-aligned affine maps, assembled by
-    tensorized quadrature otherwise.
+    Assembled by tensorized quadrature on ``spatial_data`` (the default
+    ``degree + 1`` point rule, built here when not given), which is exact on
+    axis-aligned boxes.
     """
-    if geo.affine_scales is not None and npoints is None:
-        return _affine_spatial_operators(spaces, geo)
-    data = SpatialQuadratureData(spaces, geo, npoints=npoints)
-    return data.mass(), data.stiffness()
+    if spatial_data is None:
+        spatial_data = SpatialQuadratureData(spaces, geo)
+    return spatial_data.mass(), spatial_data.stiffness()
 
 
 class TimeQuadratureData:
@@ -401,6 +333,22 @@ class TimeQuadratureData:
     def c1(self):
         """Dense first-derivative (parametric) constrained collocation matrix."""
         return self.space_time.time_collocation(self.rule.points, 1).toarray()
+
+
+def time_matrices(space_time, final_time, time_data=None):
+    """Constrained temporal matrices ``(W_t, M_t)`` in physical time.
+
+    ``W_t[i, j] = int b'_j b_i`` is invariant under the time scaling; the
+    mass matrix picks up a factor of the final time.  ``time_data`` is the
+    default-rule :class:`TimeQuadratureData` of the space, built here when
+    not given.
+    """
+    if time_data is None:
+        time_data = TimeQuadratureData(space_time, final_time)
+    c0 = time_data.c0
+    W = banded_gram([c0], [time_data.c1], time_data.rule.flat_weights)
+    M = banded_gram([c0], [c0], time_data.weights)
+    return W, M
 
 
 def _apply_factors(time_mat, space_mats, tensor):
@@ -498,16 +446,19 @@ def laplacian_pullback(jinv, metric, hess, grad_eta, second):
     are shaped grid + (d, d) and grid + (d, d, d); the field data carry one
     more leading (time) axis: ``grad_eta`` is (Q_t,) + grid + (d,) and
     ``second(a, b)`` returns the parametric derivative ``d_a d_b u`` shaped
-    (Q_t,) + grid.  Returns ``(grad, lap)``.
+    (Q_t,) + grid.  Returns ``(grad, lap)``.  The second derivatives,
+    ``hess`` and ``metric`` are symmetric in ``(a, b)``, so each unordered
+    pair is evaluated once.
     """
     # Physical gradient g_c = sum_i jinv[i, c] deta_i u
     grad_phys = np.einsum("...ic,t...i->t...c", jinv, grad_eta)
     d = grad_eta.shape[-1]
     lap = np.zeros(grad_eta.shape[:-1])
     for a in range(d):
-        for b in range(d):
+        for b in range(a, d):
             corr = np.einsum("...c,t...c->t...", hess[..., a, b], grad_phys)
-            lap += metric[None, ..., a, b] * (second(a, b) - corr)
+            term = metric[None, ..., a, b] * (second(a, b) - corr)
+            lap += term if a == b else 2.0 * term
     return grad_phys, lap
 
 

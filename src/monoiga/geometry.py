@@ -39,13 +39,12 @@ class GeometryMap:
         Control net in colexicographic order (direction 1 fastest).
     final_time : float
         Length of the temporal interval appended by the space-time map.
-    affine_scales : tuple or None
-        When the map is an axis-aligned affine map ``x_l = o_l + s_l eta_l``,
-        the pair ``(scales, offsets)``; enables exact Kronecker-factored
-        assembly.  ``None`` for general maps.
+
+    Assembly treats every map alike: operators are pulled back on Gauss
+    grids, which is exact on axis-aligned affine boxes.
     """
 
-    def __init__(self, spaces, control_points, final_time=1.0, affine_scales=None):
+    def __init__(self, spaces, control_points, final_time=1.0):
         self.spaces = tuple(spaces)
         self.dim = len(self.spaces)
         n = 1
@@ -60,7 +59,6 @@ class GeometryMap:
             raise ValueError("final_time must be positive")
         self.control_points = control_points
         self.final_time = float(final_time)
-        self.affine_scales = affine_scales
         # Control net as a grid with axes (n_d, ..., n_1, component).
         shape = tuple(s.dimension for s in reversed(self.spaces))
         self._grid = control_points.reshape(shape + (self.dim,))
@@ -191,9 +189,7 @@ def box_geometry(lengths, final_time=1.0, offsets=None, degree=1):
     for l in range(d):
         # grids axis order is (dir d, ..., dir 1)
         ctrl[:, l] = offsets[l] + lengths[l] * grids[d - 1 - l].reshape(-1)
-    return GeometryMap(
-        spaces, ctrl, final_time=final_time, affine_scales=(lengths, offsets)
-    )
+    return GeometryMap(spaces, ctrl, final_time=final_time)
 
 
 def _fit_closed_curve(space, samples, values, seam_point):

@@ -10,7 +10,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .assembly import UnivariateMatrices, time_matrices, univariate_matrix
+from .assembly import SpatialQuadratureData, banded_gram, time_matrices
+from .geometry import box_geometry
 from .tensorops import mode_apply
 
 __all__ = [
@@ -250,28 +251,27 @@ class FastDiagPreconditioner:
     ):
         """Assemble the surrogate factors and their eigendecompositions.
 
-        Without geometry data the factors are the plain parametric univariate
-        matrices.  When quadrature data of a mapped geometry is supplied, the
-        univariate factors absorb separable approximations of the pulled-back
-        measure and metric, which keeps the Kronecker structure while
-        tracking strong geometry contrast; on identity maps the weights are
-        one and the surrogate is unchanged.
+        The univariate factors ``M_l``/``K_l`` are Gram matrices on the rule
+        of ``spatial_data`` that absorb separable approximations of the
+        pulled-back measure and metric, which keeps the Kronecker structure
+        while tracking strong geometry contrast.  Without ``spatial_data``
+        the factors are those of the unit box, the parametric domain, where
+        the weights are one.
         """
         d = space_time.num_spatial_dims
         dims = [s.dimension for s in space_time.spatial]
-        if spatial_data is not None:
-            w_mass, w_stiff = cls._separable_weights(spatial_data)
+        if spatial_data is None:
+            spatial_data = SpatialQuadratureData(
+                space_time.spatial, box_geometry(np.ones(d))
+            )
+        w_mass, w_stiff = cls._separable_weights(spatial_data)
         spatial_eigs = []
-        for l, s in enumerate(space_time.spatial):
-            if spatial_data is None:
-                mats = UnivariateMatrices(s)
-                M_l, K_l = mats.mass, mats.stiffness
-            else:
-                rule = spatial_data.rules[l]
-                M_l = univariate_matrix(s, 0, 0, weight=w_mass[l], rule=rule)
-                K_l = univariate_matrix(s, 1, 1, weight=w_stiff[l], rule=rule)
-            U, lam = generalized_eig(K_l, M_l)
-            spatial_eigs.append((U, lam))
+        for l in range(d):
+            w = spatial_data.rules[l].flat_weights
+            c0, c1 = spatial_data.c0[l], spatial_data.c1[l]
+            M_l = banded_gram([c0], [c0], w * w_mass[l])
+            K_l = banded_gram([c1], [c1], w * w_stiff[l])
+            spatial_eigs.append(generalized_eig(K_l, M_l))
         lam_grid = np.zeros(tuple(reversed(dims)))
         for l in range(d):
             shape = [1] * d

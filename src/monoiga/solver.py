@@ -174,12 +174,12 @@ class _Workspace:
         geo = problem.geometry
         self.spatial_data = SpatialQuadratureData(st.spatial, geo)
         self.time_data = TimeQuadratureData(st, problem.final_time)
-        self.W_t, self.M_t = time_matrices(st, problem.final_time)
-        if geo.affine_scales is not None:
-            self.M_s, self.K_s = spatial_operators(st.spatial, geo)
-        else:
-            self.M_s = self.spatial_data.mass()
-            self.K_s = self.spatial_data.stiffness()
+        self.W_t, self.M_t = time_matrices(
+            st, problem.final_time, time_data=self.time_data
+        )
+        self.M_s, self.K_s = spatial_operators(
+            st.spatial, geo, spatial_data=self.spatial_data
+        )
         self.f_vec = rhs_vectors(
             st,
             geo,
@@ -265,7 +265,8 @@ def fixed_point_solve(problem, config=None):
     first and its indicator is latched from the first sweep; the coupled
     recomputation settles at a self-amplified indicator level that caps the
     accuracy on smooth problems, so the frozen variant is the one that
-    preserves optimal convergence orders.  Both phases share one workspace.
+    preserves optimal convergence orders.  The stabilized sweeps start from
+    the pre-solve's iterate, and both phases share one workspace.
     """
     if config is None:
         config = FixedPointConfig()
@@ -274,19 +275,26 @@ def fixed_point_solve(problem, config=None):
     if config.stabilization == "spline_upwind" and config.indicator_update == "frozen":
         pre = _sweeps(problem, replace(config, stabilization="off"), ws, t0)
         indicator = ws.indicator(problem, config, pre.u, pre.w)
-        return _sweeps(problem, config, ws, t0, pre.iterations, indicator)
+        return _sweeps(problem, config, ws, t0, start=pre, indicator=indicator)
     return _sweeps(problem, config, ws, t0)
 
 
-def _sweeps(problem, config, ws, t0, done=0, indicator=None):
-    """Fixed-point sweeps ``done + 1, done + 2, ...`` from the zero iterate.
+def _sweeps(problem, config, ws, t0, start=None, indicator=None):
+    """Fixed-point sweeps from the zero iterate or from a ``start`` result.
 
-    A given ``indicator`` is latched: its stabilizer serves every sweep.
+    Sweeps continue the numbering of ``start``, whose iterate also starts
+    the first GMRES solve.  A given ``indicator`` is latched: its stabilizer
+    serves every sweep.
     """
     st = problem.space
-    u = np.zeros(st.num_dof)
-    w = np.zeros(st.num_dof)
-    u_tilde = None
+    if start is None:
+        done = 0
+        u = np.zeros(st.num_dof)
+        w = np.zeros(st.num_dof)
+        u_tilde = None
+    else:
+        done = start.iterations
+        u, w, u_tilde = start.u, start.w, start.u
     increments = []
     gmres_iters = []
     alpha = config.relaxation

@@ -9,7 +9,6 @@ solver shares with its reaction mass and load vector.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import (
     QuadratureRule,
@@ -421,9 +420,10 @@ class StabilizationMatrices:
     """Assembled stabilizer factors and the Kronecker terms they induce.
 
     For every retained rank ``r`` there is one weighted spatial mass matrix
-    and, per derivative order ``k``, one temporal Gram matrix; the system
-    operator receives one term per rank,
-    ``C_m sigma_r ((sum_k S^t_{r,k}) kron S^s_r)``.
+    ``S^s_r`` and one temporal matrix ``S^t_r``, the sum over the derivative
+    orders ``k`` of the weighted ``k``-th derivative Gram matrices; the
+    system operator receives one term per rank, ``C_m sigma_r (S^t_r kron
+    S^s_r)``.
     """
 
     def __init__(self, lowrank, time_mats, space_mats, capacitance):
@@ -440,9 +440,7 @@ class StabilizationMatrices:
         out = []
         for r in range(self.rank):
             coef = self.capacitance * self.lowrank.weights[r]
-            mats = self.time_mats[r]
-            St = sp.csr_matrix(sum(mats[1:], mats[0]))
-            out.append((coef, St, self.space_mats[r]))
+            out.append((coef, self.time_mats[r], self.space_mats[r]))
         return out
 
 
@@ -451,9 +449,13 @@ class _StabilizationGrid:
 
     Quadrature cells are subdivided at the Greville abscissae so the
     piecewise-linear indicator profiles are integrated on their smoothness
-    cells.  Holds the temporal rule, the upwind weights times the quadrature
-    weights and the constrained temporal collocation matrices of derivative
-    orders ``1..p_t`` at its nodes, and the spatial quadrature data.
+    cells.  The temporal data of the derivative orders ``k = 1..p_t`` are
+    stacked, one block of rows per order, so that the sum over ``k`` of the
+    weighted Gram matrices is one Gram matrix: ``time_colloc`` stacks the
+    constrained ``k``-th derivative collocation matrices, ``time_weights``
+    the quadrature weights times the order-``k`` upwind weight, and
+    ``time_points`` repeats the rule's nodes once per block.  Also holds the
+    spatial quadrature data.
     """
 
     def __init__(self, tau, space_time, geo):
@@ -462,15 +464,15 @@ class _StabilizationGrid:
         trule = QuadratureRule.for_space(
             st.time, npoints=p + 2, extra_breaks=st.time_greville()
         )
-        self.time_points = trule.points
-        tw = trule.flat_weights
-        self.time_weights = [
-            tw * tau.evaluate(k, self.time_points) for k in range(1, p + 1)
-        ]
-        self.time_collocs = [
-            st.time_collocation(self.time_points, k).toarray()
-            for k in range(1, p + 1)
-        ]
+        nodes = trule.points
+        orders = range(1, p + 1)
+        self.time_points = np.tile(nodes, p)
+        self.time_weights = np.concatenate(
+            [trule.flat_weights * tau.evaluate(k, nodes) for k in orders]
+        )
+        self.time_colloc = np.vstack(
+            [st.time_collocation(nodes, k).toarray() for k in orders]
+        )
         self.spatial_data = SpatialQuadratureData(
             st.spatial,
             geo,
@@ -493,14 +495,12 @@ def assemble_stabilization(tau, lowrank, space_time, geo, capacitance, grid=None
         grid = _StabilizationGrid(tau, space_time, geo)
     axes = [r.points for r in grid.spatial_data.rules]
 
+    C = grid.time_colloc
     time_mats = []
     space_mats = []
     for r in range(lowrank.rank):
         prof_t = lowrank.time_profile(r, grid.time_points)
-        row = []
-        for Ck, wk in zip(grid.time_collocs, grid.time_weights):
-            row.append(banded_gram([Ck], [Ck], wk * prof_t))
-        time_mats.append(row)
+        time_mats.append(banded_gram([C], [C], grid.time_weights * prof_t))
         prof_s = lowrank.space_profile(r, axes)
         space_mats.append(grid.spatial_data.mass(weight_grid=prof_s))
     return StabilizationMatrices(lowrank, time_mats, space_mats, capacitance)

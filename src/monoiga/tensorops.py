@@ -44,11 +44,3 @@ def outer_product_grid(vectors):
         grid = np.multiply.outer(grid, np.asarray(v, dtype=float))
     return grid
 
-
-def kron_chain(mats):
-    """Kronecker product of a list of sparse matrices (first factor slowest)."""
-    out = mats[0]
-    for m in mats[1:]:
-        out = sp.kron(out, m, format="csr")
-    return sp.csr_matrix(out)
-

@@ -1,5 +1,6 @@
 """Tests for quadrature, matrix assembly and the Kronecker operator."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -12,18 +13,15 @@ from monoiga.assembly import (
     QuadratureRule,
     SpatialQuadratureData,
     TimeQuadratureData,
-    UnivariateMatrices,
     WeightedMass,
     banded_gram,
     reaction_mass,
     rhs_vectors,
     spatial_operators,
     time_matrices,
-    univariate_matrix,
 )
 from monoiga.bspline import SplineSpace, SpaceTimeSpace
 from monoiga.geometry import box_geometry, builtin_geometry
-from monoiga.tensorops import kron_chain
 from oracles import (
     dense_space_time_basis,
     dense_univariate,
@@ -49,47 +47,64 @@ class TestQuadrature:
 
     def test_refined_rule_matches(self):
         space = SplineSpace.uniform(3, 3)
-        M1 = univariate_matrix(space, 0, 0, rule=QuadratureRule.for_space(space, 4))
-        M2 = univariate_matrix(space, 0, 0, rule=QuadratureRule.for_space(space, 6))
+        geo = builtin_geometry("unit_interval")
+        M1 = SpatialQuadratureData([space], geo, npoints=4).mass()
+        M2 = SpatialQuadratureData([space], geo, npoints=6).mass()
         assert np.max(np.abs((M1 - M2).toarray())) < 1e-12
+
+
+def univariate_grams(space, weight_grid=None):
+    """Dense mass, stiffness and advection of a space on the unit interval.
+
+    Built from 1D quadrature data; ``advection[i, j] = int b'_j b_i``.
+    """
+    data = SpatialQuadratureData([space], builtin_geometry("unit_interval"))
+    w = data.rules[0].flat_weights
+    W = banded_gram([data.c0[0]], [data.c1[0]], w)
+    return data.mass(weight_grid).toarray(), data.stiffness().toarray(), W.toarray()
 
 
 class TestUnivariate:
     def test_linear_single_element_exact(self):
         space = SplineSpace.uniform(1, 1)
-        mats = UnivariateMatrices(space)
-        assert_allclose(mats.mass.toarray(), [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-15)
-        assert_allclose(mats.stiffness.toarray(), [[1, -1], [-1, 1]], atol=1e-14)
-        assert_allclose(
-            mats.advection.toarray(), [[-0.5, 0.5], [-0.5, 0.5]], atol=1e-15
-        )
+        M, K, W = univariate_grams(space)
+        assert_allclose(M, [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-15)
+        assert_allclose(K, [[1, -1], [-1, 1]], atol=1e-14)
+        assert_allclose(W, [[-0.5, 0.5], [-0.5, 0.5]], atol=1e-15)
 
     def test_mass_row_sums_are_basis_integrals(self):
         space = SplineSpace.uniform(2, 3)
-        mats = UnivariateMatrices(space)
+        M, _, _ = univariate_grams(space)
         rule = QuadratureRule.for_space(space, 5)
         C = space.collocation_matrix(rule.points, 0).toarray()
         integrals = rule.flat_weights @ C
-        assert_allclose(np.asarray(mats.mass.sum(axis=1)).ravel(), integrals, atol=1e-14)
+        assert_allclose(M.sum(axis=1), integrals, atol=1e-14)
 
     def test_constant_weight_is_linear(self):
         space = SplineSpace.uniform(2, 4)
-        plain = UnivariateMatrices(space).mass.toarray()
-        weighted = UnivariateMatrices(space, weight=lambda x: 3.5 * np.ones_like(x))
-        assert np.max(np.abs(weighted.mass.toarray() - 3.5 * plain)) < 1e-14
+        plain, _, _ = univariate_grams(space)
+        q = QuadratureRule.for_space(space).points.size
+        weighted, _, _ = univariate_grams(space, weight_grid=np.full(q, 3.5))
+        assert np.max(np.abs(weighted - 3.5 * plain)) < 1e-14
 
     def test_against_dense_oracle(self):
         space = SplineSpace.uniform(3, 3)
-        for ot, otr in [(0, 0), (1, 1), (0, 1)]:
-            ours = univariate_matrix(space, ot, otr).toarray()
+        M, K, W = univariate_grams(space)
+        for ours, (ot, otr) in zip((M, K, W), [(0, 0), (1, 1), (0, 1)]):
             ref = dense_univariate(space, ot, otr)
             assert np.max(np.abs(ours - ref)) < 1e-13
 
+    def test_time_matrices_against_dense_oracle(self):
+        st = make_st(p=3, elements=2, elements_t=3)
+        W, M = time_matrices(st, final_time=2.5)
+        W_ref = dense_univariate(st.time, 0, 1)[1:, 1:]
+        M_ref = 2.5 * dense_univariate(st.time)[1:, 1:]
+        assert np.max(np.abs(W.toarray() - W_ref)) < 1e-13
+        assert np.max(np.abs(M.toarray() - M_ref)) < 1e-13
+
     def test_spd_structure(self):
         space = SplineSpace.uniform(2, 5)
-        mats = UnivariateMatrices(space)
-        M = mats.mass.toarray()
-        K = mats.stiffness.toarray()
+        M, K, _ = univariate_grams(space)
         assert_allclose(M, M.T, atol=1e-15)
         assert_allclose(K, K.T, atol=1e-13)
         assert np.all(np.linalg.eigvalsh(M) > 0)
@@ -97,7 +112,7 @@ class TestUnivariate:
 
     def test_advection_integration_by_parts(self):
         space = SplineSpace.uniform(2, 4)
-        W = UnivariateMatrices(space).advection.toarray()
+        _, _, W = univariate_grams(space)
         n = space.dimension
         boundary = np.zeros((n, n))
         boundary[-1, -1] = 1.0
@@ -125,15 +140,27 @@ class TestSpatialOperators:
         ones = np.ones(K.shape[0])
         assert np.max(np.abs(K @ ones)) < 1e-12
 
-    def test_affine_factorization_matches_unstructured(self):
-        geo = builtin_geometry("unit_square")
-        spaces = [SplineSpace.uniform(2, 2), SplineSpace.uniform(2, 3)]
-        M_kron, K_kron = spatial_operators(spaces, geo)
-        data = SpatialQuadratureData(spaces, geo)
-        M_gen = data.mass()
-        K_gen = data.stiffness()
-        assert np.max(np.abs((M_kron - M_gen).toarray())) < 1e-13
-        assert np.max(np.abs((K_kron - K_gen).toarray())) < 1e-12
+    @pytest.mark.parametrize("lengths", [[1.0, 1.0, 1.0], [2.0, 0.5, 1.5]])
+    def test_box_matches_scaled_univariate_kronecker_factors(self, lengths):
+        geo = box_geometry(lengths)
+        spaces = [
+            SplineSpace.uniform(2, 2),
+            SplineSpace.uniform(3, 3),
+            SplineSpace.uniform(2, 3),
+        ]
+        M, K = spatial_operators(spaces, geo)
+        mass = [L * dense_univariate(s) for L, s in zip(lengths, spaces)]
+        stiff = [dense_univariate(s, 1, 1) / L for L, s in zip(lengths, spaces)]
+        # Direction d is the slowest Kronecker factor.
+        M_ref = functools.reduce(np.kron, mass[::-1])
+        K_ref = sum(
+            functools.reduce(
+                np.kron, [stiff[l] if l == a else mass[l] for l in (2, 1, 0)]
+            )
+            for a in range(3)
+        )
+        assert np.max(np.abs(M.toarray() - M_ref)) <= 1e-13 * np.max(np.abs(M_ref))
+        assert np.max(np.abs(K.toarray() - K_ref)) <= 1e-13 * np.max(np.abs(K_ref))
 
     def test_affine_scaling_2d(self):
         spaces = [SplineSpace.uniform(2, 2)] * 2
@@ -317,8 +344,8 @@ class TestBandedGram:
         trials = [
             data.c1[l] if l == d - 1 else data.c0[l] for l in reversed(range(d))
         ]
-        A = kron_chain([sp.csr_matrix(c) for c in tests]).toarray()
-        B = kron_chain([sp.csr_matrix(c) for c in trials]).toarray()
+        A = functools.reduce(sp.kron, [sp.csr_matrix(c) for c in tests]).toarray()
+        B = functools.reduce(sp.kron, [sp.csr_matrix(c) for c in trials]).toarray()
         ref = A.T @ (W.reshape(-1)[:, None] * B)
         G = banded_gram(tests, trials, W)
         assert sp.isspmatrix_csr(G) and G.has_sorted_indices
@@ -333,7 +360,7 @@ class TestBandedGram:
         spaces = [SplineSpace.uniform(p, n) for n in elements]
         data = refined_spatial_data(spaces, builtin_geometry(geometry))
         prof = np.random.default_rng(7).random(data.grid_shape)
-        C = kron_chain([sp.csr_matrix(c) for c in reversed(data.c0)])
+        C = functools.reduce(sp.kron, [sp.csr_matrix(c) for c in reversed(data.c0)])
         w = (data.wgrid * np.abs(data.detj) * prof).reshape(-1)
         ref = (C.T @ sp.diags(w) @ C).toarray()
         M = data.mass(weight_grid=prof).toarray()

@@ -42,15 +42,20 @@ def test_workload_inputs_reach_the_solver_config(perfbench):
         assert fp.stabilization == "spline_upwind"
 
 
-def test_traced_solve_reports_reaction_operator_size(perfbench):
-    tracing = perfbench("tracing")
+def small_stabilized_solve():
+    """A 1D problem and a stabilized config that converge in a few sweeps."""
     st = SpaceTimeSpace([SplineSpace.uniform(2, 4)], SplineSpace.uniform(2, 4))
     problem = MonodomainProblem(
         geometry=builtin_geometry("unit_interval", final_time=1.0),
         space=st,
         source=lambda x, t: np.sin(np.pi * t) * np.ones(t.shape),
     )
-    config = FixedPointConfig(stabilization="spline_upwind", tolerance=1e-6)
+    return problem, FixedPointConfig(stabilization="spline_upwind", tolerance=1e-6)
+
+
+def test_traced_solve_reports_reaction_operator_size(perfbench):
+    tracing = perfbench("tracing")
+    problem, config = small_stabilized_solve()
     tracer = tracing.Tracer()
     tracing.instrument(tracer)
     try:
@@ -80,3 +85,34 @@ def test_traced_solve_reports_reaction_operator_size(perfbench):
     assert metrics["solver.sweeps"] == result.iterations
     assert metrics["linalg.gmres_calls"] == result.iterations
     assert solver.reaction_mass is assembly.reaction_mass
+
+
+def test_each_traced_setup_name_is_called_once_per_solve(perfbench, monkeypatch):
+    # The traced run times the workspace set-up through these names on
+    # ``solver``; a set-up that went around one of them would drop its share
+    # of ``assembly.setup`` from the trace without failing.
+    tracing = perfbench("tracing")
+    names = []
+
+    class Recorder(tracing.Tracer):
+        def patch(self, owner, attr, name, note=None):
+            if owner is solver and name == "assembly.setup":
+                names.append(attr)
+            super().patch(owner, attr, name, note)
+
+    recorder = Recorder()
+    tracing.instrument(recorder)
+    recorder.restore()
+    assert {"time_matrices", "spatial_operators", "rhs_vectors", "TimeQuadratureData"} <= set(names)
+
+    calls = dict.fromkeys(names, 0)
+    for attr in names:
+
+        def counted(*args, _attr=attr, _original=getattr(solver, attr), **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, attr, counted)
+    problem, config = small_stabilized_solve()
+    assert solver.fixed_point_solve(problem, config).converged
+    assert calls == dict.fromkeys(names, 1)

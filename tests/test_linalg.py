@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from monoiga.assembly import (
     KroneckerOperator,
-    UnivariateMatrices,
+    SpatialQuadratureData,
     spatial_operators,
     time_matrices,
 )
@@ -50,9 +50,9 @@ class TestGeneralizedEig:
 
     def test_spline_matrices_residual(self):
         space = SplineSpace.uniform(3, 6)
-        mats = UnivariateMatrices(space)
-        K = mats.stiffness.toarray()
-        M = mats.mass.toarray()
+        data = SpatialQuadratureData([space], builtin_geometry("unit_interval"))
+        K = data.stiffness().toarray()
+        M = data.mass().toarray()
         U, lam = generalized_eig(K, M)
         assert np.linalg.norm(K @ U - M @ U @ np.diag(lam)) < 1e-10
         assert_allclose(U.T @ M @ U, np.eye(space.dimension), atol=1e-10)
