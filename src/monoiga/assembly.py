@@ -2,13 +2,13 @@
 
 The space-time operator is a :class:`KroneckerOperator`: a sum of scaled
 Kronecker products of temporal and pulled-back spatial matrices plus an
-optional correction (the frozen reaction term, applied matrix-free by
-:class:`WeightedMass`).  Every Gram matrix -- the temporal advection and
-mass, the spatial mass and stiffness on any geometry, the preconditioner's
-univariate factors, the stabilizer's factors and the sparse form of
-:class:`WeightedMass` -- is assembled by one kernel, :func:`banded_gram`,
-from the collocation matrices of :class:`SpatialQuadratureData` and
-:class:`TimeQuadratureData`.
+optional correction, a reaction term applied matrix-free: the reaction mass
+:class:`WeightedMass` or its Newton derivative :class:`ReactionJacobian`.
+Every Gram matrix -- the temporal advection and mass, the spatial mass and
+stiffness on any geometry, the preconditioner's univariate factors, the
+stabilizer's factors and the sparse form of :class:`WeightedMass` -- is
+assembled by one kernel, :func:`banded_gram`, from the collocation matrices
+of :class:`SpatialQuadratureData` and :class:`TimeQuadratureData`.
 """
 
 import functools
@@ -17,18 +17,20 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bspline import tensor_at
-from .geometry import jacobian_inverse_and_det
+from .geometry import jacobian_det
 from .tensorops import mode_apply, outer_product_grid
 
 __all__ = [
     "QuadratureRule",
     "KroneckerOperator",
     "WeightedMass",
+    "ReactionJacobian",
     "banded_gram",
     "evaluate_field",
     "time_matrices",
     "spatial_operators",
     "reaction_mass",
+    "reaction_jacobian",
     "rhs_vectors",
 ]
 
@@ -193,11 +195,12 @@ class SpatialQuadratureData:
 
     Precomputes dense per-direction collocation matrices of values (``c0``)
     and first derivatives (``c1``) at the quadrature grid, direction 1 first,
-    and the inverse Jacobians and determinants there.  The metric
+    and the Jacobian determinants there (which checks the map for
+    singularity).  The inverse Jacobians ``jinv``, the metric
     ``jinv jinv^T``, the second-derivative collocations (``c2``) and the
     geometry Hessian (``hess``) are built on first use: only the stiffness,
     the preconditioner and the residual indicator read them.  Shared by the
-    mass/stiffness/weighted assemblies and the indicator so nonlinear sweeps
+    mass/stiffness/weighted assemblies and the indicator so nonlinear steps
     do not re-evaluate the geometry.
     """
 
@@ -222,8 +225,7 @@ class SpatialQuadratureData:
         )
         data = geo.grid_data(self._axes(), order=1)
         self.xgrid = data["x"]
-        jac = data["jac"]
-        self.jinv, self.detj = jacobian_inverse_and_det(jac)
+        self.detj = jacobian_det(data["jac"])
         self.grid_shape = self.wgrid.shape
         self._sample = None
 
@@ -240,6 +242,11 @@ class SpatialQuadratureData:
     def c2(self):
         """Dense second-derivative collocation matrices, direction 1 first."""
         return self._collocations(2)
+
+    @functools.cached_property
+    def jinv(self):
+        """Inverse Jacobians ``J^{-1}``, shaped grid + (d, d)."""
+        return np.linalg.inv(self.geo.grid_data(self._axes(), order=1)["jac"])
 
     @functools.cached_property
     def metric(self):
@@ -294,8 +301,12 @@ class SpatialQuadratureData:
         vals = 0.0
         for a in range(d):
             for b in range(d):
-                w = base * self.metric[..., a, b]
-                vals = vals + gram_band_values(grads[a], grads[b], w, bands)
+                m = self.metric[..., a, b]
+                # Terms of a metric entry that vanishes on the grid (the
+                # off-diagonal ones on boxes) add exact zeros.
+                if not np.any(m):
+                    continue
+                vals = vals + gram_band_values(grads[a], grads[b], base * m, bands)
         sizes = tuple(c.shape[1] for c in reversed(self.c0))
         return gram_pattern(sizes, tuple(bands)).tocsr(vals)
 
@@ -527,6 +538,74 @@ class WeightedMass:
         return self.tosparse().toarray()
 
 
+class ReactionJacobian:
+    """Derivative of the reaction term ``u -> reaction_mass(u, R u) @ u``.
+
+    With the recovery map ``R = R_t kron I`` the derivative applies
+    ``WM(W) delta + WM(V) (R delta)``, where ``W`` (``weights``) and ``V``
+    (``coupling``) are weighted grids shaped like those of
+    :class:`WeightedMass`, and ``WM`` is that weighted mass.  Since
+    ``(C_t kron C_s) R = (C_t R_t) kron C_s``, a matvec contracts the
+    spatial collocations once, applies the stacked temporal collocations
+    ``[C_t; C_t R_t]`` (``recovery_colloc`` is ``C_t R_t``), weights both
+    grids and integrates back: both terms cost one sum-factorized pass.
+    ``coupling=None`` drops the second term.
+    """
+
+    def __init__(self, time_colloc, recovery_colloc, space_collocs, weights, coupling):
+        self.time_colloc = time_colloc
+        self.space_collocs = space_collocs
+        self.data = weights
+        self.coupling = coupling
+        self.coeff_shape = (time_colloc.shape[1],) + tuple(
+            c.shape[1] for c in reversed(space_collocs)
+        )
+        self._time_stack = time_colloc
+        if coupling is not None:
+            self._time_stack = np.vstack([time_colloc, recovery_colloc])
+
+    def __matmul__(self, x):
+        return self.matvec(x)
+
+    def matvec(self, x):
+        X = np.asarray(x, dtype=float).reshape(self.coeff_shape)
+        d = len(self.space_collocs)
+        for l in range(d):
+            X = mode_apply(self.space_collocs[l], X, 1 + (d - 1 - l))
+        vals = mode_apply(self._time_stack, X, 0)
+        qt = self.data.shape[0]
+        grid = vals[:qt] * self.data
+        if self.coupling is not None:
+            grid += vals[qt:] * self.coupling
+        out = _apply_factors(
+            self.time_colloc.T, [c.T for c in self.space_collocs], grid
+        )
+        return out.reshape(-1)
+
+
+def reaction_jacobian(space_time, constants, u, w, recovery, spatial_data, time_data):
+    """Derivative at ``u`` of the reaction term ``reaction_mass(u, R u) @ u``.
+
+    ``w = R u`` is the recovery field of ``u`` and ``recovery`` the dense
+    temporal factor ``R_t`` of ``R = R_t kron I`` (``None`` when ``R = 0``).
+    The returned :class:`ReactionJacobian` applies
+    ``WM(c1 (3 u^2 - 2 (1 + a) u + a) + c2 w) delta + WM(c2 u) (R delta)``.
+    """
+    c1 = constants["c1"]
+    a = constants["a"]
+    c2 = constants["c2"]
+    ct = time_data.c0
+    cs = spatial_data.c0
+    u_vals = field_on_grid(space_time, u, ct, cs)
+    w_vals = field_on_grid(space_time, w, ct, cs)
+    quad = spatial_data.wgrid * np.abs(spatial_data.detj)
+    quad = quad * time_data.weights.reshape((-1,) + (1,) * len(cs))
+    weights = (c1 * ((3.0 * u_vals - 2.0 * (1.0 + a)) * u_vals + a) + c2 * w_vals) * quad
+    if recovery is None:
+        return ReactionJacobian(ct, None, cs, weights, None)
+    return ReactionJacobian(ct, ct @ recovery, cs, weights, c2 * u_vals * quad)
+
+
 def reaction_mass(
     space_time,
     geo,
@@ -537,10 +616,11 @@ def reaction_mass(
     spatial_data=None,
     time_data=None,
 ):
-    """Space-time mass matrix weighted by the frozen reaction coefficient.
+    """Space-time mass matrix weighted by the reaction coefficient of an iterate.
 
     The coefficient ``c1 (u - a)(u - 1) + c2 w`` is evaluated at the
-    quadrature nodes from the spline expansions of the previous iterates.
+    quadrature nodes from the spline expansions of the iterates, so
+    ``reaction_mass(u, w) @ u`` is the reaction term of the weak form.
     Returns a :class:`WeightedMass` of size ``N_dof`` that stores the weighted
     coefficient per quadrature point; ``tosparse()`` assembles it.
     """
@@ -595,9 +675,9 @@ class KroneckerOperator:
     """Sum of scaled Kronecker products ``sum_k c_k (T_k kron S_k)``.
 
     Each term pairs a temporal factor of size ``N_t`` with a spatial factor
-    of size ``N_s``.  An optional ``correction`` (the frozen reaction term, a
-    :class:`WeightedMass`, or any matrix supporting ``@``) is added to the
-    matvec.
+    of size ``N_s``.  An optional ``correction`` (a reaction term, a
+    :class:`WeightedMass` or :class:`ReactionJacobian`, or any matrix
+    supporting ``@``) is added to the matvec.
 
     A matvec applies all terms with two sparse products: the stacked
     temporal factors ``vstack(c_k T_k)`` act on ``X = x.reshape(N_t, N_s)``,

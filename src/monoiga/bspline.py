@@ -262,11 +262,6 @@ class SplineSpace:
         vals = ders[order].reshape(-1) if order <= p else np.zeros(cols.size)
         return sp.csr_matrix((vals, (rows, cols)), shape=(points.size, self.dimension))
 
-    def element_of(self, x):
-        """Index of the mesh element containing ``x`` (ties to the right)."""
-        e = int(np.searchsorted(self.breakpoints, x, side="right")) - 1
-        return min(max(e, 0), self.num_elements - 1)
-
     def extension_window(self, i):
         """Support-extension interval of basis index ``i`` (0-based).
 

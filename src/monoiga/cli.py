@@ -29,7 +29,7 @@ def _add_common(sub):
     sub.add_argument("config", help="experiment configuration file")
     sub.add_argument("--output-dir", help="override the configured output directory")
     sub.add_argument(
-        "--verbose", action="store_true", help="per-sweep progress on stderr"
+        "--verbose", action="store_true", help="per-step progress on stderr"
     )
 
 
@@ -51,7 +51,7 @@ def build_parser():
 
 @contextlib.contextmanager
 def _progress_log(enabled):
-    """Send the library's INFO records (one per sweep) to stderr while open."""
+    """Send the library's INFO records (one per Newton step) to stderr while open."""
     if not enabled:
         yield
         return

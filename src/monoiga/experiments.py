@@ -647,7 +647,7 @@ def run_compare(config):
             "wall_time": result.wall_time,
             "result": result,
         }
-        log.info("%s: %d sweeps, oscillation %.3e", label, result.iterations, metric)
+        log.info("%s: %d steps, oscillation %.3e", label, result.iterations, metric)
     rows = []
     for label in ("galerkin", "spline_upwind"):
         r = report[label]

@@ -164,14 +164,14 @@ def _derivative(tabulate, d, order):
     return np.stack([np.stack(row, axis=-1) for row in second], axis=-2)
 
 
-def jacobian_inverse_and_det(jac):
-    """Inverse and determinant of stacked Jacobians with singularity check."""
+def jacobian_det(jac):
+    """Determinants of stacked Jacobians with singularity check."""
     det = np.linalg.det(jac)
     scale = np.prod(np.linalg.norm(jac, axis=-2), axis=-1)
     bad = np.abs(det) < SINGULAR_REL_TOL * np.maximum(scale, 1e-300)
     if np.any(bad):
         raise GeometryError("singular Jacobian encountered during pull-back")
-    return np.linalg.inv(jac), det
+    return det
 
 
 def box_geometry(lengths, final_time=1.0, offsets=None, degree=1):

@@ -10,8 +10,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .assembly import SpatialQuadratureData, banded_gram, time_matrices
-from .geometry import box_geometry
+from .assembly import QuadratureRule, banded_gram, time_matrices
 from .tensorops import mode_apply
 
 __all__ = [
@@ -112,15 +111,6 @@ class TimePencil:
     @property
     def dimension(self):
         return self.U_full.shape[0]
-
-    @property
-    def off_arrow_max(self):
-        """Largest entry of the congruence outside the arrowhead pattern."""
-        D = self.delta.copy()
-        np.fill_diagonal(D, 0.0)
-        D[:, -1] = 0.0
-        D[-1, :] = 0.0
-        return float(np.max(np.abs(D), initial=0.0))
 
 
 def build_time_pencil(W_t, M_t, cond_limit=1e12):
@@ -256,21 +246,28 @@ class FastDiagPreconditioner:
         pulled-back measure and metric, which keeps the Kronecker structure
         while tracking strong geometry contrast.  Without ``spatial_data``
         the factors are those of the unit box, the parametric domain, where
-        the weights are one.
+        the weights are one and come from the default rules alone.
         """
         d = space_time.num_spatial_dims
         dims = [s.dimension for s in space_time.spatial]
         if spatial_data is None:
-            spatial_data = SpatialQuadratureData(
-                space_time.spatial, box_geometry(np.ones(d))
+            rules = [QuadratureRule.for_space(s) for s in space_time.spatial]
+            c0, c1 = (
+                [
+                    s.collocation_matrix(r.points, order).toarray()
+                    for s, r in zip(space_time.spatial, rules)
+                ]
+                for order in (0, 1)
             )
-        w_mass, w_stiff = cls._separable_weights(spatial_data)
+            w_mass = w_stiff = [1.0] * d
+        else:
+            rules, c0, c1 = spatial_data.rules, spatial_data.c0, spatial_data.c1
+            w_mass, w_stiff = cls._separable_weights(spatial_data)
         spatial_eigs = []
         for l in range(d):
-            w = spatial_data.rules[l].flat_weights
-            c0, c1 = spatial_data.c0[l], spatial_data.c1[l]
-            M_l = banded_gram([c0], [c0], w * w_mass[l])
-            K_l = banded_gram([c1], [c1], w * w_stiff[l])
+            w = rules[l].flat_weights
+            M_l = banded_gram([c0[l]], [c0[l]], w * w_mass[l])
+            K_l = banded_gram([c1[l]], [c1[l]], w * w_stiff[l])
             spatial_eigs.append(generalized_eig(K_l, M_l))
         lam_grid = np.zeros(tuple(reversed(dims)))
         for l in range(d):
@@ -330,12 +327,13 @@ class FastDiagPreconditioner:
 _GMRES_BLOCK = 4
 
 
-def gmres(op, rhs, precond=None, tol=1e-8, max_iter=None, x0=None):
+def gmres(op, rhs, precond=None, tol=1e-8, max_iter=None, x0=None, atol=0.0):
     """Left-preconditioned GMRES without restarting.
 
     The Arnoldi basis is built with classical Gram-Schmidt plus one
     re-orthogonalization pass.  Convergence is declared when the
-    preconditioned residual satisfies ``||P(b - A x)|| <= tol ||P b||``.
+    preconditioned residual satisfies ``||P(b - A x)|| <= tol ||P b||`` or
+    ``||P(b - A x)|| <= atol``.
     The bound is relative to the preconditioned right-hand side, not to the
     initial residual, so a warm start ``x0`` close to the solution needs
     fewer iterations for the same accuracy, and none when it already meets
@@ -366,7 +364,7 @@ def gmres(op, rhs, precond=None, tol=1e-8, max_iter=None, x0=None):
         beta = np.linalg.norm(z)
     if bnorm == 0.0:
         return np.zeros(n), 0, [0.0]
-    if beta <= tol * bnorm:
+    if beta <= tol * bnorm or beta <= atol:
         return x0.copy(), 0, [float(beta / bnorm)]
     m = min(max_iter, _GMRES_BLOCK)
     V = np.empty((m + 1, n))
@@ -411,7 +409,7 @@ def gmres(op, rhs, precond=None, tol=1e-8, max_iter=None, x0=None):
         gvec[j] = cs[j] * gvec[j]
         rel = abs(gvec[j + 1]) / bnorm
         history.append(rel)
-        if rel <= tol or hnorm == 0.0:
+        if rel <= tol or abs(gvec[j + 1]) <= atol or hnorm == 0.0:
             k_done = j + 1
             break
         V[j + 1] = wv / hnorm

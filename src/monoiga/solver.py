@@ -1,18 +1,19 @@
-"""Relaxed fixed-point driver for the coupled potential/recovery system.
+"""Newton-Krylov solver for the coupled potential/recovery system.
 
-Each sweep freezes the reaction coefficient at the previous iterate, solves
-the two decoupled linear systems, relaxes, and stops when the max-abs change
-of the potential coefficients drops below the tolerance.  The potential
-system is solved matrix-free by GMRES with the fast-diagonalization
-preconditioner, started from the previous sweep's solution; the recovery
-system is solved exactly by one dense temporal matrix applied along the
-time axis (:func:`solve_w_system`).
+The recovery variable is a linear map of the potential, ``w = R u`` with
+``R = b (K_t^{-1} M_t kron I)`` and ``K_t = W_t + b d_e M_t`` (the exact
+solution of its system, :func:`solve_w_system`), so the coupled system is
+one nonlinear equation in ``u``.  Each inexact Newton step solves the
+Jacobian system matrix-free by GMRES with the fast-diagonalization
+preconditioner, takes the full step and updates ``w = R u``; the solve
+stops when the max-abs step of the potential coefficients drops below the
+tolerance.  ``relaxation`` only damps the recomputed residual indicator.
 
 One workspace per solve holds the discretization data: a single
-default-rule Gauss grid serves the reaction mass, the load vector and the
+default-rule Gauss grid serves the reaction terms, the load vector and the
 residual indicator, and with stabilization on it also holds the upwind
 weights and the stabilizer's refined grid.  One step turns an indicator
-into the stabilizer's Kronecker terms, whether it is recomputed every sweep
+into the stabilizer's Kronecker terms, whether it is recomputed every step
 or latched from the start.
 """
 
@@ -28,6 +29,7 @@ from .assembly import (
     SpatialQuadratureData,
     TimeQuadratureData,
     field_on_grid,
+    reaction_jacobian,
     reaction_mass,
     rhs_vectors,
     spatial_operators,
@@ -54,13 +56,16 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 # With relaxation below one, the recomputed indicator is latched once its
-# damped change between sweeps (max-abs, relaxation times drift) is at most
+# damped change between steps (max-abs, relaxation times drift) is at most
 # this.
 INDICATOR_FREEZE_TOL = 0.02
 
+# Cap of the Newton forcing term after the first step.
+ETA_MAX = 0.3
+
 
 class FixedPointDiverged(RuntimeError):
-    """Fixed-point iteration exhausted its budget; carries the last state."""
+    """The nonlinear solve exhausted its step budget; carries the last state."""
 
     def __init__(self, message, result):
         super().__init__(message)
@@ -107,14 +112,18 @@ class MonodomainProblem:
 
 @dataclass
 class FixedPointConfig:
-    """Options for the fixed-point sweep.
+    """Options for the Newton solve.
 
+    ``relaxation`` damps the recomputed residual indicator (it damps
+    nothing else; steps are taken in full); ``tolerance`` bounds the max-abs
+    step at convergence and ``max_iterations`` the number of steps.
     ``stabilization`` is ``"off"`` for plain Galerkin or ``"spline_upwind"``;
     ``indicator_update`` is ``"every_sweep"`` (recompute the indicator from
     each iterate) or ``"frozen"`` (take it from a Galerkin pre-solve; see
-    :func:`fixed_point_solve`); ``linear_tol`` is the relative tolerance of
-    the preconditioned GMRES solve of every sweep.  ``indicator_override``
-    replaces the residual indicator computation (testing hook).
+    :func:`fixed_point_solve`); ``linear_tol`` is the first step's forcing
+    term and the floor of every step's GMRES solve.  ``evolve_recovery=False``
+    freezes the recovery variable at zero.  ``indicator_override`` replaces
+    the residual indicator computation (testing hook).
     """
 
     relaxation: float = 0.5
@@ -162,11 +171,15 @@ class SolveResult:
 
 
 class _Workspace:
-    """Discretization-dependent data shared across fixed-point sweeps.
+    """Discretization-dependent data shared across Newton steps.
 
     One default-rule quadrature grid serves the operator, the load vector
     and the residual indicator; with stabilization on, the workspace also
-    holds the upwind weights ``tau`` and the stabilizer's refined grid.
+    holds the upwind weights ``tau`` and the stabilizer's refined grid.  It
+    holds the dense temporal factor ``R_t = b K_t^{-1} M_t`` of the recovery
+    map ``w = (R_t kron I) u`` (``None`` with the recovery frozen at zero)
+    and the Kronecker part of the operator, which it rebuilds only when the
+    stabilizer terms change.
     """
 
     def __init__(self, problem, config):
@@ -195,11 +208,28 @@ class _Workspace:
             problem.a * problem.c1,
             spatial_data=self.spatial_data,
         )
+        # ||P f||: the absolute floor of every step's GMRES tolerance.
+        self.pf_norm = float(np.linalg.norm(self.precond.apply(self.f_vec)))
+        self.recovery = None
+        if config.evolve_recovery:
+            nt = st.num_time
+            eye = np.eye(nt).reshape(-1)
+            self.recovery = solve_w_system(
+                self.W_t, self.M_t, problem.b, problem.d_e, eye
+            ).reshape(nt, nt)
         self.tau = None
         self.stab_grid = None
         if config.stabilization == "spline_upwind":
             self.tau = compute_tau(st.time)
             self.stab_grid = _StabilizationGrid(self.tau, st, geo)
+        self._kron = None
+
+    def recover(self, u):
+        """The recovery field ``w = R u`` of a potential."""
+        if self.recovery is None:
+            return np.zeros_like(u)
+        nt = self.recovery.shape[0]
+        return (self.recovery @ u.reshape(nt, -1)).reshape(-1)
 
     def indicator(self, problem, config, u, w):
         """Residual indicator at an iterate, on the workspace's grid."""
@@ -220,52 +250,85 @@ class _Workspace:
         )
         return stab.terms()
 
-    def operator(self, problem, u_k, w_k, stab_terms):
-        st = problem.space
-        terms = [
+    def _terms(self, problem):
+        return [
             (problem.C_m, self.W_t, self.M_s),
             (problem.D, self.M_t, self.K_s),
         ]
-        correction = None
-        if not np.any(u_k) and not np.any(w_k):
-            # Zero iterate: the frozen reaction coefficient is the constant
-            # c1 * a, which keeps the Kronecker structure exact.
+
+    def linearize(self, problem, u, w, stab_terms):
+        """Residual ``F(u)`` and Jacobian operator at an iterate ``u``, ``w = R u``.
+
+        ``F(u) = A u + reaction_mass(u, w) @ u - f``, where ``A`` holds the
+        capacitive, diffusive and stabilizer terms (``stab_terms``, ``None``
+        for none); the Jacobian adds the derivative of the reaction term
+        (:func:`reaction_jacobian`) to ``A``.  At the zero iterate the
+        reaction derivative is the constant ``c1 a`` times the space-time
+        mass, which keeps the Jacobian a pure Kronecker sum, and ``F = -f``.
+        Away from zero the operator is the workspace's own, and the next call
+        replaces its correction.
+        """
+        st = problem.space
+        if not np.any(u):
+            terms = self._terms(problem)
             terms.append((problem.c1 * problem.a, self.M_t, self.M_s))
-        else:
-            correction = reaction_mass(
-                st,
-                problem.geometry,
-                problem.reaction_constants(),
-                u_k,
-                w_k,
-                spatial_data=self.spatial_data,
-                time_data=self.time_data,
-            )
-        terms.extend(stab_terms)
-        return KroneckerOperator(st.num_time, st.num_space, terms, correction)
+            terms.extend(stab_terms or [])
+            op = KroneckerOperator(st.num_time, st.num_space, terms)
+            return -self.f_vec, op
+        if self._kron is None or self._kron[0] is not stab_terms:
+            terms = self._terms(problem) + list(stab_terms or [])
+            self._kron = (stab_terms, KroneckerOperator(st.num_time, st.num_space, terms))
+        op = self._kron[1]
+        op.correction = reaction_mass(
+            st,
+            problem.geometry,
+            problem.reaction_constants(),
+            u,
+            w,
+            spatial_data=self.spatial_data,
+            time_data=self.time_data,
+        )
+        residual = op.matvec(u) - self.f_vec
+        op.correction = reaction_jacobian(
+            st,
+            problem.reaction_constants(),
+            u,
+            w,
+            self.recovery,
+            self.spatial_data,
+            self.time_data,
+        )
+        return residual, op
 
 
 def fixed_point_solve(problem, config=None):
-    """Run the relaxed fixed-point iteration from the zero initial iterate.
+    """Solve the coupled system by inexact Newton-Krylov on the potential.
 
-    Each iteration freezes the reaction coefficient (and, with stabilization
-    enabled, the residual indicator) at the previous iterate, solves the
-    decoupled potential and recovery systems, and relaxes both updates.
-    Stops when the max-abs change of the potential coefficients is at most
-    ``config.tolerance``.
+    The recovery variable is the linear map ``w = R u`` of the potential,
+    so the coupled system is one nonlinear equation ``F(u) = 0`` (see
+    :meth:`_Workspace.linearize`).  Each step solves ``J delta = -F`` by
+    GMRES with the fast-diagonalization preconditioner, from zero, to the
+    relative tolerance ``max(eta_k, linear_tol ||P f|| / ||P F_k||)``: the
+    first step's forcing term is ``linear_tol``, and later ones are
+    ``min(ETA_MAX, 0.9 (||F_k|| / ||F_{k-1}||)^2)`` (Eisenstat & Walker's
+    choice 2).  The second term is an absolute floor, so a step whose
+    residual already meets ``linear_tol`` returns ``delta = 0``.  Steps are
+    taken in full; the solve stops when the max-abs step ``max |delta|`` is
+    at most ``config.tolerance``.  The first step solves the same system as
+    a frozen-coefficient sweep from the zero iterate.
 
     Raises :class:`FixedPointDiverged` (carrying the partial result) when the
-    iteration budget is exhausted.
+    step budget is exhausted.
 
     With ``indicator_update == "every_sweep"`` the residual indicator is
-    recomputed from the current iterate before every sweep (it then tracks
-    layers as they develop); with relaxation below one it is damped along
-    with the iterates and latched once its damped change drops to
+    recomputed from the current iterate before every step (it then tracks
+    layers as they develop); with relaxation below one it is damped by the
+    relaxation and latched once its damped change drops to
     ``INDICATOR_FREEZE_TOL``.  With ``"frozen"`` a plain Galerkin solve runs
-    first and its indicator is latched from the first sweep; the coupled
+    first and its indicator is latched from the first step; the coupled
     recomputation settles at a self-amplified indicator level that caps the
     accuracy on smooth problems, so the frozen variant is the one that
-    preserves optimal convergence orders.  The stabilized sweeps start from
+    preserves optimal convergence orders.  The stabilized steps start from
     the pre-solve's iterate, and both phases share one workspace.
     """
     if config is None:
@@ -273,43 +336,42 @@ def fixed_point_solve(problem, config=None):
     t0 = _time.perf_counter()
     ws = _Workspace(problem, config)
     if config.stabilization == "spline_upwind" and config.indicator_update == "frozen":
-        pre = _sweeps(problem, replace(config, stabilization="off"), ws, t0)
+        pre = _newton(problem, replace(config, stabilization="off"), ws, t0)
         indicator = ws.indicator(problem, config, pre.u, pre.w)
-        return _sweeps(problem, config, ws, t0, start=pre, indicator=indicator)
-    return _sweeps(problem, config, ws, t0)
+        return _newton(problem, config, ws, t0, start=pre, indicator=indicator)
+    return _newton(problem, config, ws, t0)
 
 
-def _sweeps(problem, config, ws, t0, start=None, indicator=None):
-    """Fixed-point sweeps from the zero iterate or from a ``start`` result.
+def _newton(problem, config, ws, t0, start=None, indicator=None):
+    """Newton steps from the zero iterate or from a ``start`` result.
 
-    Sweeps continue the numbering of ``start``, whose iterate also starts
-    the first GMRES solve.  A given ``indicator`` is latched: its stabilizer
-    serves every sweep.
+    Steps continue the numbering of ``start``, whose iterate starts the
+    iteration.  A given ``indicator`` is latched: its stabilizer serves
+    every step.
     """
-    st = problem.space
     if start is None:
         done = 0
-        u = np.zeros(st.num_dof)
-        w = np.zeros(st.num_dof)
-        u_tilde = None
+        u = np.zeros(problem.space.num_dof)
     else:
         done = start.iterations
-        u, w, u_tilde = start.u, start.w, start.u
+        u = start.u
+    w = ws.recover(u)
     increments = []
     gmres_iters = []
     alpha = config.relaxation
     stabilized = config.stabilization == "spline_upwind"
     latched = indicator is not None
     stab_terms = None
+    res_prev = None
 
     for k in range(done + 1, done + config.max_iterations + 1):
         if stabilized and not (latched and stab_terms is not None):
             if not latched:
                 fresh = ws.indicator(problem, config, u, w)
                 if indicator is not None and alpha < 1.0:
-                    # Relax the indicator along with the iterates: an
-                    # undamped recomputation flip-flops between activation
-                    # patterns on under-resolved sharp layers.
+                    # Damp the indicator by the relaxation: an undamped
+                    # recomputation flip-flops between activation patterns
+                    # on under-resolved sharp layers.
                     drift = float(np.max(np.abs(fresh.values - indicator.values)))
                     fresh.values = (
                         alpha * fresh.values + (1.0 - alpha) * indicator.values
@@ -319,32 +381,40 @@ def _sweeps(problem, config, ws, t0, start=None, indicator=None):
                     latched = k > done + 1 and drift * alpha <= INDICATOR_FREEZE_TOL
                 indicator = fresh
             stab_terms = ws.stabilizer_terms(problem, config, indicator)
-        op = ws.operator(problem, u, w, stab_terms or [])
-
-        # Warm start from the previous sweep's unrelaxed solution: the
-        # systems of consecutive sweeps differ only in the frozen terms.
-        u_tilde, nit, _ = gmres(
-            op, ws.f_vec, precond=ws.precond, tol=config.linear_tol, x0=u_tilde
+        residual, jac = ws.linearize(problem, u, w, stab_terms)
+        res = float(np.linalg.norm(residual))
+        if res_prev is None:
+            eta = config.linear_tol
+        else:
+            eta = min(ETA_MAX, 0.9 * (res / res_prev) ** 2)
+        res_prev = res
+        delta, nit, _ = gmres(
+            jac,
+            -residual,
+            precond=ws.precond,
+            tol=eta,
+            atol=config.linear_tol * ws.pf_norm,
         )
         gmres_iters.append(nit)
-
-        if config.evolve_recovery:
-            w_tilde = solve_w_system(ws.W_t, ws.M_t, problem.b, problem.d_e, u)
-        else:
-            w_tilde = w
-
-        u_new = alpha * u_tilde + (1.0 - alpha) * u
-        w_new = alpha * w_tilde + (1.0 - alpha) * w
-        inc = float(np.max(np.abs(u_new - u)))
+        u = u + delta
+        w = ws.recover(u)
+        inc = float(np.max(np.abs(delta)))
         increments.append(inc)
         log.info(
-            "sweep %3d: increment %.3e, %d GMRES iterations",
+            "sweep %3d: increment %.3e, residual %.3e, forcing %.1e, %d GMRES iterations",
             k,
             inc,
+            res,
+            eta,
             nit,
-            extra={"sweep": k, "increment": inc, "gmres_iterations": nit},
+            extra={
+                "sweep": k,
+                "increment": inc,
+                "residual": res,
+                "forcing": eta,
+                "gmres_iterations": nit,
+            },
         )
-        u, w = u_new, w_new
         if inc <= config.tolerance:
             return SolveResult(
                 u,
@@ -367,7 +437,7 @@ def _sweeps(problem, config, ws, t0, start=None, indicator=None):
         indicator,
     )
     raise FixedPointDiverged(
-        "fixed point did not reach %.2e in %d iterations"
+        "Newton iteration did not reach %.2e in %d steps"
         % (config.tolerance, config.max_iterations),
         result,
     )

@@ -73,20 +73,6 @@ class StabilizationWeights:
         C = self.spaces[k - 1].collocation_matrix(np.asarray(points, float), 0)
         return np.asarray(C @ self.coeffs[k - 1]).reshape(-1)
 
-    def min_values(self, samples_per_element=8):
-        """Minimum of each weight on a sample grid (sign diagnostic)."""
-        bp = self.time_space.breakpoints
-        pts = np.concatenate(
-            [
-                np.linspace(a, b, samples_per_element, endpoint=False)
-                for a, b in zip(bp[:-1], bp[1:])
-            ]
-            + [np.array([1.0])]
-        )
-        return np.array(
-            [self.evaluate(k, pts).min() for k in range(1, self.degree + 1)]
-        )
-
 
 def compute_tau(time_space):
     """Solve the orthogonality conditions for the upwind weight functions.
@@ -201,7 +187,7 @@ class ResidualIndicator:
     by the constrained temporal Greville abscissae, columns colexicographic
     over the spatial Greville grid); every entry lies in [0, 1].
     ``denominator_vanished`` records that the solution scale was zero (a
-    quiescent iterate, as on the first sweep), so every entry with a nonzero
+    quiescent iterate, as on the first step), so every entry with a nonzero
     residual was set to 1.
     """
 
@@ -487,7 +473,7 @@ def assemble_stabilization(tau, lowrank, space_time, geo, capacitance, grid=None
     All temporal integrals are parametric: the powers of the final time
     carried by the upwind weights cancel against the derivative and measure
     scalings.  ``grid`` is the quadrature data of the same ``tau`` and space,
-    built here when not given; a solver passes it to every sweep.
+    built here when not given; a solver passes it to every step.
     """
     if lowrank.rank == 0:
         return StabilizationMatrices(lowrank, [], [], capacitance)

@@ -9,7 +9,7 @@ from monoiga.geometry import (
     box_geometry,
     builtin_geometry,
     ellipse_annulus_geometry,
-    jacobian_inverse_and_det,
+    jacobian_det,
     load_geometry,
     save_geometry,
 )
@@ -129,7 +129,7 @@ def test_boxes_jacobian_positive():
 def test_singular_jacobian_detected():
     jac = np.zeros((1, 2, 2))
     with pytest.raises(GeometryError, match="singular"):
-        jacobian_inverse_and_det(jac)
+        jacobian_det(jac)
 
 
 def test_geometry_file_round_trip(tmp_path):

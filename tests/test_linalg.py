@@ -87,7 +87,11 @@ class TestTimePencil:
         U = pencil.U_full
         M = M_t.toarray()
         assert np.max(np.abs(U.conj().T @ M @ U - np.eye(st.num_time))) < 1e-10
-        assert pencil.off_arrow_max < 1e-10
+        off_arrow = pencil.delta.copy()
+        np.fill_diagonal(off_arrow, 0.0)
+        off_arrow[:, -1] = 0.0
+        off_arrow[-1, :] = 0.0
+        assert np.max(np.abs(off_arrow)) < 1e-10
         # arrowhead data matches the congruence
         nt = st.num_time
         assert_allclose(
@@ -241,6 +245,17 @@ class TestGMRES:
         res = np.linalg.norm(P.apply(b - op.matvec(x)))
         assert res <= tol * np.linalg.norm(P.apply(b))
         assert hist[-1] <= tol
+
+    def test_absolute_bound(self):
+        op, P, b = self._perturbed_system()
+        pb = np.linalg.norm(P.apply(b))
+        _, it_rel, _ = gmres(op, b, precond=P, tol=1e-8)
+        x, it, _ = gmres(op, b, precond=P, tol=1e-8, atol=1e-4 * pb)
+        assert 0 < it < it_rel
+        assert np.linalg.norm(P.apply(b - op.matvec(x))) <= 1.01e-4 * pb
+        # A right-hand side already below the absolute bound gives zero.
+        x, it, _ = gmres(op, b, precond=P, tol=1e-8, atol=2.0 * pb)
+        assert it == 0 and not np.any(x)
 
     def test_zero_rhs(self):
         x, it, _ = gmres(sp.identity(5), np.zeros(5))

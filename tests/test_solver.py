@@ -23,10 +23,13 @@ from monoiga.assembly import (
 )
 from monoiga.bspline import SplineSpace, SpaceTimeSpace
 from monoiga.geometry import builtin_geometry
+from monoiga.linalg import FastDiagPreconditioner, gmres
 from monoiga.solver import (
+    ETA_MAX,
     FixedPointConfig,
     FixedPointDiverged,
     MonodomainProblem,
+    _Workspace,
     fixed_point_solve,
     l2_error,
 )
@@ -119,8 +122,9 @@ class TestFixedPoint:
             elements=4,
             source=lambda x, t: np.where(t < 0.5, 1.0, 0.0),
         )
+        config = FixedPointConfig(tolerance=1e-6)
         with caplog.at_level(logging.INFO, logger="monoiga.solver"):
-            result = fixed_point_solve(problem, FixedPointConfig(tolerance=1e-6))
+            result = fixed_point_solve(problem, config)
         records = [r for r in caplog.records if r.name == "monoiga.solver"]
         assert len(records) == result.iterations > 1
         assert [r.sweep for r in records] == list(range(1, result.iterations + 1))
@@ -128,6 +132,93 @@ class TestFixedPoint:
         assert [r.increment for r in records] == result.increments
         for record, nit in zip(records, result.gmres_iterations):
             assert "%d GMRES iterations" % nit in record.getMessage()
+            assert "residual %.3e" % record.residual in record.getMessage()
+        # The first residual is F(0) = -f, solved to linear_tol; later
+        # forcing terms follow Eisenstat-Walker choice 2 on the residuals.
+        f_vec = rhs_vectors(problem.space, problem.geometry, problem.source)
+        assert records[0].residual == pytest.approx(np.linalg.norm(f_vec), rel=1e-12)
+        assert records[0].forcing == config.linear_tol
+        for prev, rec in zip(records[:-1], records[1:]):
+            ratio = rec.residual / prev.residual
+            assert rec.forcing == min(ETA_MAX, 0.9 * ratio**2)
+
+    def test_jacobian_matches_central_difference(self):
+        # The matrix-free Jacobian, recovery coupling included, is the
+        # derivative of the residual F(u) = A u + N(u, R u) - f.
+        problem = make_problem(
+            d=2,
+            p=2,
+            elements=3,
+            b=0.5,
+            source=lambda x, t: np.sin(np.pi * t) * np.ones(t.shape),
+        )
+        ws = _Workspace(problem, FixedPointConfig())
+        rng = np.random.default_rng(11)
+        u = 0.5 * rng.standard_normal(problem.space.num_dof)
+        delta = rng.standard_normal(problem.space.num_dof)
+
+        def residual(v):
+            return ws.linearize(problem, v, ws.recover(v), None)[0]
+
+        jd = ws.linearize(problem, u, ws.recover(u), None)[1].matvec(delta)
+        h = 1e-5
+        fd = (residual(u + h * delta) - residual(u - h * delta)) / (2 * h)
+        assert np.linalg.norm(jd - fd) <= 1e-6 * np.linalg.norm(jd)
+        assert np.any(ws.recover(u))
+
+    def test_first_step_solves_the_zero_iterate_system(self):
+        problem = make_problem(
+            d=2,
+            p=2,
+            elements=3,
+            source=lambda x, t: np.exp(-((t - 0.4) ** 2)) * np.ones(t.shape),
+        )
+        st = problem.space
+        geo = problem.geometry
+        with pytest.raises(FixedPointDiverged) as err:
+            fixed_point_solve(problem, FixedPointConfig(tolerance=1e-14, max_iterations=1))
+        first = err.value.result
+        sd = SpatialQuadratureData(st.spatial, geo)
+        td = TimeQuadratureData(st, problem.final_time)
+        W_t, M_t = time_matrices(st, problem.final_time, time_data=td)
+        M_s, K_s = spatial_operators(st.spatial, geo, spatial_data=sd)
+        op = KroneckerOperator(
+            st.num_time,
+            st.num_space,
+            [
+                (problem.C_m, W_t, M_s),
+                (problem.D, M_t, K_s),
+                (problem.c1 * problem.a, M_t, M_s),
+            ],
+        )
+        precond = FastDiagPreconditioner.build(
+            st,
+            problem.final_time,
+            problem.C_m,
+            problem.D,
+            problem.a * problem.c1,
+            spatial_data=sd,
+        )
+        f_vec = rhs_vectors(st, geo, problem.source, spatial_data=sd, time_data=td)
+        x, nit, _ = gmres(op, f_vec, precond=precond, tol=1e-8)
+        assert first.gmres_iterations == [nit]
+        assert np.array_equal(first.u, x)
+
+    def test_linear_problem_second_step_is_empty(self):
+        # The first step solves the linear system to linear_tol, so the
+        # second step's residual meets the floor and GMRES accepts delta = 0.
+        problem = make_problem(
+            d=1,
+            p=2,
+            elements=4,
+            c1=0.0,
+            c2=0.0,
+            source=lambda x, t: np.sin(np.pi * t) * np.ones(t.shape),
+        )
+        result = fixed_point_solve(problem, FixedPointConfig(tolerance=1e-10))
+        assert result.iterations == 2
+        assert result.increments[1] == 0.0
+        assert result.gmres_iterations[1] == 0
 
     def test_recovery_follows_potential(self):
         problem = make_problem(

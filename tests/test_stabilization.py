@@ -104,7 +104,12 @@ class TestUpwindWeights:
 
     def test_min_value_diagnostic(self):
         tau = compute_tau(SplineSpace.uniform(2, 8))
-        mins = tau.min_values()
+        bp = tau.time_space.breakpoints
+        pts = np.concatenate(
+            [np.linspace(a, b, 8, endpoint=False) for a, b in zip(bp[:-1], bp[1:])]
+            + [np.array([1.0])]
+        )
+        mins = np.array([tau.evaluate(k, pts).min() for k in (1, 2)])
         assert mins.shape == (2,)
 
 
