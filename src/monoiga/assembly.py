@@ -2,8 +2,8 @@
 
 The space-time operator is a :class:`KroneckerOperator`: a sum of scaled
 Kronecker products of temporal and pulled-back spatial matrices plus an
-optional correction, a reaction term applied matrix-free: the reaction mass
-:class:`WeightedMass` or its Newton derivative :class:`ReactionJacobian`.
+optional correction, a reaction term applied matrix-free by
+:class:`WeightedMass` (the reaction mass or its Newton derivative).
 Every Gram matrix -- the temporal advection and mass, the spatial mass and
 stiffness on any geometry, the preconditioner's univariate factors, the
 stabilizer's factors and the sparse form of :class:`WeightedMass` -- is
@@ -24,13 +24,11 @@ __all__ = [
     "QuadratureRule",
     "KroneckerOperator",
     "WeightedMass",
-    "ReactionJacobian",
     "banded_gram",
     "evaluate_field",
     "time_matrices",
     "spatial_operators",
     "reaction_mass",
-    "reaction_jacobian",
     "rhs_vectors",
 ]
 
@@ -196,7 +194,8 @@ class SpatialQuadratureData:
     Precomputes dense per-direction collocation matrices of values (``c0``)
     and first derivatives (``c1``) at the quadrature grid, direction 1 first,
     and the Jacobian determinants there (which checks the map for
-    singularity).  The inverse Jacobians ``jinv``, the metric
+    singularity); every integral on the grid reads the cached quadrature
+    ``measure``.  The inverse Jacobians ``jinv``, the metric
     ``jinv jinv^T``, the second-derivative collocations (``c2``) and the
     geometry Hessian (``hess``) are built on first use: only the stiffness,
     the preconditioner and the residual indicator read them.  Shared by the
@@ -237,6 +236,13 @@ class SpatialQuadratureData:
             s.collocation_matrix(r.points, order).toarray()
             for s, r in zip(self.spaces, self.rules)
         ]
+
+    @functools.cached_property
+    def measure(self):
+        """Quadrature measure ``wgrid |det J|`` on the grid (read-only)."""
+        measure = self.wgrid * np.abs(self.detj)
+        measure.flags.writeable = False
+        return measure
 
     @functools.cached_property
     def c2(self):
@@ -282,7 +288,7 @@ class SpatialQuadratureData:
 
     def mass(self, weight_grid=None):
         """Pulled-back spatial mass matrix, optionally with a pointwise weight."""
-        w = self.wgrid * np.abs(self.detj)
+        w = self.measure
         if weight_grid is not None:
             w = w * weight_grid
         c = self.c0[::-1]
@@ -291,7 +297,7 @@ class SpatialQuadratureData:
     def stiffness(self):
         """Pulled-back spatial stiffness matrix."""
         d = len(self.spaces)
-        base = self.wgrid * np.abs(self.detj)
+        base = self.measure
         # Factors with the derivative in direction a, grid order (d first).
         grads = [
             [self.c1[l] if l == a else self.c0[l] for l in reversed(range(d))]
@@ -386,6 +392,19 @@ def field_on_grid(space_time, coeffs, time_colloc, space_collocs, orders=None):
     return _apply_factors(time_colloc, space_collocs, U)
 
 
+def load_vector(time_colloc, space_collocs, grid):
+    """Integrate values on a tensor quadrature grid against the basis.
+
+    Returns ``(C_t kron C_s)^T g`` for the grid ``g`` shaped
+    (Q_t, Q_d, ..., Q_1), which already carries the quadrature measure; the
+    collocations are those of :func:`field_on_grid`.  Time is contracted
+    first.
+    """
+    return _apply_factors(
+        time_colloc.T, [c.T for c in space_collocs], grid
+    ).reshape(-1)
+
+
 def evaluate_field(
     space_time,
     geo,
@@ -476,20 +495,27 @@ def laplacian_pullback(jinv, metric, hess, grad_eta, second):
 class WeightedMass:
     """Space-time mass matrix with a pointwise weight, applied matrix-free.
 
-    Represents ``(C_t kron C_s)^T diag(W) (C_t kron C_s)``, where ``C_t`` is
-    the temporal collocation matrix, ``C_s`` the Kronecker product of the
-    spatial ones (direction d slowest) and ``W`` the weight on the tensor
-    quadrature grid.  A matvec evaluates the field on the grid, scales it by
-    ``W`` and integrates against the basis one axis at a time (sum
-    factorization), so only the grid of weights is stored.
+    Represents ``(T kron C_s)^T diag(W) (T' kron C_s)``, where ``T`` and
+    ``T'`` are the temporal test and trial collocation matrices (``T' = T``
+    unless ``trial_time_colloc`` is given), ``C_s`` the Kronecker product of
+    the spatial ones (direction d slowest) and ``W`` the weight on the tensor
+    quadrature grid.  Stacked temporal factors give sums of such terms: the
+    Newton derivative of the reaction term with the recovery map
+    ``R = R_t kron I`` is ``[C_t; C_t]^T diag([W_1; W_2]) [C_t; C_t R_t]``.
+    A matvec evaluates the field on the grid space first, scales it by ``W``
+    and integrates it against the basis time first (sum factorization), so
+    only the grid of weights is stored.
 
-    ``time_colloc`` is dense, shape (Q_t, N_t); ``space_collocs`` are dense,
-    direction 1 first, shapes (Q_l, n_l); ``weights`` is shaped
-    (Q_t, Q_d, ..., Q_1).
+    ``time_colloc`` and ``trial_time_colloc`` are dense, shape (Q_t, N_t);
+    ``space_collocs`` are dense, direction 1 first, shapes (Q_l, n_l);
+    ``weights`` is shaped (Q_t, Q_d, ..., Q_1).
     """
 
-    def __init__(self, time_colloc, space_collocs, weights):
+    def __init__(self, time_colloc, space_collocs, weights, trial_time_colloc=None):
         self.time_colloc = np.asarray(time_colloc, dtype=float)
+        self.trial_time_colloc = self.time_colloc
+        if trial_time_colloc is not None:
+            self.trial_time_colloc = np.asarray(trial_time_colloc, dtype=float)
         self.space_collocs = [np.asarray(c, dtype=float) for c in space_collocs]
         self.data = np.asarray(weights, dtype=float)
         grid = (self.time_colloc.shape[0],) + tuple(
@@ -516,12 +542,12 @@ class WeightedMass:
 
     def matvec(self, x):
         X = np.asarray(x, dtype=float).reshape(self.coeff_shape)
-        vals = _apply_factors(self.time_colloc, self.space_collocs, X)
+        d = len(self.space_collocs)
+        for l in range(d):
+            X = mode_apply(self.space_collocs[l], X, 1 + (d - 1 - l))
+        vals = mode_apply(self.trial_time_colloc, X, 0)
         vals *= self.data
-        out = _apply_factors(
-            self.time_colloc.T, [c.T for c in self.space_collocs], vals
-        )
-        return out.reshape(-1)
+        return load_vector(self.time_colloc, self.space_collocs, vals)
 
     def __matmul__(self, x):
         return self.matvec(x)
@@ -531,79 +557,13 @@ class WeightedMass:
 
         Time is the slowest direction of :func:`banded_gram`.
         """
-        factors = [self.time_colloc] + self.space_collocs[::-1]
-        return banded_gram(factors, factors, self.data)
+        space = self.space_collocs[::-1]
+        return banded_gram(
+            [self.time_colloc] + space, [self.trial_time_colloc] + space, self.data
+        )
 
     def toarray(self):
         return self.tosparse().toarray()
-
-
-class ReactionJacobian:
-    """Derivative of the reaction term ``u -> reaction_mass(u, R u) @ u``.
-
-    With the recovery map ``R = R_t kron I`` the derivative applies
-    ``WM(W) delta + WM(V) (R delta)``, where ``W`` (``weights``) and ``V``
-    (``coupling``) are weighted grids shaped like those of
-    :class:`WeightedMass`, and ``WM`` is that weighted mass.  Since
-    ``(C_t kron C_s) R = (C_t R_t) kron C_s``, a matvec contracts the
-    spatial collocations once, applies the stacked temporal collocations
-    ``[C_t; C_t R_t]`` (``recovery_colloc`` is ``C_t R_t``), weights both
-    grids and integrates back: both terms cost one sum-factorized pass.
-    ``coupling=None`` drops the second term.
-    """
-
-    def __init__(self, time_colloc, recovery_colloc, space_collocs, weights, coupling):
-        self.time_colloc = time_colloc
-        self.space_collocs = space_collocs
-        self.data = weights
-        self.coupling = coupling
-        self.coeff_shape = (time_colloc.shape[1],) + tuple(
-            c.shape[1] for c in reversed(space_collocs)
-        )
-        self._time_stack = time_colloc
-        if coupling is not None:
-            self._time_stack = np.vstack([time_colloc, recovery_colloc])
-
-    def __matmul__(self, x):
-        return self.matvec(x)
-
-    def matvec(self, x):
-        X = np.asarray(x, dtype=float).reshape(self.coeff_shape)
-        d = len(self.space_collocs)
-        for l in range(d):
-            X = mode_apply(self.space_collocs[l], X, 1 + (d - 1 - l))
-        vals = mode_apply(self._time_stack, X, 0)
-        qt = self.data.shape[0]
-        grid = vals[:qt] * self.data
-        if self.coupling is not None:
-            grid += vals[qt:] * self.coupling
-        out = _apply_factors(
-            self.time_colloc.T, [c.T for c in self.space_collocs], grid
-        )
-        return out.reshape(-1)
-
-
-def reaction_jacobian(space_time, constants, u, w, recovery, spatial_data, time_data):
-    """Derivative at ``u`` of the reaction term ``reaction_mass(u, R u) @ u``.
-
-    ``w = R u`` is the recovery field of ``u`` and ``recovery`` the dense
-    temporal factor ``R_t`` of ``R = R_t kron I`` (``None`` when ``R = 0``).
-    The returned :class:`ReactionJacobian` applies
-    ``WM(c1 (3 u^2 - 2 (1 + a) u + a) + c2 w) delta + WM(c2 u) (R delta)``.
-    """
-    c1 = constants["c1"]
-    a = constants["a"]
-    c2 = constants["c2"]
-    ct = time_data.c0
-    cs = spatial_data.c0
-    u_vals = field_on_grid(space_time, u, ct, cs)
-    w_vals = field_on_grid(space_time, w, ct, cs)
-    quad = spatial_data.wgrid * np.abs(spatial_data.detj)
-    quad = quad * time_data.weights.reshape((-1,) + (1,) * len(cs))
-    weights = (c1 * ((3.0 * u_vals - 2.0 * (1.0 + a)) * u_vals + a) + c2 * w_vals) * quad
-    if recovery is None:
-        return ReactionJacobian(ct, None, cs, weights, None)
-    return ReactionJacobian(ct, ct @ recovery, cs, weights, c2 * u_vals * quad)
 
 
 def reaction_mass(
@@ -612,7 +572,6 @@ def reaction_mass(
     constants,
     u_prev,
     w_prev,
-    final_time=None,
     spatial_data=None,
     time_data=None,
 ):
@@ -621,14 +580,13 @@ def reaction_mass(
     The coefficient ``c1 (u - a)(u - 1) + c2 w`` is evaluated at the
     quadrature nodes from the spline expansions of the iterates, so
     ``reaction_mass(u, w) @ u`` is the reaction term of the weak form.
-    Returns a :class:`WeightedMass` of size ``N_dof`` that stores the weighted
-    coefficient per quadrature point; ``tosparse()`` assembles it.
+    Returns a :class:`WeightedMass` of size ``N_dof`` whose ``data`` is the
+    coefficient times the quadrature measure per quadrature point;
+    ``tosparse()`` assembles it.
     """
     c1 = constants["c1"]
     a = constants["a"]
     c2 = constants["c2"]
-    if final_time is None:
-        final_time = geo.final_time
     u_prev = np.asarray(u_prev, dtype=float)
     w_prev = np.asarray(w_prev, dtype=float)
     if u_prev.size != space_time.num_dof or w_prev.size != space_time.num_dof:
@@ -636,48 +594,40 @@ def reaction_mass(
     if spatial_data is None:
         spatial_data = SpatialQuadratureData(space_time.spatial, geo)
     if time_data is None:
-        time_data = TimeQuadratureData(space_time, final_time)
+        time_data = TimeQuadratureData(space_time, geo.final_time)
 
     ct = time_data.c0
     cs = spatial_data.c0
     u_vals = field_on_grid(space_time, u_prev, ct, cs)
     w_vals = field_on_grid(space_time, w_prev, ct, cs)
     weights = c1 * (u_vals - a) * (u_vals - 1.0) + c2 * w_vals
-    weights *= spatial_data.wgrid * np.abs(spatial_data.detj)
+    weights *= spatial_data.measure
     weights *= time_data.weights.reshape((-1,) + (1,) * len(cs))
     return WeightedMass(ct, cs, weights)
 
 
-def rhs_vectors(
-    space_time, geo, source, final_time=None, spatial_data=None, time_data=None
-):
+def rhs_vectors(space_time, geo, source, spatial_data=None, time_data=None):
     """Load vector ``f_vec[i] = int int f B_i`` of the source (zero if ``None``)."""
     if source is None:
         return np.zeros(space_time.num_dof)
-    if final_time is None:
-        final_time = geo.final_time
     if spatial_data is None:
         spatial_data = SpatialQuadratureData(space_time.spatial, geo)
     if time_data is None:
-        time_data = TimeQuadratureData(space_time, final_time)
+        time_data = TimeQuadratureData(space_time, geo.final_time)
     fvals = spatial_data.sample(source, time_data)
     qt = fvals.shape[0]
-    ws = (spatial_data.wgrid * np.abs(spatial_data.detj)).reshape(-1)
+    ws = spatial_data.measure.reshape(-1)
     vals = fvals.reshape(qt, -1) * ws[None, :] * time_data.weights[:, None]
-    return _apply_factors(
-        time_data.c0.T,
-        [c.T for c in spatial_data.c0],
-        vals.reshape(fvals.shape),
-    ).reshape(-1)
+    return load_vector(time_data.c0, spatial_data.c0, vals.reshape(fvals.shape))
 
 
 class KroneckerOperator:
     """Sum of scaled Kronecker products ``sum_k c_k (T_k kron S_k)``.
 
     Each term pairs a temporal factor of size ``N_t`` with a spatial factor
-    of size ``N_s``.  An optional ``correction`` (a reaction term, a
-    :class:`WeightedMass` or :class:`ReactionJacobian`, or any matrix
-    supporting ``@``) is added to the matvec.
+    of size ``N_s``.  An optional ``correction`` (a reaction term such as a
+    :class:`WeightedMass`, or any matrix supporting ``@``) is added to the
+    matvec.
 
     A matvec applies all terms with two sparse products: the stacked
     temporal factors ``vstack(c_k T_k)`` act on ``X = x.reshape(N_t, N_s)``,

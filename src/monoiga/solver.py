@@ -28,8 +28,9 @@ from .assembly import (
     KroneckerOperator,
     SpatialQuadratureData,
     TimeQuadratureData,
+    WeightedMass,
     field_on_grid,
-    reaction_jacobian,
+    load_vector,
     reaction_mass,
     rhs_vectors,
     spatial_operators,
@@ -122,8 +123,7 @@ class FixedPointConfig:
     each iterate) or ``"frozen"`` (take it from a Galerkin pre-solve; see
     :func:`fixed_point_solve`); ``linear_tol`` is the first step's forcing
     term and the floor of every step's GMRES solve.  ``evolve_recovery=False``
-    freezes the recovery variable at zero.  ``indicator_override`` replaces
-    the residual indicator computation (testing hook).
+    freezes the recovery variable at zero.
     """
 
     relaxation: float = 0.5
@@ -134,7 +134,6 @@ class FixedPointConfig:
     indicator_update: str = "every_sweep"
     linear_tol: float = 1e-8
     evolve_recovery: bool = True
-    indicator_override: object = None
 
     def __post_init__(self):
         if not 0.0 < self.relaxation <= 1.0:
@@ -177,7 +176,9 @@ class _Workspace:
     and the residual indicator; with stabilization on, the workspace also
     holds the upwind weights ``tau`` and the stabilizer's refined grid.  It
     holds the dense temporal factor ``R_t = b K_t^{-1} M_t`` of the recovery
-    map ``w = (R_t kron I) u`` (``None`` with the recovery frozen at zero)
+    map ``w = (R_t kron I) u`` (``None`` with the recovery frozen at zero),
+    the temporal test and trial factors ``[C_t; C_t]`` and ``[C_t; C_t R_t]``
+    of the Jacobian's reaction part, the space-time quadrature ``measure``,
     and the Kronecker part of the operator, which it rebuilds only when the
     stabilizer terms change.
     """
@@ -217,6 +218,13 @@ class _Workspace:
             self.recovery = solve_w_system(
                 self.W_t, self.M_t, problem.b, problem.d_e, eye
             ).reshape(nt, nt)
+        self.measure = self.spatial_data.measure * self.time_data.weights.reshape(
+            (-1,) + (1,) * st.num_spatial_dims
+        )
+        if self.recovery is not None:
+            ct = self.time_data.c0
+            self.jacobian_test = np.vstack([ct, ct])
+            self.jacobian_trial = np.vstack([ct, ct @ self.recovery])
         self.tau = None
         self.stab_grid = None
         if config.stabilization == "spline_upwind":
@@ -233,8 +241,6 @@ class _Workspace:
 
     def indicator(self, problem, config, u, w):
         """Residual indicator at an iterate, on the workspace's grid."""
-        if config.indicator_override is not None:
-            return config.indicator_override(problem, u, w)
         return compute_theta(problem, u, w, self.spatial_data, self.time_data)
 
     def stabilizer_terms(self, problem, config, indicator):
@@ -250,36 +256,40 @@ class _Workspace:
         )
         return stab.terms()
 
-    def _terms(self, problem):
-        return [
-            (problem.C_m, self.W_t, self.M_s),
-            (problem.D, self.M_t, self.K_s),
-        ]
-
     def linearize(self, problem, u, w, stab_terms):
         """Residual ``F(u)`` and Jacobian operator at an iterate ``u``, ``w = R u``.
 
-        ``F(u) = A u + reaction_mass(u, w) @ u - f``, where ``A`` holds the
-        capacitive, diffusive and stabilizer terms (``stab_terms``, ``None``
-        for none); the Jacobian adds the derivative of the reaction term
-        (:func:`reaction_jacobian`) to ``A``.  At the zero iterate the
-        reaction derivative is the constant ``c1 a`` times the space-time
-        mass, which keeps the Jacobian a pure Kronecker sum, and ``F = -f``.
-        Away from zero the operator is the workspace's own, and the next call
-        replaces its correction.
+        The workspace's Kronecker operator ``K`` holds the capacitive,
+        diffusive and constant reaction terms
+        ``C_m W_t kron M_s + D M_t kron K_s + c1 a M_t kron M_s`` (the
+        preconditioner's surrogate), then the stabilizer terms
+        (``stab_terms``, ``None`` for none); it is rebuilt only when these
+        change.  With the reaction coefficient ``c = c1 (u - a)(u - 1) + c2 w``,
+        ``F(u) = K u + int (c - c1 a) u v - f``, and the Jacobian is ``K``
+        plus the :class:`WeightedMass`
+        ``[C_t; C_t]^T diag([j1; j2]) [C_t; C_t R_t]`` with
+        ``j1 = c - c1 a + c1 u (2 u - 1 - a)`` and ``j2 = c2 u``, both times
+        the quadrature measure (``j2`` is dropped when ``R = 0``).  At the
+        zero iterate the remainder vanishes: ``F = -f`` and the Jacobian is
+        ``K``.  The next call replaces the operator's correction.
         """
         st = problem.space
-        if not np.any(u):
-            terms = self._terms(problem)
-            terms.append((problem.c1 * problem.a, self.M_t, self.M_s))
-            terms.extend(stab_terms or [])
-            op = KroneckerOperator(st.num_time, st.num_space, terms)
-            return -self.f_vec, op
         if self._kron is None or self._kron[0] is not stab_terms:
-            terms = self._terms(problem) + list(stab_terms or [])
+            terms = [
+                (problem.C_m, self.W_t, self.M_s),
+                (problem.D, self.M_t, self.K_s),
+                (problem.c1 * problem.a, self.M_t, self.M_s),
+            ]
+            terms.extend(stab_terms or [])
             self._kron = (stab_terms, KroneckerOperator(st.num_time, st.num_space, terms))
         op = self._kron[1]
-        op.correction = reaction_mass(
+        op.correction = None
+        if not np.any(u):
+            return -self.f_vec, op
+        c1, a = problem.c1, problem.a
+        ct = self.time_data.c0
+        cs = self.spatial_data.c0
+        reaction = reaction_mass(
             st,
             problem.geometry,
             problem.reaction_constants(),
@@ -288,16 +298,18 @@ class _Workspace:
             spatial_data=self.spatial_data,
             time_data=self.time_data,
         )
-        residual = op.matvec(u) - self.f_vec
-        op.correction = reaction_jacobian(
-            st,
-            problem.reaction_constants(),
-            u,
-            w,
-            self.recovery,
-            self.spatial_data,
-            self.time_data,
-        )
+        u_vals = field_on_grid(st, u, ct, cs)
+        # (c - c1 a) times the measure: the reaction beyond the one in K.
+        rest = reaction.data - c1 * a * self.measure
+        residual = op.matvec(u) + load_vector(ct, cs, rest * u_vals) - self.f_vec
+        j1 = rest + c1 * u_vals * (2.0 * u_vals - 1.0 - a) * self.measure
+        if self.recovery is None:
+            op.correction = WeightedMass(ct, cs, j1)
+        else:
+            j2 = problem.c2 * u_vals * self.measure
+            op.correction = WeightedMass(
+                self.jacobian_test, cs, np.concatenate([j1, j2]), self.jacobian_trial
+            )
         return residual, op
 
 
@@ -458,7 +470,7 @@ def l2_error(space_time, geo, coeffs, exact):
     td = TimeQuadratureData(st, geo.final_time, npoints=st.time.degree + 2)
     ue = sd.sample(exact, td).reshape(td.weights.size, -1)
     uh = field_on_grid(st, coeffs, td.c0, sd.c0).reshape(ue.shape)
-    wsp = (sd.wgrid * np.abs(sd.detj)).reshape(-1)
+    wsp = sd.measure.reshape(-1)
     werr = np.einsum("t,q,tq->", td.weights, wsp, (uh - ue) ** 2)
     wref = np.einsum("t,q,tq->", td.weights, wsp, ue**2)
     if wref == 0.0:

@@ -239,6 +239,25 @@ def random_reaction_operator(st, geo, seed=0):
     return reaction_mass(st, geo, CONSTANTS, u, w)
 
 
+def stacked_trial_operator(MR, seed=0):
+    """``[C_t; C_t]^T diag([W_1; W_2]) [C_t; C_t R]`` with a dense random ``R``.
+
+    The form of the reaction part of the Newton derivative; ``W_1`` is the
+    weight grid of ``MR``.  Returns the operator, ``R`` and ``W_2``.
+    """
+    rng = np.random.default_rng(seed)
+    ct = MR.time_colloc
+    R = rng.standard_normal((ct.shape[1], ct.shape[1]))
+    W2 = rng.standard_normal(MR.data.shape) * np.abs(MR.data)
+    op = WeightedMass(
+        np.vstack([ct, ct]),
+        MR.space_collocs,
+        np.concatenate([MR.data, W2]),
+        np.vstack([ct, ct @ R]),
+    )
+    return op, R, W2
+
+
 class TestWeightedMass:
     @pytest.mark.parametrize(
         "d, geometry, p, elements",
@@ -253,12 +272,14 @@ class TestWeightedMass:
         geo = builtin_geometry(geometry, final_time=3.0)
         MR = random_reaction_operator(st, geo)
         assert isinstance(MR, WeightedMass)
-        assert MR.shape == (st.num_dof, st.num_dof)
-        assert MR.nnz == MR.data.size
         x = np.random.default_rng(1).standard_normal(st.num_dof)
-        ref = MR.tosparse() @ x
-        assert np.linalg.norm(MR.matvec(x) - ref) <= 1e-13 * np.linalg.norm(ref)
-        assert_allclose(MR @ x, MR.matvec(x), rtol=0, atol=0)
+        # The reaction mass and the stacked form with a distinct trial factor.
+        for op in (MR, stacked_trial_operator(MR, seed=d)[0]):
+            assert op.shape == (st.num_dof, st.num_dof)
+            assert op.nnz == op.data.size
+            ref = op.tosparse() @ x
+            assert np.linalg.norm(op.matvec(x) - ref) <= 1e-13 * np.linalg.norm(ref)
+            assert_allclose(op @ x, op.matvec(x), rtol=0, atol=0)
 
     @pytest.mark.parametrize(
         "d, geometry, p, elements",
@@ -267,9 +288,20 @@ class TestWeightedMass:
     def test_tosparse_columns_equal_matvec(self, d, geometry, p, elements):
         st = make_st(d=d, p=p, elements=elements)
         MR = random_reaction_operator(st, builtin_geometry(geometry), seed=3)
-        S = MR.tosparse().toarray()
-        cols = np.column_stack([MR.matvec(e) for e in np.eye(st.num_dof)])
-        assert np.max(np.abs(S - cols)) <= 1e-13 * np.max(np.abs(S))
+        for op in (MR, stacked_trial_operator(MR, seed=4)[0]):
+            S = op.tosparse().toarray()
+            cols = np.column_stack([op.matvec(e) for e in np.eye(st.num_dof)])
+            assert np.max(np.abs(S - cols)) <= 1e-13 * np.max(np.abs(S))
+
+    def test_stacked_trial_factor_sums_its_terms(self):
+        # [C_t; C_t]^T diag([W_1; W_2]) [C_t; C_t R] = WM(W_1) + WM(W_2) (R kron I).
+        st = make_st(d=2, p=2, elements=2)
+        MR = random_reaction_operator(st, builtin_geometry("ellipse_annulus"), seed=5)
+        op, R, W2 = stacked_trial_operator(MR, seed=6)
+        second = WeightedMass(MR.time_colloc, MR.space_collocs, W2).tosparse()
+        ref = MR.tosparse() + second @ sp.kron(R, sp.eye(st.num_space))
+        S = op.tosparse()
+        assert np.max(np.abs((S - ref).toarray())) <= 1e-13 * np.max(np.abs(S))
 
     def test_rejects_mismatched_weight_grid(self):
         with pytest.raises(ValueError, match="weight grid"):
