@@ -195,10 +195,10 @@ class SpatialQuadratureData:
     and first derivatives (``c1``) at the quadrature grid, direction 1 first,
     and the Jacobian determinants there (which checks the map for
     singularity); every integral on the grid reads the cached quadrature
-    ``measure``.  The inverse Jacobians ``jinv``, the metric
-    ``jinv jinv^T``, the second-derivative collocations (``c2``) and the
-    geometry Hessian (``hess``) are built on first use: only the stiffness,
-    the preconditioner and the residual indicator read them.  Shared by the
+    ``measure``.  The metric ``J^{-1} J^{-T}``, the second-derivative
+    collocations (``c2``) and the parametric table of the physical Laplacian
+    (``laplacian``) are built on first use: only the stiffness, the
+    preconditioner and the residual indicator read them.  Shared by the
     mass/stiffness/weighted assemblies and the indicator so nonlinear steps
     do not re-evaluate the geometry.
     """
@@ -250,19 +250,16 @@ class SpatialQuadratureData:
         return self._collocations(2)
 
     @functools.cached_property
-    def jinv(self):
-        """Inverse Jacobians ``J^{-1}``, shaped grid + (d, d)."""
-        return np.linalg.inv(self.geo.grid_data(self._axes(), order=1)["jac"])
-
-    @functools.cached_property
     def metric(self):
         """Pulled-back metric ``(J^{-1} J^{-T})_{ab}``, shaped grid + (d, d)."""
-        return np.einsum("...ak,...bk->...ab", self.jinv, self.jinv)
+        jinv = np.linalg.inv(self.geo.grid_data(self._axes(), order=1)["jac"])
+        return np.einsum("...ak,...bk->...ab", jinv, jinv)
 
     @functools.cached_property
-    def hess(self):
-        """Geometry Hessian ``H[..., c, a, b]``, shaped grid + (d, d, d)."""
-        return self.geo.grid_data(self._axes(), order=2)["hess"]
+    def laplacian(self):
+        """The physical Laplacian on the grid, as :func:`laplacian_terms`."""
+        data = self.geo.grid_data(self._axes(), order=2)
+        return laplacian_terms(np.linalg.inv(data["jac"]), data["hess"])
 
     def physical_points(self):
         """Quadrature points in physical coordinates, shape (Q, d)."""
@@ -381,7 +378,7 @@ def _apply_factors(time_mat, space_mats, tensor):
     return out
 
 
-def field_on_grid(space_time, coeffs, time_colloc, space_collocs, orders=None):
+def field_on_grid(space_time, coeffs, time_colloc, space_collocs):
     """Evaluate a coefficient field on a tensor quadrature grid.
 
     ``time_colloc`` is a constrained temporal collocation matrix and
@@ -452,44 +449,41 @@ def evaluate_field(
     if time_derivative:
         out["dt"] = at([0] * d, 1) / geo.final_time
     if gradient or laplacian:
-        # The points form the grid of the pull-back, with one time slice.
+        jinv = np.linalg.inv(geo.jacobian(points[:, :d]))
+    if gradient:
         unit = np.eye(d, dtype=int)
         grad_eta = np.stack([at(unit[a]) for a in range(d)], axis=-1)
-        jinv = np.linalg.inv(geo.jacobian(points[:, :d]))
-        grad, lap = laplacian_pullback(
-            jinv,
-            np.einsum("...ak,...bk->...ab", jinv, jinv),
-            geo.hessian(points[:, :d]),
-            grad_eta[None],
-            lambda a, b: at(unit[a] + unit[b])[None],
-        )
-        out["grad"] = grad[0]
-        if laplacian:
-            out["laplacian"] = lap[0]
+        out["grad"] = np.einsum("mic,mi->mc", jinv, grad_eta)
+    if laplacian:
+        terms = laplacian_terms(jinv, geo.hessian(points[:, :d]))
+        out["laplacian"] = sum(c * at(orders) for orders, c in terms)
     return out
 
 
-def laplacian_pullback(jinv, metric, hess, grad_eta, second):
-    """Physical gradient and Laplacian from parametric derivatives.
+def laplacian_terms(jinv, hess):
+    """The physical Laplacian as a second-order operator in parametric coordinates.
 
-    The geometry data ``jinv``, ``metric`` (``jinv jinv^T``) and ``hess``
-    are shaped grid + (d, d) and grid + (d, d, d); the field data carry one
-    more leading (time) axis: ``grad_eta`` is (Q_t,) + grid + (d,) and
-    ``second(a, b)`` returns the parametric derivative ``d_a d_b u`` shaped
-    (Q_t,) + grid.  Returns ``(grad, lap)``.  The second derivatives,
-    ``hess`` and ``metric`` are symmetric in ``(a, b)``, so each unordered
-    pair is evaluated once.
+    By the chain rule ``lap u = sum_{a <= b} (2 - delta_ab) G_ab d_a d_b u
+    + sum_i l_i d_i u`` with the metric ``G = J^{-1} J^{-T}`` and
+    ``l_i = -sum_{a, b, c} G_ab H[c, a, b] J^{-1}[i, c]``.  ``jinv`` and the
+    geometry Hessian ``hess`` are shaped pts + (d, d) and pts + (d, d, d).
+    Returns the ``(orders, coefficient)`` pairs of the sum: ``orders`` lists
+    the parametric derivative order per direction (direction 1 first) and
+    the coefficient is shaped like ``pts``.  Coefficients that vanish at
+    every point are dropped, so on a box only the ``d`` pure second
+    derivatives remain.
     """
-    # Physical gradient g_c = sum_i jinv[i, c] deta_i u
-    grad_phys = np.einsum("...ic,t...i->t...c", jinv, grad_eta)
-    d = grad_eta.shape[-1]
-    lap = np.zeros(grad_eta.shape[:-1])
-    for a in range(d):
-        for b in range(a, d):
-            corr = np.einsum("...c,t...c->t...", hess[..., a, b], grad_phys)
-            term = metric[None, ..., a, b] * (second(a, b) - corr)
-            lap += term if a == b else 2.0 * term
-    return grad_phys, lap
+    d = jinv.shape[-1]
+    metric = np.einsum("...ak,...bk->...ab", jinv, jinv)
+    first = -np.einsum("...ab,...cab,...ic->...i", metric, hess, jinv)
+    unit = np.eye(d, dtype=int)
+    terms = [
+        (tuple(unit[a] + unit[b]), metric[..., a, b] * (1.0 if a == b else 2.0))
+        for a in range(d)
+        for b in range(a, d)
+    ]
+    terms += [(tuple(unit[i]), first[..., i]) for i in range(d)]
+    return [(orders, c) for orders, c in terms if np.any(c)]
 
 
 class WeightedMass:

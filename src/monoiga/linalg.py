@@ -327,17 +327,14 @@ class FastDiagPreconditioner:
 _GMRES_BLOCK = 4
 
 
-def gmres(op, rhs, precond=None, tol=1e-8, max_iter=None, x0=None, atol=0.0):
-    """Left-preconditioned GMRES without restarting.
+def gmres(op, rhs, precond=None, tol=1e-8, max_iter=None, atol=0.0):
+    """Left-preconditioned GMRES without restarting, from the zero vector.
 
     The Arnoldi basis is built with classical Gram-Schmidt plus one
     re-orthogonalization pass.  Convergence is declared when the
     preconditioned residual satisfies ``||P(b - A x)|| <= tol ||P b||`` or
-    ``||P(b - A x)|| <= atol``.
-    The bound is relative to the preconditioned right-hand side, not to the
-    initial residual, so a warm start ``x0`` close to the solution needs
-    fewer iterations for the same accuracy, and none when it already meets
-    the bound; with ``x0=None`` the iteration starts from zero.
+    ``||P(b - A x)|| <= atol``, so a right-hand side with
+    ``||P b|| <= atol`` returns zero without iterating.
     ``max_iter=None`` means at most ``n`` iterations, still without
     restarting.  The Krylov basis (one array, a basis vector per row) starts
     at a few rows and doubles when full, so memory scales with ``n`` times
@@ -353,27 +350,20 @@ def gmres(op, rhs, precond=None, tol=1e-8, max_iter=None, x0=None, atol=0.0):
     n = rhs.size
     if max_iter is None:
         max_iter = n
-    if x0 is None:
-        x0 = np.zeros(n)
-        z = psolve(rhs)
-        bnorm = beta = np.linalg.norm(z)
-    else:
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
-        bnorm = np.linalg.norm(psolve(rhs))
-        z = psolve(rhs - matvec(x0))
-        beta = np.linalg.norm(z)
+    z = psolve(rhs)
+    bnorm = np.linalg.norm(z)
     if bnorm == 0.0:
         return np.zeros(n), 0, [0.0]
-    if beta <= tol * bnorm or beta <= atol:
-        return x0.copy(), 0, [float(beta / bnorm)]
+    if tol >= 1.0 or bnorm <= atol:
+        return np.zeros(n), 0, [1.0]
     m = min(max_iter, _GMRES_BLOCK)
     V = np.empty((m + 1, n))
-    V[0] = z / beta
+    V[0] = z / bnorm
     cols = []
     cs = []
     sn = []
-    gvec = [float(beta)]
-    history = [float(beta / bnorm)]
+    gvec = [float(bnorm)]
+    history = [1.0]
     k_done = max_iter
     for j in range(max_iter):
         if j == m:
@@ -423,8 +413,7 @@ def gmres(op, rhs, precond=None, tol=1e-8, max_iter=None, x0=None, atol=0.0):
     for j, col in enumerate(cols):
         R[: j + 1, j] = col
     y = sla.solve_triangular(R, np.array(gvec[:k_done]))
-    x = x0 + y @ V[:k_done]
-    return x, k_done, history
+    return y @ V[:k_done], k_done, history
 
 
 def pcg(op, rhs, precond=None, tol=1e-8, max_iter=None):

@@ -261,8 +261,9 @@ class _Workspace:
 
         The workspace's Kronecker operator ``K`` holds the capacitive,
         diffusive and constant reaction terms
-        ``C_m W_t kron M_s + D M_t kron K_s + c1 a M_t kron M_s`` (the
-        preconditioner's surrogate), then the stabilizer terms
+        ``(C_m W_t + c1 a M_t) kron M_s + D M_t kron K_s`` (the
+        preconditioner's surrogate, with one term per spatial factor so a
+        matvec applies ``M_s`` once), then the stabilizer terms
         (``stab_terms``, ``None`` for none); it is rebuilt only when these
         change.  With the reaction coefficient ``c = c1 (u - a)(u - 1) + c2 w``,
         ``F(u) = K u + int (c - c1 a) u v - f``, and the Jacobian is ``K``
@@ -275,11 +276,8 @@ class _Workspace:
         """
         st = problem.space
         if self._kron is None or self._kron[0] is not stab_terms:
-            terms = [
-                (problem.C_m, self.W_t, self.M_s),
-                (problem.D, self.M_t, self.K_s),
-                (problem.c1 * problem.a, self.M_t, self.M_s),
-            ]
+            mass_t = problem.C_m * self.W_t + problem.c1 * problem.a * self.M_t
+            terms = [(1.0, mass_t, self.M_s), (problem.D, self.M_t, self.K_s)]
             terms.extend(stab_terms or [])
             self._kron = (stab_terms, KroneckerOperator(st.num_time, st.num_space, terms))
         op = self._kron[1]

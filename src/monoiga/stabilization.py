@@ -17,7 +17,6 @@ from .assembly import (
     banded_gram,
     evaluate_field,
     field_on_grid,
-    laplacian_pullback,
 )
 from .bspline import KnotVector, SplineSpace
 from .tensorops import mode_apply
@@ -141,9 +140,8 @@ def compute_tau(time_space):
 def strong_residual(problem, u, w, points):
     """Pointwise strong residual of the potential equation at the iterates.
 
-    ``points`` are parametric space-time points; the Laplacian is pulled back
-    to physical coordinates through the inverse Jacobian and the Hessian
-    chain rule.
+    ``points`` are parametric space-time points; the physical Laplacian is
+    the parametric operator of :func:`~monoiga.assembly.laplacian_terms`.
     """
     geo = problem.geometry
     st = problem.space
@@ -243,17 +241,7 @@ def compute_theta(problem, u, w, spatial_data=None, time_data=None):
     u_val = at(u, [0] * d)
     u_dtau = at(u, [0] * d, 1)
     w_val = at(w, [0] * d)
-
-    # Parametric first and second derivatives of the iterate.
-    unit = np.eye(d, dtype=int)
-    grad_eta = np.stack([at(u, unit[a]) for a in range(d)], axis=-1)
-    _, lap = laplacian_pullback(
-        spatial_data.jinv,
-        spatial_data.metric,
-        spatial_data.hess,
-        grad_eta,
-        lambda a, b: at(u, unit[a] + unit[b]),
-    )
+    lap = sum(c * at(u, orders) for orders, c in spatial_data.laplacian)
 
     f = None
     if problem.source is not None:

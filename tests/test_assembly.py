@@ -28,6 +28,7 @@ from oracles import (
     dense_weighted_space_time_mass,
     space_time_quadrature,
 )
+from test_mapped_convergence import warped_square
 
 CONSTANTS = {"c1": 0.26, "a": 0.13, "c2": 0.1}
 
@@ -177,6 +178,43 @@ class TestSpatialOperators:
         assert_allclose(Md, Md.T, atol=1e-14)
         assert np.all(np.linalg.eigvalsh(Md) > 0)
         assert np.max(np.abs(K @ np.ones(K.shape[0]))) < 1e-10
+
+
+class TestLaplacianTable:
+    @pytest.mark.parametrize("geometry", ["ellipse_annulus", "warped_square"])
+    def test_harmonic_coordinates_and_squared_radius(self, geometry):
+        # The table applied to the map's own coordinates: each x_c is
+        # harmonic and the Laplacian of |x|^2 is 2 d.
+        if geometry == "warped_square":
+            geo = warped_square()
+            spaces = [SplineSpace.uniform(2, 3)] * 2
+        else:
+            geo = builtin_geometry(geometry)
+            spaces = [SplineSpace.uniform(3, 6), SplineSpace.uniform(3, 2)]
+        sdata = SpatialQuadratureData(spaces, geo)
+        data = geo.grid_data([r.points for r in sdata.rules], order=2)
+        x, jac, hess = data["x"], data["jac"], data["hess"]
+        lap_x = 0.0
+        lap_r2 = 0.0
+        for orders, c in sdata.laplacian:
+            dirs = [k for k, o in enumerate(orders) for _ in range(o)]
+            dx = jac[..., dirs[0]] if len(dirs) == 1 else hess[..., dirs[0], dirs[1]]
+            lap_x = lap_x + c[..., None] * dx
+            # d_a d_b |x|^2 = 2 (d_a x . d_b x + x . d_a d_b x)
+            dr2 = 2.0 * np.sum(x * dx, axis=-1)
+            if len(dirs) == 2:
+                dr2 += 2.0 * np.sum(jac[..., dirs[0]] * jac[..., dirs[1]], axis=-1)
+            lap_r2 = lap_r2 + c * dr2
+        assert np.max(np.abs(lap_x)) <= 1e-12
+        assert np.max(np.abs(lap_r2 - 4.0)) <= 1e-12
+
+    def test_unit_cube_keeps_only_pure_second_orders(self):
+        spaces = [SplineSpace.uniform(2, 3)] * 3
+        sdata = SpatialQuadratureData(spaces, builtin_geometry("unit_cube"))
+        table = sdata.laplacian
+        assert [orders for orders, _ in table] == [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
+        for _, c in table:
+            assert np.all(c == 1.0)
 
 
 class TestReactionMass:

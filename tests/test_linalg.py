@@ -218,34 +218,6 @@ class TestGMRES:
         P = FastDiagPreconditioner.build(st, 1.0, cm, diff, react)
         return op, P, rng.standard_normal(st.num_dof)
 
-    def test_zero_start_equals_cold_start(self):
-        op, P, b = self._perturbed_system()
-        cold = gmres(op, b, precond=P, tol=1e-10)
-        zero = gmres(op, b, precond=P, tol=1e-10, x0=np.zeros(b.size))
-        assert cold[1] > 3
-        assert zero[1] == cold[1]
-        assert np.array_equal(zero[0], cold[0])
-        assert zero[2] == cold[2]
-
-    def test_exact_start_takes_no_iteration(self):
-        op, P, b = self._perturbed_system()
-        x_ref, _, _ = gmres(op, b, precond=P, tol=1e-13)
-        x, it, hist = gmres(op, b, precond=P, tol=1e-8, x0=x_ref)
-        assert it == 0
-        assert np.array_equal(x, x_ref)
-        assert hist[0] <= 1e-8
-
-    def test_warm_start_meets_the_rhs_relative_bound(self):
-        op, P, b = self._perturbed_system()
-        tol = 1e-8
-        x_ref, it_cold, _ = gmres(op, b, precond=P, tol=1e-13)
-        x0 = x_ref * (1.0 + 1e-4 * np.random.default_rng(3).standard_normal(b.size))
-        x, it, hist = gmres(op, b, precond=P, tol=tol, x0=x0)
-        assert 0 < it < it_cold
-        res = np.linalg.norm(P.apply(b - op.matvec(x)))
-        assert res <= tol * np.linalg.norm(P.apply(b))
-        assert hist[-1] <= tol
-
     def test_absolute_bound(self):
         op, P, b = self._perturbed_system()
         pb = np.linalg.norm(P.apply(b))

@@ -1,12 +1,19 @@
 """Tests for the upwind weights, residual indicator and stabilizer assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 from scipy.interpolate import RegularGridInterpolator
 
-from monoiga.assembly import QuadratureRule, spatial_operators
+from monoiga.assembly import (
+    QuadratureRule,
+    SpatialQuadratureData,
+    TimeQuadratureData,
+    spatial_operators,
+)
 from monoiga.bspline import SplineSpace, SpaceTimeSpace
 from monoiga.geometry import builtin_geometry
 from monoiga.solver import MonodomainProblem
@@ -212,6 +219,28 @@ class TestResidualIndicator:
         scaled = make_problem(source=src(10.0), **st_kw)
         theta10 = compute_theta(scaled, u, w)
         assert np.all(theta10.values >= theta1.values - 1e-14)
+
+    def test_peak_memory_is_a_few_space_time_grids(self):
+        # The Laplacian table is built once per grid, so an indicator call
+        # holds the iterate's fields and one derivative at a time.
+        problem = make_problem(
+            d=3, p=2, elements=6, source=lambda x, t: np.exp(-t) * x[:, 0]
+        )
+        st = problem.space
+        sdata = SpatialQuadratureData(st.spatial, problem.geometry)
+        tdata = TimeQuadratureData(st, problem.final_time)
+        rng = np.random.default_rng(6)
+        u = rng.standard_normal(st.num_dof)
+        w = rng.standard_normal(st.num_dof)
+        compute_theta(problem, u, w, sdata, tdata)
+        tracemalloc.start()
+        try:
+            compute_theta(problem, u, w, sdata, tdata)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        grid_bytes = tdata.points.size * sdata.wgrid.size * 8
+        assert peak <= 10 * grid_bytes
 
     def test_csv_dump(self, tmp_path):
         problem = make_problem(d=1, p=2, elements=3)
