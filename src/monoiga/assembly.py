@@ -233,7 +233,7 @@ class SpatialQuadratureData:
 
     def _collocations(self, order):
         return [
-            s.collocation_matrix(r.points, order).toarray()
+            s.collocation_matrix(r.points, order)
             for s, r in zip(self.spaces, self.rules)
         ]
 
@@ -335,7 +335,7 @@ class TimeQuadratureData:
         self.rule = QuadratureRule.for_space(
             space_time.time, npoints=npoints, extra_breaks=extra_breaks
         )
-        self.c0 = space_time.time_collocation(self.rule.points, 0).toarray()
+        self.c0 = space_time.time_collocation(self.rule.points, 0)
         # Physical time measure: dt = T dtau.
         self.weights = self.rule.flat_weights * self.final_time
 
@@ -346,7 +346,7 @@ class TimeQuadratureData:
     @functools.cached_property
     def c1(self):
         """Dense first-derivative (parametric) constrained collocation matrix."""
-        return self.space_time.time_collocation(self.rule.points, 1).toarray()
+        return self.space_time.time_collocation(self.rule.points, 1)
 
 
 def time_matrices(space_time, final_time, time_data=None):
@@ -506,11 +506,11 @@ class WeightedMass:
     """
 
     def __init__(self, time_colloc, space_collocs, weights, trial_time_colloc=None):
-        self.time_colloc = np.asarray(time_colloc, dtype=float)
-        self.trial_time_colloc = self.time_colloc
+        self.time_colloc = time_colloc
+        self.trial_time_colloc = time_colloc
         if trial_time_colloc is not None:
-            self.trial_time_colloc = np.asarray(trial_time_colloc, dtype=float)
-        self.space_collocs = [np.asarray(c, dtype=float) for c in space_collocs]
+            self.trial_time_colloc = trial_time_colloc
+        self.space_collocs = list(space_collocs)
         self.data = np.asarray(weights, dtype=float)
         grid = (self.time_colloc.shape[0],) + tuple(
             c.shape[0] for c in reversed(self.space_collocs)

@@ -7,7 +7,6 @@ is removed, so that every member of the space vanishes at ``t = 0``.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "KnotVector",
@@ -253,14 +252,19 @@ class SplineSpace:
         return out
 
     def collocation_matrix(self, points, order=0):
-        """Sparse matrix of basis (derivative) values, shape (npts, dimension)."""
+        """Dense matrix of basis (derivative) values, shape (npts, dimension).
+
+        Row ``m`` holds the ``degree + 1`` active values at ``points[m]`` and
+        zeros elsewhere; every entry is zero for ``order > degree``.
+        """
         points = np.atleast_1d(np.asarray(points, dtype=float))
         p = self.degree
-        first, ders = _basis_all_ders(self.knots, p, points, min(order, p))
-        rows = np.repeat(np.arange(points.size), p + 1)
-        cols = (first[:, None] + np.arange(p + 1)).reshape(-1)
-        vals = ders[order].reshape(-1) if order <= p else np.zeros(cols.size)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(points.size, self.dimension))
+        out = np.zeros((points.size, self.dimension))
+        if order <= p:
+            first, ders = _basis_all_ders(self.knots, p, points, order)
+            cols = first[:, None] + np.arange(p + 1)
+            out[np.arange(points.size)[:, None], cols] = ders[order]
+        return out
 
     def extension_window(self, i):
         """Support-extension interval of basis index ``i`` (0-based).
@@ -391,9 +395,8 @@ class SpaceTimeSpace:
         return flat
 
     def time_collocation(self, points, order=0):
-        """Collocation matrix of the constrained temporal basis."""
-        full = self.time.collocation_matrix(points, order)
-        return sp.csr_matrix(full[:, 1:])
+        """Dense collocation matrix of the constrained temporal basis."""
+        return np.ascontiguousarray(self.time.collocation_matrix(points, order)[:, 1:])
 
     def time_greville(self):
         """Greville abscissae of the constrained temporal basis functions."""

@@ -497,9 +497,10 @@ def run_convergence(config):
 
     For each degree, solves on the requested uniform meshes (``h_1 = h_t``),
     records the relative L2 error and the observed order between consecutive
-    levels, and writes ``convergence.csv``.  The recovery variable is frozen
-    at zero and no relaxation is applied; the fixed-point tolerance is driven
-    far below the discretization error so the study measures the latter.
+    levels, and writes ``convergence.csv``.  The problem has ``b = 0``, so
+    the recovery variable stays zero as the manufactured source assumes; no
+    relaxation is applied, and the fixed-point tolerance is driven far below
+    the discretization error so the study measures the latter.
     """
     os.makedirs(config.output_dir, exist_ok=True)
     rows = []
@@ -509,20 +510,9 @@ def run_convergence(config):
         for h in config.conv_h:
             geo = build_geometry("unit_interval", final_time=config.final_time)
             st = build_space(geo, p, [h], h)
-            constants = dict(config.constants)
+            constants = dict(config.constants, b=0.0)
             source = make_source("manufactured_1d", config.final_time, constants)
-            problem = MonodomainProblem(
-                geometry=geo,
-                space=st,
-                source=source,
-                C_m=constants["C_m"],
-                D=constants["D"],
-                a=constants["a"],
-                b=constants["b"],
-                c1=constants["c1"],
-                c2=constants["c2"],
-                d_e=constants["d_e"],
-            )
+            problem = MonodomainProblem(geometry=geo, space=st, source=source, **constants)
             fp = FixedPointConfig(
                 relaxation=1.0,
                 tolerance=config.conv_tolerance,
@@ -531,7 +521,6 @@ def run_convergence(config):
                 lowrank_tol=config.lowrank_tol,
                 indicator_update="frozen",
                 linear_tol=config.linear_tol,
-                evolve_recovery=False,
             )
             result = fixed_point_solve(problem, fp)
             err = l2_error(st, geo, result.u, manufactured_exact_1d)
@@ -597,13 +586,7 @@ def _solve_problem(config, stabilization, propagate=False):
         geometry=geo,
         space=st,
         source=source if source.fn is not None else None,
-        C_m=constants["C_m"],
-        D=constants["D"],
-        a=constants["a"],
-        b=constants["b"],
-        c1=constants["c1"],
-        c2=constants["c2"],
-        d_e=constants["d_e"],
+        **constants,
     )
     fp = config.solver_config(stabilization=stabilization)
     try:

@@ -198,7 +198,7 @@ def _fit_closed_curve(space, samples, values, seam_point):
     The first and last control points are pinned to ``seam_point`` so the
     fitted curve is exactly closed at the seam.
     """
-    C = space.collocation_matrix(samples, 0).toarray()
+    C = space.collocation_matrix(samples, 0)
     n = space.dimension
     fixed = np.zeros((n, 2))
     fixed[0] = seam_point

@@ -98,11 +98,9 @@ class TimePencil:
     becomes an arrowhead matrix.
     """
 
-    def __init__(self, U_full, eigenvalues, border, rho, v, g, sigma, delta):
+    def __init__(self, U_full, eigenvalues, v, g, sigma, delta):
         self.U_full = U_full
         self.eigenvalues = eigenvalues
-        self.border = border
-        self.rho = rho
         self.v = v
         self.g = g
         self.sigma = sigma
@@ -159,7 +157,7 @@ def build_time_pencil(W_t, M_t, cond_limit=1e12):
         raise DecompositionError(
             "temporal pencil eigenvectors ill-conditioned (cond %.3e)" % cond
         )
-    return TimePencil(U_full, lam, t, rho, v, g, sigma, delta)
+    return TimePencil(U_full, lam, v, g, sigma, delta)
 
 
 class FastDiagPreconditioner:
@@ -254,7 +252,7 @@ class FastDiagPreconditioner:
             rules = [QuadratureRule.for_space(s) for s in space_time.spatial]
             c0, c1 = (
                 [
-                    s.collocation_matrix(r.points, order).toarray()
+                    s.collocation_matrix(r.points, order)
                     for s, r in zip(space_time.spatial, rules)
                 ]
                 for order in (0, 1)

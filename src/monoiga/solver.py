@@ -122,8 +122,7 @@ class FixedPointConfig:
     ``indicator_update`` is ``"every_sweep"`` (recompute the indicator from
     each iterate) or ``"frozen"`` (take it from a Galerkin pre-solve; see
     :func:`fixed_point_solve`); ``linear_tol`` is the first step's forcing
-    term and the floor of every step's GMRES solve.  ``evolve_recovery=False``
-    freezes the recovery variable at zero.
+    term and the floor of every step's GMRES solve.
     """
 
     relaxation: float = 0.5
@@ -133,7 +132,6 @@ class FixedPointConfig:
     lowrank_tol: float = 0.1
     indicator_update: str = "every_sweep"
     linear_tol: float = 1e-8
-    evolve_recovery: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.relaxation <= 1.0:
@@ -176,7 +174,7 @@ class _Workspace:
     and the residual indicator; with stabilization on, the workspace also
     holds the upwind weights ``tau`` and the stabilizer's refined grid.  It
     holds the dense temporal factor ``R_t = b K_t^{-1} M_t`` of the recovery
-    map ``w = (R_t kron I) u`` (``None`` with the recovery frozen at zero),
+    map ``w = (R_t kron I) u`` (``None`` when ``b = 0``, where ``R = 0``),
     the temporal test and trial factors ``[C_t; C_t]`` and ``[C_t; C_t R_t]``
     of the Jacobian's reaction part, the space-time quadrature ``measure``,
     and the Kronecker part of the operator, which it rebuilds only when the
@@ -212,7 +210,7 @@ class _Workspace:
         # ||P f||: the absolute floor of every step's GMRES tolerance.
         self.pf_norm = float(np.linalg.norm(self.precond.apply(self.f_vec)))
         self.recovery = None
-        if config.evolve_recovery:
+        if problem.b != 0:
             nt = st.num_time
             eye = np.eye(nt).reshape(-1)
             self.recovery = solve_w_system(
@@ -238,10 +236,6 @@ class _Workspace:
             return np.zeros_like(u)
         nt = self.recovery.shape[0]
         return (self.recovery @ u.reshape(nt, -1)).reshape(-1)
-
-    def indicator(self, problem, config, u, w):
-        """Residual indicator at an iterate, on the workspace's grid."""
-        return compute_theta(problem, u, w, self.spatial_data, self.time_data)
 
     def stabilizer_terms(self, problem, config, indicator):
         """Kronecker terms of the stabilizer an indicator switches on."""
@@ -347,7 +341,7 @@ def fixed_point_solve(problem, config=None):
     ws = _Workspace(problem, config)
     if config.stabilization == "spline_upwind" and config.indicator_update == "frozen":
         pre = _newton(problem, replace(config, stabilization="off"), ws, t0)
-        indicator = ws.indicator(problem, config, pre.u, pre.w)
+        indicator = compute_theta(problem, pre.u, pre.w, ws.spatial_data, ws.time_data)
         return _newton(problem, config, ws, t0, start=pre, indicator=indicator)
     return _newton(problem, config, ws, t0)
 
@@ -377,7 +371,7 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
     for k in range(done + 1, done + config.max_iterations + 1):
         if stabilized and not (latched and stab_terms is not None):
             if not latched:
-                fresh = ws.indicator(problem, config, u, w)
+                fresh = compute_theta(problem, u, w, ws.spatial_data, ws.time_data)
                 if indicator is not None and alpha < 1.0:
                     # Damp the indicator by the relaxation: an undamped
                     # recomputation flip-flops between activation patterns

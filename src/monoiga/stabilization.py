@@ -69,8 +69,7 @@ class StabilizationWeights:
         """Values of the order-``k`` weight (1-based) at parametric points."""
         if not 1 <= k <= self.degree:
             raise ValueError("weight order %d not in [1, %d]" % (k, self.degree))
-        C = self.spaces[k - 1].collocation_matrix(np.asarray(points, float), 0)
-        return np.asarray(C @ self.coeffs[k - 1]).reshape(-1)
+        return self.spaces[k - 1].collocation_matrix(points, 0) @ self.coeffs[k - 1]
 
 
 def compute_tau(time_space):
@@ -95,11 +94,8 @@ def compute_tau(time_space):
     rule = QuadratureRule.for_space(time_space, npoints=2 * p)
     pts = rule.points
     w = rule.flat_weights
-    basis = [
-        np.asarray(time_space.collocation_matrix(pts, k).toarray())
-        for k in range(0, p + 1)
-    ]
-    phis = [s.collocation_matrix(pts, 0).toarray() for s in spaces]
+    basis = [time_space.collocation_matrix(pts, k) for k in range(0, p + 1)]
+    phis = [s.collocation_matrix(pts, 0) for s in spaces]
     dims = [s.dimension for s in spaces]
     offsets = np.concatenate([[0], np.cumsum(dims)])
 
@@ -444,9 +440,7 @@ class _StabilizationGrid:
         self.time_weights = np.concatenate(
             [trule.flat_weights * tau.evaluate(k, nodes) for k in orders]
         )
-        self.time_colloc = np.vstack(
-            [st.time_collocation(nodes, k).toarray() for k in orders]
-        )
+        self.time_colloc = np.vstack([st.time_collocation(nodes, k) for k in orders])
         self.spatial_data = SpatialQuadratureData(
             st.spatial,
             geo,

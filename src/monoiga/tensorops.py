@@ -9,24 +9,18 @@ C order.
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 
 def mode_apply(mat, tensor, axis):
     """Contract ``mat`` with ``tensor`` along ``axis``.
 
     Computes ``out[..., i, ...] = sum_j mat[i, j] * tensor[..., j, ...]``
-    where the contracted index sits at position ``axis``.  ``mat`` may be
-    dense or scipy sparse.  A dense ``mat`` is applied by (batched) matrix
-    products on the tensor reshaped to ``(before, axis, after)``, so no axis
-    is moved and no copy is made of a C-contiguous tensor.
+    where the contracted index sits at position ``axis``.  The dense ``mat``
+    is applied by (batched) matrix products on the tensor reshaped to
+    ``(before, axis, after)``, so no axis is moved and no copy is made of a
+    C-contiguous tensor.
     """
     shape = tensor.shape
-    if sp.issparse(mat):
-        t = np.moveaxis(tensor, axis, 0)
-        flat = t.reshape(shape[axis], -1)
-        out = np.asarray(mat @ flat).reshape((mat.shape[0],) + t.shape[1:])
-        return np.moveaxis(out, 0, axis)
     left = math.prod(shape[:axis])
     right = math.prod(shape[axis + 1 :])
     t3 = np.reshape(tensor, (left, shape[axis], right))

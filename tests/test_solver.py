@@ -233,13 +233,33 @@ class TestFixedPoint:
 
     def test_frozen_recovery_stays_zero(self):
         problem = make_problem(
-            d=1, p=2, elements=4, source=lambda x, t: np.ones(t.shape)
+            d=1, p=2, elements=4, source=lambda x, t: np.ones(t.shape), b=0.0
         )
-        config = FixedPointConfig(
-            relaxation=1.0, tolerance=1e-9, max_iterations=100, evolve_recovery=False
-        )
+        config = FixedPointConfig(relaxation=1.0, tolerance=1e-9, max_iterations=100)
         result = fixed_point_solve(problem, config)
         assert np.all(result.w == 0.0)
+
+    def test_potential_ignores_recovery_without_coupling(self):
+        # With c2 = 0 the recovery does not feed back into the potential, so
+        # the single-block Jacobian (b = 0, R = 0) and the stacked one
+        # (b > 0) must give the same Newton steps.
+        def solve(b):
+            problem = make_problem(
+                d=1,
+                p=2,
+                elements=4,
+                source=lambda x, t: np.where(t < 0.5, 1.0, 0.0),
+                c2=0.0,
+                b=b,
+            )
+            return fixed_point_solve(problem, FixedPointConfig(tolerance=1e-10))
+
+        plain, coupled = solve(0.0), solve(0.05)
+        assert np.all(plain.w == 0.0)
+        assert np.max(np.abs(coupled.w)) > 0
+        assert coupled.iterations == plain.iterations
+        assert coupled.gmres_iterations == plain.gmres_iterations
+        assert_allclose(coupled.u, plain.u, rtol=0, atol=1e-12 * np.max(np.abs(plain.u)))
 
     def test_stabilized_with_zero_indicator_equals_galerkin(self, monkeypatch):
         problem = make_problem(
@@ -275,14 +295,13 @@ class TestFixedPoint:
 
         constants = {"C_m": 1.0, "D": 1e-4, "c1": 0.26, "a": 0.13}
         source = make_source("manufactured_1d", 1.0, constants)
-        problem = make_problem(d=1, p=2, elements=32, source=source, D=1e-4)
+        problem = make_problem(d=1, p=2, elements=32, source=source, D=1e-4, b=0.0)
         frozen = FixedPointConfig(
             relaxation=1.0,
             tolerance=1e-9,
             max_iterations=100,
             stabilization="spline_upwind",
             indicator_update="frozen",
-            evolve_recovery=False,
         )
         result = fixed_point_solve(problem, frozen)
         theta = compute_theta(problem, result.u, result.w)
@@ -297,7 +316,6 @@ class TestFixedPoint:
             tolerance=1e-4,
             max_iterations=100,
             stabilization="spline_upwind",
-            evolve_recovery=False,
         )
         result = fixed_point_solve(problem, coupled)
         assert result.indicator.max < 0.1

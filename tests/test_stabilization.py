@@ -156,8 +156,8 @@ class TestStrongResidual:
             vals = manufactured_exact_1d(
                 np.tile(gs, gt.size), np.repeat(gt, gs.size)
             ).reshape(gt.size, gs.size)
-            Ct = st.time_collocation(gt, 0).toarray()
-            Cs = st.spatial[0].collocation_matrix(gs, 0).toarray()
+            Ct = st.time_collocation(gt, 0)
+            Cs = st.spatial[0].collocation_matrix(gs, 0)
             coeffs = np.linalg.solve(Ct, vals) @ np.linalg.inv(Cs).T
             res = strong_residual(
                 problem, coeffs.reshape(-1), np.zeros(st.num_dof), samples
