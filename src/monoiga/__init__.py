@@ -80,7 +80,6 @@ from .stabilization import (
     compute_theta,
     lowrank_factorize,
     strong_residual,
-    write_theta_csv,
 )
 
 __version__ = "0.1.0"

@@ -408,7 +408,6 @@ def evaluate_field(
     coeffs,
     points,
     time_derivative=False,
-    gradient=False,
     laplacian=False,
 ):
     """Evaluate a coefficient field at parametric space-time points.
@@ -417,14 +416,14 @@ def evaluate_field(
     ----------
     points : ndarray, shape (m, d + 1)
         Parametric points ``(eta_1, ..., eta_d, tau)`` in ``[0, 1]^{d+1}``.
-    time_derivative, gradient, laplacian : bool
-        Request the physical time derivative, the physical spatial gradient,
-        or the physical Laplacian alongside the values.
+    time_derivative, laplacian : bool
+        Request the physical time derivative or the physical Laplacian
+        alongside the values.
 
     Returns
     -------
     ndarray of values when nothing extra is requested, otherwise a dict with
-    keys among ``value``, ``dt``, ``grad``, ``laplacian``.
+    keys among ``value``, ``dt``, ``laplacian``.
     """
     d = space_time.num_spatial_dims
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -443,18 +442,13 @@ def evaluate_field(
         return tensor_at(spaces, full, points, list(space_orders) + [time_order])
 
     values = at([0] * d)
-    if not (time_derivative or gradient or laplacian):
+    if not (time_derivative or laplacian):
         return values
     out = {"value": values}
     if time_derivative:
         out["dt"] = at([0] * d, 1) / geo.final_time
-    if gradient or laplacian:
-        jinv = np.linalg.inv(geo.jacobian(points[:, :d]))
-    if gradient:
-        unit = np.eye(d, dtype=int)
-        grad_eta = np.stack([at(unit[a]) for a in range(d)], axis=-1)
-        out["grad"] = np.einsum("mic,mi->mc", jinv, grad_eta)
     if laplacian:
+        jinv = np.linalg.inv(geo.jacobian(points[:, :d]))
         terms = laplacian_terms(jinv, geo.hessian(points[:, :d]))
         out["laplacian"] = sum(c * at(orders) for orders, c in terms)
     return out

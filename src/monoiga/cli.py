@@ -16,6 +16,7 @@ from .experiments import (
     run_convergence,
     run_single,
 )
+from .geometry import GeometryError
 from .linalg import NonConvergenceError
 from .solver import FixedPointDiverged
 
@@ -84,7 +85,7 @@ def main(argv=None):
             else:
                 cfg.kind = "compare"
                 run_compare(cfg)
-        except ConfigError as exc:
+        except (ConfigError, GeometryError) as exc:
             print("configuration error: %s" % exc, file=sys.stderr)
             return EXIT_CONFIG
         except (FixedPointDiverged, NonConvergenceError) as exc:

@@ -6,6 +6,7 @@ import logging
 import math
 import operator
 import os
+import dataclasses
 import time as _time
 from dataclasses import dataclass, field
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from .assembly import QuadratureRule, evaluate_field, field_on_grid
 from .bspline import SplineSpace, SpaceTimeSpace
-from .geometry import builtin_geometry, load_geometry
+from .geometry import GeometryError, builtin_geometry, load_geometry
 from .solver import (
     FixedPointConfig,
     FixedPointDiverged,
@@ -21,7 +22,7 @@ from .solver import (
     fixed_point_solve,
     l2_error,
 )
-from .stabilization import _hat_matrix, multilinear_grid, write_theta_csv
+from .stabilization import _hat_matrix, multilinear_grid
 
 __all__ = [
     "ConfigError",
@@ -289,13 +290,9 @@ def make_source(name, final_time, constants, params=None):
 
 
 DEFAULT_CONSTANTS = {
-    "C_m": 1.0,
-    "D": 1e-4,
-    "a": 0.13,
-    "b": 0.013,
-    "c1": 0.26,
-    "c2": 0.1,
-    "d_e": 1.0,
+    f.name: f.default
+    for f in dataclasses.fields(MonodomainProblem)
+    if f.name not in ("geometry", "space", "source")
 }
 
 
@@ -313,14 +310,14 @@ class ExperimentConfig:
     source: str = "none"
     source_params: dict = field(default_factory=dict)
     stabilization: str = "spline_upwind"
-    lowrank_tol: float = 0.1
-    relaxation: float = 0.5
-    tolerance: float = 1e-4
-    max_iterations: int = 100
+    lowrank_tol: float = FixedPointConfig.lowrank_tol
+    relaxation: float = FixedPointConfig.relaxation
+    tolerance: float = FixedPointConfig.tolerance
+    max_iterations: int = FixedPointConfig.max_iterations
     # Inert: every solve uses preconditioned GMRES, and no solver reads this.
     # Kept only because perfbench/workloads.py still passes it.
     linear_solver: str = "iterative"
-    linear_tol: float = 1e-8
+    linear_tol: float = FixedPointConfig.linear_tol
     conv_degrees: list = field(default_factory=lambda: [2, 3])
     conv_h: list = field(default_factory=lambda: [2.0**-k for k in range(2, 7)])
     conv_tolerance: float = 1e-10
@@ -430,14 +427,12 @@ def parse_config(path):
             if "grid" in sec:
                 cfg.grid_shape = tuple(_parse_list(sec["grid"], int))
             if "section" in sec:
-                vals = _parse_list(sec["section"])
-                cfg.section = vals
+                cfg.section = _parse_list(sec["section"])
+        cfg.solver_config()
     except (ValueError, KeyError) as exc:
         raise ConfigError("invalid configuration value: %s" % exc) from exc
     if cfg.kind not in ("solve", "convergence", "compare"):
         raise ConfigError("unknown experiment kind %r" % cfg.kind)
-    if cfg.stabilization not in ("off", "spline_upwind"):
-        raise ConfigError("unknown stabilization method %r" % cfg.stabilization)
     return cfg
 
 
@@ -471,6 +466,39 @@ def build_space(geometry, degree, h_space, h_time):
     return SpaceTimeSpace(spatial, time)
 
 
+def _build_problem(config):
+    """The problem and source of a configuration, checked before any solve.
+
+    Values the constructors reject and a ``section`` or ``grid`` of the
+    wrong length for the geometry raise :class:`ConfigError`.
+    """
+    try:
+        geo = build_geometry(config.geometry, final_time=config.final_time)
+        st = build_space(geo, config.degree, config.h_space, config.h_time)
+        source = make_source(
+            config.source, config.final_time, config.constants, config.source_params
+        )
+        problem = MonodomainProblem(
+            geometry=geo,
+            space=st,
+            source=source if source.fn is not None else None,
+            **config.constants,
+        )
+    except ConfigError:
+        raise
+    except (ValueError, GeometryError) as exc:
+        raise ConfigError("invalid configuration value: %s" % exc) from exc
+    d = geo.dim
+    if config.section is not None and len(config.section) != 2 * d + 1:
+        raise ConfigError(
+            "section must hold %d start and %d end coordinates and a sample count"
+            % (d, d)
+        )
+    if config.grid_shape is not None and len(config.grid_shape) != d:
+        raise ConfigError("grid must have %d entries" % d)
+    return problem, source
+
+
 def _write_csv(path, header, rows):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -502,28 +530,36 @@ def run_convergence(config):
     relaxation is applied, and the fixed-point tolerance is driven far below
     the discretization error so the study measures the latter.
     """
+    study = dataclasses.replace(
+        config.solver_config(tolerance=config.conv_tolerance),
+        relaxation=1.0,
+        indicator_update="frozen",
+        max_iterations=max(config.max_iterations, 200),
+    )
     os.makedirs(config.output_dir, exist_ok=True)
     rows = []
     slopes = {}
     for p in config.conv_degrees:
         errors = []
         for h in config.conv_h:
-            geo = build_geometry("unit_interval", final_time=config.final_time)
-            st = build_space(geo, p, [h], h)
-            constants = dict(config.constants, b=0.0)
-            source = make_source("manufactured_1d", config.final_time, constants)
-            problem = MonodomainProblem(geometry=geo, space=st, source=source, **constants)
-            fp = FixedPointConfig(
-                relaxation=1.0,
-                tolerance=config.conv_tolerance,
-                max_iterations=max(config.max_iterations, 200),
-                stabilization=config.stabilization,
-                lowrank_tol=config.lowrank_tol,
-                indicator_update="frozen",
-                linear_tol=config.linear_tol,
+            # The study writes no fields, so the output shapes are dropped.
+            level = dataclasses.replace(
+                config,
+                geometry="unit_interval",
+                degree=p,
+                h_space=[h],
+                h_time=h,
+                source="manufactured_1d",
+                source_params={},
+                constants=dict(config.constants, b=0.0),
+                section=None,
+                grid_shape=None,
             )
-            result = fixed_point_solve(problem, fp)
-            err = l2_error(st, geo, result.u, manufactured_exact_1d)
+            problem, _ = _build_problem(level)
+            result = fixed_point_solve(problem, study)
+            err = l2_error(
+                problem.space, problem.geometry, result.u, manufactured_exact_1d
+            )
             order = (
                 math.log2(errors[-1] / err) if errors and err > 0 else float("nan")
             )
@@ -575,29 +611,6 @@ def support_bleed_margin(space_time, final_time):
     return (space_time.time.degree + 1) * space_time.time.mesh_size * final_time
 
 
-def _solve_problem(config, stabilization, propagate=False):
-    geo = build_geometry(config.geometry, final_time=config.final_time)
-    st = build_space(geo, config.degree, config.h_space, config.h_time)
-    constants = dict(config.constants)
-    source = make_source(
-        config.source, config.final_time, constants, config.source_params
-    )
-    problem = MonodomainProblem(
-        geometry=geo,
-        space=st,
-        source=source if source.fn is not None else None,
-        **constants,
-    )
-    fp = config.solver_config(stabilization=stabilization)
-    try:
-        result = fixed_point_solve(problem, fp)
-    except FixedPointDiverged as exc:
-        if propagate:
-            raise
-        result = exc.result
-    return problem, source, result
-
-
 def run_compare(config):
     """Run plain Galerkin and the stabilized method on one discretization.
 
@@ -606,15 +619,22 @@ def run_compare(config):
     that fails to converge is reported with its last iterate rather than
     aborting the other.
     """
+    problem, source = _build_problem(config)
     os.makedirs(config.output_dir, exist_ok=True)
+    # cap the onset margin so very coarse meshes keep a nonempty window
+    margin = min(
+        support_bleed_margin(problem.space, config.final_time),
+        0.5 * source.activation_start,
+    )
     report = {}
+    rows = []
+    lines = []
     for label, stab in (("galerkin", "off"), ("spline_upwind", "spline_upwind")):
-        problem, source, result = _solve_problem(config, stab)
-        # cap the onset margin so very coarse meshes keep a nonempty window
-        margin = min(
-            support_bleed_margin(problem.space, config.final_time),
-            0.5 * source.activation_start,
-        )
+        try:
+            fp = config.solver_config(stabilization=stab)
+            result = fixed_point_solve(problem, fp)
+        except FixedPointDiverged as exc:
+            result = exc.result
         metric = oscillation_metric(
             problem.space,
             problem.geometry,
@@ -630,19 +650,26 @@ def run_compare(config):
             "wall_time": result.wall_time,
             "result": result,
         }
-        log.info("%s: %d steps, oscillation %.3e", label, result.iterations, metric)
-    rows = []
-    for label in ("galerkin", "spline_upwind"):
-        r = report[label]
         rows.append(
             (
                 label,
-                str(r["fixed_point_iterations"]),
-                "1" if r["converged"] else "0",
-                r["avg_gmres"],
-                r["oscillation"],
+                str(result.iterations),
+                "1" if result.converged else "0",
+                result.avg_gmres,
+                metric,
             )
         )
+        lines.append(
+            "%-14s iterations=%-4d oscillation=%.6e wall=%.1fs%s"
+            % (
+                label,
+                result.iterations,
+                metric,
+                result.wall_time,
+                "" if result.converged else "  (not converged)",
+            )
+        )
+        log.info("%s: %d steps, oscillation %.3e", label, result.iterations, metric)
     _write_csv(
         os.path.join(config.output_dir, "compare.csv"),
         [
@@ -654,19 +681,6 @@ def run_compare(config):
         ],
         rows,
     )
-    lines = []
-    for label in ("galerkin", "spline_upwind"):
-        r = report[label]
-        lines.append(
-            "%-14s iterations=%-4d oscillation=%.6e wall=%.1fs%s"
-            % (
-                label,
-                r["fixed_point_iterations"],
-                r["oscillation"],
-                r["wall_time"],
-                "" if r["converged"] else "  (not converged)",
-            )
-        )
     _write_report(
         os.path.join(config.output_dir, "compare_report.txt"),
         "Galerkin vs stabilized comparison",
@@ -678,11 +692,10 @@ def run_compare(config):
 
 def run_single(config):
     """Solve once and write field slices, snapshots and the indicator dump."""
-    os.makedirs(config.output_dir, exist_ok=True)
     t0 = _time.perf_counter()
-    problem, source, result = _solve_problem(
-        config, config.stabilization, propagate=True
-    )
+    problem, _ = _build_problem(config)
+    os.makedirs(config.output_dir, exist_ok=True)
+    result = fixed_point_solve(problem, config.solver_config())
     times = [t * config.final_time for t in config.output_times]
     write_field(
         problem.space,
@@ -696,9 +709,13 @@ def run_single(config):
         output_dir=config.output_dir,
         basename="field",
     )
-    if result.indicator is not None:
-        write_theta_csv(
-            result.indicator, os.path.join(config.output_dir, "theta.csv")
+    indicator = result.indicator
+    if indicator is not None:
+        # one row per temporal Greville abscissa
+        _write_csv(
+            os.path.join(config.output_dir, "theta.csv"),
+            ["t_greville"] + ["s%d" % j for j in range(indicator.values.shape[1])],
+            np.column_stack([indicator.time_greville, indicator.values]),
         )
     _write_report(
         os.path.join(config.output_dir, "solve_report.txt"),
@@ -712,12 +729,6 @@ def run_single(config):
         ],
     )
     return result
-
-
-def _indicator_at(indicator, tau):
-    """Spatial indicator grid (C order) interpolated linearly in time at ``tau``."""
-    row = _hat_matrix(indicator.time_greville, [tau])
-    return (row @ indicator.values).reshape(indicator.spatial_shape)
 
 
 def write_field(
@@ -735,93 +746,69 @@ def write_field(
     """Write solution samples as CSV plus one VTK snapshot per time.
 
     ``section``, when given, is ``(start..., end..., samples)`` describing a
-    parametric line sampled at every output time; otherwise a uniform
-    parametric grid of ``grid_shape`` is used.  CSV columns are the physical
+    parametric line sampled at every output time; a uniform parametric grid
+    of ``grid_shape`` is sampled always.  CSV columns are the physical
     coordinates, time, the potential, the recovery variable and (when
     available) the stabilizer indicator.
     """
     os.makedirs(output_dir, exist_ok=True)
     d = space_time.num_spatial_dims
-    T = geo.final_time
-
+    coeffs = {"u": u} if w is None else {"u": u, "w": w}
+    header = ["x%d" % (l + 1) for l in range(d)] + ["t"] + list(coeffs)
+    if indicator is not None:
+        header.append("theta")
+    rows = {"grid": []}
     if section is not None:
-        vals = list(section)
-        if len(vals) != 2 * d + 1:
-            raise ValueError("section must hold start, end and sample count")
-        start = np.array(vals[:d])
-        end = np.array(vals[d : 2 * d])
-        m = int(vals[2 * d])
+        start = np.array(section[:d])
+        end = np.array(section[d : 2 * d])
+        m = int(section[2 * d])
         line = start[None, :] + np.linspace(0.0, 1.0, m)[:, None] * (end - start)[None, :]
-        rows = []
-        xs = geo.evaluate(line)
-        for t in times:
-            tau = min(max(t / T, 0.0), 1.0)
+        xline = geo.evaluate(line)
+        rows["section"] = []
+    shape = grid_shape if grid_shape is not None else (33,) * d
+    axes = [np.linspace(0.0, 1.0, n) for n in shape]
+    collocs = [s.collocation_matrix(ax, 0) for s, ax in zip(space_time.spatial, axes)]
+    xgrid = geo.grid_data(axes, order=0)["x"].reshape(-1, d)
+    for t in times:
+        tau = min(max(t / geo.final_time, 0.0), 1.0)
+        tc = space_time.time_collocation([tau], 0)
+        grids = {
+            k: field_on_grid(space_time, c, tc, collocs)[0] for k, c in coeffs.items()
+        }
+        block = {"grid": [xgrid, np.full(len(xgrid), t)]}
+        block["grid"] += [g.reshape(-1) for g in grids.values()]
+        if section is not None:
             pts = np.column_stack([line, np.full(m, tau)])
-            uv = evaluate_field(space_time, geo, u, pts)
-            wv = evaluate_field(space_time, geo, w, pts) if w is not None else None
-            th = None
-            if indicator is not None:
-                # Multilinear in space: contract the hat rows point by point.
-                prof = _indicator_at(indicator, tau)
+            block["section"] = [xline, np.full(m, t)]
+            block["section"] += [
+                evaluate_field(space_time, geo, c, pts) for c in coeffs.values()
+            ]
+        if indicator is not None:
+            # Multilinear interpolation: the hat row in time, then per direction.
+            hat_t = _hat_matrix(indicator.time_greville, [tau])
+            prof = (hat_t @ indicator.values).reshape(indicator.spatial_shape)
+            block["grid"].append(
+                multilinear_grid(indicator.spatial_grevilles, prof, axes).reshape(-1)
+            )
+            if section is not None:
+                # On the line, contract the hat rows point by point.
                 th = np.broadcast_to(prof, (m,) + prof.shape)
                 for l in reversed(range(d)):
                     hat = _hat_matrix(indicator.spatial_grevilles[l], line[:, l])
                     th = np.einsum("qi,qi...->q...", hat, th)
-            for i in range(m):
-                row = list(xs[i]) + [t, uv[i]]
-                if wv is not None:
-                    row.append(wv[i])
-                if th is not None:
-                    row.append(th[i])
-                rows.append(row)
-        header = ["x%d" % (l + 1) for l in range(d)] + ["t", "u"]
-        if w is not None:
-            header.append("w")
-        if indicator is not None:
-            header.append("theta")
-        _write_csv(os.path.join(output_dir, basename + "_section.csv"), header, rows)
-
-    shape = grid_shape if grid_shape is not None else (33,) * d
-    if len(shape) != d:
-        raise ValueError("grid shape must have %d entries" % d)
-    axes = [np.linspace(0.0, 1.0, n) for n in shape]
-    collocs = [s.collocation_matrix(ax, 0) for s, ax in zip(space_time.spatial, axes)]
-    xgrid = geo.grid_data(axes, order=0)["x"]
-    rows = []
-    for t in times:
-        tau = min(max(t / T, 0.0), 1.0)
-        tc = space_time.time_collocation([tau], 0)
-        ugrid = field_on_grid(space_time, u, tc, collocs)[0]
-        wgrid = (
-            field_on_grid(space_time, w, tc, collocs)[0] if w is not None else None
-        )
-        th = None
-        if indicator is not None:
-            th = multilinear_grid(
-                indicator.spatial_grevilles, _indicator_at(indicator, tau), axes
-            ).reshape(-1)
-        coords = xgrid.reshape(-1, d)
-        uflat = ugrid.reshape(-1)
-        for i in range(coords.shape[0]):
-            row = list(coords[i]) + [t, uflat[i]]
-            if wgrid is not None:
-                row.append(wgrid.reshape(-1)[i])
-            if th is not None:
-                row.append(th[i])
-            rows.append(row)
+                block["section"].append(th)
+        for name, cols in block.items():
+            rows[name].extend(np.column_stack(cols))
         _write_vtk(
             os.path.join(
                 output_dir, "%s_t%s.vtk" % (basename, ("%g" % t).replace(".", "p"))
             ),
             shape,
-            {"u": ugrid} if wgrid is None else {"u": ugrid, "w": wgrid},
+            grids,
         )
-    header = ["x%d" % (l + 1) for l in range(d)] + ["t", "u"]
-    if w is not None:
-        header.append("w")
-    if indicator is not None:
-        header.append("theta")
-    _write_csv(os.path.join(output_dir, basename + "_grid.csv"), header, rows)
+    for name, table in rows.items():
+        path = os.path.join(output_dir, "%s_%s.csv" % (basename, name))
+        _write_csv(path, header, table)
 
 
 def _write_vtk(path, shape, fields):

@@ -285,7 +285,13 @@ def load_geometry(path, final_time=1.0):
     """Read a control-point file written by :func:`save_geometry`."""
     with open(path) as fh:
         tokens = [ln.split() for ln in fh if ln.strip() and not ln.startswith("#")]
-    d = int(tokens[0][0])
+    # dimension, degrees, knot counts and one knot line per direction
+    header = 3 + int(tokens[0][0]) if tokens else 3
+    if len(tokens) < header:
+        raise GeometryError(
+            "geometry file has %d lines, expected at least %d" % (len(tokens), header)
+        )
+    d = header - 3
     degrees = [int(v) for v in tokens[1][:d]]
     counts = [int(v) for v in tokens[2][:d]]
     spaces = []
@@ -297,6 +303,8 @@ def load_geometry(path, final_time=1.0):
         n *= s.dimension
     rows = tokens[3 + d : 3 + d + n]
     if len(rows) != n:
-        raise ValueError("geometry file has %d control rows, expected %d" % (len(rows), n))
+        raise GeometryError(
+            "geometry file has %d control rows, expected %d" % (len(rows), n)
+        )
     ctrl = np.array([[float(v) for v in row[:d]] for row in rows])
     return GeometryMap(spaces, ctrl, final_time=final_time)

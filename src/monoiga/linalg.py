@@ -76,10 +76,8 @@ def generalized_eig(K, M):
     Returns ``(U, lam)`` with ``K U = M U diag(lam)``, ``U^T M U = I`` and
     eigenvalues ascending.  ``M`` must be symmetric positive definite.
     """
-    Kd = K.toarray() if sp.issparse(K) else np.asarray(K, dtype=float)
-    Md = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
     try:
-        lam, U = sla.eigh(Kd, Md)
+        lam, U = sla.eigh(K.toarray(), M.toarray())
     except sla.LinAlgError as exc:
         raise DecompositionError(
             "generalized eigendecomposition failed: %s" % exc
@@ -98,13 +96,11 @@ class TimePencil:
     becomes an arrowhead matrix.
     """
 
-    def __init__(self, U_full, eigenvalues, v, g, sigma, delta):
+    def __init__(self, U_full, eigenvalues, g, sigma):
         self.U_full = U_full
         self.eigenvalues = eigenvalues
-        self.v = v
         self.g = g
         self.sigma = sigma
-        self.delta = delta
 
     @property
     def dimension(self):
@@ -118,8 +114,8 @@ def build_time_pencil(W_t, M_t, cond_limit=1e12):
     time.  Raises :class:`DecompositionError` when the eigenvector matrix is
     too ill-conditioned to trust.
     """
-    W = W_t.toarray() if sp.issparse(W_t) else np.asarray(W_t, dtype=float)
-    M = M_t.toarray() if sp.issparse(M_t) else np.asarray(M_t, dtype=float)
+    W = W_t.toarray()
+    M = M_t.toarray()
     nt = W.shape[0]
     if nt < 2:
         raise ValueError("temporal dimension must be at least 2")
@@ -151,13 +147,12 @@ def build_time_pencil(W_t, M_t, cond_limit=1e12):
     g = U_int.conj().T @ (Wi @ t + rho * w)
     tr = np.concatenate([t, [rho]])
     sigma = complex(tr.conj() @ (W @ tr))
-    delta = U_full.conj().T @ W @ U_full
     cond = np.linalg.cond(U_full)
     if cond > cond_limit:
         raise DecompositionError(
             "temporal pencil eigenvectors ill-conditioned (cond %.3e)" % cond
         )
-    return TimePencil(U_full, lam, v, g, sigma, delta)
+    return TimePencil(U_full, lam, g, sigma)
 
 
 class FastDiagPreconditioner:
@@ -318,9 +313,6 @@ class FastDiagPreconditioner:
             )
         return flat.real.copy()
 
-    def __call__(self, r):
-        return self.apply(r)
-
 
 _GMRES_BLOCK = 4
 
@@ -465,9 +457,8 @@ def solve_w_system(W_t, M_t, recovery_rate, equilibrium_rate, u):
     the time axis of ``U = u.reshape(N_t, N_s)``.  Raises
     :class:`DecompositionError` when ``K_t`` is singular.
     """
-    Kt = W_t + recovery_rate * equilibrium_rate * M_t
-    Kt = Kt.toarray() if sp.issparse(Kt) else np.asarray(Kt, dtype=float)
-    Mt = M_t.toarray() if sp.issparse(M_t) else np.asarray(M_t, dtype=float)
+    Kt = (W_t + recovery_rate * equilibrium_rate * M_t).toarray()
+    Mt = M_t.toarray()
     nt = Kt.shape[0]
     u = np.asarray(u, dtype=float).reshape(-1)
     if u.size % nt:

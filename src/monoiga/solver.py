@@ -140,6 +140,8 @@ class FixedPointConfig:
             raise ValueError("tolerance must be positive")
         if self.stabilization not in ("off", "spline_upwind"):
             raise ValueError("unknown stabilization %r" % self.stabilization)
+        if not 0.0 < self.lowrank_tol < 1.0:
+            raise ValueError("lowrank_tol must lie in (0, 1)")
         if self.indicator_update not in ("every_sweep", "frozen"):
             raise ValueError("unknown indicator update %r" % self.indicator_update)
 

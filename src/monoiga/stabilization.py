@@ -32,7 +32,6 @@ __all__ = [
     "compute_theta",
     "lowrank_factorize",
     "assemble_stabilization",
-    "write_theta_csv",
 ]
 
 TAU_RESIDUAL_LIMIT = 1e-8
@@ -472,15 +471,3 @@ def assemble_stabilization(tau, lowrank, space_time, geo, capacitance, grid=None
         prof_s = lowrank.space_profile(r, axes)
         space_mats.append(grid.spatial_data.mass(weight_grid=prof_s))
     return StabilizationMatrices(lowrank, time_mats, space_mats, capacitance)
-
-
-def write_theta_csv(indicator, path):
-    """Dump the indicator matrix as CSV, one row per temporal Greville index."""
-    with open(path, "w") as fh:
-        header = ["t_greville"] + [
-            "s%d" % j for j in range(indicator.values.shape[1])
-        ]
-        fh.write(",".join(header) + "\n")
-        for i, tg in enumerate(indicator.time_greville):
-            row = ["%.17g" % tg] + ["%.17g" % v for v in indicator.values[i]]
-            fh.write(",".join(row) + "\n")

@@ -1,35 +1,45 @@
 """Tests for the command-line runner and its exit codes."""
 
+import numpy as np
 import pytest
 
+from monoiga import experiments
 from monoiga.cli import EXIT_CONFIG, EXIT_IO, EXIT_NONCONVERGENCE, EXIT_OK, main
+from monoiga.geometry import GeometryMap, builtin_geometry, save_geometry
+
+QUICK_CONFIG = {
+    "experiment": {"kind": "solve", "geometry": "unit_interval"},
+    "problem": {"source": "custom"},
+    "source": {"expression": "chi(t, 0.2, 0.5) * sin(pi * x)", "window_start": "0.2"},
+    "discretization": {"degree": "2", "h_space": "2^-2", "h_time": "2^-2"},
+    "solver": {"tolerance": "1e-6", "max_iterations": "60"},
+    "output": {"times": "1.0", "grid": "5"},
+}
 
 
-def write_quick_config(tmp_path, out_name="out", extra_solver="", kind="solve"):
+def write_quick_config(tmp_path, out_name="out", overrides=()):
+    """The quick 1D solve, with ``(section, key, value)`` overrides."""
+    sections = {name: dict(keys) for name, keys in QUICK_CONFIG.items()}
+    sections["experiment"]["output_dir"] = str(tmp_path / out_name)
+    for section, key, value in overrides:
+        sections.setdefault(section, {})[key] = value
     path = tmp_path / "run.cfg"
     path.write_text(
-        "[experiment]\n"
-        "kind = %s\n"
-        "geometry = unit_interval\n"
-        "output_dir = %s\n"
-        "[problem]\n"
-        "source = custom\n"
-        "[source]\n"
-        "expression = chi(t, 0.2, 0.5) * sin(pi * x)\n"
-        "window_start = 0.2\n"
-        "[discretization]\n"
-        "degree = 2\n"
-        "h_space = 2^-2\n"
-        "h_time = 2^-2\n"
-        "[solver]\n"
-        "tolerance = 1e-6\n"
-        "max_iterations = 60\n"
-        "%s"
-        "[output]\n"
-        "times = 1.0\n"
-        "grid = 5\n" % (kind, tmp_path / out_name, extra_solver)
+        "".join(
+            "[%s]\n" % name + "".join("%s = %s\n" % item for item in keys.items())
+            for name, keys in sections.items()
+        )
     )
     return path
+
+
+def assert_config_error(tmp_path, capsys, cfg):
+    assert main(["solve", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "field_grid.csv").exists()
+    return err
 
 
 def test_solve_success(tmp_path):
@@ -54,6 +64,46 @@ def test_bad_config_exits_2(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("[experiment]\nkind = nonsense\n")
     assert main(["solve", str(path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("solver", "relaxation", "2"),
+        ("problem", "D", "-1"),
+        ("discretization", "degree", "0"),
+        ("problem", "final_time", "0"),
+        ("stabilization", "tolerance", "1.5"),
+        ("output", "grid", "5 5"),
+    ],
+)
+def test_invalid_value_exits_2_before_any_solve(
+    tmp_path, capsys, monkeypatch, section, key, value
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an invalid configuration reached the solver")
+
+    monkeypatch.setattr(experiments, "fixed_point_solve", no_solve)
+    cfg = write_quick_config(tmp_path, overrides=[(section, key, value)])
+    assert_config_error(tmp_path, capsys, cfg)
+
+
+def test_truncated_geometry_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "truncated.geo"
+    path.write_text("2\n1 1\n")
+    cfg = write_quick_config(tmp_path, overrides=[("experiment", "geometry", path)])
+    err = assert_config_error(tmp_path, capsys, cfg)
+    assert "has 2 lines, expected at least 5" in err
+
+
+def test_collapsed_control_net_exits_2(tmp_path, capsys):
+    # every control point at one place: the Jacobian vanishes everywhere
+    geo = builtin_geometry("unit_interval")
+    path = tmp_path / "point.geo"
+    save_geometry(GeometryMap(geo.spaces, np.full_like(geo.control_points, 0.5)), path)
+    cfg = write_quick_config(tmp_path, overrides=[("experiment", "geometry", path)])
+    err = assert_config_error(tmp_path, capsys, cfg)
+    assert "singular Jacobian" in err
 
 
 def test_bad_threads_exits_2(tmp_path):

@@ -25,6 +25,7 @@ from monoiga.experiments import (
     write_field,
 )
 from monoiga.geometry import builtin_geometry
+from monoiga.solver import FixedPointConfig
 from monoiga.stabilization import ResidualIndicator
 
 RNG = np.random.default_rng(31)
@@ -181,6 +182,12 @@ class TestConfig:
         for key in ("constants.a", "constants.b", "constants.c1", "constants.c2"):
             assert key in resolved
 
+    def test_defaults_have_one_source(self):
+        # the library defaults, apart from the runner's stabilized method
+        cfg = ExperimentConfig()
+        assert cfg.solver_config() == FixedPointConfig(stabilization="spline_upwind")
+        assert cfg.constants == CONSTANTS
+
     def test_missing_file_raises(self):
         with pytest.raises(ConfigError, match="not found"):
             parse_config("/nonexistent/path.cfg")
@@ -277,6 +284,18 @@ class TestRunners:
             assert key in report
         header = (out / "field_section.csv").read_text().splitlines()[0]
         assert header.split(",") == ["x1", "t", "u", "w", "theta"]
+
+    def test_theta_csv_dumps_the_indicator(self, quick_problem_files):
+        cfg_path, out = quick_problem_files
+        indicator = run_single(parse_config(cfg_path)).indicator
+        lines = (out / "theta.csv").read_text().splitlines()
+        columns = ["s%d" % j for j in range(indicator.values.shape[1])]
+        assert lines[0].split(",") == ["t_greville"] + columns
+        table = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
+        # one row per temporal Greville abscissa, bitwise after the round trip
+        assert np.array_equal(
+            table, np.column_stack([indicator.time_greville, indicator.values])
+        )
 
     def test_convergence_runner_and_determinism(self, tmp_path):
         cfg = ExperimentConfig(

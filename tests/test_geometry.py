@@ -141,3 +141,16 @@ def test_geometry_file_round_trip(tmp_path):
     assert_allclose(loaded.control_points, geo.control_points, atol=1e-15)
     pts = np.random.default_rng(2).random((7, 2))
     assert_allclose(loaded.evaluate(pts), geo.evaluate(pts), atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "keep,message",
+    [(2, "has 2 lines, expected at least 5"), (-1, "has 3 control rows, expected 4")],
+)
+def test_truncated_geometry_file_raises(tmp_path, keep, message):
+    path = tmp_path / "square.txt"
+    save_geometry(builtin_geometry("unit_square"), path)
+    lines = path.read_text().splitlines()[:keep]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(GeometryError, match=message):
+        load_geometry(path)

@@ -388,25 +388,6 @@ class TestEvaluateField:
         vals = evaluate_field(st, problem.geometry, coeffs, pts)
         assert np.max(np.abs(vals - pts[:, 0] * pts[:, 1])) < 1e-12
 
-    def test_gradient_matches_finite_differences(self):
-        problem = make_problem(d=2, p=2, elements=3)
-        st = problem.space
-        coeffs = RNG.standard_normal(st.num_dof)
-        pts = np.column_stack(
-            [RNG.uniform(0.1, 0.9, 8), RNG.uniform(0.1, 0.9, 8), RNG.uniform(0.1, 0.9, 8)]
-        )
-        out = evaluate_field(st, problem.geometry, coeffs, pts, gradient=True)
-        step = 1e-6
-        for q in range(pts.shape[0]):
-            for a in range(2):
-                e = np.zeros(3)
-                e[a] = step
-                vp = evaluate_field(st, problem.geometry, coeffs, pts[q] + e)
-                vm = evaluate_field(st, problem.geometry, coeffs, pts[q] - e)
-                fd = (vp[0] - vm[0]) / (2 * step)
-                scale = max(abs(out["grad"][q, a]), 1.0)
-                assert abs(fd - out["grad"][q, a]) / scale < 1e-6
-
     def test_time_derivative_scaling(self):
         problem = make_problem(d=1, p=2, elements=4, final_time=5.0)
         st = problem.space

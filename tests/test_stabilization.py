@@ -25,7 +25,6 @@ from monoiga.stabilization import (
     compute_theta,
     lowrank_factorize,
     strong_residual,
-    write_theta_csv,
 )
 from oracles import dense_basis_values, dense_univariate, dense_weighted_space_time_mass
 
@@ -241,17 +240,6 @@ class TestResidualIndicator:
             tracemalloc.stop()
         grid_bytes = tdata.points.size * sdata.wgrid.size * 8
         assert peak <= 10 * grid_bytes
-
-    def test_csv_dump(self, tmp_path):
-        problem = make_problem(d=1, p=2, elements=3)
-        st = problem.space
-        theta = indicator_of(st, RNG.random((st.num_time, st.num_space)))
-        path = tmp_path / "theta.csv"
-        write_theta_csv(theta, path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == st.num_time + 1
-        first = lines[1].split(",")
-        assert float(first[0]) == st.time_greville()[0]
 
 
 class TestLowRank:
