@@ -192,13 +192,14 @@ class SpatialQuadratureData:
     """Tensorized quadrature, basis and geometry data over the spatial box.
 
     Precomputes dense per-direction collocation matrices of values (``c0``)
-    and first derivatives (``c1``) at the quadrature grid, direction 1 first,
-    and the Jacobian determinants there (which checks the map for
-    singularity); every integral on the grid reads the cached quadrature
-    ``measure``.  The metric ``J^{-1} J^{-T}``, the second-derivative
-    collocations (``c2``) and the parametric table of the physical Laplacian
-    (``laplacian``) are built on first use: only the stiffness, the
-    preconditioner and the residual indicator read them.  Shared by the
+    at the quadrature grid, direction 1 first, and the Jacobian determinants
+    there (which checks the map for singularity); every integral on the grid
+    reads the cached quadrature ``measure``.  The first- and second-derivative
+    collocations (``c1``, ``c2``), the metric ``J^{-1} J^{-T}`` and the
+    parametric table of the physical Laplacian (``laplacian``) are built on
+    first use: only the stiffness, the preconditioner and the residual
+    indicator read them, so the stabilizer's refined grid never holds them.
+    The physical points are tabulated only to sample a source.  Shared by the
     mass/stiffness/weighted assemblies and the indicator so nonlinear steps
     do not re-evaluate the geometry.
     """
@@ -214,7 +215,6 @@ class SpatialQuadratureData:
             for s, eb in zip(self.spaces, extra_breaks)
         ]
         self.c0 = self._collocations(0)
-        self.c1 = self._collocations(1)
         # Derivatives vanish where values do, so the value overlap bounds
         # every Gram band of these factors.
         self.bands = [_half_bandwidth(c, c) for c in self.c0]
@@ -222,9 +222,7 @@ class SpatialQuadratureData:
         self.wgrid = outer_product_grid(
             [r.flat_weights for r in reversed(self.rules)]
         )
-        data = geo.grid_data(self._axes(), order=1)
-        self.xgrid = data["x"]
-        self.detj = jacobian_det(data["jac"])
+        self.detj = jacobian_det(geo.grid_data(self._axes(), order=1)["jac"])
         self.grid_shape = self.wgrid.shape
         self._sample = None
 
@@ -245,6 +243,11 @@ class SpatialQuadratureData:
         return measure
 
     @functools.cached_property
+    def c1(self):
+        """Dense first-derivative collocation matrices, direction 1 first."""
+        return self._collocations(1)
+
+    @functools.cached_property
     def c2(self):
         """Dense second-derivative collocation matrices, direction 1 first."""
         return self._collocations(2)
@@ -261,10 +264,6 @@ class SpatialQuadratureData:
         data = self.geo.grid_data(self._axes(), order=2)
         return laplacian_terms(np.linalg.inv(data["jac"]), data["hess"])
 
-    def physical_points(self):
-        """Quadrature points in physical coordinates, shape (Q, d)."""
-        return self.xgrid.reshape(-1, len(self.spaces))
-
     def sample(self, f, time_data):
         """``f(x, t)`` on the space-time grid of this rule and ``time_data``.
 
@@ -274,7 +273,8 @@ class SpatialQuadratureData:
         """
         last = self._sample
         if last is None or last[0] is not f or last[1] is not time_data:
-            xq = self.physical_points()
+            xq = self.geo.grid_data(self._axes(), order=0)["x"]
+            xq = xq.reshape(-1, len(self.spaces))
             qs = xq.shape[0]
             tq = time_data.points * time_data.final_time
             vals = np.empty((tq.size, qs))

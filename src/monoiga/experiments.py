@@ -469,8 +469,9 @@ def build_space(geometry, degree, h_space, h_time):
 def _build_problem(config):
     """The problem and source of a configuration, checked before any solve.
 
-    Values the constructors reject and a ``section`` or ``grid`` of the
-    wrong length for the geometry raise :class:`ConfigError`.
+    Values the constructors reject, a ``section`` or ``grid`` of the wrong
+    length for the geometry and an output time outside ``[0, 1]`` raise
+    :class:`ConfigError`.
     """
     try:
         geo = build_geometry(config.geometry, final_time=config.final_time)
@@ -496,6 +497,8 @@ def _build_problem(config):
         )
     if config.grid_shape is not None and len(config.grid_shape) != d:
         raise ConfigError("grid must have %d entries" % d)
+    if not all(0.0 <= t <= 1.0 for t in config.output_times):
+        raise ConfigError("output times must lie in [0, 1]")
     return problem, source
 
 
@@ -526,24 +529,19 @@ def run_convergence(config):
     For each degree, solves on the requested uniform meshes (``h_1 = h_t``),
     records the relative L2 error and the observed order between consecutive
     levels, and writes ``convergence.csv``.  The problem has ``b = 0``, so
-    the recovery variable stays zero as the manufactured source assumes; no
-    relaxation is applied, and the fixed-point tolerance is driven far below
-    the discretization error so the study measures the latter.
+    the recovery variable stays zero as the manufactured source assumes, and
+    the Newton tolerance is driven far below the discretization error so the
+    study measures the latter.  Every level is built before the first solve.
     """
     study = dataclasses.replace(
         config.solver_config(tolerance=config.conv_tolerance),
-        relaxation=1.0,
         indicator_update="frozen",
         max_iterations=max(config.max_iterations, 200),
     )
-    os.makedirs(config.output_dir, exist_ok=True)
-    rows = []
-    slopes = {}
-    for p in config.conv_degrees:
-        errors = []
-        for h in config.conv_h:
-            # The study writes no fields, so the output shapes are dropped.
-            level = dataclasses.replace(
+    # The study writes no fields, so the output shapes are dropped.
+    problems = {
+        (p, h): _build_problem(
+            dataclasses.replace(
                 config,
                 geometry="unit_interval",
                 degree=p,
@@ -555,7 +553,17 @@ def run_convergence(config):
                 section=None,
                 grid_shape=None,
             )
-            problem, _ = _build_problem(level)
+        )[0]
+        for p in config.conv_degrees
+        for h in config.conv_h
+    }
+    os.makedirs(config.output_dir, exist_ok=True)
+    rows = []
+    slopes = {}
+    for p in config.conv_degrees:
+        errors = []
+        for h in config.conv_h:
+            problem = problems[p, h]
             result = fixed_point_solve(problem, study)
             err = l2_error(
                 problem.space, problem.geometry, result.u, manufactured_exact_1d
@@ -566,10 +574,7 @@ def run_convergence(config):
             errors.append(err)
             rows.append((str(p), h, err, order))
             log.info("p=%d h=%g error=%.3e order=%.2f", p, h, err, order)
-        logs = np.log(np.array(errors))
-        slopes[p] = float(
-            np.polyfit(np.log(np.array(config.conv_h)), logs, 1)[0]
-        )
+        slopes[p] = float(np.polyfit(np.log(config.conv_h), np.log(errors), 1)[0])
     _write_csv(
         os.path.join(config.output_dir, "convergence.csv"),
         ["degree", "h", "rel_l2_error", "observed_order"],
@@ -749,8 +754,10 @@ def write_field(
     parametric line sampled at every output time; a uniform parametric grid
     of ``grid_shape`` is sampled always.  CSV columns are the physical
     coordinates, time, the potential, the recovery variable and (when
-    available) the stabilizer indicator.
+    available) the stabilizer indicator; a time outside ``[0, T]`` is an error.
     """
+    if not all(0.0 <= t <= geo.final_time for t in times):
+        raise ValueError("output times must lie in [0, %g]" % geo.final_time)
     os.makedirs(output_dir, exist_ok=True)
     d = space_time.num_spatial_dims
     coeffs = {"u": u} if w is None else {"u": u, "w": w}
@@ -770,7 +777,7 @@ def write_field(
     collocs = [s.collocation_matrix(ax, 0) for s, ax in zip(space_time.spatial, axes)]
     xgrid = geo.grid_data(axes, order=0)["x"].reshape(-1, d)
     for t in times:
-        tau = min(max(t / geo.final_time, 0.0), 1.0)
+        tau = t / geo.final_time
         tc = space_time.time_collocation([tau], 0)
         grids = {
             k: field_on_grid(space_time, c, tc, collocs)[0] for k, c in coeffs.items()

@@ -20,7 +20,7 @@ or latched from the start.
 import logging
 import time as _time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -138,6 +138,8 @@ class FixedPointConfig:
             raise ValueError("relaxation must lie in (0, 1]")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
         if self.stabilization not in ("off", "spline_upwind"):
             raise ValueError("unknown stabilization %r" % self.stabilization)
         if not 0.0 < self.lowrank_tol < 1.0:
@@ -148,16 +150,31 @@ class FixedPointConfig:
 
 @dataclass
 class SolveResult:
-    """Solver output: coefficients plus iteration diagnostics."""
+    """Solver output: coefficients plus the record each Newton step logs.
+
+    A record holds the step's ``sweep`` number (from 1), ``increment``
+    (max-abs step), ``residual`` (``||F||``), ``forcing`` and
+    ``gmres_iterations``; the properties below read the records.
+    """
 
     u: np.ndarray
     w: np.ndarray
-    iterations: int
-    increments: list = field(default_factory=list)
-    converged: bool = True
-    gmres_iterations: list = field(default_factory=list)
-    wall_time: float = 0.0
-    indicator: object = None
+    steps: list
+    converged: bool
+    wall_time: float
+    indicator: object
+
+    @property
+    def iterations(self):
+        return len(self.steps)
+
+    @property
+    def increments(self):
+        return [step["increment"] for step in self.steps]
+
+    @property
+    def gmres_iterations(self):
+        return [step["gmres_iterations"] for step in self.steps]
 
     @property
     def avg_gmres(self):
@@ -238,19 +255,6 @@ class _Workspace:
             return np.zeros_like(u)
         nt = self.recovery.shape[0]
         return (self.recovery @ u.reshape(nt, -1)).reshape(-1)
-
-    def stabilizer_terms(self, problem, config, indicator):
-        """Kronecker terms of the stabilizer an indicator switches on."""
-        lowrank = lowrank_factorize(indicator, config.lowrank_tol)
-        stab = assemble_stabilization(
-            self.tau,
-            lowrank,
-            problem.space,
-            problem.geometry,
-            problem.C_m,
-            self.stab_grid,
-        )
-        return stab.terms()
 
     def linearize(self, problem, u, w, stab_terms):
         """Residual ``F(u)`` and Jacobian operator at an iterate ``u``, ``w = R u``.
@@ -351,24 +355,22 @@ def fixed_point_solve(problem, config=None):
 def _newton(problem, config, ws, t0, start=None, indicator=None):
     """Newton steps from the zero iterate or from a ``start`` result.
 
-    Steps continue the numbering of ``start``, whose iterate starts the
+    Steps continue the records of ``start``, whose iterate starts the
     iteration.  A given ``indicator`` is latched: its stabilizer serves
     every step.
     """
     if start is None:
-        done = 0
+        steps = []
         u = np.zeros(problem.space.num_dof)
     else:
-        done = start.iterations
+        steps = list(start.steps)
         u = start.u
+    done = len(steps)
     w = ws.recover(u)
-    increments = []
-    gmres_iters = []
     alpha = config.relaxation
     stabilized = config.stabilization == "spline_upwind"
     latched = indicator is not None
     stab_terms = None
-    res_prev = None
 
     for k in range(done + 1, done + config.max_iterations + 1):
         if stabilized and not (latched and stab_terms is not None):
@@ -384,16 +386,23 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
                     )
                     # Once the damped indicator settles, latch it: flickering
                     # activation patterns otherwise sustain iterate cycles.
-                    latched = k > done + 1 and drift * alpha <= INDICATOR_FREEZE_TOL
+                    latched = drift * alpha <= INDICATOR_FREEZE_TOL
                 indicator = fresh
-            stab_terms = ws.stabilizer_terms(problem, config, indicator)
+            lowrank = lowrank_factorize(indicator, config.lowrank_tol)
+            stab_terms = assemble_stabilization(
+                ws.tau,
+                lowrank,
+                problem.space,
+                problem.geometry,
+                problem.C_m,
+                ws.stab_grid,
+            ).terms()
         residual, jac = ws.linearize(problem, u, w, stab_terms)
         res = float(np.linalg.norm(residual))
-        if res_prev is None:
+        if k == done + 1:
             eta = config.linear_tol
         else:
-            eta = min(ETA_MAX, 0.9 * (res / res_prev) ** 2)
-        res_prev = res
+            eta = min(ETA_MAX, 0.9 * (res / steps[-1]["residual"]) ** 2)
         delta, nit, _ = gmres(
             jac,
             -residual,
@@ -401,52 +410,33 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
             tol=eta,
             atol=config.linear_tol * ws.pf_norm,
         )
-        gmres_iters.append(nit)
         u = u + delta
         w = ws.recover(u)
-        inc = float(np.max(np.abs(delta)))
-        increments.append(inc)
+        step = {
+            "sweep": k,
+            "increment": float(np.max(np.abs(delta))),
+            "residual": res,
+            "forcing": eta,
+            "gmres_iterations": nit,
+        }
+        steps.append(step)
         log.info(
-            "sweep %3d: increment %.3e, residual %.3e, forcing %.1e, %d GMRES iterations",
-            k,
-            inc,
-            res,
-            eta,
-            nit,
-            extra={
-                "sweep": k,
-                "increment": inc,
-                "residual": res,
-                "forcing": eta,
-                "gmres_iterations": nit,
-            },
+            "sweep %(sweep)3d: increment %(increment).3e, residual %(residual).3e, "
+            "forcing %(forcing).1e, %(gmres_iterations)d GMRES iterations",
+            step,
+            extra=step,
         )
-        if inc <= config.tolerance:
-            return SolveResult(
-                u,
-                w,
-                k,
-                increments,
-                True,
-                gmres_iters,
-                _time.perf_counter() - t0,
-                indicator,
-            )
-    result = SolveResult(
-        u,
-        w,
-        done + config.max_iterations,
-        increments,
-        False,
-        gmres_iters,
-        _time.perf_counter() - t0,
-        indicator,
-    )
-    raise FixedPointDiverged(
-        "Newton iteration did not reach %.2e in %d steps"
-        % (config.tolerance, config.max_iterations),
-        result,
-    )
+        converged = step["increment"] <= config.tolerance
+        if converged:
+            break
+    result = SolveResult(u, w, steps, converged, _time.perf_counter() - t0, indicator)
+    if not converged:
+        raise FixedPointDiverged(
+            "Newton iteration did not reach %.2e in %d steps"
+            % (config.tolerance, config.max_iterations),
+            result,
+        )
+    return result
 
 
 def l2_error(space_time, geo, coeffs, exact):

@@ -485,7 +485,7 @@ class TestRhsVectors:
         assert len(calls) == tdata.points.size
         grid = sdata.sample(source, tdata)
         assert len(calls) == tdata.points.size
-        x = sdata.xgrid[None]
+        x = sdata.geo.grid_data([r.points for r in sdata.rules], order=0)["x"][None]
         t = (tdata.points * geo.final_time).reshape(-1, 1, 1)
         assert np.array_equal(grid, x[..., 0] * x[..., 1] + t)
         assert np.array_equal(

@@ -75,6 +75,8 @@ def test_bad_config_exits_2(tmp_path):
         ("problem", "final_time", "0"),
         ("stabilization", "tolerance", "1.5"),
         ("output", "grid", "5 5"),
+        ("solver", "max_iterations", "0"),
+        ("output", "times", "1.0 1.5"),
     ],
 )
 def test_invalid_value_exits_2_before_any_solve(
@@ -160,6 +162,28 @@ def test_convergence_subcommand(tmp_path):
     csv = (tmp_path / "conv_out" / "convergence.csv").read_text().splitlines()
     assert csv[0] == "degree,h,rel_l2_error,observed_order"
     assert len(csv) == 3
+
+
+def test_invalid_late_convergence_level_exits_2_before_any_solve(
+    tmp_path, capsys, monkeypatch
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a study with an invalid level reached the solver")
+
+    monkeypatch.setattr(experiments, "fixed_point_solve", no_solve)
+    path = tmp_path / "conv.cfg"
+    path.write_text(
+        "[experiment]\n"
+        "kind = convergence\n"
+        "output_dir = %s\n"
+        "[convergence]\n"
+        "degrees = 2 0\n"
+        "h = 2^-2 2^-3\n" % (tmp_path / "conv_out")
+    )
+    assert main(["convergence", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+    assert not (tmp_path / "conv_out" / "convergence.csv").exists()
 
 
 def test_compare_subcommand(tmp_path):

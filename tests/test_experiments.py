@@ -355,6 +355,16 @@ class TestWriteField:
             cells = ln.split(",")
             assert float(cells[3]) == 0.0 and float(cells[4]) == 0.0
 
+    @pytest.mark.parametrize("t", [-0.5, 2.5])
+    def test_time_outside_horizon_raises(self, tmp_path, t):
+        geo = builtin_geometry("unit_interval", final_time=2.0)
+        st = SpaceTimeSpace([SplineSpace.uniform(2, 2)], SplineSpace.uniform(2, 2))
+        with pytest.raises(ValueError, match="output times"):
+            write_field(
+                st, geo, np.zeros(st.num_dof), times=[1.0, t], output_dir=str(tmp_path)
+            )
+        assert not list(tmp_path.iterdir())
+
     def test_csv_round_trip_is_bitwise(self, tmp_path):
         geo = builtin_geometry("unit_interval")
         st = SpaceTimeSpace([SplineSpace.uniform(2, 3)], SplineSpace.uniform(2, 3))

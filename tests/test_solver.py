@@ -346,6 +346,52 @@ class TestFixedPoint:
         assert fixed_point_solve(problem, config).converged
         assert sorted(built) == ["default", "refined"]
 
+    def test_refined_grid_builds_no_derivative_tables(self, monkeypatch):
+        # The stabilizer integrates values only: its refined grid never
+        # tabulates derivatives, the metric or the source's points.
+        grids = []
+
+        class RecordingGrid(solver._StabilizationGrid):
+            def __init__(self, *args):
+                super().__init__(*args)
+                grids.append(self)
+
+        monkeypatch.setattr(solver, "_StabilizationGrid", RecordingGrid)
+        problem = make_problem(
+            d=2, p=2, elements=4, source=lambda x, t: np.sin(np.pi * t) * x[:, 0]
+        )
+        config = FixedPointConfig(stabilization="spline_upwind", tolerance=1e-6)
+        assert fixed_point_solve(problem, config).converged
+        (grid,) = grids
+        built = vars(grid.spatial_data)
+        assert "measure" in built
+        for table in ("c1", "c2", "metric", "laplacian"):
+            assert table not in built
+        assert grid.spatial_data._sample is None
+
+    def test_frozen_result_records_both_phases(self, caplog):
+        problem = make_problem(
+            d=1,
+            p=2,
+            elements=8,
+            source=lambda x, t: np.sin(np.pi * t) * np.ones(t.shape),
+        )
+        config = FixedPointConfig(
+            stabilization="spline_upwind", indicator_update="frozen", tolerance=1e-6
+        )
+        with caplog.at_level(logging.INFO, logger="monoiga.solver"):
+            result = fixed_point_solve(problem, config)
+        galerkin = fixed_point_solve(problem, replace(config, stabilization="off"))
+        n = result.iterations
+        assert n == len(result.steps) == len(result.increments)
+        assert n == len(result.gmres_iterations)
+        assert [step["sweep"] for step in result.steps] == list(range(1, n + 1))
+        # The Galerkin pre-solve's records come first, then the stabilized ones.
+        assert 0 < galerkin.iterations < n
+        assert result.steps[: galerkin.iterations] == galerkin.steps
+        records = [r for r in caplog.records if r.name == "monoiga.solver"]
+        assert [r.args for r in records] == result.steps
+
     def test_indicator_on_solver_data_equals_standalone(self):
         from monoiga.experiments import make_source
         from monoiga.solver import _Workspace
