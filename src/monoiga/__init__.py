@@ -73,7 +73,7 @@ from .stabilization import (
     LowRankIndicator,
     ResidualIndicator,
     StabilizationError,
-    StabilizationMatrices,
+    StabilizationGrid,
     StabilizationWeights,
     assemble_stabilization,
     compute_tau,

@@ -329,12 +329,10 @@ def spatial_operators(spaces, geo, spatial_data=None):
 class TimeQuadratureData:
     """Quadrature and constrained-basis data along the temporal direction."""
 
-    def __init__(self, space_time, final_time, npoints=None, extra_breaks=None):
+    def __init__(self, space_time, final_time, npoints=None):
         self.space_time = space_time
         self.final_time = float(final_time)
-        self.rule = QuadratureRule.for_space(
-            space_time.time, npoints=npoints, extra_breaks=extra_breaks
-        )
+        self.rule = QuadratureRule.for_space(space_time.time, npoints=npoints)
         self.c0 = space_time.time_collocation(self.rule.points, 0)
         # Physical time measure: dt = T dtau.
         self.weights = self.rule.flat_weights * self.final_time
@@ -615,47 +613,38 @@ class KroneckerOperator:
     Each term pairs a temporal factor of size ``N_t`` with a spatial factor
     of size ``N_s``.  An optional ``correction`` (a reaction term such as a
     :class:`WeightedMass`, or any matrix supporting ``@``) is added to the
-    matvec.
+    matvec; it is the one attribute a caller may replace.
 
     A matvec applies all terms with two sparse products: the stacked
     temporal factors ``vstack(c_k T_k)`` act on ``X = x.reshape(N_t, N_s)``,
     and ``hstack(S_k)`` acts on the transposed blocks, which sums the terms.
-    The stacks are built on the first matvec after a change of the terms;
-    they hold one copy of the factors, never the space-time product.
+    The stacks are built once, at construction; they hold one copy of the
+    factors, never the space-time product.
     """
 
-    def __init__(self, num_time, num_space, terms=None, correction=None):
+    def __init__(self, num_time, num_space, terms=(), correction=None):
         self.num_time = int(num_time)
         self.num_space = int(num_space)
-        self.terms = []
-        self._stacks = None
-        if terms is not None:
-            for coef, tmat, smat in terms:
-                self.add_term(coef, tmat, smat)
+        self.terms = [(float(coef), tmat, smat) for coef, tmat, smat in terms]
+        for _, tmat, smat in self.terms:
+            if tmat.shape != (self.num_time, self.num_time):
+                raise ValueError("temporal factor has wrong shape")
+            if smat.shape != (self.num_space, self.num_space):
+                raise ValueError("spatial factor has wrong shape")
+        if self.terms:
+            self._time_stack = sp.vstack(
+                [coef * sp.csr_matrix(tmat) for coef, tmat, _ in self.terms],
+                format="csr",
+            )
+            self._space_stack = sp.hstack(
+                [sp.csr_matrix(smat) for _, _, smat in self.terms], format="csr"
+            )
         self.correction = correction
 
     @property
     def shape(self):
         n = self.num_time * self.num_space
         return (n, n)
-
-    def add_term(self, coef, tmat, smat):
-        if tmat.shape != (self.num_time, self.num_time):
-            raise ValueError("temporal factor has wrong shape")
-        if smat.shape != (self.num_space, self.num_space):
-            raise ValueError("spatial factor has wrong shape")
-        self.terms.append((float(coef), tmat, smat))
-        self._stacks = None
-
-    def _stacked_factors(self):
-        if self._stacks is None:
-            T = sp.vstack(
-                [coef * sp.csr_matrix(tmat) for coef, tmat, _ in self.terms],
-                format="csr",
-            )
-            S = sp.hstack([sp.csr_matrix(smat) for _, _, smat in self.terms], format="csr")
-            self._stacks = (T, S)
-        return self._stacks
 
     def matvec(self, x):
         x = np.asarray(x, dtype=float).reshape(-1)
@@ -666,10 +655,9 @@ class KroneckerOperator:
             )
         nt, ns = self.num_time, self.num_space
         if self.terms:
-            T, S = self._stacked_factors()
-            Y = T @ x.reshape(nt, ns)
+            Y = self._time_stack @ x.reshape(nt, ns)
             Z = Y.reshape(-1, nt, ns).transpose(0, 2, 1).reshape(-1, nt)
-            out = (S @ Z).T.reshape(-1)
+            out = (self._space_stack @ Z).T.reshape(-1)
         else:
             out = np.zeros_like(x)
         if self.correction is not None:

@@ -364,8 +364,50 @@ def _parse_list(value, conv=float):
     return [conv(v) for v in value.replace(",", " ").split()]
 
 
+def _parse_sizes(value):
+    return [_parse_size(v) for v in value.split()]
+
+
+def _parse_method(value):
+    method = value.strip()
+    return "off" if method in ("none", "off", "galerkin") else method
+
+
+# (section, key) -> (ExperimentConfig field, parser) of every fixed key.  The
+# [problem] constants and the free-form [source] section are read apart.
+CONFIG_KEYS = {
+    ("experiment", "kind"): ("kind", str.strip),
+    ("experiment", "geometry"): ("geometry", str.strip),
+    ("experiment", "output_dir"): ("output_dir", str.strip),
+    ("problem", "final_time"): ("final_time", float),
+    ("problem", "source"): ("source", str.strip),
+    ("discretization", "degree"): ("degree", int),
+    ("discretization", "h_space"): ("h_space", _parse_sizes),
+    ("discretization", "h_time"): ("h_time", _parse_size),
+    ("stabilization", "method"): ("stabilization", _parse_method),
+    ("stabilization", "tolerance"): ("lowrank_tol", float),
+    ("solver", "relaxation"): ("relaxation", float),
+    ("solver", "tolerance"): ("tolerance", float),
+    ("solver", "max_iterations"): ("max_iterations", int),
+    ("solver", "linear_tol"): ("linear_tol", float),
+    ("convergence", "degrees"): ("conv_degrees", lambda v: _parse_list(v, int)),
+    ("convergence", "h"): ("conv_h", _parse_sizes),
+    ("convergence", "tolerance"): ("conv_tolerance", float),
+    ("output", "times"): ("output_times", _parse_list),
+    ("output", "grid"): ("grid_shape", lambda v: tuple(_parse_list(v, int))),
+    ("output", "section"): ("section", _parse_list),
+}
+# configparser lowercases keys: ``C_m`` arrives as ``c_m``.
+CONSTANT_KEYS = {name.lower(): name for name in DEFAULT_CONSTANTS}
+SECTIONS = {section for section, _ in CONFIG_KEYS} | {"source"}
+
+
 def parse_config(path):
-    """Read an experiment configuration file (key = value with sections)."""
+    """Read an experiment configuration file (key = value with sections).
+
+    A section or key the format does not define, and a non-empty
+    ``[DEFAULT]`` section, raise :class:`ConfigError` naming it.
+    """
     if not os.path.exists(path):
         raise ConfigError("configuration file %r not found" % path)
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -373,63 +415,32 @@ def parse_config(path):
         cp.read(path)
     except configparser.Error as exc:
         raise ConfigError("cannot parse %r: %s" % (path, exc)) from exc
+    if cp.defaults():
+        raise ConfigError("unknown configuration section [DEFAULT]")
     cfg = ExperimentConfig()
     try:
-        if cp.has_section("experiment"):
-            sec = cp["experiment"]
-            cfg.kind = sec.get("kind", cfg.kind).strip()
-            cfg.geometry = sec.get("geometry", cfg.geometry).strip()
-            cfg.output_dir = sec.get("output_dir", cfg.output_dir).strip()
-        if cp.has_section("problem"):
-            sec = cp["problem"]
-            for key in DEFAULT_CONSTANTS:
-                if key in sec:
-                    cfg.constants[key] = float(sec[key])
-            cfg.final_time = float(sec.get("final_time", cfg.final_time))
-            cfg.source = sec.get("source", cfg.source).strip()
-        if cp.has_section("source"):
-            for key, val in cp["source"].items():
-                try:
-                    cfg.source_params[key] = float(val)
-                except ValueError:
-                    cfg.source_params[key] = val
-        if cp.has_section("discretization"):
-            sec = cp["discretization"]
-            cfg.degree = int(sec.get("degree", cfg.degree))
-            if "h_space" in sec:
-                cfg.h_space = [_parse_size(v) for v in sec["h_space"].split()]
-            if "h_time" in sec:
-                cfg.h_time = _parse_size(sec["h_time"])
-        if cp.has_section("stabilization"):
-            sec = cp["stabilization"]
-            method = sec.get("method", cfg.stabilization).strip()
-            if method in ("none", "off", "galerkin"):
-                method = "off"
-            cfg.stabilization = method
-            cfg.lowrank_tol = float(sec.get("tolerance", cfg.lowrank_tol))
-        if cp.has_section("solver"):
-            sec = cp["solver"]
-            cfg.relaxation = float(sec.get("relaxation", cfg.relaxation))
-            cfg.tolerance = float(sec.get("tolerance", cfg.tolerance))
-            cfg.max_iterations = int(sec.get("max_iterations", cfg.max_iterations))
-            cfg.linear_tol = float(sec.get("linear_tol", cfg.linear_tol))
-        if cp.has_section("convergence"):
-            sec = cp["convergence"]
-            if "degrees" in sec:
-                cfg.conv_degrees = _parse_list(sec["degrees"], int)
-            if "h" in sec:
-                cfg.conv_h = [_parse_size(v) for v in sec["h"].split()]
-            cfg.conv_tolerance = float(sec.get("tolerance", cfg.conv_tolerance))
-        if cp.has_section("output"):
-            sec = cp["output"]
-            if "times" in sec:
-                cfg.output_times = _parse_list(sec["times"])
-            if "grid" in sec:
-                cfg.grid_shape = tuple(_parse_list(sec["grid"], int))
-            if "section" in sec:
-                cfg.section = _parse_list(sec["section"])
+        for section in cp.sections():
+            if section not in SECTIONS:
+                raise ConfigError("unknown configuration section [%s]" % section)
+            for key, value in cp[section].items():
+                if section == "source":
+                    try:
+                        cfg.source_params[key] = float(value)
+                    except ValueError:
+                        cfg.source_params[key] = value
+                elif section == "problem" and key in CONSTANT_KEYS:
+                    cfg.constants[CONSTANT_KEYS[key]] = float(value)
+                elif (section, key) in CONFIG_KEYS:
+                    name, parse = CONFIG_KEYS[section, key]
+                    setattr(cfg, name, parse(value))
+                else:
+                    raise ConfigError(
+                        "unknown configuration key %s.%s" % (section, key)
+                    )
         cfg.solver_config()
-    except (ValueError, KeyError) as exc:
+    except ConfigError:
+        raise
+    except ValueError as exc:
         raise ConfigError("invalid configuration value: %s" % exc) from exc
     if cfg.kind not in ("solve", "convergence", "compare"):
         raise ConfigError("unknown experiment kind %r" % cfg.kind)

@@ -165,8 +165,17 @@ def _derivative(tabulate, d, order):
 
 
 def jacobian_det(jac):
-    """Determinants of stacked Jacobians with singularity check."""
+    """Determinants of stacked Jacobians, checked for folds and singularity.
+
+    Determinants of both signs mean the map folds over itself; a map that
+    reverses orientation everywhere is valid.
+    """
     det = np.linalg.det(jac)
+    if np.any(det > 0) and np.any(det < 0):
+        raise GeometryError(
+            "folded geometry map: the Jacobian determinant changes sign "
+            "(from %.3g to %.3g)" % (det.min(), det.max())
+        )
     scale = np.prod(np.linalg.norm(jac, axis=-2), axis=-1)
     bad = np.abs(det) < SINGULAR_REL_TOL * np.maximum(scale, 1e-300)
     if np.any(bad):

@@ -26,6 +26,9 @@ __all__ = [
     "solve_w_system",
 ]
 
+# Largest trusted condition number of the temporal pencil's eigenvectors.
+PENCIL_COND_LIMIT = 1e12
+
 
 class DecompositionError(RuntimeError):
     """Raised when a matrix decomposition fails or is unreliable."""
@@ -107,7 +110,7 @@ class TimePencil:
         return self.U_full.shape[0]
 
 
-def build_time_pencil(W_t, M_t, cond_limit=1e12):
+def build_time_pencil(W_t, M_t):
     """Eigendecompose the bordered temporal pencil.
 
     Parameters are the constrained advection and mass matrices in physical
@@ -148,7 +151,7 @@ def build_time_pencil(W_t, M_t, cond_limit=1e12):
     tr = np.concatenate([t, [rho]])
     sigma = complex(tr.conj() @ (W @ tr))
     cond = np.linalg.cond(U_full)
-    if cond > cond_limit:
+    if cond > PENCIL_COND_LIMIT:
         raise DecompositionError(
             "temporal pencil eigenvectors ill-conditioned (cond %.3e)" % cond
         )

@@ -11,10 +11,10 @@ tolerance.  ``relaxation`` only damps the recomputed residual indicator.
 
 One workspace per solve holds the discretization data: a single
 default-rule Gauss grid serves the reaction terms, the load vector and the
-residual indicator, and with stabilization on it also holds the upwind
-weights and the stabilizer's refined grid.  One step turns an indicator
-into the stabilizer's Kronecker terms, whether it is recomputed every step
-or latched from the start.
+residual indicator, and with stabilization on it also holds the
+stabilizer's refined grid of the upwind weights.  Each indicator, whether
+recomputed every step or latched from the start, becomes one complete
+Kronecker operator: the workspace's constant terms plus the stabilizer's.
 """
 
 import logging
@@ -38,7 +38,7 @@ from .assembly import (
 )
 from .linalg import FastDiagPreconditioner, gmres, solve_w_system
 from .stabilization import (
-    _StabilizationGrid,
+    StabilizationGrid,
     assemble_stabilization,
     compute_tau,
     compute_theta,
@@ -191,13 +191,15 @@ class _Workspace:
 
     One default-rule quadrature grid serves the operator, the load vector
     and the residual indicator; with stabilization on, the workspace also
-    holds the upwind weights ``tau`` and the stabilizer's refined grid.  It
-    holds the dense temporal factor ``R_t = b K_t^{-1} M_t`` of the recovery
-    map ``w = (R_t kron I) u`` (``None`` when ``b = 0``, where ``R = 0``),
-    the temporal test and trial factors ``[C_t; C_t]`` and ``[C_t; C_t R_t]``
-    of the Jacobian's reaction part, the space-time quadrature ``measure``,
-    and the Kronecker part of the operator, which it rebuilds only when the
-    stabilizer terms change.
+    holds the stabilizer's :class:`StabilizationGrid` of the upwind weights.
+    It holds the dense temporal factor ``R_t = b K_t^{-1} M_t`` of the
+    recovery map ``w = (R_t kron I) u`` (``None`` when ``b = 0``, where
+    ``R = 0``), the temporal test and trial factors ``[C_t; C_t]`` and
+    ``[C_t; C_t R_t]`` of the Jacobian's reaction part, the space-time
+    quadrature ``measure`` and the operator's constant Kronecker terms
+    ``(C_m W_t + c1 a M_t) kron M_s`` and ``D M_t kron K_s`` (the
+    preconditioner's surrogate, with one term per spatial factor so a matvec
+    applies ``M_s`` once).
     """
 
     def __init__(self, problem, config):
@@ -242,12 +244,12 @@ class _Workspace:
             ct = self.time_data.c0
             self.jacobian_test = np.vstack([ct, ct])
             self.jacobian_trial = np.vstack([ct, ct @ self.recovery])
-        self.tau = None
         self.stab_grid = None
         if config.stabilization == "spline_upwind":
-            self.tau = compute_tau(st.time)
-            self.stab_grid = _StabilizationGrid(self.tau, st, geo)
-        self._kron = None
+            self.stab_grid = StabilizationGrid(compute_tau(st.time), st, geo)
+        mass_t = problem.C_m * self.W_t + problem.c1 * problem.a * self.M_t
+        self.terms = [(1.0, mass_t, self.M_s), (problem.D, self.M_t, self.K_s)]
+        self.sizes = (st.num_time, st.num_space)
 
     def recover(self, u):
         """The recovery field ``w = R u`` of a potential."""
@@ -256,31 +258,24 @@ class _Workspace:
         nt = self.recovery.shape[0]
         return (self.recovery @ u.reshape(nt, -1)).reshape(-1)
 
-    def linearize(self, problem, u, w, stab_terms):
+    def operator(self, stab_terms):
+        """The Kronecker operator ``K`` of the constant terms and ``stab_terms``."""
+        return KroneckerOperator(*self.sizes, self.terms + stab_terms)
+
+    def linearize(self, problem, u, w, op):
         """Residual ``F(u)`` and Jacobian operator at an iterate ``u``, ``w = R u``.
 
-        The workspace's Kronecker operator ``K`` holds the capacitive,
-        diffusive and constant reaction terms
-        ``(C_m W_t + c1 a M_t) kron M_s + D M_t kron K_s`` (the
-        preconditioner's surrogate, with one term per spatial factor so a
-        matvec applies ``M_s`` once), then the stabilizer terms
-        (``stab_terms``, ``None`` for none); it is rebuilt only when these
-        change.  With the reaction coefficient ``c = c1 (u - a)(u - 1) + c2 w``,
+        ``op`` is the Kronecker operator ``K`` of :meth:`operator`.  With the
+        reaction coefficient ``c = c1 (u - a)(u - 1) + c2 w``,
         ``F(u) = K u + int (c - c1 a) u v - f``, and the Jacobian is ``K``
         plus the :class:`WeightedMass`
         ``[C_t; C_t]^T diag([j1; j2]) [C_t; C_t R_t]`` with
         ``j1 = c - c1 a + c1 u (2 u - 1 - a)`` and ``j2 = c2 u``, both times
-        the quadrature measure (``j2`` is dropped when ``R = 0``).  At the
-        zero iterate the remainder vanishes: ``F = -f`` and the Jacobian is
-        ``K``.  The next call replaces the operator's correction.
+        the quadrature measure (``j2`` is dropped when ``R = 0``), set as the
+        correction of ``op``.  At the zero iterate the remainder vanishes:
+        ``F = -f`` and the Jacobian is ``K``.
         """
         st = problem.space
-        if self._kron is None or self._kron[0] is not stab_terms:
-            mass_t = problem.C_m * self.W_t + problem.c1 * problem.a * self.M_t
-            terms = [(1.0, mass_t, self.M_s), (problem.D, self.M_t, self.K_s)]
-            terms.extend(stab_terms or [])
-            self._kron = (stab_terms, KroneckerOperator(st.num_time, st.num_space, terms))
-        op = self._kron[1]
         op.correction = None
         if not np.any(u):
             return -self.f_vec, op
@@ -357,7 +352,8 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
 
     Steps continue the records of ``start``, whose iterate starts the
     iteration.  A given ``indicator`` is latched: its stabilizer serves
-    every step.
+    every step.  The phase builds one operator per stabilizer, and one
+    without stabilizer terms when it is unstabilized.
     """
     if start is None:
         steps = []
@@ -370,10 +366,10 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
     alpha = config.relaxation
     stabilized = config.stabilization == "spline_upwind"
     latched = indicator is not None
-    stab_terms = None
+    op = None if stabilized else ws.operator([])
 
     for k in range(done + 1, done + config.max_iterations + 1):
-        if stabilized and not (latched and stab_terms is not None):
+        if stabilized and not (latched and op is not None):
             if not latched:
                 fresh = compute_theta(problem, u, w, ws.spatial_data, ws.time_data)
                 if indicator is not None and alpha < 1.0:
@@ -389,15 +385,10 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
                     latched = drift * alpha <= INDICATOR_FREEZE_TOL
                 indicator = fresh
             lowrank = lowrank_factorize(indicator, config.lowrank_tol)
-            stab_terms = assemble_stabilization(
-                ws.tau,
-                lowrank,
-                problem.space,
-                problem.geometry,
-                problem.C_m,
-                ws.stab_grid,
-            ).terms()
-        residual, jac = ws.linearize(problem, u, w, stab_terms)
+            op = ws.operator(
+                assemble_stabilization(lowrank, ws.stab_grid, problem.C_m)
+            )
+        residual, jac = ws.linearize(problem, u, w, op)
         res = float(np.linalg.norm(residual))
         if k == done + 1:
             eta = config.linear_tol

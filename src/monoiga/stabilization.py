@@ -26,7 +26,7 @@ __all__ = [
     "StabilizationWeights",
     "ResidualIndicator",
     "LowRankIndicator",
-    "StabilizationMatrices",
+    "StabilizationGrid",
     "compute_tau",
     "strong_residual",
     "compute_theta",
@@ -324,13 +324,12 @@ class LowRankIndicator:
     interpolate the factor columns on the Greville grids.
     """
 
-    def __init__(self, indicator, rank, time_factors, space_factors, weights, tol):
+    def __init__(self, indicator, rank, time_factors, space_factors, weights):
         self.indicator = indicator
         self.rank = int(rank)
         self.time_factors = time_factors
         self.space_factors = space_factors
         self.weights = weights
-        self.tol = float(tol)
 
     def reconstruction(self):
         if self.rank == 0:
@@ -374,46 +373,18 @@ def lowrank_factorize(indicator, tol):
     if norm == 0.0:
         nt, ns = theta.shape
         return LowRankIndicator(
-            indicator, 0, np.zeros((nt, 0)), np.zeros((ns, 0)), np.zeros(0), tol
+            indicator, 0, np.zeros((nt, 0)), np.zeros((ns, 0)), np.zeros(0)
         )
     U, s, Vt = np.linalg.svd(theta, full_matrices=False)
     tail = np.sqrt(np.concatenate([np.cumsum(s[::-1] ** 2)[::-1], [0.0]]))
     rank = int(np.argmax(tail <= tol * norm))
     rank = max(rank, 1)
     return LowRankIndicator(
-        indicator, rank, U[:, :rank], Vt[:rank].T.copy(), s[:rank].copy(), tol
+        indicator, rank, U[:, :rank], Vt[:rank].T.copy(), s[:rank].copy()
     )
 
 
-class StabilizationMatrices:
-    """Assembled stabilizer factors and the Kronecker terms they induce.
-
-    For every retained rank ``r`` there is one weighted spatial mass matrix
-    ``S^s_r`` and one temporal matrix ``S^t_r``, the sum over the derivative
-    orders ``k`` of the weighted ``k``-th derivative Gram matrices; the
-    system operator receives one term per rank, ``C_m sigma_r (S^t_r kron
-    S^s_r)``.
-    """
-
-    def __init__(self, lowrank, time_mats, space_mats, capacitance):
-        self.lowrank = lowrank
-        self.time_mats = time_mats
-        self.space_mats = space_mats
-        self.capacitance = float(capacitance)
-
-    @property
-    def rank(self):
-        return self.lowrank.rank
-
-    def terms(self):
-        out = []
-        for r in range(self.rank):
-            coef = self.capacitance * self.lowrank.weights[r]
-            out.append((coef, self.time_mats[r], self.space_mats[r]))
-        return out
-
-
-class _StabilizationGrid:
+class StabilizationGrid:
     """Stabilizer quadrature data that depends only on the space and ``tau``.
 
     Quadrature cells are subdivided at the Greville abscissae so the
@@ -422,9 +393,10 @@ class _StabilizationGrid:
     stacked, one block of rows per order, so that the sum over ``k`` of the
     weighted Gram matrices is one Gram matrix: ``time_colloc`` stacks the
     constrained ``k``-th derivative collocation matrices, ``time_weights``
-    the quadrature weights times the order-``k`` upwind weight, and
+    the quadrature weights times the order-``k`` upwind weight ``tau``, and
     ``time_points`` repeats the rule's nodes once per block.  Also holds the
-    spatial quadrature data.
+    spatial quadrature data.  A solver builds one grid and reuses it for
+    every indicator.
     """
 
     def __init__(self, tau, space_time, geo):
@@ -448,26 +420,24 @@ class _StabilizationGrid:
         )
 
 
-def assemble_stabilization(tau, lowrank, space_time, geo, capacitance, grid=None):
-    """Assemble the low-rank stabilizer as Kronecker terms.
+def assemble_stabilization(lowrank, grid, capacitance):
+    """The low-rank stabilizer as Kronecker terms ``(C_m sigma_r, S^t_r, S^s_r)``.
 
-    All temporal integrals are parametric: the powers of the final time
-    carried by the upwind weights cancel against the derivative and measure
-    scalings.  ``grid`` is the quadrature data of the same ``tau`` and space,
-    built here when not given; a solver passes it to every step.
+    For every retained rank ``r`` of ``lowrank``, ``S^t_r`` is the sum over
+    the derivative orders ``k`` of the ``k``-th derivative Gram matrices
+    weighted by the upwind weight and the temporal profile, and ``S^s_r`` the
+    spatial mass matrix weighted by the spatial profile, both integrated on
+    the :class:`StabilizationGrid` ``grid``; the system operator receives one
+    term per rank, and none at rank zero.  All temporal integrals are
+    parametric: the powers of the final time carried by the upwind weights
+    cancel against the derivative and measure scalings.
     """
-    if lowrank.rank == 0:
-        return StabilizationMatrices(lowrank, [], [], capacitance)
-    if grid is None:
-        grid = _StabilizationGrid(tau, space_time, geo)
     axes = [r.points for r in grid.spatial_data.rules]
-
     C = grid.time_colloc
-    time_mats = []
-    space_mats = []
+    terms = []
     for r in range(lowrank.rank):
         prof_t = lowrank.time_profile(r, grid.time_points)
-        time_mats.append(banded_gram([C], [C], grid.time_weights * prof_t))
-        prof_s = lowrank.space_profile(r, axes)
-        space_mats.append(grid.spatial_data.mass(weight_grid=prof_s))
-    return StabilizationMatrices(lowrank, time_mats, space_mats, capacitance)
+        tmat = banded_gram([C], [C], grid.time_weights * prof_t)
+        smat = grid.spatial_data.mass(weight_grid=lowrank.space_profile(r, axes))
+        terms.append((capacitance * lowrank.weights[r], tmat, smat))
+    return terms

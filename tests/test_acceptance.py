@@ -32,6 +32,7 @@ from monoiga.solver import (
 )
 from monoiga.stabilization import (
     ResidualIndicator,
+    StabilizationGrid,
     assemble_stabilization,
     compute_tau,
     compute_theta,
@@ -169,8 +170,8 @@ def test_criterion_6_dense_oracle_equivalence():
         st.spatial_shape,
     )
     lr = lowrank_factorize(theta, 0.3)
-    stab = assemble_stabilization(tau, lr, st, geo, 1.0)
-    total = sum(coef * sp.kron(tm, sm).toarray() for coef, tm, sm in stab.terms())
+    terms = assemble_stabilization(lr, StabilizationGrid(tau, st, geo), 1.0)
+    total = sum(coef * sp.kron(tm, sm).toarray() for coef, tm, sm in terms)
     pdeg = st.time.degree
     extra = [s.greville() for s in st.spatial] + [theta.time_greville]
     stab_ref = np.zeros_like(total)
@@ -203,11 +204,9 @@ def test_criterion_6_dense_oracle_equivalence():
     op = KroneckerOperator(
         st.num_time,
         st.num_space,
-        [(1.0, W_t, M_s), (1e-3, M_t, K_s)],
+        [(1.0, W_t, M_s), (1e-3, M_t, K_s)] + terms,
         correction=MR,
     )
-    for coef, tm, sm in stab.terms():
-        op.add_term(coef, tm, sm)
     dense = (
         np.kron(W_t.toarray(), M_s.toarray())
         + 1e-3 * np.kron(M_t.toarray(), K_s.toarray())

@@ -573,16 +573,6 @@ class TestKroneckerOperator:
         ref = op.tosparse() @ x
         assert np.linalg.norm(op.matvec(x) - ref) <= 1e-13 * np.linalg.norm(ref)
 
-    def test_add_term_after_matvec(self):
-        rng = np.random.default_rng(13)
-        A, B, C, D = (rng.standard_normal((n, n)) for n in (3, 4, 3, 4))
-        op = KroneckerOperator(3, 4, [(1.5, sp.csr_matrix(A), sp.csr_matrix(B))])
-        x = rng.standard_normal(12)
-        assert_allclose(op.matvec(x), 1.5 * np.kron(A, B) @ x, rtol=1e-13)
-        op.add_term(-0.3, C, sp.csr_matrix(D))
-        dense = 1.5 * np.kron(A, B) - 0.3 * np.kron(C, D)
-        assert_allclose(op.matvec(x), dense @ x, rtol=1e-13)
-
     def test_dimension_mismatch(self):
         op = KroneckerOperator(2, 2, [(1.0, sp.identity(2), sp.identity(2))])
         with pytest.raises(ValueError, match="dimension mismatch"):

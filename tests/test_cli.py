@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from monoiga import experiments
+from monoiga.bspline import SplineSpace
 from monoiga.cli import EXIT_CONFIG, EXIT_IO, EXIT_NONCONVERGENCE, EXIT_OK, main
 from monoiga.geometry import GeometryMap, builtin_geometry, save_geometry
 
@@ -106,6 +107,35 @@ def test_collapsed_control_net_exits_2(tmp_path, capsys):
     cfg = write_quick_config(tmp_path, overrides=[("experiment", "geometry", path)])
     err = assert_config_error(tmp_path, capsys, cfg)
     assert "singular Jacobian" in err
+
+
+def test_folded_control_net_exits_2(tmp_path, capsys):
+    # x(s) = 3 s - 2 s^2 turns back at s = 3/4: det J changes sign
+    path = tmp_path / "folded.geo"
+    save_geometry(GeometryMap([SplineSpace.uniform(2, 1)], [[0.0], [1.5], [1.0]]), path)
+    cfg = write_quick_config(tmp_path, overrides=[("experiment", "geometry", path)])
+    err = assert_config_error(tmp_path, capsys, cfg)
+    assert "Jacobian determinant changes sign" in err
+
+
+@pytest.mark.parametrize(
+    "section,key,value,named",
+    [
+        ("solver", "max_iteration", "1", "solver.max_iteration"),
+        ("solver", "tolerence", "1e-14", "solver.tolerence"),
+        ("stabilisation", "method", "off", "[stabilisation]"),
+        ("DEFAULT", "degree", "2", "[DEFAULT]"),
+    ],
+)
+def test_unknown_config_entry_exits_2_before_any_solve(
+    tmp_path, capsys, monkeypatch, section, key, value, named
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a misspelt configuration reached the solver")
+
+    monkeypatch.setattr(experiments, "fixed_point_solve", no_solve)
+    cfg = write_quick_config(tmp_path, overrides=[(section, key, value)])
+    assert named in assert_config_error(tmp_path, capsys, cfg)
 
 
 def test_bad_threads_exits_2(tmp_path):

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from monoiga.assembly import QuadratureRule
+from monoiga.bspline import SplineSpace
 from monoiga.geometry import (
     GeometryError,
+    GeometryMap,
     box_geometry,
     builtin_geometry,
     ellipse_annulus_geometry,
@@ -130,6 +133,25 @@ def test_singular_jacobian_detected():
     jac = np.zeros((1, 2, 2))
     with pytest.raises(GeometryError, match="singular"):
         jacobian_det(jac)
+
+
+def test_folded_map_detected():
+    # A degree-2 square with its centre control point pulled out past the
+    # corner folds over itself: det J ranges over both signs on the grid.
+    geo = box_geometry([1.0, 1.0], degree=2)
+    ctrl = geo.control_points.copy()
+    ctrl[4] = [3.0, 3.0]
+    folded = GeometryMap(geo.spaces, ctrl)
+    axes = [QuadratureRule.for_space(SplineSpace.uniform(2, 8)).points] * 2
+    with pytest.raises(GeometryError, match="Jacobian determinant changes sign"):
+        jacobian_det(folded.grid_data(axes)["jac"])
+
+
+def test_orientation_reversing_map_is_valid():
+    geo = builtin_geometry("unit_square")
+    mirrored = GeometryMap(geo.spaces, geo.control_points[:, ::-1])
+    axes = [np.linspace(0.1, 0.9, 5)] * 2
+    assert_allclose(jacobian_det(mirrored.grid_data(axes)["jac"]), -1.0)
 
 
 def test_geometry_file_round_trip(tmp_path):

@@ -156,10 +156,12 @@ class TestFixedPoint:
         u = 0.5 * rng.standard_normal(problem.space.num_dof)
         delta = rng.standard_normal(problem.space.num_dof)
 
-        def residual(v):
-            return ws.linearize(problem, v, ws.recover(v), None)[0]
+        op = ws.operator([])
 
-        jd = ws.linearize(problem, u, ws.recover(u), None)[1].matvec(delta)
+        def residual(v):
+            return ws.linearize(problem, v, ws.recover(v), op)[0]
+
+        jd = ws.linearize(problem, u, ws.recover(u), op)[1].matvec(delta)
         h = 1e-5
         fd = (residual(u + h * delta) - residual(u - h * delta)) / (2 * h)
         assert np.linalg.norm(jd - fd) <= 1e-6 * np.linalg.norm(jd)
@@ -346,17 +348,57 @@ class TestFixedPoint:
         assert fixed_point_solve(problem, config).converged
         assert sorted(built) == ["default", "refined"]
 
+    @pytest.mark.parametrize(
+        "stabilization, update",
+        [("off", "every_sweep"), ("spline_upwind", "every_sweep"), ("spline_upwind", "frozen")],
+    )
+    def test_one_operator_per_stabilizer(self, monkeypatch, stabilization, update):
+        # Each stabilizer becomes one complete operator; an unstabilized
+        # phase (a Galerkin solve or the frozen mode's pre-solve) builds one.
+        built = []
+        assembled = []
+
+        class CountingOperator(KroneckerOperator):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        assemble = solver.assemble_stabilization
+
+        def counting_assemble(*args):
+            assembled.append(args)
+            return assemble(*args)
+
+        monkeypatch.setattr(solver, "KroneckerOperator", CountingOperator)
+        monkeypatch.setattr(solver, "assemble_stabilization", counting_assemble)
+        problem = make_problem(
+            d=1, p=2, elements=4, source=lambda x, t: np.sin(np.pi * t) * np.ones(t.shape)
+        )
+        config = FixedPointConfig(
+            stabilization=stabilization, indicator_update=update, tolerance=1e-6
+        )
+        result = fixed_point_solve(problem, config)
+        assert result.converged
+        galerkin_phases = int(stabilization == "off" or update == "frozen")
+        assert len(built) == len(assembled) + galerkin_phases
+        if stabilization == "off":
+            assert not assembled
+        elif update == "frozen":
+            assert len(assembled) == 1
+        else:
+            assert 1 < len(assembled) <= result.iterations
+
     def test_refined_grid_builds_no_derivative_tables(self, monkeypatch):
         # The stabilizer integrates values only: its refined grid never
         # tabulates derivatives, the metric or the source's points.
         grids = []
 
-        class RecordingGrid(solver._StabilizationGrid):
+        class RecordingGrid(solver.StabilizationGrid):
             def __init__(self, *args):
                 super().__init__(*args)
                 grids.append(self)
 
-        monkeypatch.setattr(solver, "_StabilizationGrid", RecordingGrid)
+        monkeypatch.setattr(solver, "StabilizationGrid", RecordingGrid)
         problem = make_problem(
             d=2, p=2, elements=4, source=lambda x, t: np.sin(np.pi * t) * x[:, 0]
         )

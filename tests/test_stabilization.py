@@ -19,7 +19,7 @@ from monoiga.geometry import builtin_geometry
 from monoiga.solver import MonodomainProblem
 from monoiga.stabilization import (
     ResidualIndicator,
-    _StabilizationGrid,
+    StabilizationGrid,
     assemble_stabilization,
     compute_tau,
     compute_theta,
@@ -301,8 +301,8 @@ class TestAssembleStabilization:
         tau = compute_tau(st.time)
         theta = indicator_of(st, np.zeros((st.num_time, st.num_space)))
         lr = lowrank_factorize(theta, 0.1)
-        stab = assemble_stabilization(tau, lr, st, geo, 1.0)
-        assert stab.terms() == []
+        terms = assemble_stabilization(lr, StabilizationGrid(tau, st, geo), 1.0)
+        assert terms == []
 
     def test_uniform_indicator_reduces_to_weighted_time_mass(self):
         # With the indicator identically one and p_t = 1 the stabilizer is
@@ -315,9 +315,9 @@ class TestAssembleStabilization:
         tau = compute_tau(st.time)
         theta = indicator_of(st, np.ones((st.num_time, st.num_space)))
         lr = lowrank_factorize(theta, 0.1)
-        stab = assemble_stabilization(tau, lr, st, geo, 1.0)
+        terms = assemble_stabilization(lr, StabilizationGrid(tau, st, geo), 1.0)
         total = sum(
-            coef * sp.kron(tm, sm) for coef, tm, sm in stab.terms()
+            coef * sp.kron(tm, sm) for coef, tm, sm in terms
         ).toarray()
         tgrid = theta.time_greville
         rule = QuadratureRule.for_space(st.time, npoints=3, extra_breaks=tgrid)
@@ -342,9 +342,9 @@ class TestAssembleStabilization:
         values = RNG.random((st.num_time, st.num_space))
         theta = indicator_of(st, values)
         lr = lowrank_factorize(theta, 0.3)
-        stab = assemble_stabilization(tau, lr, st, geo, 1.0)
+        terms = assemble_stabilization(lr, StabilizationGrid(tau, st, geo), 1.0)
         total = sum(
-            coef * sp.kron(tm, sm).toarray() for coef, tm, sm in stab.terms()
+            coef * sp.kron(tm, sm).toarray() for coef, tm, sm in terms
         )
 
         p = st.time.degree
@@ -381,14 +381,15 @@ class TestAssembleStabilization:
         tau = compute_tau(st.time)
         theta = indicator_of(st, RNG.random((st.num_time, st.num_space)))
         lr = lowrank_factorize(theta, 0.2)
-        stab = assemble_stabilization(tau, lr, st, geo, 1.0)
+        terms = assemble_stabilization(lr, StabilizationGrid(tau, st, geo), 1.0)
         M_s, _ = spatial_operators(st.spatial, geo)
         Md = M_s.toarray()
-        for r in range(stab.rank):
-            Ss = stab.space_mats[r].toarray()
+        assert len(terms) == lr.rank
+        for _, tm, sm in terms:
+            Ss = sm.toarray()
             assert_allclose(Ss, Ss.T, atol=1e-14)
             assert np.all(np.abs(Ss) <= Md + 1e-12)
-            Std = stab.time_mats[r].toarray()
+            Std = tm.toarray()
             assert_allclose(Std, Std.T, atol=1e-13)
 
     def test_uniform_indicator_stabilizer_nonnegative(self):
@@ -398,9 +399,9 @@ class TestAssembleStabilization:
         tau = compute_tau(st.time)
         theta = indicator_of(st, np.ones((st.num_time, st.num_space)))
         lr = lowrank_factorize(theta, 0.1)
-        stab = assemble_stabilization(tau, lr, st, geo, 1.0)
+        terms = assemble_stabilization(lr, StabilizationGrid(tau, st, geo), 1.0)
         total = sum(
-            coef * sp.kron(tm, sm) for coef, tm, sm in stab.terms()
+            coef * sp.kron(tm, sm) for coef, tm, sm in terms
         ).toarray()
         sym = 0.5 * (total + total.T)
         assert np.min(np.linalg.eigvalsh(sym)) > -1e-10
@@ -417,7 +418,7 @@ def test_space_profile_is_multilinear_interpolation(geometry, p, elements):
     spatial = [SplineSpace.uniform(p, n) for n in elements]
     st = SpaceTimeSpace(spatial, SplineSpace.uniform(p, 6))
     geo = builtin_geometry(geometry, final_time=2.0)
-    grid = _StabilizationGrid(compute_tau(st.time), st, geo)
+    grid = StabilizationGrid(compute_tau(st.time), st, geo)
     axes = [
         np.concatenate([[-0.07], r.points, [1.0, 1.2]])
         for r in grid.spatial_data.rules
