@@ -19,7 +19,7 @@ print("F(0.25, 0.75) =", square.evaluate(pts)[0], " det J =",
 
 print("\n== elliptic annulus ==")
 annulus = builtin_geometry("ellipse_annulus", final_time=300.0)
-print("min det J on a sample grid: %.4f" % annulus.check_bijective())
+print("min |det J| on a sample grid: %.4f" % annulus.check_bijective())
 
 eta1 = np.linspace(0, 1, 9)
 inner = annulus.evaluate(np.column_stack([eta1, np.zeros_like(eta1)]))

@@ -188,6 +188,11 @@ def banded_gram(tests, trials, weights, bands=None):
     return pattern.tocsr(gram_band_values(tests, trials, weights, bands))
 
 
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
 class SpatialQuadratureData:
     """Tensorized quadrature, basis and geometry data over the spatial box.
 
@@ -197,8 +202,11 @@ class SpatialQuadratureData:
     reads the cached quadrature ``measure``.  The first- and second-derivative
     collocations (``c1``, ``c2``), the metric ``J^{-1} J^{-T}`` and the
     parametric table of the physical Laplacian (``laplacian``) are built on
-    first use: only the stiffness, the preconditioner and the residual
-    indicator read them, so the stabilizer's refined grid never holds them.
+    first use, the last two together from one second-order tabulation of
+    the map and one inverse: only the stiffness, the preconditioner and the
+    residual indicator read them, so the stabilizer's refined grid never
+    holds them.  The indicator also reads the basis functions' element
+    windows and Greville abscissae, built once per grid.
     The physical points are tabulated only to sample a source.  Shared by the
     mass/stiffness/weighted assemblies and the indicator so nonlinear steps
     do not re-evaluate the geometry.
@@ -253,16 +261,37 @@ class SpatialQuadratureData:
         return self._collocations(2)
 
     @functools.cached_property
+    def _pullback(self):
+        # One second-order tabulation and one inverse serve the metric and
+        # the Laplacian; only their results are kept.
+        data = self.geo.grid_data(self._axes(), order=2)
+        jinv = np.linalg.inv(data["jac"])
+        metric = np.einsum("...ak,...bk->...ab", jinv, jinv)
+        return metric, laplacian_terms(jinv, data["hess"])
+
+    @property
     def metric(self):
         """Pulled-back metric ``(J^{-1} J^{-T})_{ab}``, shaped grid + (d, d)."""
-        jinv = np.linalg.inv(self.geo.grid_data(self._axes(), order=1)["jac"])
-        return np.einsum("...ak,...bk->...ab", jinv, jinv)
+        return self._pullback[0]
 
-    @functools.cached_property
+    @property
     def laplacian(self):
         """The physical Laplacian on the grid, as :func:`laplacian_terms`."""
-        data = self.geo.grid_data(self._axes(), order=2)
-        return laplacian_terms(np.linalg.inv(data["jac"]), data["hess"])
+        return self._pullback[1]
+
+    @functools.cached_property
+    def windows(self):
+        """Element-window gather tables of the basis, direction 1 first.
+
+        See :meth:`~monoiga.bspline.SplineSpace.window_table`; the elements
+        are the cells of the default rule.
+        """
+        return [s.window_table() for s in self.spaces]
+
+    @functools.cached_property
+    def greville(self):
+        """Greville abscissae per direction, direction 1 first (read-only)."""
+        return [_read_only(s.greville()) for s in self.spaces]
 
     def sample(self, f, time_data):
         """``f(x, t)`` on the space-time grid of this rule and ``time_data``.
@@ -345,6 +374,22 @@ class TimeQuadratureData:
     def c1(self):
         """Dense first-derivative (parametric) constrained collocation matrix."""
         return self.space_time.time_collocation(self.rule.points, 1)
+
+    @functools.cached_property
+    def windows(self):
+        """Element-window gather table of the constrained basis.
+
+        Row ``c`` gathers the elements of ``time.window_elements(c)`` (see
+        :meth:`~monoiga.bspline.SplineSpace.window_table`); the elements are
+        the cells of the default rule.
+        """
+        st = self.space_time
+        return st.time.window_table(st.num_time)
+
+    @functools.cached_property
+    def greville(self):
+        """Greville abscissae of the constrained basis (read-only)."""
+        return _read_only(self.space_time.time_greville())
 
 
 def time_matrices(space_time, final_time, time_data=None):

@@ -289,6 +289,22 @@ class SplineSpace:
         last = min(max(last, first), self.num_elements - 1)
         return first, last + 1
 
+    def window_table(self, count=None):
+        """Gather table of the element windows of the first ``count`` functions.
+
+        Row ``i`` lists the elements of :meth:`window_elements` ``(i)``,
+        padded to a common width by repeating the window's last element, so
+        the maximum of element values gathered by a row is their maximum
+        over the window.  ``count`` defaults to every basis function.
+        """
+        if count is None:
+            count = self.dimension
+        windows = [self.window_elements(i) for i in range(count)]
+        width = max(b - a for a, b in windows)
+        return np.array(
+            [np.minimum(np.arange(a, a + width), b - 1) for a, b in windows]
+        )
+
     def __repr__(self):
         return "SplineSpace(p=%d, n=%d, elements=%d)" % (
             self.degree,

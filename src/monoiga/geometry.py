@@ -123,10 +123,12 @@ class GeometryMap:
         }
 
     def check_bijective(self, samples_per_element=3):
-        """Verify that det J stays positive on a sample grid.
+        """Verify the map on a sample grid and return ``min |det J|`` there.
 
-        Raises :class:`GeometryError` if the Jacobian determinant is not
-        positive at every sample point.
+        The determinant and its policy are those of :func:`jacobian_det`:
+        raises :class:`GeometryError` if ``det J`` changes sign (a fold) or
+        is singular at a sample point; a map that reverses orientation
+        everywhere is valid.
         """
         axes = []
         for s in self.spaces:
@@ -134,11 +136,8 @@ class GeometryMap:
             for a, b in zip(s.breakpoints[:-1], s.breakpoints[1:]):
                 pts.extend(np.linspace(a, b, samples_per_element + 2)[1:-1])
             axes.append(np.array(pts))
-        jac = self.grid_data(axes, order=1)["jac"]
-        det = np.linalg.det(jac)
-        if np.any(det <= 0):
-            raise GeometryError("geometry map has nonpositive Jacobian determinant")
-        return float(det.min())
+        det = jacobian_det(self.grid_data(axes, order=1)["jac"])
+        return float(np.abs(det).min())
 
 
 def _derivative(tabulate, d, order):
@@ -164,19 +163,40 @@ def _derivative(tabulate, d, order):
     return np.stack([np.stack(row, axis=-1) for row in second], axis=-2)
 
 
+def _det(jac):
+    """Closed-form determinants of stacked 1x1, 2x2 or 3x3 matrices."""
+    d = jac.shape[-1]
+    if d == 1:
+        return jac[..., 0, 0].copy()
+    if d == 2:
+        return jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+    if d == 3:
+        a, b, c = (jac[..., 0, k] for k in range(3))
+        e, f, g = (jac[..., 1, k] for k in range(3))
+        h, i, j = (jac[..., 2, k] for k in range(3))
+        return a * (f * j - g * i) - b * (e * j - g * h) + c * (e * i - f * h)
+    raise GeometryError("geometry maps must have 1, 2 or 3 dimensions, not %d" % d)
+
+
 def jacobian_det(jac):
     """Determinants of stacked Jacobians, checked for folds and singularity.
 
+    The determinants are computed in closed form (d = 1, 2, 3).
     Determinants of both signs mean the map folds over itself; a map that
     reverses orientation everywhere is valid.
     """
-    det = np.linalg.det(jac)
+    det = _det(jac)
     if np.any(det > 0) and np.any(det < 0):
         raise GeometryError(
             "folded geometry map: the Jacobian determinant changes sign "
             "(from %.3g to %.3g)" % (det.min(), det.max())
         )
-    scale = np.prod(np.linalg.norm(jac, axis=-2), axis=-1)
+    # Product of the column norms, one multiply per column (a product over
+    # the short last axis is a slow strided reduction).
+    norms = np.sqrt(np.einsum("...ca,...ca->...a", jac, jac))
+    scale = norms[..., 0].copy()
+    for a in range(1, norms.shape[-1]):
+        scale *= norms[..., a]
     bad = np.abs(det) < SINGULAR_REL_TOL * np.maximum(scale, 1e-300)
     if np.any(bad):
         raise GeometryError("singular Jacobian encountered during pull-back")

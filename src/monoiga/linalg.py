@@ -2,8 +2,9 @@
 fast-diagonalization preconditioner, Krylov solvers, and the exact temporal
 map that solves the recovery-variable system.
 
-Complex arithmetic is confined to the preconditioner application; the outer
-Krylov iterations stay real.
+Complex arithmetic is confined to the preconditioner's temporal eigentransform
+and its arrowhead core; its spatial eigentransforms and the outer Krylov
+iterations stay real.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .assembly import QuadratureRule, banded_gram, time_matrices
-from .tensorops import mode_apply
+from .tensorops import abs_max, mode_apply
 
 __all__ = [
     "DecompositionError",
@@ -187,6 +188,10 @@ class FastDiagPreconditioner:
         self._H_last = cm * pencil.sigma + base
         self._B = cm * pencil.g[:, None]
         self._schur = self._H_last + np.sum(np.abs(self._B) ** 2 / self._H_int, axis=0)
+        # Reciprocals, so the core multiplies where it would divide.
+        self._H_int_inv = 1.0 / self._H_int
+        self._B_adj_H = np.conj(self._B) * self._H_int_inv
+        self._schur_inv = 1.0 / self._schur
         self._U_adj = pencil.U_full.conj().T
 
     @staticmethod
@@ -282,39 +287,40 @@ class FastDiagPreconditioner:
     def apply(self, r):
         """Apply the inverse through the factorized form.
 
-        Transforms by the conjugate eigenbasis, solves the block-arrowhead
-        core, transforms back, and checks that the imaginary residue of the
-        result is negligible before discarding it.
+        The spatial eigentransforms are real and act on real tensors: the
+        residual is transformed in space, then in time by the conjugate
+        temporal eigenbasis, the block-arrowhead core is solved, and the
+        result goes back through the temporal eigenbasis.  Its real and
+        imaginary parts then go back through the spatial eigentransforms as
+        one stacked real tensor, and the imaginary residue must be
+        negligible before it is discarded.
         """
         r = np.asarray(r, dtype=float).reshape(-1)
         if r.size != self.num_time * self.num_space:
             raise ValueError("dimension mismatch in preconditioner application")
         d = len(self.spatial_eigs)
-        X = r.reshape(self._shape_c).astype(complex)
-        X = mode_apply(self._U_adj, X, 0)
+        X = r.reshape(self._shape_c)
         for l in range(d):
-            axis = 1 + (d - 1 - l)
-            X = mode_apply(self.spatial_eigs[l][0].T, X, axis)
-        Y = X.reshape(self.num_time, self.num_space)
+            X = mode_apply(self.spatial_eigs[l][0].T, X, 1 + (d - 1 - l))
+        Y = self._U_adj @ X.reshape(self.num_time, self.num_space)
 
-        H_int, B = self._H_int, self._B
         y_int = Y[:-1]
-        y_last = Y[-1]
-        x_last = (y_last + np.sum(np.conj(B) * y_int / H_int, axis=0)) / self._schur
-        x_int = (y_int - B * x_last[None, :]) / H_int
-        Z = np.vstack([x_int, x_last[None, :]]).reshape(self._shape_c)
+        x = np.empty_like(Y)
+        x[-1] = Y[-1] + np.sum(self._B_adj_H * y_int, axis=0)
+        x[-1] *= self._schur_inv
+        np.multiply(y_int - self._B * x[-1], self._H_int_inv, out=x[:-1])
+        Z = self.pencil.U_full @ x
 
-        Z = mode_apply(self.pencil.U_full, Z, 0)
+        parts = np.stack([Z.real, Z.imag]).reshape((2,) + self._shape_c)
         for l in range(d):
-            axis = 1 + (d - 1 - l)
-            Z = mode_apply(self.spatial_eigs[l][0], Z, axis)
-        flat = Z.reshape(-1)
-        scale = np.max(np.abs(flat.real), initial=0.0)
-        if scale > 0 and np.max(np.abs(flat.imag)) > 1e-8 * scale:
+            parts = mode_apply(self.spatial_eigs[l][0], parts, 2 + (d - 1 - l))
+        real, imag = parts.reshape(2, -1)
+        scale = abs_max(real)
+        if scale > 0 and abs_max(imag) > 1e-8 * scale:
             raise ConsistencyError(
                 "preconditioner produced a non-negligible imaginary part"
             )
-        return flat.real.copy()
+        return real
 
 
 _GMRES_BLOCK = 4

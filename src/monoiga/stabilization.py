@@ -16,10 +16,9 @@ from .assembly import (
     TimeQuadratureData,
     banded_gram,
     evaluate_field,
-    field_on_grid,
 )
 from .bspline import KnotVector, SplineSpace
-from .tensorops import mode_apply
+from .tensorops import abs_max, mode_apply
 
 __all__ = [
     "StabilizationError",
@@ -216,7 +215,10 @@ def compute_theta(problem, u, w, spatial_data=None, time_data=None):
     ``spatial_data`` and ``time_data`` are the default (``degree + 1``
     points) quadrature data of the problem, built here when not given; a
     solver passes its own, so the residual is sampled on the grid of its
-    reaction mass and load vector.
+    reaction mass and load vector.  The iterates are contracted in space
+    first: ``u`` once for its value and time derivative, and the Laplacian's
+    terms, whose coefficients do not depend on time, are summed on the
+    spatial grid before one temporal contraction.
     """
     st = problem.space
     geo = problem.geometry
@@ -228,41 +230,47 @@ def compute_theta(problem, u, w, spatial_data=None, time_data=None):
     T = geo.final_time
     collocs = (spatial_data.c0, spatial_data.c1, spatial_data.c2)
 
-    def at(coeffs, space_orders, time_order=0):
-        tmat = time_data.c1 if time_order else time_data.c0
-        smats = [collocs[o][l] for l, o in enumerate(space_orders)]
-        return field_on_grid(st, coeffs, tmat, smats)
+    def in_space(coeffs, orders):
+        """``coeffs`` contracted with the spatial collocations of ``orders``."""
+        X = np.asarray(coeffs, dtype=float).reshape(st.coeff_shape)
+        for l, o in enumerate(orders):
+            X = mode_apply(collocs[o][l], X, 1 + (d - 1 - l))
+        return X
 
-    u_val = at(u, [0] * d)
-    u_dtau = at(u, [0] * d, 1)
-    w_val = at(w, [0] * d)
-    lap = sum(c * at(u, orders) for orders, c in spatial_data.laplacian)
+    u_s = in_space(u, [0] * d)
+    u_val = mode_apply(time_data.c0, u_s, 0)
+    u_dt = mode_apply(time_data.c1, u_s, 0)
+    del u_s
+    denom = problem.C_m * (abs_max(u_val) / T + abs_max(u_dt) / T)
+    u_dt /= T
+    lap_s = sum(c * in_space(u, orders) for orders, c in spatial_data.laplacian)
+    lap = mode_apply(time_data.c0, lap_s, 0)
+    del lap_s
+    w_val = mode_apply(time_data.c0, in_space(w, [0] * d), 0)
 
     f = None
     if problem.source is not None:
         f = spatial_data.sample(problem.source, time_data)
-    absres = np.abs(_residual(problem, u_val, u_dtau / T, lap, w_val, f))
-    denom = problem.C_m * (
-        np.max(np.abs(u_val), initial=0.0) / T
-        + np.max(np.abs(u_dtau), initial=0.0) / T
-    )
+    res = _residual(problem, u_val, u_dt, lap, w_val, f)
+    del u_val, u_dt, lap, w_val
 
-    # Reduce Gauss points to per-element maxima: axes (E_t, E_d, ..., E_1).
+    # Reduce Gauss points to element maxima, outer axis first, each on a
+    # contiguous (leading, points, trailing) view: axes (E_t, E_d, ..., E_1).
     rules = [time_data.rule] + spatial_data.rules[::-1]
-    emax = absres.reshape([n for r in rules for n in (r.num_cells, r.npoints)])
-    for ax in reversed(range(1, 2 * (d + 1), 2)):
-        emax = emax.max(axis=ax)
+    emax = np.abs(res, out=res)
+    lead = 1
+    for r in rules:
+        lead *= r.num_cells
+        emax = emax.reshape(lead, r.npoints, -1).max(axis=1)
 
-    # Window the element maxima per direction.
-    windows_t = [st.time.window_elements(c) for c in range(st.num_time)]
-    out = np.stack([emax[a:b].max(axis=0) for a, b in windows_t], axis=0)
-    for l in reversed(range(d)):
-        axis = 1 + (d - 1 - l)
-        space = st.spatial[l]
-        wins = [space.window_elements(i) for i in range(space.dimension)]
-        moved = np.moveaxis(out, axis, 0)
-        moved = np.stack([moved[a:b].max(axis=0) for a, b in wins], axis=0)
-        out = np.moveaxis(moved, 0, axis)
+    # Window the element maxima per axis: one gather of the padded window
+    # table, then a max over the window.
+    tables = [time_data.windows] + spatial_data.windows[::-1]
+    out = emax
+    lead = 1
+    for r, table in zip(rules, tables):
+        out = out.reshape(lead, r.num_cells, -1)[:, table].max(axis=2)
+        lead *= table.shape[0]
 
     numer = out.reshape(st.num_time, st.num_space)
     if denom > 0.0:
@@ -277,8 +285,8 @@ def compute_theta(problem, u, w, spatial_data=None, time_data=None):
             theta[hot] = 1.0
     return ResidualIndicator(
         theta,
-        st.time_greville(),
-        [s.greville() for s in st.spatial],
+        time_data.greville,
+        spatial_data.greville,
         st.spatial_shape,
         denominator_vanished=not denom > 0.0,
     )

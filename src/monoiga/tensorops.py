@@ -31,6 +31,11 @@ def mode_apply(mat, tensor, axis):
     return out.reshape(shape[:axis] + (mat.shape[0],) + shape[axis + 1 :])
 
 
+def abs_max(x):
+    """``max |x|`` (0 for an empty array) without an ``|x|`` temporary."""
+    return max(x.max(initial=0.0), -x.min(initial=0.0))
+
+
 def outer_product_grid(vectors):
     """Tensor (outer) product of 1D arrays, shaped ``(len(v0), len(v1), ...)``."""
     grid = np.asarray(vectors[0], dtype=float)

@@ -135,23 +135,49 @@ def test_singular_jacobian_detected():
         jacobian_det(jac)
 
 
-def test_folded_map_detected():
-    # A degree-2 square with its centre control point pulled out past the
-    # corner folds over itself: det J ranges over both signs on the grid.
-    geo = box_geometry([1.0, 1.0], degree=2)
-    ctrl = geo.control_points.copy()
-    ctrl[4] = [3.0, 3.0]
-    folded = GeometryMap(geo.spaces, ctrl)
-    axes = [QuadratureRule.for_space(SplineSpace.uniform(2, 8)).points] * 2
-    with pytest.raises(GeometryError, match="Jacobian determinant changes sign"):
-        jacobian_det(folded.grid_data(axes)["jac"])
-
-
 def test_orientation_reversing_map_is_valid():
     geo = builtin_geometry("unit_square")
     mirrored = GeometryMap(geo.spaces, geo.control_points[:, ::-1])
     axes = [np.linspace(0.1, 0.9, 5)] * 2
     assert_allclose(jacobian_det(mirrored.grid_data(axes)["jac"]), -1.0)
+
+
+def folded_square():
+    # A degree-2 square with its centre control point pulled out past the
+    # corner: det J takes both signs.
+    geo = box_geometry([1.0, 1.0], degree=2)
+    ctrl = geo.control_points.copy()
+    ctrl[4] = [3.0, 3.0]
+    return GeometryMap(geo.spaces, ctrl)
+
+
+def test_folded_map_detected():
+    axes = [QuadratureRule.for_space(SplineSpace.uniform(2, 8)).points] * 2
+    with pytest.raises(GeometryError, match="Jacobian determinant changes sign"):
+        jacobian_det(folded_square().grid_data(axes)["jac"])
+
+
+def test_check_bijective_accepts_orientation_reversal():
+    geo = builtin_geometry("unit_square")
+    mirrored = GeometryMap(geo.spaces, geo.control_points[:, ::-1])
+    assert mirrored.check_bijective() == pytest.approx(1.0, rel=1e-14)
+
+
+def test_check_bijective_rejects_fold():
+    with pytest.raises(GeometryError, match="Jacobian determinant changes sign"):
+        folded_square().check_bijective()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_closed_form_det_matches_lu(d):
+    # Well-conditioned random Jacobians of both orientations.
+    rng = np.random.default_rng(10 + d)
+    jac = np.eye(d) + 0.4 * rng.standard_normal((7, 5, d, d))
+    jac[..., 0, :] *= np.sign(np.linalg.det(jac))[..., None]
+    for sign in (1.0, -1.0):
+        signed = jac.copy()
+        signed[..., 0, :] *= sign
+        assert_allclose(jacobian_det(signed), np.linalg.det(signed), rtol=1e-13)
 
 
 def test_geometry_file_round_trip(tmp_path):

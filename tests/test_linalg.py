@@ -10,12 +10,14 @@ from numpy.testing import assert_allclose
 from monoiga.assembly import (
     KroneckerOperator,
     SpatialQuadratureData,
+    banded_gram,
     spatial_operators,
     time_matrices,
 )
 from monoiga.bspline import SplineSpace, SpaceTimeSpace
 from monoiga.geometry import builtin_geometry
 from monoiga.linalg import (
+    ConsistencyError,
     DecompositionError,
     FastDiagPreconditioner,
     NonConvergenceError,
@@ -121,16 +123,65 @@ def surrogate_operator(st, geo, final_time, cm, diff, react):
     )
 
 
+def separable_surrogate(st, spatial_data, final_time, cm, diff, react):
+    """The preconditioner's surrogate on a mapped domain, from its separable weights."""
+    w_mass, w_stiff = FastDiagPreconditioner._separable_weights(spatial_data)
+    d = st.num_spatial_dims
+    c0, c1 = spatial_data.c0, spatial_data.c1
+    w = [r.flat_weights for r in spatial_data.rules]
+    M = [banded_gram([c0[l]], [c0[l]], w[l] * w_mass[l]) for l in range(d)]
+    K = [banded_gram([c1[l]], [c1[l]], w[l] * w_stiff[l]) for l in range(d)]
+
+    def kron(factors):
+        # Direction d is the slowest.
+        out = factors[0]
+        for f in factors[1:]:
+            out = sp.kron(f, out, format="csr")
+        return out
+
+    M_s = kron(M)
+    K_s = sum(kron([K[l] if l == a else M[l] for l in range(d)]) for a in range(d))
+    W_t, M_t = time_matrices(st, final_time)
+    terms = [(cm, W_t, M_s), (diff, M_t, K_s), (react, M_t, M_s)]
+    return KroneckerOperator(st.num_time, st.num_space, terms), w_mass, w_stiff
+
+
 class TestFastDiagPreconditioner:
-    def test_inverts_surrogate_exactly(self):
-        st = make_st(d=2, p=2, elements=3)
-        geo = builtin_geometry("unit_square", final_time=2.0)
+    @pytest.mark.parametrize(
+        "geometry", ["unit_interval", "unit_square", "unit_cube", "ellipse_annulus"]
+    )
+    def test_inverts_surrogate_exactly(self, geometry):
+        geo = builtin_geometry(geometry, final_time=2.0)
         cm, diff, react = 1.0, 1e-2, 0.26 * 0.13
-        op = surrogate_operator(st, geo, 2.0, cm, diff, react)
-        P = FastDiagPreconditioner.build(st, 2.0, cm, diff, react)
+        if geometry == "ellipse_annulus":
+            # Built on the mapped grid, the univariate factors carry
+            # separable weights of the pulled-back measure and metric.
+            st = SpaceTimeSpace(
+                [SplineSpace.uniform(2, 8), SplineSpace.uniform(2, 2)],
+                SplineSpace.uniform(2, 3),
+            )
+            sdata = SpatialQuadratureData(st.spatial, geo)
+            op, w_mass, w_stiff = separable_surrogate(st, sdata, 2.0, cm, diff, react)
+            assert max(np.ptp(np.log(w)) for w in w_mass + w_stiff) > 0.1
+        else:
+            st = make_st(d=geo.dim, p=2, elements=3)
+            sdata = None
+            op = surrogate_operator(st, geo, 2.0, cm, diff, react)
+        P = FastDiagPreconditioner.build(st, 2.0, cm, diff, react, spatial_data=sdata)
         x = RNG.standard_normal(st.num_dof)
         r = op.matvec(x)
         assert np.linalg.norm(P.apply(r) - x) / np.linalg.norm(x) < 1e-8
+
+    def test_imaginary_residue_is_checked(self):
+        # A temporal eigenbasis turned by a phase on the way back leaves an
+        # imaginary part in the spatially transformed result.
+        st = make_st(d=2, p=2, elements=3)
+        P = FastDiagPreconditioner.build(st, 2.0, 1.0, 1e-2, 0.03)
+        r = RNG.standard_normal(st.num_dof)
+        P.apply(r)
+        P.pencil.U_full = P.pencil.U_full * np.exp(0.3j)
+        with pytest.raises(ConsistencyError, match="imaginary"):
+            P.apply(r)
 
     def test_single_space_dof_reduces_to_time_solve(self):
         # One spatial degree of freedom, no diffusion: the preconditioner is

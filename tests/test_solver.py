@@ -407,7 +407,8 @@ class TestFixedPoint:
         (grid,) = grids
         built = vars(grid.spatial_data)
         assert "measure" in built
-        for table in ("c1", "c2", "metric", "laplacian"):
+        # The metric and the Laplacian table are cached together.
+        for table in ("c1", "c2", "_pullback"):
             assert table not in built
         assert grid.spatial_data._sample is None
 

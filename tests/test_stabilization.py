@@ -1,5 +1,6 @@
 """Tests for the upwind weights, residual indicator and stabilizer assembly."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from monoiga.assembly import (
     QuadratureRule,
     SpatialQuadratureData,
     TimeQuadratureData,
+    evaluate_field,
     spatial_operators,
 )
 from monoiga.bspline import SplineSpace, SpaceTimeSpace
@@ -218,6 +220,52 @@ class TestResidualIndicator:
         scaled = make_problem(source=src(10.0), **st_kw)
         theta10 = compute_theta(scaled, u, w)
         assert np.all(theta10.values >= theta1.values - 1e-14)
+
+    @pytest.mark.parametrize(
+        "geometry, elements",
+        [("ellipse_annulus", [4, 2]), ("unit_cube", [2, 2, 2])],
+    )
+    def test_matches_pointwise_oracle(self, geometry, elements):
+        # Independent route: the strong residual by scattered evaluation at
+        # every Gauss point, and each entry's maximum over the elements that
+        # intersect its basis function's support extension.
+        spatial = [SplineSpace.uniform(2, n) for n in elements]
+        st = SpaceTimeSpace(spatial, SplineSpace.uniform(2, 3))
+        geo = builtin_geometry(geometry, final_time=2.0)
+        problem = MonodomainProblem(
+            geometry=geo, space=st, source=lambda x, t: 1e-3 * np.exp(-t) * x[:, 0]
+        )
+        rng = np.random.default_rng(8)
+        u = 0.1 * rng.standard_normal(st.num_dof)
+        w = 0.1 * rng.standard_normal(st.num_dof)
+        theta = compute_theta(problem, u, w)
+
+        rules = [QuadratureRule.for_space(s) for s in spatial + [st.time]]
+        mesh = np.meshgrid(*[r.points for r in rules], indexing="ij")
+        pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        absres = np.abs(strong_residual(problem, u, w, pts)).reshape(mesh[0].shape)
+        fields = evaluate_field(st, geo, u, pts, time_derivative=True)
+        denom = problem.C_m * (
+            np.max(np.abs(fields["value"])) / geo.final_time
+            + np.max(np.abs(fields["dt"]))
+        )
+        # Left and right ends of the element holding each point, per axis.
+        ends = [
+            (np.repeat(r.cells[:-1], r.npoints), np.repeat(r.cells[1:], r.npoints))
+            for r in rules
+        ]
+        expected = np.empty((st.num_time, st.num_space))
+        for c in range(st.num_time):
+            for index in itertools.product(*[range(s.dimension) for s in spatial]):
+                box = st.support_extension(index, c)
+                masks = [
+                    (left < hi) & (right > lo)
+                    for (left, right), (lo, hi) in zip(ends, box)
+                ]
+                numer = absres[np.ix_(*masks)].max()
+                expected[c, st.flat_spatial_index(index)] = min(numer / denom, 1.0)
+        assert np.any((expected > 0.01) & (expected < 0.99))
+        assert np.max(np.abs(theta.values - expected)) <= 1e-14
 
     def test_peak_memory_is_a_few_space_time_grids(self):
         # The Laplacian table is built once per grid, so an indicator call
