@@ -1,4 +1,4 @@
-"""The block-arrowhead fast-diagonalization preconditioner at work.
+"""The fast-diagonalization preconditioner at work: per-mode temporal solves.
 
 Assembles the space-time system on a 3D box, applies preconditioned GMRES,
 and contrasts the iteration count with the unpreconditioned one.

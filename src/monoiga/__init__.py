@@ -3,8 +3,8 @@
 Smooth-spline Galerkin discretization of the monodomain reaction-diffusion
 model with Rogers-McCulloch kinetics over the whole space-time cylinder,
 with upwind stabilization driven by a low-rank residual indicator and a
-block-arrowhead fast-diagonalization preconditioner for the Kronecker-
-structured linear systems.
+fast-diagonalization preconditioner, with the stabilizer folded into its
+per-mode temporal solves, for the Kronecker-structured linear systems.
 """
 
 from .assembly import (
@@ -50,12 +50,9 @@ from .geometry import (
     save_geometry,
 )
 from .linalg import (
-    ConsistencyError,
     DecompositionError,
     FastDiagPreconditioner,
     NonConvergenceError,
-    TimePencil,
-    build_time_pencil,
     generalized_eig,
     gmres,
     pcg,
@@ -79,6 +76,7 @@ from .stabilization import (
     compute_tau,
     compute_theta,
     lowrank_factorize,
+    stabilizer_diagonals,
     strong_residual,
 )
 

@@ -7,8 +7,9 @@ optional correction, a reaction term applied matrix-free by
 Every Gram matrix -- the temporal advection and mass, the spatial mass and
 stiffness on any geometry, the preconditioner's univariate factors, the
 stabilizer's factors and the sparse form of :class:`WeightedMass` -- is
-assembled by one kernel, :func:`banded_gram`, from the collocation matrices
-of :class:`SpatialQuadratureData` and :class:`TimeQuadratureData`.
+assembled by one kernel, :class:`GramKernel` (one-off through
+:func:`banded_gram`), from the collocation matrices of
+:class:`SpatialQuadratureData` and :class:`TimeQuadratureData`.
 """
 
 import functools
@@ -22,6 +23,7 @@ from .tensorops import mode_apply, outer_product_grid
 
 __all__ = [
     "QuadratureRule",
+    "GramKernel",
     "KroneckerOperator",
     "WeightedMass",
     "banded_gram",
@@ -100,30 +102,13 @@ def _pair_products(test, trial, band):
     return (test[:, :, None] * padded[:, cols]).reshape(q, -1)
 
 
-def gram_band_values(tests, trials, weights, bands):
-    """Every band entry of ``(kron_k A_k)^T diag(W) (kron_k B_k)``.
-
-    ``tests[k]`` and ``trials[k]`` are dense collocation matrices of shape
-    (Q_k, n_k) paired with axis ``k`` of the weight grid ``W`` (axis 0
-    slowest), and ``bands[k]`` bounds ``|i_k - j_k|`` over the coupled basis
-    pairs.  Contracting ``W`` with the transposed pair products one axis at a
-    time (sum factorization) gives an array shaped
-    ``(n_0 (2 b_0 + 1), n_1 (2 b_1 + 1), ...)`` whose entry
-    ``(i_k, o_k)_k`` couples test ``i`` with trial ``j_k = i_k + o_k - b_k``.
-    """
-    vals = np.asarray(weights, dtype=float)
-    for k, (test, trial, band) in enumerate(zip(tests, trials, bands)):
-        vals = mode_apply(_pair_products(test, trial, band).T, vals, k)
-    return vals
-
-
 class GramPattern:
     """CSR pattern of a banded tensor-product Gram matrix.
 
     Row ``i = (i_0, i_1, ...)`` couples with column ``j`` when
     ``|i_k - j_k| <= b_k`` on every axis (axis 0 slowest).  ``select`` maps
     each stored entry, in CSR order, to its position in the flattened output
-    of :func:`gram_band_values`, so assembling is one gather.
+    of :meth:`GramKernel.band_values`, so assembling is one gather.
     """
 
     def __init__(self, sizes, bands):
@@ -160,7 +145,7 @@ class GramPattern:
             arr.flags.writeable = False
 
     def tocsr(self, band_values):
-        """CSR matrix of the output of :func:`gram_band_values`."""
+        """CSR matrix of the output of :meth:`GramKernel.band_values`."""
         data = np.take(band_values.reshape(-1), self.select)
         return sp.csr_matrix(
             (data, self.indices.copy(), self.indptr.copy()), shape=self.shape
@@ -173,19 +158,54 @@ def gram_pattern(sizes, bands):
     return GramPattern(sizes, bands)
 
 
+class GramKernel:
+    """Banded tensor-product Gram matrices of fixed collocations.
+
+    Assembles ``(kron_k A_k)^T diag(W) (kron_k B_k)`` for any weight grid
+    ``W``.  ``tests[k]`` and ``trials[k]`` are dense collocation matrices of
+    shape (Q_k, n_k) paired with axis ``k`` of ``W`` (axis 0 slowest), and
+    ``bands[k]`` bounds ``|i_k - j_k|`` over the coupled basis pairs
+    (default: the overlap of the factors' nonzeros).  The pair products of
+    each axis and the CSR pattern are built once, so an assembly is
+    contractions and one gather.
+    """
+
+    def __init__(self, tests, trials, bands=None):
+        if bands is None:
+            bands = [_half_bandwidth(a, b) for a, b in zip(tests, trials)]
+        self.pairs = [
+            _pair_products(a, b, band) for a, b, band in zip(tests, trials, bands)
+        ]
+        sizes = tuple(int(t.shape[1]) for t in trials)
+        self.pattern = gram_pattern(sizes, tuple(int(b) for b in bands))
+
+    def band_values(self, weights):
+        """Every band entry of the Gram matrix of ``weights``.
+
+        Contracting ``W`` with the transposed pair products one axis at a
+        time (sum factorization) gives an array shaped
+        ``(n_0 (2 b_0 + 1), n_1 (2 b_1 + 1), ...)`` whose entry
+        ``(i_k, o_k)_k`` couples test ``i`` with trial ``j_k = i_k + o_k - b_k``.
+        """
+        vals = np.asarray(weights, dtype=float)
+        for k, pairs in enumerate(self.pairs):
+            vals = mode_apply(pairs.T, vals, k)
+        return vals
+
+    def __call__(self, weights):
+        """The Gram matrix of ``weights`` as a CSR matrix."""
+        return self.pattern.tocsr(self.band_values(weights))
+
+
 def banded_gram(tests, trials, weights, bands=None):
     """Assemble ``(kron_k A_k)^T diag(W) (kron_k B_k)`` as a CSR matrix.
 
-    Factors pair with the axes of ``weights``, slowest first (see
-    :func:`gram_band_values`); test and trial factors have equal column
-    counts.  ``bands`` defaults to the overlap of the factors' nonzeros.  The
-    CSR pattern depends only on the sizes and bands and is built once.
+    A one-off :class:`GramKernel`; factors pair with the axes of
+    ``weights``, slowest first, and test and trial factors have equal
+    column counts.  The CSR pattern depends only on the sizes and bands and
+    is built once.
     """
-    if bands is None:
-        bands = [_half_bandwidth(a, b) for a, b in zip(tests, trials)]
-    sizes = tuple(int(t.shape[1]) for t in trials)
-    pattern = gram_pattern(sizes, tuple(int(b) for b in bands))
-    return pattern.tocsr(gram_band_values(tests, trials, weights, bands))
+    return GramKernel(tests, trials, bands)(weights)
 
 
 def _read_only(array):
@@ -202,10 +222,10 @@ class SpatialQuadratureData:
     reads the cached quadrature ``measure``.  The first- and second-derivative
     collocations (``c1``, ``c2``), the metric ``J^{-1} J^{-T}`` and the
     parametric table of the physical Laplacian (``laplacian``) are built on
-    first use, the last two together from one second-order tabulation of
-    the map and one inverse: only the stiffness, the preconditioner and the
-    residual indicator read them, so the stabilizer's refined grid never
-    holds them.  The indicator also reads the basis functions' element
+    first use, the last two together from one Jacobian and one Hessian
+    tabulation of the map and one inverse: only the stiffness, the
+    preconditioner and the residual indicator read them, so the
+    stabilizer's refined grid never holds them.  The indicator also reads the basis functions' element
     windows and Greville abscissae, built once per grid.
     The physical points are tabulated only to sample a source.  Shared by the
     mass/stiffness/weighted assemblies and the indicator so nonlinear steps
@@ -230,7 +250,7 @@ class SpatialQuadratureData:
         self.wgrid = outer_product_grid(
             [r.flat_weights for r in reversed(self.rules)]
         )
-        self.detj = jacobian_det(geo.grid_data(self._axes(), order=1)["jac"])
+        self.detj = jacobian_det(geo.tabulate(self._axes(), 1))
         self.grid_shape = self.wgrid.shape
         self._sample = None
 
@@ -262,12 +282,12 @@ class SpatialQuadratureData:
 
     @functools.cached_property
     def _pullback(self):
-        # One second-order tabulation and one inverse serve the metric and
-        # the Laplacian; only their results are kept.
-        data = self.geo.grid_data(self._axes(), order=2)
-        jinv = np.linalg.inv(data["jac"])
+        # One Jacobian and one Hessian tabulation and one inverse serve the
+        # metric and the Laplacian; only their results are kept.
+        axes = self._axes()
+        jinv = np.linalg.inv(self.geo.tabulate(axes, 1))
         metric = np.einsum("...ak,...bk->...ab", jinv, jinv)
-        return metric, laplacian_terms(jinv, data["hess"])
+        return metric, laplacian_terms(jinv, self.geo.tabulate(axes, 2))
 
     @property
     def metric(self):
@@ -302,7 +322,7 @@ class SpatialQuadratureData:
         """
         last = self._sample
         if last is None or last[0] is not f or last[1] is not time_data:
-            xq = self.geo.grid_data(self._axes(), order=0)["x"]
+            xq = self.geo.tabulate(self._axes())
             xq = xq.reshape(-1, len(self.spaces))
             qs = xq.shape[0]
             tq = time_data.points * time_data.final_time
@@ -312,13 +332,21 @@ class SpatialQuadratureData:
             self._sample = (f, time_data, vals.reshape((tq.size,) + self.grid_shape))
         return self._sample[2]
 
+    @functools.cached_property
+    def _mass_kernel(self):
+        c = self.c0[::-1]
+        return GramKernel(c, c, self.bands[::-1])
+
     def mass(self, weight_grid=None):
-        """Pulled-back spatial mass matrix, optionally with a pointwise weight."""
+        """Pulled-back spatial mass matrix, optionally with a pointwise weight.
+
+        The pair products of the value collocations are built on first use
+        and kept, so every weight grid reuses them.
+        """
         w = self.measure
         if weight_grid is not None:
             w = w * weight_grid
-        c = self.c0[::-1]
-        return banded_gram(c, c, w, self.bands[::-1])
+        return self._mass_kernel(w)
 
     def stiffness(self):
         """Pulled-back spatial stiffness matrix."""
@@ -338,9 +366,9 @@ class SpatialQuadratureData:
                 # off-diagonal ones on boxes) add exact zeros.
                 if not np.any(m):
                     continue
-                vals = vals + gram_band_values(grads[a], grads[b], base * m, bands)
-        sizes = tuple(c.shape[1] for c in reversed(self.c0))
-        return gram_pattern(sizes, tuple(bands)).tocsr(vals)
+                kernel = GramKernel(grads[a], grads[b], bands)
+                vals = vals + kernel.band_values(base * m)
+        return kernel.pattern.tocsr(vals)
 
 
 def spatial_operators(spaces, geo, spatial_data=None):

@@ -786,7 +786,7 @@ def write_field(
     shape = grid_shape if grid_shape is not None else (33,) * d
     axes = [np.linspace(0.0, 1.0, n) for n in shape]
     collocs = [s.collocation_matrix(ax, 0) for s, ax in zip(space_time.spatial, axes)]
-    xgrid = geo.grid_data(axes, order=0)["x"].reshape(-1, d)
+    xgrid = geo.tabulate(axes).reshape(-1, d)
     for t in times:
         tau = t / geo.final_time
         tc = space_time.time_collocation([tau], 0)

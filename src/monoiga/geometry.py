@@ -86,21 +86,13 @@ class GeometryMap:
             order,
         )
 
-    def grid_data(self, axes, order=1):
-        """Geometry data on a tensor grid of parametric points.
+    def tabulate(self, axes, order=0):
+        """Values (order 0), Jacobians (1) or Hessians (2) on a tensor grid.
 
-        Parameters
-        ----------
-        axes : sequence of 1D arrays
-            Points per parametric direction (direction 1 first).
-        order : int
-            0 for values, 1 to add Jacobians, 2 to add Hessians.
-
-        Returns
-        -------
-        dict with entries ``x`` (grid + (d,)), optionally ``jac``
-        (grid + (d, d)) and ``hess`` (grid + (d, d, d)); the grid axes are in
-        C order (direction d first).
+        ``axes`` lists the parametric points per direction (direction 1
+        first).  The result is shaped grid + (d,), grid + (d, d) or
+        grid + (d, d, d) with the grid axes in C order (direction d first);
+        only the requested order is tabulated.
         """
         collocs = [
             [s.collocation_matrix(ax, o) for o in range(order + 1)]
@@ -117,10 +109,7 @@ class GeometryMap:
                 val = mode_apply(collocs[l][o], val, self._axis_of(l))
             return val
 
-        names = ("x", "jac", "hess")
-        return {
-            names[k]: _derivative(tabulate, self.dim, k) for k in range(order + 1)
-        }
+        return _derivative(tabulate, self.dim, order)
 
     def check_bijective(self, samples_per_element=3):
         """Verify the map on a sample grid and return ``min |det J|`` there.
@@ -136,7 +125,7 @@ class GeometryMap:
             for a, b in zip(s.breakpoints[:-1], s.breakpoints[1:]):
                 pts.extend(np.linspace(a, b, samples_per_element + 2)[1:-1])
             axes.append(np.array(pts))
-        det = jacobian_det(self.grid_data(axes, order=1)["jac"])
+        det = jacobian_det(self.tabulate(axes, 1))
         return float(np.abs(det).min())
 
 
@@ -145,22 +134,26 @@ def _derivative(tabulate, d, order):
 
     ``tabulate(orders)`` returns the derivative of per-direction ``orders``
     with the components on the last axis; the derivative directions are
-    appended after it.
+    appended after it, each derivative written once into one array.
     """
     if order == 0:
         return tabulate([0] * d)
     if order == 1:
-        return np.stack(
-            [tabulate([int(l == a) for l in range(d)]) for a in range(d)], axis=-1
-        )
-    second = [[None] * d for _ in range(d)]
-    for a in range(d):
-        for b in range(a, d):
-            orders = [0] * d
+        directions = [(a,) for a in range(d)]
+    else:
+        directions = [(a, b) for a in range(d) for b in range(a, d)]
+    out = None
+    for dirs in directions:
+        orders = [0] * d
+        for a in dirs:
             orders[a] += 1
-            orders[b] += 1
-            second[a][b] = second[b][a] = tabulate(orders)
-    return np.stack([np.stack(row, axis=-1) for row in second], axis=-2)
+        val = tabulate(orders)
+        if out is None:
+            out = np.empty(val.shape + (d,) * order)
+        out[(Ellipsis,) + dirs] = val
+        if order == 2:
+            out[(Ellipsis,) + dirs[::-1]] = val
+    return out
 
 
 def _det(jac):

@@ -1,10 +1,9 @@
-"""Structured linear algebra: eigendecompositions, the block-arrowhead
-fast-diagonalization preconditioner, Krylov solvers, and the exact temporal
-map that solves the recovery-variable system.
+"""Structured linear algebra: eigendecompositions, the fast-diagonalization
+preconditioner, Krylov solvers, and the exact temporal map that solves the
+recovery-variable system.
 
-Complex arithmetic is confined to the preconditioner's temporal eigentransform
-and its arrowhead core; its spatial eigentransforms and the outer Krylov
-iterations stay real.
+All arithmetic is real: the preconditioner diagonalizes space only and solves
+one small temporal system per spatial mode exactly.
 """
 
 import numpy as np
@@ -12,31 +11,20 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .assembly import QuadratureRule, banded_gram, time_matrices
-from .tensorops import abs_max, mode_apply
+from .tensorops import mode_apply
 
 __all__ = [
     "DecompositionError",
-    "ConsistencyError",
     "NonConvergenceError",
-    "TimePencil",
     "FastDiagPreconditioner",
     "generalized_eig",
-    "build_time_pencil",
     "gmres",
     "pcg",
     "solve_w_system",
 ]
 
-# Largest trusted condition number of the temporal pencil's eigenvectors.
-PENCIL_COND_LIMIT = 1e12
-
-
 class DecompositionError(RuntimeError):
     """Raised when a matrix decomposition fails or is unreliable."""
-
-
-class ConsistencyError(RuntimeError):
-    """Raised when a numerical consistency check fails."""
 
 
 class NonConvergenceError(RuntimeError):
@@ -74,6 +62,10 @@ def _as_psolve(precond):
     raise TypeError("cannot interpret %r as a preconditioner" % (precond,))
 
 
+def _dense(mat):
+    return mat.toarray() if sp.issparse(mat) else np.asarray(mat, dtype=float)
+
+
 def generalized_eig(K, M):
     """M-orthonormal generalized eigendecomposition of the pencil ``(K, M)``.
 
@@ -89,110 +81,69 @@ def generalized_eig(K, M):
     return U, lam
 
 
-class TimePencil:
-    """Eigen-structure of the temporal advection/mass pencil with bordering.
-
-    The interior advection block is skew-symmetric (no basis function of the
-    constrained space except the last one is active at the final time), so
-    the whitened pencil is normal: the complex eigenvector matrix is exactly
-    mass-orthonormal and the eigenvalues are purely imaginary.  The border
-    column extends the basis so the congruence of the full advection matrix
-    becomes an arrowhead matrix.
-    """
-
-    def __init__(self, U_full, eigenvalues, g, sigma):
-        self.U_full = U_full
-        self.eigenvalues = eigenvalues
-        self.g = g
-        self.sigma = sigma
-
-    @property
-    def dimension(self):
-        return self.U_full.shape[0]
-
-
-def build_time_pencil(W_t, M_t):
-    """Eigendecompose the bordered temporal pencil.
-
-    Parameters are the constrained advection and mass matrices in physical
-    time.  Raises :class:`DecompositionError` when the eigenvector matrix is
-    too ill-conditioned to trust.
-    """
-    W = W_t.toarray()
-    M = M_t.toarray()
-    nt = W.shape[0]
-    if nt < 2:
-        raise ValueError("temporal dimension must be at least 2")
-    Wi = W[:-1, :-1]
-    Mi = M[:-1, :-1]
-    w = W[:-1, -1]
-    m = M[:-1, -1]
-    try:
-        L = sla.cholesky(Mi, lower=True)
-    except sla.LinAlgError as exc:
-        raise DecompositionError("temporal mass block not SPD: %s" % exc) from exc
-    S = sla.solve_triangular(L, Wi, lower=True)
-    S = sla.solve_triangular(L, S.T, lower=True).T
-    S = 0.5 * (S - S.T)
-    mu, Q = sla.eigh(1j * S)
-    lam = -1j * mu
-    U_int = sla.solve_triangular(L.T, Q, lower=False)
-    v = sla.cho_solve((L, True), -m)
-    s = float(v @ Mi @ v + 2.0 * (v @ m) + M[-1, -1])
-    if s <= 0:
-        raise DecompositionError("temporal mass matrix not positive definite")
-    norm = np.sqrt(s)
-    t = v / norm
-    rho = 1.0 / norm
-    U_full = np.zeros((nt, nt), dtype=complex)
-    U_full[:-1, :-1] = U_int
-    U_full[:-1, -1] = t
-    U_full[-1, -1] = rho
-    g = U_int.conj().T @ (Wi @ t + rho * w)
-    tr = np.concatenate([t, [rho]])
-    sigma = complex(tr.conj() @ (W @ tr))
-    cond = np.linalg.cond(U_full)
-    if cond > PENCIL_COND_LIMIT:
-        raise DecompositionError(
-            "temporal pencil eigenvectors ill-conditioned (cond %.3e)" % cond
-        )
-    return TimePencil(U_full, lam, g, sigma)
-
-
 class FastDiagPreconditioner:
     """Fast-diagonalization preconditioner for the potential system.
 
-    Inverts the parametric-domain surrogate operator (advection kron mass
-    plus mass kron stiffness plus a constant reaction) exactly: per-direction
-    generalized eigentransforms reduce it to independent small arrowhead
-    systems solved by a Schur complement on the last temporal block.
+    Inverts the surrogate operator
+    ``(C_m W_t + r M_t) kron M~ + D M_t kron K~`` exactly, where ``M~`` and
+    ``K~`` are the Kronecker mass and stiffness of univariate factors.  Their
+    generalized eigenvectors ``U = kron_l U_l`` (``U^T M~ U = I``,
+    ``U^T K~ U = Lambda``) split it into one ``N_t x N_t`` temporal system
+    per spatial mode ``k``,
+    ``A_k = C_m W_t + (r + D lambda_k) M_t``, whose inverses are stored as
+    one ``(N_t, N_t, N_s)`` array.  A stabilizer term ``c S^t kron S^s``
+    is folded in as ``c d_k S^t`` on every ``A_k``, with ``d_k`` the
+    diagonal of ``U^T S^s U`` (see :meth:`fold`); the fold is exact when
+    ``U^T S^s U`` is diagonal.  All arithmetic is real.
     """
 
-    def __init__(self, spatial_eigs, lam_s, pencil, capacitance, diffusion, reaction):
+    def __init__(
+        self,
+        spatial_eigs,
+        lam_s,
+        W_t,
+        M_t,
+        capacitance,
+        diffusion,
+        reaction,
+        stabilizer=(),
+    ):
         self.spatial_eigs = spatial_eigs
         self.lam_s = lam_s
-        self.pencil = pencil
+        self.W_t = _dense(W_t)
+        self.M_t = _dense(M_t)
         self.capacitance = float(capacitance)
         self.diffusion = float(diffusion)
         self.reaction = float(reaction)
-        self.num_time = pencil.dimension
-        self.num_space = lam_s.size
-        self._shape_c = (self.num_time,) + tuple(
-            U.shape[0] for U, _ in reversed(spatial_eigs)
-        )
-        # Loop invariants of ``apply``: the arrowhead core, its Schur
-        # denominator on the last temporal block, and the adjoint eigenbasis.
-        cm = self.capacitance
-        base = self.diffusion * self.lam_s + self.reaction
-        self._H_int = cm * pencil.eigenvalues[:, None] + base[None, :]
-        self._H_last = cm * pencil.sigma + base
-        self._B = cm * pencil.g[:, None]
-        self._schur = self._H_last + np.sum(np.abs(self._B) ** 2 / self._H_int, axis=0)
-        # Reciprocals, so the core multiplies where it would divide.
-        self._H_int_inv = 1.0 / self._H_int
-        self._B_adj_H = np.conj(self._B) * self._H_int_inv
-        self._schur_inv = 1.0 / self._schur
-        self._U_adj = pencil.U_full.conj().T
+        nt = self.M_t.shape[0]
+        ns = lam_s.size
+        self.num_time = nt
+        self.num_space = ns
+        self._shape = (nt,) + tuple(U.shape[0] for U, _ in reversed(spatial_eigs))
+        # Every A_k is a combination of the same few temporal matrices, so
+        # the stack, laid out (i, j, k) for the contraction of ``apply``, is
+        # one product of the flattened matrices and per-mode coefficients.
+        # The inverses are written back into it: one stack is held.
+        mats = [self.W_t, self.M_t] + [_dense(tmat) for _, tmat, _ in stabilizer]
+        coefs = [
+            np.full(ns, self.capacitance),
+            self.reaction + self.diffusion * lam_s,
+        ] + [coef * diag for coef, _, diag in stabilizer]
+        stack = np.stack(mats).reshape(len(mats), -1).T @ np.stack(coefs)
+        stack = stack.reshape(nt, nt, ns)
+        try:
+            inv = np.linalg.inv(stack.transpose(2, 0, 1))
+        except np.linalg.LinAlgError as exc:
+            raise DecompositionError(
+                "per-mode temporal matrix is singular: %s" % exc
+            ) from exc
+        stack[...] = inv.transpose(1, 2, 0)
+        self._inv = stack
+
+    @property
+    def eigenvectors(self):
+        """The spatial eigenvectors ``U_l``, direction 1 first."""
+        return [U for U, _ in self.spatial_eigs]
 
     @staticmethod
     def _separable_weights(spatial_data):
@@ -276,51 +227,61 @@ class FastDiagPreconditioner:
             shape[d - 1 - l] = dims[l]
             lam_grid = lam_grid + spatial_eigs[l][1].reshape(shape)
         W_t, M_t = time_matrices(space_time, final_time)
-        pencil = build_time_pencil(W_t, M_t)
         return cls(
-            spatial_eigs, lam_grid.reshape(-1), pencil, capacitance, diffusion, reaction
+            spatial_eigs,
+            lam_grid.reshape(-1),
+            W_t,
+            M_t,
+            capacitance,
+            diffusion,
+            reaction,
         )
 
-    def _diag_blocks(self):
-        return self._H_int, self._H_last, self._B
+    def fold(self, terms, diagonals):
+        """The surrogate's preconditioner with stabilizer terms folded in.
+
+        ``terms`` are the Kronecker terms ``(c_r, S^t_r, S^s_r)`` of a
+        stabilizer and ``diagonals[r]`` the diagonal ``d_r`` of
+        ``U^T S^s_r U`` in this preconditioner's spatial eigenbasis (see
+        :func:`~monoiga.stabilization.stabilizer_diagonals`); every ``A_k``
+        gains ``sum_r c_r d_{r,k} S^t_r``.  The new preconditioner shares the
+        spatial eigenpairs and the temporal factors; terms folded into this
+        one are not carried over.
+        """
+        stabilizer = [
+            (coef, tmat, diag) for (coef, tmat, _), diag in zip(terms, diagonals)
+        ]
+        return FastDiagPreconditioner(
+            self.spatial_eigs,
+            self.lam_s,
+            self.W_t,
+            self.M_t,
+            self.capacitance,
+            self.diffusion,
+            self.reaction,
+            stabilizer,
+        )
 
     def apply(self, r):
-        """Apply the inverse through the factorized form.
+        """Apply the inverse: spatial transform, per-mode solves, back-transform.
 
-        The spatial eigentransforms are real and act on real tensors: the
-        residual is transformed in space, then in time by the conjugate
-        temporal eigenbasis, the block-arrowhead core is solved, and the
-        result goes back through the temporal eigenbasis.  Its real and
-        imaginary parts then go back through the spatial eigentransforms as
-        one stacked real tensor, and the imaginary residue must be
-        negligible before it is discarded.
+        The residual goes through the transposed spatial eigenvectors, each
+        spatial mode's temporal column is multiplied by its stored inverse
+        (one batched contraction), and the result goes back through the
+        spatial eigenvectors.
         """
         r = np.asarray(r, dtype=float).reshape(-1)
         if r.size != self.num_time * self.num_space:
             raise ValueError("dimension mismatch in preconditioner application")
         d = len(self.spatial_eigs)
-        X = r.reshape(self._shape_c)
+        X = r.reshape(self._shape)
         for l in range(d):
             X = mode_apply(self.spatial_eigs[l][0].T, X, 1 + (d - 1 - l))
-        Y = self._U_adj @ X.reshape(self.num_time, self.num_space)
-
-        y_int = Y[:-1]
-        x = np.empty_like(Y)
-        x[-1] = Y[-1] + np.sum(self._B_adj_H * y_int, axis=0)
-        x[-1] *= self._schur_inv
-        np.multiply(y_int - self._B * x[-1], self._H_int_inv, out=x[:-1])
-        Z = self.pencil.U_full @ x
-
-        parts = np.stack([Z.real, Z.imag]).reshape((2,) + self._shape_c)
+        X = X.reshape(self.num_time, self.num_space)
+        X = np.einsum("ijk,jk->ik", self._inv, X).reshape(self._shape)
         for l in range(d):
-            parts = mode_apply(self.spatial_eigs[l][0], parts, 2 + (d - 1 - l))
-        real, imag = parts.reshape(2, -1)
-        scale = abs_max(real)
-        if scale > 0 and abs_max(imag) > 1e-8 * scale:
-            raise ConsistencyError(
-                "preconditioner produced a non-negligible imaginary part"
-            )
-        return real
+            X = mode_apply(self.spatial_eigs[l][0], X, 1 + (d - 1 - l))
+        return X.reshape(-1)
 
 
 _GMRES_BLOCK = 4

@@ -14,7 +14,8 @@ default-rule Gauss grid serves the reaction terms, the load vector and the
 residual indicator, and with stabilization on it also holds the
 stabilizer's refined grid of the upwind weights.  Each indicator, whether
 recomputed every step or latched from the start, becomes one complete
-Kronecker operator: the workspace's constant terms plus the stabilizer's.
+Kronecker operator: the workspace's constant terms plus the stabilizer's,
+and one preconditioner with the stabilizer folded into its temporal solves.
 """
 
 import logging
@@ -43,6 +44,7 @@ from .stabilization import (
     compute_tau,
     compute_theta,
     lowrank_factorize,
+    stabilizer_diagonals,
 )
 
 __all__ = [
@@ -153,8 +155,11 @@ class SolveResult:
     """Solver output: coefficients plus the record each Newton step logs.
 
     A record holds the step's ``sweep`` number (from 1), ``increment``
-    (max-abs step), ``residual`` (``||F||``), ``forcing`` and
-    ``gmres_iterations``; the properties below read the records.
+    (max-abs step), ``residual`` (``||F||``), ``forcing``,
+    ``gmres_iterations`` and its stabilizer: the low-rank indicator's
+    ``rank``, the indicator's maximum ``theta_max`` and whether it is
+    ``latched`` (rank 0, 0.0 and False on an unstabilized step); the
+    properties below read the records.
     """
 
     u: np.ndarray
@@ -199,7 +204,9 @@ class _Workspace:
     quadrature ``measure`` and the operator's constant Kronecker terms
     ``(C_m W_t + c1 a M_t) kron M_s`` and ``D M_t kron K_s`` (the
     preconditioner's surrogate, with one term per spatial factor so a matvec
-    applies ``M_s`` once).
+    applies ``M_s`` once).  ``precond`` is the preconditioner in use and
+    ``pf_norm`` the norm of the load vector it preconditions; both start
+    from the surrogate and change with each stabilizer (:meth:`stabilize`).
     """
 
     def __init__(self, problem, config):
@@ -262,6 +269,22 @@ class _Workspace:
         """The Kronecker operator ``K`` of the constant terms and ``stab_terms``."""
         return KroneckerOperator(*self.sizes, self.terms + stab_terms)
 
+    def stabilize(self, lowrank, capacitance):
+        """The operator with the stabilizer of ``lowrank``, folded into ``precond``.
+
+        The preconditioner in use becomes the surrogate's with the
+        stabilizer's terms folded in (see
+        :meth:`~monoiga.linalg.FastDiagPreconditioner.fold`), which replaces
+        the previous stabilizer's, and ``pf_norm`` is recomputed with it.
+        """
+        terms = assemble_stabilization(lowrank, self.stab_grid, capacitance)
+        diagonals = stabilizer_diagonals(
+            lowrank, self.stab_grid, self.precond.eigenvectors
+        )
+        self.precond = self.precond.fold(terms, diagonals)
+        self.pf_norm = float(np.linalg.norm(self.precond.apply(self.f_vec)))
+        return self.operator(terms)
+
     def linearize(self, problem, u, w, op):
         """Residual ``F(u)`` and Jacobian operator at an iterate ``u``, ``w = R u``.
 
@@ -312,8 +335,9 @@ def fixed_point_solve(problem, config=None):
     The recovery variable is the linear map ``w = R u`` of the potential,
     so the coupled system is one nonlinear equation ``F(u) = 0`` (see
     :meth:`_Workspace.linearize`).  Each step solves ``J delta = -F`` by
-    GMRES with the fast-diagonalization preconditioner, from zero, to the
-    relative tolerance ``max(eta_k, linear_tol ||P f|| / ||P F_k||)``: the
+    GMRES with the fast-diagonalization preconditioner (with the step's
+    stabilizer folded in), from zero, to the relative tolerance
+    ``max(eta_k, linear_tol ||P f|| / ||P F_k||)``: the
     first step's forcing term is ``linear_tol``, and later ones are
     ``min(ETA_MAX, 0.9 (||F_k|| / ||F_{k-1}||)^2)`` (Eisenstat & Walker's
     choice 2).  The second term is an absolute floor, so a step whose
@@ -352,8 +376,9 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
 
     Steps continue the records of ``start``, whose iterate starts the
     iteration.  A given ``indicator`` is latched: its stabilizer serves
-    every step.  The phase builds one operator per stabilizer, and one
-    without stabilizer terms when it is unstabilized.
+    every step.  The phase builds one operator and one folded
+    preconditioner per stabilizer, and an unstabilized phase one operator
+    without stabilizer terms and the workspace's surrogate preconditioner.
     """
     if start is None:
         steps = []
@@ -385,9 +410,7 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
                     latched = drift * alpha <= INDICATOR_FREEZE_TOL
                 indicator = fresh
             lowrank = lowrank_factorize(indicator, config.lowrank_tol)
-            op = ws.operator(
-                assemble_stabilization(lowrank, ws.stab_grid, problem.C_m)
-            )
+            op = ws.stabilize(lowrank, problem.C_m)
         residual, jac = ws.linearize(problem, u, w, op)
         res = float(np.linalg.norm(residual))
         if k == done + 1:
@@ -401,6 +424,8 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
             tol=eta,
             atol=config.linear_tol * ws.pf_norm,
         )
+        # The Jacobian's weight grid is not needed past its solve.
+        jac.correction = None
         u = u + delta
         w = ws.recover(u)
         step = {
@@ -409,6 +434,9 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
             "residual": res,
             "forcing": eta,
             "gmres_iterations": nit,
+            "rank": lowrank.rank if stabilized else 0,
+            "theta_max": indicator.max if stabilized else 0.0,
+            "latched": stabilized and latched,
         }
         steps.append(step)
         log.info(

@@ -11,10 +11,10 @@ solver shares with its reaction mass and load vector.
 import numpy as np
 
 from .assembly import (
+    GramKernel,
     QuadratureRule,
     SpatialQuadratureData,
     TimeQuadratureData,
-    banded_gram,
     evaluate_field,
 )
 from .bspline import KnotVector, SplineSpace
@@ -31,6 +31,7 @@ __all__ = [
     "compute_theta",
     "lowrank_factorize",
     "assemble_stabilization",
+    "stabilizer_diagonals",
 ]
 
 TAU_RESIDUAL_LIMIT = 1e-8
@@ -402,9 +403,10 @@ class StabilizationGrid:
     weighted Gram matrices is one Gram matrix: ``time_colloc`` stacks the
     constrained ``k``-th derivative collocation matrices, ``time_weights``
     the quadrature weights times the order-``k`` upwind weight ``tau``, and
-    ``time_points`` repeats the rule's nodes once per block.  Also holds the
-    spatial quadrature data.  A solver builds one grid and reuses it for
-    every indicator.
+    ``time_points`` repeats the rule's nodes once per block, and
+    ``time_gram`` holds the pair products of ``time_colloc``.  Also holds
+    the spatial quadrature data, whose mass kernel keeps its own.  A solver
+    builds one grid and reuses it for every indicator.
     """
 
     def __init__(self, tau, space_time, geo):
@@ -420,6 +422,7 @@ class StabilizationGrid:
             [trule.flat_weights * tau.evaluate(k, nodes) for k in orders]
         )
         self.time_colloc = np.vstack([st.time_collocation(nodes, k) for k in orders])
+        self.time_gram = GramKernel([self.time_colloc], [self.time_colloc])
         self.spatial_data = SpatialQuadratureData(
             st.spatial,
             geo,
@@ -441,11 +444,36 @@ def assemble_stabilization(lowrank, grid, capacitance):
     cancel against the derivative and measure scalings.
     """
     axes = [r.points for r in grid.spatial_data.rules]
-    C = grid.time_colloc
     terms = []
     for r in range(lowrank.rank):
         prof_t = lowrank.time_profile(r, grid.time_points)
-        tmat = banded_gram([C], [C], grid.time_weights * prof_t)
+        tmat = grid.time_gram(grid.time_weights * prof_t)
         smat = grid.spatial_data.mass(weight_grid=lowrank.space_profile(r, axes))
         terms.append((capacitance * lowrank.weights[r], tmat, smat))
     return terms
+
+
+def stabilizer_diagonals(lowrank, grid, eigenvectors):
+    """Diagonals ``d_r = diag(U^T S^s_r U)`` of the stabilizer's spatial factors.
+
+    ``S^s_r`` are the spatial factors of :func:`assemble_stabilization` on
+    the :class:`StabilizationGrid` ``grid`` and ``U = kron_l U_l`` the
+    spatial eigenbasis ``eigenvectors`` (direction 1 first) of a
+    preconditioner.  With the grid's collocations ``C_l`` and the rank's
+    weight grid ``W_r`` (measure times spatial profile),
+    ``d_r[k] = sum_q W_r[q] prod_l (C_l U_l)[q_l, k_l]^2``: contracting
+    ``W_r`` with ``((C_l U_l)^2)^T`` one axis at a time (sum factorization)
+    gives it without forming ``U`` or any ``N_s x N_s`` matrix.  Returns one
+    vector of length ``N_s`` per rank, ordered like the coefficients.
+    """
+    sd = grid.spatial_data
+    d = len(eigenvectors)
+    tables = [((c @ U) ** 2).T for c, U in zip(sd.c0, eigenvectors)]
+    axes = [r.points for r in sd.rules]
+    diagonals = []
+    for r in range(lowrank.rank):
+        vals = sd.measure * lowrank.space_profile(r, axes)
+        for l, table in enumerate(tables):
+            vals = mode_apply(table, vals, d - 1 - l)
+        diagonals.append(vals.reshape(-1))
+    return diagonals

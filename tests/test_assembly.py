@@ -192,8 +192,8 @@ class TestLaplacianTable:
             geo = builtin_geometry(geometry)
             spaces = [SplineSpace.uniform(3, 6), SplineSpace.uniform(3, 2)]
         sdata = SpatialQuadratureData(spaces, geo)
-        data = geo.grid_data([r.points for r in sdata.rules], order=2)
-        x, jac, hess = data["x"], data["jac"], data["hess"]
+        axes = [r.points for r in sdata.rules]
+        x, jac, hess = (geo.tabulate(axes, order) for order in range(3))
         lap_x = 0.0
         lap_r2 = 0.0
         for orders, c in sdata.laplacian:
@@ -485,7 +485,7 @@ class TestRhsVectors:
         assert len(calls) == tdata.points.size
         grid = sdata.sample(source, tdata)
         assert len(calls) == tdata.points.size
-        x = sdata.geo.grid_data([r.points for r in sdata.rules], order=0)["x"][None]
+        x = sdata.geo.tabulate([r.points for r in sdata.rules])[None]
         t = (tdata.points * geo.final_time).reshape(-1, 1, 1)
         assert np.array_equal(grid, x[..., 0] * x[..., 1] + t)
         assert np.array_equal(

@@ -434,6 +434,24 @@ class TestFixedPoint:
         assert result.steps[: galerkin.iterations] == galerkin.steps
         records = [r for r in caplog.records if r.name == "monoiga.solver"]
         assert [r.args for r in records] == result.steps
+        # Unstabilized steps record no stabilizer; the latched one serves
+        # every stabilized step.
+        for step in galerkin.steps:
+            assert (step["rank"], step["theta_max"], step["latched"]) == (0, 0.0, False)
+        for step in result.steps[galerkin.iterations :]:
+            assert step["rank"] >= 1 and step["latched"]
+            assert step["theta_max"] == result.indicator.max > 0.0
+
+    def test_two_runs_give_equal_records(self):
+        problem = make_problem(
+            d=2, p=2, elements=3, source=lambda x, t: np.sin(np.pi * t) * x[:, 0]
+        )
+        config = FixedPointConfig(stabilization="spline_upwind", tolerance=1e-6)
+        first = fixed_point_solve(problem, config)
+        second = fixed_point_solve(problem, config)
+        assert first.steps == second.steps
+        assert {step["latched"] for step in first.steps} == {False, True}
+        assert all(step["rank"] >= 1 for step in first.steps)
 
     def test_indicator_on_solver_data_equals_standalone(self):
         from monoiga.experiments import make_source

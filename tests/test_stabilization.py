@@ -18,7 +18,8 @@ from monoiga.assembly import (
 )
 from monoiga.bspline import SplineSpace, SpaceTimeSpace
 from monoiga.geometry import builtin_geometry
-from monoiga.solver import MonodomainProblem
+from monoiga.linalg import FastDiagPreconditioner, gmres
+from monoiga.solver import FixedPointConfig, MonodomainProblem, _Workspace
 from monoiga.stabilization import (
     ResidualIndicator,
     StabilizationGrid,
@@ -26,6 +27,7 @@ from monoiga.stabilization import (
     compute_tau,
     compute_theta,
     lowrank_factorize,
+    stabilizer_diagonals,
     strong_residual,
 )
 from oracles import dense_basis_values, dense_univariate, dense_weighted_space_time_mass
@@ -486,3 +488,46 @@ def test_space_profile_is_multilinear_interpolation(geometry, p, elements):
         prof = lr.space_profile(r, axes)
         assert prof.shape == tuple(a.size for a in reversed(axes))
         assert np.max(np.abs(prof - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+class TestStabilizerDiagonals:
+    @pytest.mark.parametrize(
+        "geometry, p, elements",
+        [("ellipse_annulus", 2, [6, 2]), ("unit_cube", 2, [3, 2, 2])],
+    )
+    def test_sum_factorization_matches_dense_congruence(self, geometry, p, elements):
+        # d_r = diag(U^T S^s_r U) in the preconditioner's eigenbasis, with
+        # U = kron U_l formed densely here only.
+        spatial = [SplineSpace.uniform(p, n) for n in elements]
+        st = SpaceTimeSpace(spatial, SplineSpace.uniform(p, 4))
+        geo = builtin_geometry(geometry, final_time=2.0)
+        grid = StabilizationGrid(compute_tau(st.time), st, geo)
+        sdata = SpatialQuadratureData(st.spatial, geo)
+        P = FastDiagPreconditioner.build(st, 2.0, 1.0, 1e-3, 0.03, spatial_data=sdata)
+        values = np.random.default_rng(8).random((st.num_time, st.num_space))
+        lr = lowrank_factorize(indicator_of(st, values), 0.05)
+        assert lr.rank >= 2
+        diagonals = stabilizer_diagonals(lr, grid, P.eigenvectors)
+        terms = assemble_stabilization(lr, grid, 1.0)
+        U = np.ones((1, 1))
+        for U_l in P.eigenvectors:
+            U = np.kron(U_l, U)
+        assert len(diagonals) == lr.rank
+        for (_, _, smat), diag in zip(terms, diagonals):
+            ref = np.diag(U.T @ smat.toarray() @ U)
+            assert np.max(np.abs(diag - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_constant_indicator_on_cube_is_inverted_exactly(self):
+        # A constant indicator on an affine map gives S^s = c M_s, diagonal
+        # in the eigenbasis, so the folded preconditioner inverts the
+        # stabilized operator; the surrogate's alone does not.
+        problem = make_problem(d=3, p=2, elements=3)
+        st = problem.space
+        ws = _Workspace(problem, FixedPointConfig(stabilization="spline_upwind"))
+        surrogate = ws.precond
+        theta = indicator_of(st, np.ones((st.num_time, st.num_space)))
+        op = ws.stabilize(lowrank_factorize(theta, 0.1), problem.C_m)
+        b = np.random.default_rng(4).standard_normal(st.num_dof)
+        _, folded, _ = gmres(op, b, precond=ws.precond, tol=1e-8)
+        _, plain, _ = gmres(op, b, precond=surrogate, tol=1e-8)
+        assert folded <= 3 < plain
