@@ -18,6 +18,7 @@ from monoiga import (
     spatial_operators,
     time_matrices,
 )
+from monoiga.assembly import SpatialQuadratureData
 from monoiga.linalg import NonConvergenceError
 
 p, elements = 2, 8
@@ -28,8 +29,9 @@ geo = builtin_geometry("unit_cube")
 print("space-time unknowns:", st.num_dof)
 
 cm, diff, react = 1.0, 1e-3, 0.13 * 0.26
+sdata = SpatialQuadratureData(st.spatial, geo)
 W_t, M_t = time_matrices(st, 1.0)
-M_s, K_s = spatial_operators(st.spatial, geo)
+M_s, K_s = spatial_operators(st.spatial, geo, spatial_data=sdata)
 op = KroneckerOperator(
     st.num_time,
     st.num_space,
@@ -40,7 +42,7 @@ rng = np.random.default_rng(0)
 rhs = rng.standard_normal(st.num_dof)
 
 t0 = time.time()
-precond = FastDiagPreconditioner.build(st, 1.0, cm, diff, react)
+precond = FastDiagPreconditioner.build(st, 1.0, cm, diff, react, spatial_data=sdata)
 print("preconditioner setup: %.2fs" % (time.time() - t0))
 
 t0 = time.time()

@@ -3,8 +3,8 @@
 Smooth-spline Galerkin discretization of the monodomain reaction-diffusion
 model with Rogers-McCulloch kinetics over the whole space-time cylinder,
 with upwind stabilization driven by a low-rank residual indicator and a
-fast-diagonalization preconditioner, with the stabilizer folded into its
-per-mode temporal solves, for the Kronecker-structured linear systems.
+fast-diagonalization preconditioner, built from the same stabilizer terms
+as the operator, for the Kronecker-structured linear systems.
 """
 
 from .assembly import (
@@ -76,7 +76,6 @@ from .stabilization import (
     compute_tau,
     compute_theta,
     lowrank_factorize,
-    stabilizer_diagonals,
     strong_residual,
 )
 

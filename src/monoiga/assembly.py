@@ -337,16 +337,14 @@ class SpatialQuadratureData:
         c = self.c0[::-1]
         return GramKernel(c, c, self.bands[::-1])
 
-    def mass(self, weight_grid=None):
-        """Pulled-back spatial mass matrix, optionally with a pointwise weight.
+    def mass(self, weights=None):
+        """Spatial mass matrix of a complete weight grid, by default the measure.
 
-        The pair products of the value collocations are built on first use
-        and kept, so every weight grid reuses them.
+        ``weights`` includes the quadrature measure (e.g. ``measure`` times
+        a pointwise weight).  The pair products of the value collocations
+        are built on first use and kept, so every weight grid reuses them.
         """
-        w = self.measure
-        if weight_grid is not None:
-            w = w * weight_grid
-        return self._mass_kernel(w)
+        return self._mass_kernel(self.measure if weights is None else weights)
 
     def stiffness(self):
         """Pulled-back spatial stiffness matrix."""

@@ -438,6 +438,7 @@ def parse_config(path):
                         "unknown configuration key %s.%s" % (section, key)
                     )
         cfg.solver_config()
+        cfg.solver_config(tolerance=cfg.conv_tolerance)
     except ConfigError:
         raise
     except ValueError as exc:

@@ -10,7 +10,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .assembly import QuadratureRule, banded_gram, time_matrices
+from .assembly import banded_gram, time_matrices
 from .tensorops import mode_apply
 
 __all__ = [
@@ -84,51 +84,31 @@ def generalized_eig(K, M):
 class FastDiagPreconditioner:
     """Fast-diagonalization preconditioner for the potential system.
 
-    Inverts the surrogate operator
-    ``(C_m W_t + r M_t) kron M~ + D M_t kron K~`` exactly, where ``M~`` and
-    ``K~`` are the Kronecker mass and stiffness of univariate factors.  Their
-    generalized eigenvectors ``U = kron_l U_l`` (``U^T M~ U = I``,
-    ``U^T K~ U = Lambda``) split it into one ``N_t x N_t`` temporal system
-    per spatial mode ``k``,
-    ``A_k = C_m W_t + (r + D lambda_k) M_t``, whose inverses are stored as
-    one ``(N_t, N_t, N_s)`` array.  A stabilizer term ``c S^t kron S^s``
-    is folded in as ``c d_k S^t`` on every ``A_k``, with ``d_k`` the
-    diagonal of ``U^T S^s U`` (see :meth:`fold`); the fold is exact when
-    ``U^T S^s U`` is diagonal.  All arithmetic is real.
+    Inverts ``sum_j T_j kron diag(c_j)`` in the spatial eigenbasis exactly:
+    ``eigenvectors`` are the univariate factors ``U_l`` (direction 1 first)
+    of ``U = kron_l U_l``, and ``terms`` lists pairs ``(T_j, c_j)`` of a
+    temporal matrix and its per-spatial-mode coefficients, so that spatial
+    mode ``k`` has the ``N_t x N_t`` temporal matrix
+    ``A_k = sum_j c_j[k] T_j``.  The inverses of the ``A_k`` are stored as
+    one ``(N_t, N_t, N_s)`` array.  :meth:`build` gives the terms of the
+    Galerkin surrogate; a stabilizer term ``c S^t kron S^s`` adds
+    ``(S^t, c d)`` with ``d`` the diagonal of ``U^T S^s U``, which is exact
+    when ``U^T S^s U`` is diagonal.  All arithmetic is real.
     """
 
-    def __init__(
-        self,
-        spatial_eigs,
-        lam_s,
-        W_t,
-        M_t,
-        capacitance,
-        diffusion,
-        reaction,
-        stabilizer=(),
-    ):
-        self.spatial_eigs = spatial_eigs
-        self.lam_s = lam_s
-        self.W_t = _dense(W_t)
-        self.M_t = _dense(M_t)
-        self.capacitance = float(capacitance)
-        self.diffusion = float(diffusion)
-        self.reaction = float(reaction)
-        nt = self.M_t.shape[0]
-        ns = lam_s.size
+    def __init__(self, eigenvectors, terms):
+        self.eigenvectors = list(eigenvectors)
+        self.terms = list(terms)
+        mats = [_dense(tmat) for tmat, _ in self.terms]
+        coefs = [coef for _, coef in self.terms]
+        nt = mats[0].shape[0]
+        ns = coefs[0].size
         self.num_time = nt
         self.num_space = ns
-        self._shape = (nt,) + tuple(U.shape[0] for U, _ in reversed(spatial_eigs))
-        # Every A_k is a combination of the same few temporal matrices, so
-        # the stack, laid out (i, j, k) for the contraction of ``apply``, is
+        self._shape = (nt,) + tuple(U.shape[0] for U in reversed(self.eigenvectors))
+        # The stack, laid out (i, j, k) for the contraction of ``apply``, is
         # one product of the flattened matrices and per-mode coefficients.
         # The inverses are written back into it: one stack is held.
-        mats = [self.W_t, self.M_t] + [_dense(tmat) for _, tmat, _ in stabilizer]
-        coefs = [
-            np.full(ns, self.capacitance),
-            self.reaction + self.diffusion * lam_s,
-        ] + [coef * diag for coef, _, diag in stabilizer]
         stack = np.stack(mats).reshape(len(mats), -1).T @ np.stack(coefs)
         stack = stack.reshape(nt, nt, ns)
         try:
@@ -139,11 +119,6 @@ class FastDiagPreconditioner:
             ) from exc
         stack[...] = inv.transpose(1, 2, 0)
         self._inv = stack
-
-    @property
-    def eigenvectors(self):
-        """The spatial eigenvectors ``U_l``, direction 1 first."""
-        return [U for U, _ in self.spatial_eigs]
 
     @staticmethod
     def _separable_weights(spatial_data):
@@ -182,85 +157,39 @@ class FastDiagPreconditioner:
         return mass, stiff
 
     @classmethod
-    def build(
-        cls,
-        space_time,
-        final_time,
-        capacitance,
-        diffusion,
-        reaction,
-        spatial_data=None,
-    ):
-        """Assemble the surrogate factors and their eigendecompositions.
+    def build(cls, space_time, final_time, capacitance, diffusion, reaction, spatial_data):
+        """The surrogate ``(C_m W_t + r M_t) kron M~ + D M_t kron K~``.
 
-        The univariate factors ``M_l``/``K_l`` are Gram matrices on the rule
-        of ``spatial_data`` that absorb separable approximations of the
-        pulled-back measure and metric, which keeps the Kronecker structure
-        while tracking strong geometry contrast.  Without ``spatial_data``
-        the factors are those of the unit box, the parametric domain, where
-        the weights are one and come from the default rules alone.
+        The univariate factors ``M_l``/``K_l`` of ``M~`` and ``K~`` are Gram
+        matrices on the rule of ``spatial_data`` that absorb separable
+        approximations of the pulled-back measure and metric, which keeps
+        the Kronecker structure while tracking strong geometry contrast (on
+        a box the weights are one).  Their generalized eigenvectors
+        (``U_l^T M_l U_l = I``, ``U_l^T K_l U_l = Lambda_l``) give the terms
+        ``(W_t, C_m)`` and ``(M_t, r + D lambda)``.
         """
         d = space_time.num_spatial_dims
         dims = [s.dimension for s in space_time.spatial]
-        if spatial_data is None:
-            rules = [QuadratureRule.for_space(s) for s in space_time.spatial]
-            c0, c1 = (
-                [
-                    s.collocation_matrix(r.points, order)
-                    for s, r in zip(space_time.spatial, rules)
-                ]
-                for order in (0, 1)
-            )
-            w_mass = w_stiff = [1.0] * d
-        else:
-            rules, c0, c1 = spatial_data.rules, spatial_data.c0, spatial_data.c1
-            w_mass, w_stiff = cls._separable_weights(spatial_data)
-        spatial_eigs = []
+        rules, c0, c1 = spatial_data.rules, spatial_data.c0, spatial_data.c1
+        w_mass, w_stiff = cls._separable_weights(spatial_data)
+        eigenvectors = []
+        lam = np.zeros(tuple(reversed(dims)))
         for l in range(d):
             w = rules[l].flat_weights
             M_l = banded_gram([c0[l]], [c0[l]], w * w_mass[l])
             K_l = banded_gram([c1[l]], [c1[l]], w * w_stiff[l])
-            spatial_eigs.append(generalized_eig(K_l, M_l))
-        lam_grid = np.zeros(tuple(reversed(dims)))
-        for l in range(d):
+            U_l, lam_l = generalized_eig(K_l, M_l)
+            eigenvectors.append(U_l)
             shape = [1] * d
             shape[d - 1 - l] = dims[l]
-            lam_grid = lam_grid + spatial_eigs[l][1].reshape(shape)
+            lam = lam + lam_l.reshape(shape)
         W_t, M_t = time_matrices(space_time, final_time)
-        return cls(
-            spatial_eigs,
-            lam_grid.reshape(-1),
-            W_t,
-            M_t,
-            capacitance,
-            diffusion,
-            reaction,
-        )
-
-    def fold(self, terms, diagonals):
-        """The surrogate's preconditioner with stabilizer terms folded in.
-
-        ``terms`` are the Kronecker terms ``(c_r, S^t_r, S^s_r)`` of a
-        stabilizer and ``diagonals[r]`` the diagonal ``d_r`` of
-        ``U^T S^s_r U`` in this preconditioner's spatial eigenbasis (see
-        :func:`~monoiga.stabilization.stabilizer_diagonals`); every ``A_k``
-        gains ``sum_r c_r d_{r,k} S^t_r``.  The new preconditioner shares the
-        spatial eigenpairs and the temporal factors; terms folded into this
-        one are not carried over.
-        """
-        stabilizer = [
-            (coef, tmat, diag) for (coef, tmat, _), diag in zip(terms, diagonals)
+        lam = lam.reshape(-1)
+        terms = [
+            (_dense(W_t), np.full(lam.size, float(capacitance))),
+            (_dense(M_t), float(reaction) + float(diffusion) * lam),
         ]
-        return FastDiagPreconditioner(
-            self.spatial_eigs,
-            self.lam_s,
-            self.W_t,
-            self.M_t,
-            self.capacitance,
-            self.diffusion,
-            self.reaction,
-            stabilizer,
-        )
+        return cls(eigenvectors, terms)
 
     def apply(self, r):
         """Apply the inverse: spatial transform, per-mode solves, back-transform.
@@ -273,14 +202,14 @@ class FastDiagPreconditioner:
         r = np.asarray(r, dtype=float).reshape(-1)
         if r.size != self.num_time * self.num_space:
             raise ValueError("dimension mismatch in preconditioner application")
-        d = len(self.spatial_eigs)
+        d = len(self.eigenvectors)
         X = r.reshape(self._shape)
         for l in range(d):
-            X = mode_apply(self.spatial_eigs[l][0].T, X, 1 + (d - 1 - l))
+            X = mode_apply(self.eigenvectors[l].T, X, 1 + (d - 1 - l))
         X = X.reshape(self.num_time, self.num_space)
         X = np.einsum("ijk,jk->ik", self._inv, X).reshape(self._shape)
         for l in range(d):
-            X = mode_apply(self.spatial_eigs[l][0], X, 1 + (d - 1 - l))
+            X = mode_apply(self.eigenvectors[l], X, 1 + (d - 1 - l))
         return X.reshape(-1)
 
 

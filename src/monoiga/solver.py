@@ -13,9 +13,10 @@ One workspace per solve holds the discretization data: a single
 default-rule Gauss grid serves the reaction terms, the load vector and the
 residual indicator, and with stabilization on it also holds the
 stabilizer's refined grid of the upwind weights.  Each indicator, whether
-recomputed every step or latched from the start, becomes one complete
-Kronecker operator: the workspace's constant terms plus the stabilizer's,
-and one preconditioner with the stabilizer folded into its temporal solves.
+recomputed every step or latched from the start, becomes one system: one
+complete Kronecker operator (the workspace's constant terms plus the
+stabilizer's) and one preconditioner, built together from the same
+stabilizer terms (:meth:`_Workspace.system`).
 """
 
 import logging
@@ -44,7 +45,6 @@ from .stabilization import (
     compute_tau,
     compute_theta,
     lowrank_factorize,
-    stabilizer_diagonals,
 )
 
 __all__ = [
@@ -148,6 +148,8 @@ class FixedPointConfig:
             raise ValueError("lowrank_tol must lie in (0, 1)")
         if self.indicator_update not in ("every_sweep", "frozen"):
             raise ValueError("unknown indicator update %r" % self.indicator_update)
+        if not 0.0 < self.linear_tol < 1.0:
+            raise ValueError("linear_tol must lie in (0, 1)")
 
 
 @dataclass
@@ -157,9 +159,11 @@ class SolveResult:
     A record holds the step's ``sweep`` number (from 1), ``increment``
     (max-abs step), ``residual`` (``||F||``), ``forcing``,
     ``gmres_iterations`` and its stabilizer: the low-rank indicator's
-    ``rank``, the indicator's maximum ``theta_max`` and whether it is
-    ``latched`` (rank 0, 0.0 and False on an unstabilized step); the
-    properties below read the records.
+    ``rank``, the indicator's maximum ``theta_max``, whether it is
+    ``latched``, its ``drift`` (the undamped max-abs change of a recomputed
+    indicator, 0.0 where none is computed) and whether its
+    ``denominator_vanished`` (rank 0, 0.0, False, 0.0 and False on an
+    unstabilized step); the properties below read the records.
     """
 
     u: np.ndarray
@@ -192,7 +196,7 @@ class SolveResult:
 
 
 class _Workspace:
-    """Discretization-dependent data shared across Newton steps.
+    """Per-solve constants shared across Newton steps.
 
     One default-rule quadrature grid serves the operator, the load vector
     and the residual indicator; with stabilization on, the workspace also
@@ -201,12 +205,12 @@ class _Workspace:
     recovery map ``w = (R_t kron I) u`` (``None`` when ``b = 0``, where
     ``R = 0``), the temporal test and trial factors ``[C_t; C_t]`` and
     ``[C_t; C_t R_t]`` of the Jacobian's reaction part, the space-time
-    quadrature ``measure`` and the operator's constant Kronecker terms
-    ``(C_m W_t + c1 a M_t) kron M_s`` and ``D M_t kron K_s`` (the
-    preconditioner's surrogate, with one term per spatial factor so a matvec
-    applies ``M_s`` once).  ``precond`` is the preconditioner in use and
-    ``pf_norm`` the norm of the load vector it preconditions; both start
-    from the surrogate and change with each stabilizer (:meth:`stabilize`).
+    quadrature ``measure``, the operator's constant Kronecker terms
+    ``(C_m W_t + c1 a M_t) kron M_s`` and ``D M_t kron K_s`` (one term per
+    spatial factor, so a matvec applies ``M_s`` once) and ``precond``, the
+    fast-diagonalization preconditioner of their separable surrogate.
+    :meth:`system` builds each step's operator and preconditioner from
+    these and a stabilizer.
     """
 
     def __init__(self, problem, config):
@@ -235,8 +239,6 @@ class _Workspace:
             problem.a * problem.c1,
             spatial_data=self.spatial_data,
         )
-        # ||P f||: the absolute floor of every step's GMRES tolerance.
-        self.pf_norm = float(np.linalg.norm(self.precond.apply(self.f_vec)))
         self.recovery = None
         if problem.b != 0:
             nt = st.num_time
@@ -257,6 +259,7 @@ class _Workspace:
         mass_t = problem.C_m * self.W_t + problem.c1 * problem.a * self.M_t
         self.terms = [(1.0, mass_t, self.M_s), (problem.D, self.M_t, self.K_s)]
         self.sizes = (st.num_time, st.num_space)
+        self.capacitance = problem.C_m
 
     def recover(self, u):
         """The recovery field ``w = R u`` of a potential."""
@@ -265,30 +268,34 @@ class _Workspace:
         nt = self.recovery.shape[0]
         return (self.recovery @ u.reshape(nt, -1)).reshape(-1)
 
-    def operator(self, stab_terms):
-        """The Kronecker operator ``K`` of the constant terms and ``stab_terms``."""
-        return KroneckerOperator(*self.sizes, self.terms + stab_terms)
+    def system(self, lowrank=None):
+        """The operator, preconditioner and ``||P f||`` of one stabilizer.
 
-    def stabilize(self, lowrank, capacitance):
-        """The operator with the stabilizer of ``lowrank``, folded into ``precond``.
-
-        The preconditioner in use becomes the surrogate's with the
-        stabilizer's terms folded in (see
-        :meth:`~monoiga.linalg.FastDiagPreconditioner.fold`), which replaces
-        the previous stabilizer's, and ``pf_norm`` is recomputed with it.
+        The operator is the Kronecker operator ``K`` of the constant terms
+        and the stabilizer terms of ``lowrank`` (none without one), and the
+        preconditioner the surrogate's with the same stabilizer's terms
+        added to its temporal solves (see :func:`assemble_stabilization`);
+        without stabilizer terms it is the surrogate ``precond`` itself.
+        ``||P f||``, the norm of the preconditioned load vector, is the
+        absolute floor of the step's GMRES tolerance.
         """
-        terms = assemble_stabilization(lowrank, self.stab_grid, capacitance)
-        diagonals = stabilizer_diagonals(
-            lowrank, self.stab_grid, self.precond.eigenvectors
-        )
-        self.precond = self.precond.fold(terms, diagonals)
-        self.pf_norm = float(np.linalg.norm(self.precond.apply(self.f_vec)))
-        return self.operator(terms)
+        terms, precond = self.terms, self.precond
+        if lowrank is not None:
+            stab, precond_terms = assemble_stabilization(
+                lowrank, self.stab_grid, self.capacitance, precond.eigenvectors
+            )
+            terms = terms + stab
+            if precond_terms:
+                precond = FastDiagPreconditioner(
+                    precond.eigenvectors, precond.terms + precond_terms
+                )
+        norm_pf = float(np.linalg.norm(precond.apply(self.f_vec)))
+        return KroneckerOperator(*self.sizes, terms), precond, norm_pf
 
     def linearize(self, problem, u, w, op):
         """Residual ``F(u)`` and Jacobian operator at an iterate ``u``, ``w = R u``.
 
-        ``op`` is the Kronecker operator ``K`` of :meth:`operator`.  With the
+        ``op`` is the Kronecker operator ``K`` of :meth:`system`.  With the
         reaction coefficient ``c = c1 (u - a)(u - 1) + c2 w``,
         ``F(u) = K u + int (c - c1 a) u v - f``, and the Jacobian is ``K``
         plus the :class:`WeightedMass`
@@ -335,8 +342,9 @@ def fixed_point_solve(problem, config=None):
     The recovery variable is the linear map ``w = R u`` of the potential,
     so the coupled system is one nonlinear equation ``F(u) = 0`` (see
     :meth:`_Workspace.linearize`).  Each step solves ``J delta = -F`` by
-    GMRES with the fast-diagonalization preconditioner (with the step's
-    stabilizer folded in), from zero, to the relative tolerance
+    GMRES with the fast-diagonalization preconditioner (built with the
+    step's operator from the same stabilizer terms), from zero, to the
+    relative tolerance
     ``max(eta_k, linear_tol ||P f|| / ||P F_k||)``: the
     first step's forcing term is ``linear_tol``, and later ones are
     ``min(ETA_MAX, 0.9 (||F_k|| / ||F_{k-1}||)^2)`` (Eisenstat & Walker's
@@ -376,9 +384,8 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
 
     Steps continue the records of ``start``, whose iterate starts the
     iteration.  A given ``indicator`` is latched: its stabilizer serves
-    every step.  The phase builds one operator and one folded
-    preconditioner per stabilizer, and an unstabilized phase one operator
-    without stabilizer terms and the workspace's surrogate preconditioner.
+    every step.  The phase builds one system (:meth:`_Workspace.system`)
+    per stabilizer, and an unstabilized phase one without stabilizer terms.
     """
     if start is None:
         steps = []
@@ -391,10 +398,11 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
     alpha = config.relaxation
     stabilized = config.stabilization == "spline_upwind"
     latched = indicator is not None
-    op = None if stabilized else ws.operator([])
+    system = None if stabilized else ws.system()
 
     for k in range(done + 1, done + config.max_iterations + 1):
-        if stabilized and not (latched and op is not None):
+        drift = 0.0
+        if stabilized and not (latched and system is not None):
             if not latched:
                 fresh = compute_theta(problem, u, w, ws.spatial_data, ws.time_data)
                 if indicator is not None and alpha < 1.0:
@@ -410,7 +418,8 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
                     latched = drift * alpha <= INDICATOR_FREEZE_TOL
                 indicator = fresh
             lowrank = lowrank_factorize(indicator, config.lowrank_tol)
-            op = ws.stabilize(lowrank, problem.C_m)
+            system = ws.system(lowrank)
+        op, precond, norm_pf = system
         residual, jac = ws.linearize(problem, u, w, op)
         res = float(np.linalg.norm(residual))
         if k == done + 1:
@@ -420,9 +429,9 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
         delta, nit, _ = gmres(
             jac,
             -residual,
-            precond=ws.precond,
+            precond=precond,
             tol=eta,
-            atol=config.linear_tol * ws.pf_norm,
+            atol=config.linear_tol * norm_pf,
         )
         # The Jacobian's weight grid is not needed past its solve.
         jac.correction = None
@@ -437,6 +446,8 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
             "rank": lowrank.rank if stabilized else 0,
             "theta_max": indicator.max if stabilized else 0.0,
             "latched": stabilized and latched,
+            "drift": drift,
+            "denominator_vanished": stabilized and indicator.denominator_vanished,
         }
         steps.append(step)
         log.info(

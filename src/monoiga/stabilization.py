@@ -31,7 +31,6 @@ __all__ = [
     "compute_theta",
     "lowrank_factorize",
     "assemble_stabilization",
-    "stabilizer_diagonals",
 ]
 
 TAU_RESIDUAL_LIMIT = 1e-8
@@ -431,49 +430,42 @@ class StabilizationGrid:
         )
 
 
-def assemble_stabilization(lowrank, grid, capacitance):
-    """The low-rank stabilizer as Kronecker terms ``(C_m sigma_r, S^t_r, S^s_r)``.
+def assemble_stabilization(lowrank, grid, capacitance, eigenvectors):
+    """The low-rank stabilizer's operator and preconditioner terms.
 
     For every retained rank ``r`` of ``lowrank``, ``S^t_r`` is the sum over
     the derivative orders ``k`` of the ``k``-th derivative Gram matrices
     weighted by the upwind weight and the temporal profile, and ``S^s_r`` the
-    spatial mass matrix weighted by the spatial profile, both integrated on
-    the :class:`StabilizationGrid` ``grid``; the system operator receives one
-    term per rank, and none at rank zero.  All temporal integrals are
-    parametric: the powers of the final time carried by the upwind weights
-    cancel against the derivative and measure scalings.
-    """
-    axes = [r.points for r in grid.spatial_data.rules]
-    terms = []
-    for r in range(lowrank.rank):
-        prof_t = lowrank.time_profile(r, grid.time_points)
-        tmat = grid.time_gram(grid.time_weights * prof_t)
-        smat = grid.spatial_data.mass(weight_grid=lowrank.space_profile(r, axes))
-        terms.append((capacitance * lowrank.weights[r], tmat, smat))
-    return terms
+    spatial mass matrix of the weight grid ``W_r`` (measure times spatial
+    profile), both integrated on the :class:`StabilizationGrid` ``grid``.
+    All temporal integrals are parametric: the powers of the final time
+    carried by the upwind weights cancel against the derivative and measure
+    scalings.
 
-
-def stabilizer_diagonals(lowrank, grid, eigenvectors):
-    """Diagonals ``d_r = diag(U^T S^s_r U)`` of the stabilizer's spatial factors.
-
-    ``S^s_r`` are the spatial factors of :func:`assemble_stabilization` on
-    the :class:`StabilizationGrid` ``grid`` and ``U = kron_l U_l`` the
-    spatial eigenbasis ``eigenvectors`` (direction 1 first) of a
-    preconditioner.  With the grid's collocations ``C_l`` and the rank's
-    weight grid ``W_r`` (measure times spatial profile),
+    Returns ``(terms, precond_terms)``: the operator's Kronecker terms
+    ``(C_m sigma_r, S^t_r, S^s_r)`` and the preconditioner's
+    ``(S^t_r, C_m sigma_r d_r)``, where ``d_r = diag(U^T S^s_r U)`` in the
+    spatial eigenbasis ``U = kron_l U_l`` of ``eigenvectors`` (direction 1
+    first).  With the grid's collocations ``C_l``,
     ``d_r[k] = sum_q W_r[q] prod_l (C_l U_l)[q_l, k_l]^2``: contracting
     ``W_r`` with ``((C_l U_l)^2)^T`` one axis at a time (sum factorization)
-    gives it without forming ``U`` or any ``N_s x N_s`` matrix.  Returns one
-    vector of length ``N_s`` per rank, ordered like the coefficients.
+    gives it without forming ``U`` or any ``N_s x N_s`` matrix.  Both lists
+    are empty at rank zero.
     """
     sd = grid.spatial_data
     d = len(eigenvectors)
-    tables = [((c @ U) ** 2).T for c, U in zip(sd.c0, eigenvectors)]
     axes = [r.points for r in sd.rules]
-    diagonals = []
+    tables = [((c @ U) ** 2).T for c, U in zip(sd.c0, eigenvectors)]
+    terms = []
+    precond_terms = []
     for r in range(lowrank.rank):
-        vals = sd.measure * lowrank.space_profile(r, axes)
+        coef = capacitance * lowrank.weights[r]
+        prof_t = lowrank.time_profile(r, grid.time_points)
+        tmat = grid.time_gram(grid.time_weights * prof_t)
+        weights = sd.measure * lowrank.space_profile(r, axes)
+        diag = weights
         for l, table in enumerate(tables):
-            vals = mode_apply(table, vals, d - 1 - l)
-        diagonals.append(vals.reshape(-1))
-    return diagonals
+            diag = mode_apply(table, diag, d - 1 - l)
+        terms.append((coef, tmat, sd.mass(weights)))
+        precond_terms.append((tmat, coef * diag.reshape(-1)))
+    return terms, precond_terms

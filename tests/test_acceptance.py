@@ -12,6 +12,7 @@ import scipy.sparse as sp
 from monoiga import solver
 from monoiga.assembly import (
     KroneckerOperator,
+    SpatialQuadratureData,
     reaction_mass,
     spatial_operators,
     time_matrices,
@@ -126,7 +127,8 @@ def test_criterion_5_preconditioner_exactness(elements):
         st.num_space,
         [(cm, W_t, M_s), (diff, M_t, K_s), (react, M_t, M_s)],
     )
-    precond = FastDiagPreconditioner.build(st, 1.0, cm, diff, react)
+    sdata = SpatialQuadratureData(st.spatial, geo)
+    precond = FastDiagPreconditioner.build(st, 1.0, cm, diff, react, spatial_data=sdata)
     rhs = RNG.standard_normal(st.num_dof)
     x, iters, _ = gmres(op, rhs, precond=precond, tol=1e-8)
     assert iters <= 3
@@ -169,7 +171,8 @@ def test_criterion_6_dense_oracle_equivalence():
         st.spatial_shape,
     )
     lr = lowrank_factorize(theta, 0.3)
-    terms = assemble_stabilization(lr, StabilizationGrid(tau, st, geo), 1.0)
+    eye = [np.eye(s.dimension) for s in st.spatial]
+    terms, _ = assemble_stabilization(lr, StabilizationGrid(tau, st, geo), 1.0, eye)
     total = sum(coef * sp.kron(tm, sm).toarray() for coef, tm, sm in terms)
     pdeg = st.time.degree
     extra = [s.greville() for s in st.spatial] + [theta.time_greville]
@@ -219,7 +222,8 @@ def test_criterion_6_dense_oracle_equivalence():
     # preconditioner against a dense solve of its surrogate (the unit
     # square's separable factors are the exact mass and stiffness)
     react = A_RM * C1_RM
-    P = FastDiagPreconditioner.build(st, geo.final_time, 1.0, 1e-3, react)
+    sdata = SpatialQuadratureData(st.spatial, geo)
+    P = FastDiagPreconditioner.build(st, geo.final_time, 1.0, 1e-3, react, spatial_data=sdata)
     surrogate = (
         np.kron((W_t + react * M_t).toarray(), M_s.toarray())
         + 1e-3 * np.kron(M_t.toarray(), K_s.toarray())

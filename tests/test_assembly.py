@@ -57,12 +57,14 @@ class TestQuadrature:
 def univariate_grams(space, weight_grid=None):
     """Dense mass, stiffness and advection of a space on the unit interval.
 
-    Built from 1D quadrature data; ``advection[i, j] = int b'_j b_i``.
+    Built from 1D quadrature data; ``advection[i, j] = int b'_j b_i``.  The
+    mass is weighted by ``weight_grid`` on the quadrature points, if given.
     """
     data = SpatialQuadratureData([space], builtin_geometry("unit_interval"))
     w = data.rules[0].flat_weights
     W = banded_gram([data.c0[0]], [data.c1[0]], w)
-    return data.mass(weight_grid).toarray(), data.stiffness().toarray(), W.toarray()
+    weights = None if weight_grid is None else data.measure * weight_grid
+    return data.mass(weights).toarray(), data.stiffness().toarray(), W.toarray()
 
 
 class TestUnivariate:
@@ -433,7 +435,7 @@ class TestBandedGram:
         C = functools.reduce(sp.kron, [sp.csr_matrix(c) for c in reversed(data.c0)])
         w = (data.wgrid * np.abs(data.detj) * prof).reshape(-1)
         ref = (C.T @ sp.diags(w) @ C).toarray()
-        M = data.mass(weight_grid=prof).toarray()
+        M = data.mass(data.measure * prof).toarray()
         assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_mass_memory_scales_with_the_result(self):
@@ -445,7 +447,7 @@ class TestBandedGram:
         prof = np.random.default_rng(8).random(data.grid_shape)
         tracemalloc.start()
         try:
-            M = data.mass(weight_grid=prof)
+            M = data.mass(data.measure * prof)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

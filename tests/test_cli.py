@@ -78,6 +78,9 @@ def test_bad_config_exits_2(tmp_path):
         ("output", "grid", "5 5"),
         ("solver", "max_iterations", "0"),
         ("output", "times", "1.0 1.5"),
+        ("solver", "linear_tol", "0"),
+        ("solver", "linear_tol", "1"),
+        ("convergence", "tolerance", "0"),
     ],
 )
 def test_invalid_value_exits_2_before_any_solve(

@@ -134,7 +134,7 @@ class TestFastDiagPreconditioner:
             assert max(np.ptp(np.log(w)) for w in w_mass + w_stiff) > 0.1
         else:
             st = make_st(d=geo.dim, p=2, elements=3)
-            sdata = None
+            sdata = SpatialQuadratureData(st.spatial, geo)
             op = surrogate_operator(st, geo, 2.0, cm, diff, react)
         P = FastDiagPreconditioner.build(st, 2.0, cm, diff, react, spatial_data=sdata)
         x = RNG.standard_normal(st.num_dof)
@@ -151,9 +151,10 @@ class TestFastDiagPreconditioner:
         Ms1 = sp.csr_matrix(np.array([[1.0]]))
         cm = 1.0
         op = KroneckerOperator(st.num_time, 1, [(cm, W_t, Ms1)])
-        eigs = [(np.array([[1.0]]), np.array([0.0]))]
 
-        P = FastDiagPreconditioner(eigs, np.zeros(1), W_t, M_t, cm, 0.0, 0.0)
+        P = FastDiagPreconditioner(
+            [np.array([[1.0]])], [(W_t, np.full(1, cm)), (M_t, np.zeros(1))]
+        )
         x = RNG.standard_normal(st.num_time)
         r = op.matvec(x)
         # M_s = 1 means the surrogate equals C_m W_t exactly.
@@ -165,7 +166,8 @@ class TestFastDiagPreconditioner:
         W_t, M_t = time_matrices(st, 1.0)
         M_s, _ = spatial_operators(st.spatial, geo)
         op = KroneckerOperator(st.num_time, st.num_space, [(1.0, M_t, M_s)])
-        P = FastDiagPreconditioner.build(st, 1.0, 0.0, 0.0, 1.0)
+        sdata = SpatialQuadratureData(st.spatial, geo)
+        P = FastDiagPreconditioner.build(st, 1.0, 0.0, 0.0, 1.0, spatial_data=sdata)
         x = RNG.standard_normal(st.num_dof)
         assert np.linalg.norm(P.apply(op.matvec(x)) - x) < 1e-8 * np.linalg.norm(x)
 
@@ -186,8 +188,9 @@ class TestFastDiagPreconditioner:
         assert np.linalg.norm(P.apply(r) - ref) < 1e-10 * np.linalg.norm(ref)
 
     def test_fold_matches_dense_per_mode_solve(self):
-        # Folding c S^t kron S^s adds c d_k S^t to every mode's temporal
-        # matrix, d_k the diagonal of U^T S^s U.
+        # A stabilizer term c S^t kron S^s enters as (S^t, c d), which adds
+        # c d_k S^t to every mode's temporal matrix, d_k the diagonal of
+        # U^T S^s U.
         geo = builtin_geometry("ellipse_annulus", final_time=1.5)
         st = small_space(2)
         sdata = SpatialQuadratureData(st.spatial, geo)
@@ -199,37 +202,44 @@ class TestFastDiagPreconditioner:
         U = np.ones((1, 1))
         for U_l in P.eigenvectors:
             U = np.kron(U_l, U)
+        # The surrogate's spatial eigenvalues, from its stiffness K~.
+        lam = np.diag(U.T @ op.terms[1][2].toarray() @ U)
         terms, diags = [], []
         for c in (0.7, 0.2):
             S_t = rng.standard_normal((nt, nt))
-            S_s = sdata.mass(weight_grid=1.0 + rng.random(sdata.grid_shape))
+            weights = sdata.measure * (1.0 + rng.random(sdata.grid_shape))
+            S_s = sdata.mass(weights)
             terms.append((c, sp.csr_matrix(S_t), S_s))
             diags.append(np.diag(U.T @ S_s.toarray() @ U))
-        F = P.fold(terms, diags)
-        assert F.spatial_eigs is P.spatial_eigs
+        F = FastDiagPreconditioner(
+            P.eigenvectors,
+            P.terms + [(S_t, c * dg) for (c, S_t, _), dg in zip(terms, diags)],
+        )
         r = RNG.standard_normal(st.num_dof)
         # Reference: transform in space densely, solve each mode, transform back.
         R = r.reshape(nt, ns) @ U
         Y = np.empty_like(R)
         W_t, M_t = time_matrices(st, 1.5)
         for k in range(ns):
-            A = cm * W_t.toarray() + (react + diff * P.lam_s[k]) * M_t.toarray()
+            A = cm * W_t.toarray() + (react + diff * lam[k]) * M_t.toarray()
             for (c, S_t, _), dg in zip(terms, diags):
                 A = A + c * dg[k] * S_t.toarray()
             Y[:, k] = np.linalg.solve(A, R[:, k])
         ref = (Y @ U.T).reshape(-1)
         assert np.linalg.norm(F.apply(r) - ref) < 1e-10 * np.linalg.norm(ref)
-        # Folding nothing gives back the surrogate's preconditioner.
-        assert np.array_equal(P.fold([], []).apply(r), P.apply(r))
+        # The surrogate's own terms rebuild it exactly.
+        rebuilt = FastDiagPreconditioner(P.eigenvectors, P.terms)
+        assert np.array_equal(rebuilt.apply(r), P.apply(r))
 
     def test_singular_mode_raises(self):
         st = make_st(d=1, p=2, elements=3)
+        sdata = SpatialQuadratureData(st.spatial, builtin_geometry("unit_interval"))
         with pytest.raises(DecompositionError, match="singular"):
-            FastDiagPreconditioner.build(st, 1.0, 0.0, 0.0, 0.0)
+            FastDiagPreconditioner.build(st, 1.0, 0.0, 0.0, 0.0, spatial_data=sdata)
 
     def test_holds_one_inverse_stack(self):
         # The preconditioner keeps its per-mode inverses, N_s N_t^2 doubles,
-        # and little else; folding a stabilizer builds a fresh stack.
+        # and little else; adding a stabilizer's terms builds a fresh stack.
         st = make_st(d=2, p=2, elements=14)
         geo = builtin_geometry("unit_square", final_time=1.0)
         sdata = SpatialQuadratureData(st.spatial, geo)
@@ -241,7 +251,7 @@ class TestFastDiagPreconditioner:
             P = FastDiagPreconditioner.build(st, 1.0, 1.0, 1e-3, 0.03, spatial_data=sdata)
             held = tracemalloc.get_traced_memory()[0] - before
             S_t = sp.identity(nt, format="csr")
-            F = P.fold([(1.0, S_t, None)], [np.ones(ns)])
+            F = FastDiagPreconditioner(P.eigenvectors, P.terms + [(S_t, np.ones(ns))])
             held_both = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -270,7 +280,8 @@ class TestGMRES:
         geo = builtin_geometry("unit_square", final_time=1.0)
         cm, diff, react = 1.0, 1e-4, 0.26 * 0.13
         op = surrogate_operator(st, geo, 1.0, cm, diff, react)
-        P = FastDiagPreconditioner.build(st, 1.0, cm, diff, react)
+        sdata = SpatialQuadratureData(st.spatial, geo)
+        P = FastDiagPreconditioner.build(st, 1.0, cm, diff, react, spatial_data=sdata)
         b = RNG.standard_normal(st.num_dof)
         x, it, _ = gmres(op, b, precond=P, tol=1e-8)
         assert it <= 3
@@ -286,7 +297,8 @@ class TestGMRES:
         op = surrogate_operator(st, geo, 1.0, cm, diff, react)
         rng = np.random.default_rng(21)
         op.correction = sp.diags(0.05 * rng.random(st.num_dof))
-        P = FastDiagPreconditioner.build(st, 1.0, cm, diff, react)
+        sdata = SpatialQuadratureData(st.spatial, geo)
+        P = FastDiagPreconditioner.build(st, 1.0, cm, diff, react, spatial_data=sdata)
         return op, P, rng.standard_normal(st.num_dof)
 
     def test_absolute_bound(self):

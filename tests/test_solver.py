@@ -25,6 +25,7 @@ from monoiga.geometry import builtin_geometry
 from monoiga.linalg import FastDiagPreconditioner, gmres
 from monoiga.solver import (
     ETA_MAX,
+    INDICATOR_FREEZE_TOL,
     FixedPointConfig,
     FixedPointDiverged,
     MonodomainProblem,
@@ -32,7 +33,7 @@ from monoiga.solver import (
     fixed_point_solve,
     l2_error,
 )
-from monoiga.stabilization import ResidualIndicator, compute_theta
+from monoiga.stabilization import ResidualIndicator, compute_theta, lowrank_factorize
 
 RNG = np.random.default_rng(123)
 
@@ -156,7 +157,7 @@ class TestFixedPoint:
         u = 0.5 * rng.standard_normal(problem.space.num_dof)
         delta = rng.standard_normal(problem.space.num_dof)
 
-        op = ws.operator([])
+        op = ws.system()[0]
 
         def residual(v):
             return ws.linearize(problem, v, ws.recover(v), op)[0]
@@ -291,6 +292,30 @@ class TestFixedPoint:
         r_gal = fixed_point_solve(problem, base)
         r_su = fixed_point_solve(problem, su)
         assert np.max(np.abs(r_gal.u - r_su.u)) < 1e-8
+
+    def test_rank_zero_indicator_gets_the_surrogate_preconditioner(self):
+        # A stabilizer without terms leaves the Galerkin system: the
+        # workspace's surrogate preconditioner and its ||P f||.
+        problem = make_problem(
+            d=2, p=2, elements=3, source=lambda x, t: np.sin(np.pi * t) * x[:, 0]
+        )
+        st = problem.space
+        ws = _Workspace(problem, FixedPointConfig(stabilization="spline_upwind"))
+        theta = ResidualIndicator(
+            np.zeros((st.num_time, st.num_space)),
+            st.time_greville(),
+            [s.greville() for s in st.spatial],
+            st.spatial_shape,
+        )
+        lowrank = lowrank_factorize(theta, 0.1)
+        assert lowrank.rank == 0
+        op, precond, pf_norm = ws.system(lowrank)
+        galerkin_op, galerkin_precond, galerkin_pf_norm = ws.system()
+        assert precond is galerkin_precond is ws.precond
+        assert pf_norm == galerkin_pf_norm > 0.0
+        assert len(op.terms) == len(galerkin_op.terms) == len(ws.terms)
+        x = RNG.standard_normal(st.num_dof)
+        assert np.array_equal(op.matvec(x), galerkin_op.matvec(x))
 
     def test_stabilizer_switches_off_on_resolved_solution(self):
         from monoiga.experiments import make_source
@@ -438,9 +463,13 @@ class TestFixedPoint:
         # every stabilized step.
         for step in galerkin.steps:
             assert (step["rank"], step["theta_max"], step["latched"]) == (0, 0.0, False)
+            assert (step["drift"], step["denominator_vanished"]) == (0.0, False)
         for step in result.steps[galerkin.iterations :]:
             assert step["rank"] >= 1 and step["latched"]
             assert step["theta_max"] == result.indicator.max > 0.0
+            # The latched indicator is read from a nonzero iterate and never
+            # recomputed.
+            assert (step["drift"], step["denominator_vanished"]) == (0.0, False)
 
     def test_two_runs_give_equal_records(self):
         problem = make_problem(
@@ -452,6 +481,19 @@ class TestFixedPoint:
         assert first.steps == second.steps
         assert {step["latched"] for step in first.steps} == {False, True}
         assert all(step["rank"] >= 1 for step in first.steps)
+        # Only the first indicator, read from the zero iterate, has a
+        # vanishing denominator; it has no predecessor to drift from.
+        vanished = [step["denominator_vanished"] for step in first.steps]
+        assert vanished == [True] + [False] * (len(first.steps) - 1)
+        assert first.steps[0]["drift"] == 0.0
+        # Each recomputed indicator drifts beyond the latch threshold until
+        # the one that latches; latched steps recompute nothing.
+        latch = [step["latched"] for step in first.steps].index(True)
+        alpha = config.relaxation
+        for step in first.steps[1:latch]:
+            assert step["drift"] * alpha > INDICATOR_FREEZE_TOL
+        assert 0.0 < first.steps[latch]["drift"] * alpha <= INDICATOR_FREEZE_TOL
+        assert all(step["drift"] == 0.0 for step in first.steps[latch + 1 :])
 
     def test_indicator_on_solver_data_equals_standalone(self):
         from monoiga.experiments import make_source

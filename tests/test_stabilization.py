@@ -27,7 +27,6 @@ from monoiga.stabilization import (
     compute_tau,
     compute_theta,
     lowrank_factorize,
-    stabilizer_diagonals,
     strong_residual,
 )
 from oracles import dense_basis_values, dense_univariate, dense_weighted_space_time_mass
@@ -51,6 +50,12 @@ def indicator_of(st, values):
         [s.greville() for s in st.spatial],
         st.spatial_shape,
     )
+
+
+def stabilizer_terms(lr, tau, st, geo):
+    """The operator terms of ``lr``'s stabilizer (diagonals in the unit basis)."""
+    eye = [np.eye(s.dimension) for s in st.spatial]
+    return assemble_stabilization(lr, StabilizationGrid(tau, st, geo), 1.0, eye)[0]
 
 
 def tau_constraint_residual(tau, time_space):
@@ -351,8 +356,9 @@ class TestAssembleStabilization:
         tau = compute_tau(st.time)
         theta = indicator_of(st, np.zeros((st.num_time, st.num_space)))
         lr = lowrank_factorize(theta, 0.1)
-        terms = assemble_stabilization(lr, StabilizationGrid(tau, st, geo), 1.0)
-        assert terms == []
+        eye = [np.eye(s.dimension) for s in st.spatial]
+        grid = StabilizationGrid(tau, st, geo)
+        assert assemble_stabilization(lr, grid, 1.0, eye) == ([], [])
 
     def test_uniform_indicator_reduces_to_weighted_time_mass(self):
         # With the indicator identically one and p_t = 1 the stabilizer is
@@ -365,7 +371,7 @@ class TestAssembleStabilization:
         tau = compute_tau(st.time)
         theta = indicator_of(st, np.ones((st.num_time, st.num_space)))
         lr = lowrank_factorize(theta, 0.1)
-        terms = assemble_stabilization(lr, StabilizationGrid(tau, st, geo), 1.0)
+        terms = stabilizer_terms(lr, tau, st, geo)
         total = sum(
             coef * sp.kron(tm, sm) for coef, tm, sm in terms
         ).toarray()
@@ -392,7 +398,7 @@ class TestAssembleStabilization:
         values = RNG.random((st.num_time, st.num_space))
         theta = indicator_of(st, values)
         lr = lowrank_factorize(theta, 0.3)
-        terms = assemble_stabilization(lr, StabilizationGrid(tau, st, geo), 1.0)
+        terms = stabilizer_terms(lr, tau, st, geo)
         total = sum(
             coef * sp.kron(tm, sm).toarray() for coef, tm, sm in terms
         )
@@ -431,7 +437,7 @@ class TestAssembleStabilization:
         tau = compute_tau(st.time)
         theta = indicator_of(st, RNG.random((st.num_time, st.num_space)))
         lr = lowrank_factorize(theta, 0.2)
-        terms = assemble_stabilization(lr, StabilizationGrid(tau, st, geo), 1.0)
+        terms = stabilizer_terms(lr, tau, st, geo)
         M_s, _ = spatial_operators(st.spatial, geo)
         Md = M_s.toarray()
         assert len(terms) == lr.rank
@@ -449,7 +455,7 @@ class TestAssembleStabilization:
         tau = compute_tau(st.time)
         theta = indicator_of(st, np.ones((st.num_time, st.num_space)))
         lr = lowrank_factorize(theta, 0.1)
-        terms = assemble_stabilization(lr, StabilizationGrid(tau, st, geo), 1.0)
+        terms = stabilizer_terms(lr, tau, st, geo)
         total = sum(
             coef * sp.kron(tm, sm) for coef, tm, sm in terms
         ).toarray()
@@ -507,27 +513,27 @@ class TestStabilizerDiagonals:
         values = np.random.default_rng(8).random((st.num_time, st.num_space))
         lr = lowrank_factorize(indicator_of(st, values), 0.05)
         assert lr.rank >= 2
-        diagonals = stabilizer_diagonals(lr, grid, P.eigenvectors)
-        terms = assemble_stabilization(lr, grid, 1.0)
+        terms, precond_terms = assemble_stabilization(lr, grid, 1.0, P.eigenvectors)
         U = np.ones((1, 1))
         for U_l in P.eigenvectors:
             U = np.kron(U_l, U)
-        assert len(diagonals) == lr.rank
-        for (_, _, smat), diag in zip(terms, diagonals):
-            ref = np.diag(U.T @ smat.toarray() @ U)
-            assert np.max(np.abs(diag - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert len(precond_terms) == lr.rank
+        for (coef, tmat, smat), (ptmat, pcoef) in zip(terms, precond_terms):
+            assert ptmat is tmat
+            ref = coef * np.diag(U.T @ smat.toarray() @ U)
+            assert np.max(np.abs(pcoef - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_constant_indicator_on_cube_is_inverted_exactly(self):
         # A constant indicator on an affine map gives S^s = c M_s, diagonal
-        # in the eigenbasis, so the folded preconditioner inverts the
-        # stabilized operator; the surrogate's alone does not.
+        # in the eigenbasis, so the preconditioner built with the operator
+        # inverts it; the surrogate's alone does not.
         problem = make_problem(d=3, p=2, elements=3)
         st = problem.space
         ws = _Workspace(problem, FixedPointConfig(stabilization="spline_upwind"))
         surrogate = ws.precond
         theta = indicator_of(st, np.ones((st.num_time, st.num_space)))
-        op = ws.stabilize(lowrank_factorize(theta, 0.1), problem.C_m)
+        op, precond, _ = ws.system(lowrank_factorize(theta, 0.1))
         b = np.random.default_rng(4).standard_normal(st.num_dof)
-        _, folded, _ = gmres(op, b, precond=ws.precond, tol=1e-8)
+        _, folded, _ = gmres(op, b, precond=precond, tol=1e-8)
         _, plain, _ = gmres(op, b, precond=surrogate, tol=1e-8)
         assert folded <= 3 < plain
