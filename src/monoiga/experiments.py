@@ -457,6 +457,8 @@ def build_geometry(name_or_path, final_time):
 
 
 def _elements_from_size(h):
+    if not h > 0.0:
+        raise ConfigError("mesh size %g is not positive" % h)
     n = 1.0 / h
     ni = int(round(n))
     if ni < 1 or abs(n - ni) > 1e-9:
@@ -482,8 +484,8 @@ def _build_problem(config):
     """The problem and source of a configuration, checked before any solve.
 
     Values the constructors reject, a ``section`` or ``grid`` of the wrong
-    length for the geometry and an output time outside ``[0, 1]`` raise
-    :class:`ConfigError`.
+    length for the geometry, a ``grid`` entry below 2 and an output time
+    outside ``[0, 1]`` raise :class:`ConfigError`.
     """
     try:
         geo = build_geometry(config.geometry, final_time=config.final_time)
@@ -507,8 +509,11 @@ def _build_problem(config):
             "section must hold %d start and %d end coordinates and a sample count"
             % (d, d)
         )
-    if config.grid_shape is not None and len(config.grid_shape) != d:
-        raise ConfigError("grid must have %d entries" % d)
+    if config.grid_shape is not None:
+        if min(config.grid_shape, default=2) < 2:
+            raise ConfigError("grid entries must be at least 2")
+        if len(config.grid_shape) != d:
+            raise ConfigError("grid must have %d entries" % d)
     if not all(0.0 <= t <= 1.0 for t in config.output_times):
         raise ConfigError("output times must lie in [0, 1]")
     return problem, source

@@ -3,7 +3,11 @@ preconditioner, Krylov solvers, and the exact temporal map that solves the
 recovery-variable system.
 
 All arithmetic is real: the preconditioner diagonalizes space only and solves
-one small temporal system per spatial mode exactly.
+one small temporal system per spatial mode exactly.  Its spatial eigenbasis
+is a list of factors, each over a group of spatial directions: one factor
+per direction where separable weights reproduce the pulled-back measure and
+metric (boxes, 1D) or the spatial space is large, and one exact factor over
+every direction on a small mapped patch.
 """
 
 import numpy as np
@@ -11,7 +15,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .assembly import banded_gram, time_matrices
-from .tensorops import mode_apply
+from .tensorops import mode_apply, outer_product_grid
 
 __all__ = [
     "DecompositionError",
@@ -22,6 +26,16 @@ __all__ = [
     "pcg",
     "solve_w_system",
 ]
+
+# Largest number of spatial functions at which a patch whose separable
+# weights are inexact gets one dense generalized eigendecomposition of the
+# true ``(K_s, M_s)``: it costs O(N_s^3) time and N_s^2 doubles (at 2,000,
+# about 2.7 s on one thread of a 2-vCPU Xeon and 32 MB).
+EXACT_SPACE_LIMIT = 2000
+
+# Relative miss of the separable weights that counts as rounding.
+SEPARABLE_RTOL = 1e-12
+
 
 class DecompositionError(RuntimeError):
     """Raised when a matrix decomposition fails or is unreliable."""
@@ -84,14 +98,16 @@ def generalized_eig(K, M):
 class FastDiagPreconditioner:
     """Fast-diagonalization preconditioner for the potential system.
 
-    Inverts ``sum_j T_j kron diag(c_j)`` in the spatial eigenbasis exactly:
-    ``eigenvectors`` are the univariate factors ``U_l`` (direction 1 first)
-    of ``U = kron_l U_l``, and ``terms`` lists pairs ``(T_j, c_j)`` of a
-    temporal matrix and its per-spatial-mode coefficients, so that spatial
-    mode ``k`` has the ``N_t x N_t`` temporal matrix
-    ``A_k = sum_j c_j[k] T_j``.  The inverses of the ``A_k`` are stored as
-    one ``(N_t, N_t, N_s)`` array.  :meth:`build` gives the terms of the
-    Galerkin surrogate; a stabilizer term ``c S^t kron S^s`` adds
+    Inverts ``sum_j T_j kron diag(c_j)`` in the spatial eigenbasis exactly.
+    ``eigenvectors`` lists the factors of ``U = kron U_g``, each over a group
+    of spatial directions, the group of direction 1 first: either one factor
+    ``U_l`` per direction or a single factor over every direction.
+    ``terms`` lists pairs ``(T_j, c_j)`` of a temporal matrix and its
+    per-spatial-mode coefficients, so that spatial mode ``k`` has the
+    ``N_t x N_t`` temporal matrix ``A_k = sum_j c_j[k] T_j``.  The inverses
+    of the ``A_k`` are stored as one ``(N_t, N_t, N_s)`` array.
+    :meth:`build` gives the terms of the Galerkin operator's spatial pencil
+    or its separable surrogate; a stabilizer term ``c S^t kron S^s`` adds
     ``(S^t, c d)`` with ``d`` the diagonal of ``U^T S^s U``, which is exact
     when ``U^T S^s U`` is diagonal.  All arithmetic is real.
     """
@@ -156,35 +172,91 @@ class FastDiagPreconditioner:
             stiff.append(ratio.mean(axis=other_axes) if other_axes else ratio)
         return mass, stiff
 
-    @classmethod
-    def build(cls, space_time, final_time, capacitance, diffusion, reaction, spatial_data):
-        """The surrogate ``(C_m W_t + r M_t) kron M~ + D M_t kron K~``.
+    @staticmethod
+    def _separable_is_exact(spatial_data, mass, stiff):
+        """Whether the separable weights reproduce the pulled-back data.
 
-        The univariate factors ``M_l``/``K_l`` of ``M~`` and ``K~`` are Gram
-        matrices on the rule of ``spatial_data`` that absorb separable
-        approximations of the pulled-back measure and metric, which keeps
-        the Kronecker structure while tracking strong geometry contrast (on
-        a box the weights are one).  Their generalized eigenvectors
-        (``U_l^T M_l U_l = I``, ``U_l^T K_l U_l = Lambda_l``) give the terms
-        ``(W_t, C_m)`` and ``(M_t, r + D lambda)``.
+        True when every off-diagonal metric entry vanishes on the grid and
+        the rank-one products of ``mass`` and ``stiff`` (see
+        :meth:`_separable_weights`) match ``|det J|`` and
+        ``|det J| (J^{-1} J^{-T})_{ll}`` to ``SEPARABLE_RTOL`` relative to
+        their largest value: on boxes and in 1D.
+        """
+        d = len(spatial_data.spaces)
+        metric = spatial_data.metric
+        if any(np.any(metric[..., a, b]) for a in range(d) for b in range(d) if a != b):
+            return False
+        detj = np.abs(spatial_data.detj)
+        pairs = [(detj, mass)] + [
+            (detj * metric[..., l, l], mass[:l] + [stiff[l]] + mass[l + 1 :])
+            for l in range(d)
+        ]
+        for target, weights in pairs:
+            # Grid order is direction d first.
+            approx = outer_product_grid(weights[::-1])
+            if np.max(np.abs(approx - target)) > SEPARABLE_RTOL * np.max(np.abs(target)):
+                return False
+        return True
+
+    @classmethod
+    def build(
+        cls,
+        space_time,
+        final_time,
+        capacitance,
+        diffusion,
+        reaction,
+        spatial_data,
+        spatial_matrices=None,
+    ):
+        """The preconditioner of ``(C_m W_t + r M_t) kron M_s + D M_t kron K_s``.
+
+        The spatial factors follow the geometry on the rule of
+        ``spatial_data``:
+
+        - one factor per direction where separable approximations of the
+          pulled-back measure and metric are exact (boxes and 1D) or the
+          space has more than ``EXACT_SPACE_LIMIT`` functions.  The
+          univariate factors ``M_l``/``K_l`` of a surrogate ``M~``, ``K~``
+          are Gram matrices that absorb those weights, which keeps the
+          Kronecker structure while tracking strong geometry contrast (on a
+          box the weights are one and the surrogate is exact), and their
+          generalized eigenvectors give ``U_l^T M_l U_l = I``,
+          ``U_l^T K_l U_l = Lambda_l``;
+        - one factor over every direction otherwise: the dense generalized
+          eigenvectors of the true pencil, ``U^T M_s U = I``,
+          ``U^T K_s U = Lambda``, so the spatial factor is exact.  The
+          assembled ``(M_s, K_s)`` are read from ``spatial_matrices`` when
+          given, and assembled on ``spatial_data`` otherwise.
+
+        Both give the terms ``(W_t, C_m)`` and ``(M_t, r + D lambda)``.
         """
         d = space_time.num_spatial_dims
         dims = [s.dimension for s in space_time.spatial]
-        rules, c0, c1 = spatial_data.rules, spatial_data.c0, spatial_data.c1
         w_mass, w_stiff = cls._separable_weights(spatial_data)
-        eigenvectors = []
-        lam = np.zeros(tuple(reversed(dims)))
-        for l in range(d):
-            w = rules[l].flat_weights
-            M_l = banded_gram([c0[l]], [c0[l]], w * w_mass[l])
-            K_l = banded_gram([c1[l]], [c1[l]], w * w_stiff[l])
-            U_l, lam_l = generalized_eig(K_l, M_l)
-            eigenvectors.append(U_l)
-            shape = [1] * d
-            shape[d - 1 - l] = dims[l]
-            lam = lam + lam_l.reshape(shape)
+        if space_time.num_space <= EXACT_SPACE_LIMIT and not cls._separable_is_exact(
+            spatial_data, w_mass, w_stiff
+        ):
+            if spatial_matrices is None:
+                spatial_matrices = (spatial_data.mass(), spatial_data.stiffness())
+            M_s, K_s = spatial_matrices
+            U, lam = generalized_eig(K_s, M_s)
+            eigenvectors = [U]
+        else:
+            rules, c0, c1 = spatial_data.rules, spatial_data.c0, spatial_data.c1
+            eigenvectors = []
+            lam = np.zeros(tuple(reversed(dims)))
+            for l in range(d):
+                w = rules[l].flat_weights
+                M_l = banded_gram([c0[l]], [c0[l]], w * w_mass[l])
+                K_l = banded_gram([c1[l]], [c1[l]], w * w_stiff[l])
+                U_l, lam_l = generalized_eig(K_l, M_l)
+                eigenvectors.append(U_l)
+                shape = [1] * d
+                shape[d - 1 - l] = dims[l]
+                lam = lam + lam_l.reshape(shape)
+            lam = lam.reshape(-1)
         W_t, M_t = time_matrices(space_time, final_time)
-        lam = lam.reshape(-1)
         terms = [
             (_dense(W_t), np.full(lam.size, float(capacitance))),
             (_dense(M_t), float(reaction) + float(diffusion) * lam),
@@ -194,10 +266,10 @@ class FastDiagPreconditioner:
     def apply(self, r):
         """Apply the inverse: spatial transform, per-mode solves, back-transform.
 
-        The residual goes through the transposed spatial eigenvectors, each
-        spatial mode's temporal column is multiplied by its stored inverse
-        (one batched contraction), and the result goes back through the
-        spatial eigenvectors.
+        The residual goes through the transposed spatial factors (one
+        contraction per factor, along its group's axis), each spatial mode's
+        temporal column is multiplied by its stored inverse (one batched
+        contraction), and the result goes back through the spatial factors.
         """
         r = np.asarray(r, dtype=float).reshape(-1)
         if r.size != self.num_time * self.num_space:

@@ -100,8 +100,8 @@ class MonodomainProblem:
         for name in ("C_m", "D", "a", "b", "c1", "c2", "d_e"):
             if getattr(self, name) < 0:
                 raise ValueError("%s must be nonnegative" % name)
-        if self.geometry.final_time <= 0:
-            raise ValueError("final time must be positive")
+        if not 0.0 < self.geometry.final_time < np.inf:
+            raise ValueError("final time must be positive and finite")
         if self.geometry.dim != self.space.num_spatial_dims:
             raise ValueError("geometry and space dimensions differ")
 
@@ -138,8 +138,8 @@ class FixedPointConfig:
     def __post_init__(self):
         if not 0.0 < self.relaxation <= 1.0:
             raise ValueError("relaxation must lie in (0, 1]")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.stabilization not in ("off", "spline_upwind"):
@@ -158,7 +158,9 @@ class SolveResult:
 
     A record holds the step's ``sweep`` number (from 1), ``increment``
     (max-abs step), ``residual`` (``||F||``), ``forcing``,
-    ``gmres_iterations`` and its stabilizer: the low-rank indicator's
+    ``gmres_iterations``, ``gmres_residual`` (the final relative
+    preconditioned residual, 0.0 when GMRES took no iteration) and its
+    stabilizer: the low-rank indicator's
     ``rank``, the indicator's maximum ``theta_max``, whether it is
     ``latched``, its ``drift`` (the undamped max-abs change of a recomputed
     indicator, 0.0 where none is computed) and whether its
@@ -207,8 +209,9 @@ class _Workspace:
     ``[C_t; C_t R_t]`` of the Jacobian's reaction part, the space-time
     quadrature ``measure``, the operator's constant Kronecker terms
     ``(C_m W_t + c1 a M_t) kron M_s`` and ``D M_t kron K_s`` (one term per
-    spatial factor, so a matvec applies ``M_s`` once) and ``precond``, the
-    fast-diagonalization preconditioner of their separable surrogate.
+    spatial factor, so a matvec applies ``M_s`` once) and ``precond``, their
+    fast-diagonalization preconditioner (built from the assembled ``M_s``
+    and ``K_s``; exact in space unless the patch is mapped and large).
     :meth:`system` builds each step's operator and preconditioner from
     these and a stabilizer.
     """
@@ -238,6 +241,7 @@ class _Workspace:
             problem.D,
             problem.a * problem.c1,
             spatial_data=self.spatial_data,
+            spatial_matrices=(self.M_s, self.K_s),
         )
         self.recovery = None
         if problem.b != 0:
@@ -273,9 +277,9 @@ class _Workspace:
 
         The operator is the Kronecker operator ``K`` of the constant terms
         and the stabilizer terms of ``lowrank`` (none without one), and the
-        preconditioner the surrogate's with the same stabilizer's terms
-        added to its temporal solves (see :func:`assemble_stabilization`);
-        without stabilizer terms it is the surrogate ``precond`` itself.
+        preconditioner ``precond`` with the same stabilizer's terms added
+        to its temporal solves (see :func:`assemble_stabilization`);
+        without stabilizer terms it is ``precond`` itself.
         ``||P f||``, the norm of the preconditioned load vector, is the
         absolute floor of the step's GMRES tolerance.
         """
@@ -426,7 +430,7 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
             eta = config.linear_tol
         else:
             eta = min(ETA_MAX, 0.9 * (res / steps[-1]["residual"]) ** 2)
-        delta, nit, _ = gmres(
+        delta, nit, history = gmres(
             jac,
             -residual,
             precond=precond,
@@ -443,6 +447,7 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
             "residual": res,
             "forcing": eta,
             "gmres_iterations": nit,
+            "gmres_residual": float(history[-1]) if nit else 0.0,
             "rank": lowrank.rank if stabilized else 0,
             "theta_max": indicator.max if stabilized else 0.0,
             "latched": stabilized and latched,

@@ -445,17 +445,24 @@ def assemble_stabilization(lowrank, grid, capacitance, eigenvectors):
     Returns ``(terms, precond_terms)``: the operator's Kronecker terms
     ``(C_m sigma_r, S^t_r, S^s_r)`` and the preconditioner's
     ``(S^t_r, C_m sigma_r d_r)``, where ``d_r = diag(U^T S^s_r U)`` in the
-    spatial eigenbasis ``U = kron_l U_l`` of ``eigenvectors`` (direction 1
-    first).  With the grid's collocations ``C_l``,
-    ``d_r[k] = sum_q W_r[q] prod_l (C_l U_l)[q_l, k_l]^2``: contracting
-    ``W_r`` with ``((C_l U_l)^2)^T`` one axis at a time (sum factorization)
-    gives it without forming ``U`` or any ``N_s x N_s`` matrix.  Both lists
-    are empty at rank zero.
+    spatial eigenbasis ``U`` of ``eigenvectors`` (the preconditioner's
+    factors, see :class:`~monoiga.linalg.FastDiagPreconditioner`).  With one
+    factor ``U_l`` per direction (direction 1 first) and the grid's
+    collocations ``C_l``, ``d_r[k] = sum_q W_r[q] prod_l (C_l U_l)[q_l, k_l]^2``:
+    contracting ``W_r`` with ``((C_l U_l)^2)^T`` one axis at a time (sum
+    factorization) gives it without forming ``U`` or any ``N_s x N_s``
+    matrix.  A single factor over every direction is dense already, and
+    ``d_r`` is read from the assembled ``S^s_r``.  Both lists are empty at
+    rank zero.
     """
     sd = grid.spatial_data
-    d = len(eigenvectors)
+    d = len(sd.c0)
+    tables = None
+    if len(eigenvectors) == d:
+        tables = [((c @ U) ** 2).T for c, U in zip(sd.c0, eigenvectors)]
+    else:
+        (U,) = eigenvectors
     axes = [r.points for r in sd.rules]
-    tables = [((c @ U) ** 2).T for c, U in zip(sd.c0, eigenvectors)]
     terms = []
     precond_terms = []
     for r in range(lowrank.rank):
@@ -463,9 +470,14 @@ def assemble_stabilization(lowrank, grid, capacitance, eigenvectors):
         prof_t = lowrank.time_profile(r, grid.time_points)
         tmat = grid.time_gram(grid.time_weights * prof_t)
         weights = sd.measure * lowrank.space_profile(r, axes)
-        diag = weights
-        for l, table in enumerate(tables):
-            diag = mode_apply(table, diag, d - 1 - l)
-        terms.append((coef, tmat, sd.mass(weights)))
-        precond_terms.append((tmat, coef * diag.reshape(-1)))
+        smat = sd.mass(weights)
+        if tables is None:
+            diag = np.einsum("ik,ik->k", U, smat @ U)
+        else:
+            diag = weights
+            for l, table in enumerate(tables):
+                diag = mode_apply(table, diag, d - 1 - l)
+            diag = diag.reshape(-1)
+        terms.append((coef, tmat, smat))
+        precond_terms.append((tmat, coef * diag))
     return terms, precond_terms

@@ -81,6 +81,15 @@ def test_bad_config_exits_2(tmp_path):
         ("solver", "linear_tol", "0"),
         ("solver", "linear_tol", "1"),
         ("convergence", "tolerance", "0"),
+        ("discretization", "h_time", "0"),
+        ("discretization", "h_space", "0"),
+        ("solver", "tolerance", "nan"),
+        ("problem", "final_time", "inf"),
+        ("problem", "final_time", "nan"),
+        ("output", "grid", "1 5"),
+        ("output", "grid", "0 5"),
+        ("output", "grid", "1"),
+        ("output", "grid", "0"),
     ],
 )
 def test_invalid_value_exits_2_before_any_solve(

@@ -14,8 +14,9 @@ from monoiga.assembly import (
     spatial_operators,
     time_matrices,
 )
+from monoiga import linalg
 from monoiga.bspline import SplineSpace, SpaceTimeSpace
-from monoiga.geometry import builtin_geometry
+from monoiga.geometry import GeometryMap, builtin_geometry
 from monoiga.linalg import (
     DecompositionError,
     FastDiagPreconditioner,
@@ -119,12 +120,13 @@ class TestFastDiagPreconditioner:
     @pytest.mark.parametrize(
         "geometry", ["unit_interval", "unit_square", "unit_cube", "ellipse_annulus"]
     )
-    def test_inverts_surrogate_exactly(self, geometry):
+    def test_inverts_surrogate_exactly(self, geometry, monkeypatch):
         geo = builtin_geometry(geometry, final_time=2.0)
         cm, diff, react = 1.0, 1e-2, 0.26 * 0.13
         if geometry == "ellipse_annulus":
             # Built on the mapped grid, the univariate factors carry
             # separable weights of the pulled-back measure and metric.
+            monkeypatch.setattr(linalg, "EXACT_SPACE_LIMIT", 0)
             st = SpaceTimeSpace(
                 [SplineSpace.uniform(2, 8), SplineSpace.uniform(2, 2)],
                 SplineSpace.uniform(2, 3),
@@ -174,9 +176,10 @@ class TestFastDiagPreconditioner:
     @pytest.mark.parametrize(
         "geometry", ["unit_interval", "unit_square", "unit_cube", "ellipse_annulus"]
     )
-    def test_apply_matches_dense_surrogate_solve(self, geometry):
+    def test_apply_matches_dense_surrogate_solve(self, geometry, monkeypatch):
         # The per-mode temporal solves are exact: apply equals a dense solve
         # of the separable surrogate, mapped or not.
+        monkeypatch.setattr(linalg, "EXACT_SPACE_LIMIT", 0)
         geo = builtin_geometry(geometry, final_time=1.5)
         st = small_space(geo.dim)
         sdata = SpatialQuadratureData(st.spatial, geo)
@@ -187,10 +190,11 @@ class TestFastDiagPreconditioner:
         ref = np.linalg.solve(op.tosparse().toarray(), r)
         assert np.linalg.norm(P.apply(r) - ref) < 1e-10 * np.linalg.norm(ref)
 
-    def test_fold_matches_dense_per_mode_solve(self):
+    def test_fold_matches_dense_per_mode_solve(self, monkeypatch):
         # A stabilizer term c S^t kron S^s enters as (S^t, c d), which adds
         # c d_k S^t to every mode's temporal matrix, d_k the diagonal of
         # U^T S^s U.
+        monkeypatch.setattr(linalg, "EXACT_SPACE_LIMIT", 0)
         geo = builtin_geometry("ellipse_annulus", final_time=1.5)
         st = small_space(2)
         sdata = SpatialQuadratureData(st.spatial, geo)
@@ -230,6 +234,63 @@ class TestFastDiagPreconditioner:
         # The surrogate's own terms rebuild it exactly.
         rebuilt = FastDiagPreconditioner(P.eigenvectors, P.terms)
         assert np.array_equal(rebuilt.apply(r), P.apply(r))
+
+    def test_mapped_patch_apply_matches_dense_galerkin_solve(self):
+        # Below the limit a mapped patch gets one factor over both
+        # directions, the exact eigenvectors of the true (K_s, M_s): apply
+        # equals a dense solve of the Galerkin operator itself.
+        geo = builtin_geometry("ellipse_annulus", final_time=1.5)
+        st = small_space(2)
+        sdata = SpatialQuadratureData(st.spatial, geo)
+        cm, diff, react = 1e-3, 0.2, 0.05
+        P = FastDiagPreconditioner.build(st, 1.5, cm, diff, react, spatial_data=sdata)
+        assert [U.shape for U in P.eigenvectors] == [(st.num_space, st.num_space)]
+        op = surrogate_operator(st, geo, 1.5, cm, diff, react)
+        r = RNG.standard_normal(st.num_dof)
+        ref = np.linalg.solve(op.tosparse().toarray(), r)
+        assert np.linalg.norm(P.apply(r) - ref) < 1e-10 * np.linalg.norm(ref)
+        # The workspace passes its assembled matrices; the result is the same.
+        given = FastDiagPreconditioner.build(
+            st, 1.5, cm, diff, react, spatial_data=sdata,
+            spatial_matrices=spatial_operators(st.spatial, geo),
+        )
+        assert np.array_equal(given.apply(r), P.apply(r))
+
+    @pytest.mark.parametrize("geometry", ["unit_interval", "unit_square", "unit_cube"])
+    def test_boxes_keep_one_factor_per_direction(self, geometry):
+        geo = builtin_geometry(geometry)
+        st = small_space(geo.dim)
+        sdata = SpatialQuadratureData(st.spatial, geo)
+        P = FastDiagPreconditioner.build(st, 1.0, 1.0, 1e-2, 0.03, spatial_data=sdata)
+        assert len(P.eigenvectors) == geo.dim
+        assert [U.shape[0] for U in P.eigenvectors] == [s.dimension for s in st.spatial]
+
+    def test_curved_interval_keeps_its_exact_factor(self):
+        # In 1D the separable weights are the pulled-back data themselves, so
+        # a non-affine map keeps its univariate factor, which is exact.
+        space = SplineSpace.uniform(2, 1)
+        geo = GeometryMap([space], [[0.0], [0.1], [1.0]], final_time=1.0)
+        st = SpaceTimeSpace([SplineSpace.uniform(2, 5)], SplineSpace.uniform(2, 3))
+        sdata = SpatialQuadratureData(st.spatial, geo)
+        assert np.ptp(sdata.detj) > 0.5
+        cm, diff, react = 1.0, 1e-2, 0.03
+        P = FastDiagPreconditioner.build(st, 1.0, cm, diff, react, spatial_data=sdata)
+        assert len(P.eigenvectors) == 1
+        op = surrogate_operator(st, geo, 1.0, cm, diff, react)
+        r = RNG.standard_normal(st.num_dof)
+        ref = np.linalg.solve(op.tosparse().toarray(), r)
+        assert np.linalg.norm(P.apply(r) - ref) < 1e-10 * np.linalg.norm(ref)
+
+    def test_mapped_patch_above_the_limit_keeps_separable_factors(self, monkeypatch):
+        geo = builtin_geometry("ellipse_annulus")
+        st = small_space(2)
+        sdata = SpatialQuadratureData(st.spatial, geo)
+        factors = []
+        for limit in (st.num_space, st.num_space - 1):
+            monkeypatch.setattr(linalg, "EXACT_SPACE_LIMIT", limit)
+            P = FastDiagPreconditioner.build(st, 1.0, 1.0, 1e-2, 0.03, spatial_data=sdata)
+            factors.append(len(P.eigenvectors))
+        assert factors == [1, 2]
 
     def test_singular_mode_raises(self):
         st = make_st(d=1, p=2, elements=3)

@@ -16,6 +16,7 @@ from monoiga.assembly import (
     evaluate_field,
     spatial_operators,
 )
+from monoiga import linalg
 from monoiga.bspline import SplineSpace, SpaceTimeSpace
 from monoiga.geometry import builtin_geometry
 from monoiga.linalg import FastDiagPreconditioner, gmres
@@ -518,6 +519,33 @@ class TestStabilizerDiagonals:
         for U_l in P.eigenvectors:
             U = np.kron(U_l, U)
         assert len(precond_terms) == lr.rank
+        for (coef, tmat, smat), (ptmat, pcoef) in zip(terms, precond_terms):
+            assert ptmat is tmat
+            ref = coef * np.diag(U.T @ smat.toarray() @ U)
+            assert np.max(np.abs(pcoef - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("limit, factors", [(None, 1), (0, 2)])
+    def test_mapped_patch_diagonals_in_both_layouts(self, monkeypatch, limit, factors):
+        # One exact factor over both directions reads d_r from the assembled
+        # S^s_r; separable factors (limit 0) use the sum factorization.
+        if limit is not None:
+            monkeypatch.setattr(linalg, "EXACT_SPACE_LIMIT", limit)
+        st = SpaceTimeSpace(
+            [SplineSpace.uniform(3, 5), SplineSpace.uniform(2, 2)],
+            SplineSpace.uniform(2, 4),
+        )
+        geo = builtin_geometry("ellipse_annulus", final_time=2.0)
+        grid = StabilizationGrid(compute_tau(st.time), st, geo)
+        sdata = SpatialQuadratureData(st.spatial, geo)
+        P = FastDiagPreconditioner.build(st, 2.0, 1.0, 1e-3, 0.03, spatial_data=sdata)
+        assert len(P.eigenvectors) == factors
+        U = np.ones((1, 1))
+        for U_l in P.eigenvectors:
+            U = np.kron(U_l, U)
+        values = np.random.default_rng(9).random((st.num_time, st.num_space))
+        lr = lowrank_factorize(indicator_of(st, values), 0.05)
+        assert lr.rank >= 2
+        terms, precond_terms = assemble_stabilization(lr, grid, 1.0, P.eigenvectors)
         for (coef, tmat, smat), (ptmat, pcoef) in zip(terms, precond_terms):
             assert ptmat is tmat
             ref = coef * np.diag(U.T @ smat.toarray() @ U)
