@@ -29,9 +29,17 @@ __all__ = [
 
 # Largest number of spatial functions at which a patch whose separable
 # weights are inexact gets one dense generalized eigendecomposition of the
-# true ``(K_s, M_s)``: it costs O(N_s^3) time and N_s^2 doubles (at 2,000,
-# about 2.7 s on one thread of a 2-vCPU Xeon and 32 MB).
-EXACT_SPACE_LIMIT = 2000
+# true ``(K_s, M_s)``.  The exact factor saves about two thirds of the GMRES
+# iterations but costs an O(N_s^3) ``eigh`` per solve, an N_s x N_s
+# transform each way per application and a sparse ``S @ U`` per rank per
+# indicator; the separable factors cost none of these.  Stabilized annulus
+# solves (p = 3, 4:1 elements, one thread of a 2-vCPU Xeon) favour the exact
+# factor on every run up to N_s = 1,003 (by 5-9 % with 14 temporal
+# functions, 27 % with 26).  With 14 temporal functions the two break even
+# near 1,270 and the exact factor is 12-42 % slower at 1,575-1,909; with 26
+# it still wins at 1,575.  The limit sits just below 1,003, the largest size
+# that won on both.
+EXACT_SPACE_LIMIT = 1000
 
 # Relative miss of the separable weights that counts as rounding.
 SEPARABLE_RTOL = 1e-12

@@ -159,7 +159,8 @@ class SolveResult:
     A record holds the step's ``sweep`` number (from 1), ``increment``
     (max-abs step), ``residual`` (``||F||``), ``forcing``,
     ``gmres_iterations``, ``gmres_residual`` (the final relative
-    preconditioned residual, 0.0 when GMRES took no iteration) and its
+    preconditioned residual: 0.0 for a zero right-hand side, 1.0 when
+    GMRES returned without iterating) and its
     stabilizer: the low-rank indicator's
     ``rank``, the indicator's maximum ``theta_max``, whether it is
     ``latched``, its ``drift`` (the undamped max-abs change of a recomputed
@@ -447,7 +448,7 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
             "residual": res,
             "forcing": eta,
             "gmres_iterations": nit,
-            "gmres_residual": float(history[-1]) if nit else 0.0,
+            "gmres_residual": float(history[-1]),
             "rank": lowrank.rank if stabilized else 0,
             "theta_max": indicator.max if stabilized else 0.0,
             "latched": stabilized and latched,

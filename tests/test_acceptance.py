@@ -333,8 +333,8 @@ def test_criterion_8_solver_invariants(monkeypatch):
            "linear case converged in %d sweep(s)" % r_lin.iterations)
 
 
-def test_criterion_9_gmres_growth_under_refinement():
-    """Preconditioned GMRES iteration growth below 2x per refinement level."""
+def _criterion_9_counts():
+    """First-step GMRES iterations on criterion 9's levels, gated below 2x."""
     counts = []
     # levels refine uniformly; the starting temporal mesh is chosen so the
     # quadrature of every level samples the source's activation window
@@ -359,6 +359,12 @@ def test_criterion_9_gmres_growth_under_refinement():
         counts.append(res.gmres_iterations[0])
     for coarse, fine in zip(counts[:-1], counts[1:]):
         assert fine < 2 * coarse, "counts %s grew too fast" % (counts,)
+    return counts
+
+
+def test_criterion_9_gmres_growth_under_refinement():
+    """Preconditioned GMRES iteration growth below 2x per refinement level."""
+    counts = _criterion_9_counts()
     report(9, "GMRES iterations per level: %s (each below 2x the previous)" % counts)
 
 
@@ -370,28 +376,7 @@ def test_criterion_9_separable_surrogate_growth(monkeypatch):
     separable weights cost stays measured, under the same bound.
     """
     monkeypatch.setattr(linalg, "EXACT_SPACE_LIMIT", 0)
-    counts = []
-    levels = [
-        ([2.0**-3, 2.0**-1], 2.0**-4),
-        ([2.0**-4, 2.0**-2], 2.0**-5),
-        ([2.0**-5, 2.0**-3], 2.0**-6),
-    ]
-    geo = builtin_geometry("ellipse_annulus", final_time=300.0)
-    from monoiga.experiments import DEFAULT_CONSTANTS, build_space, make_source
-    from monoiga.solver import FixedPointDiverged
-
-    for h_space, h_time in levels:
-        st = build_space(geo, 3, h_space, h_time)
-        source = make_source("gaussian_pulse_2d", 300.0, dict(DEFAULT_CONSTANTS))
-        problem = MonodomainProblem(geometry=geo, space=st, source=source, D=1e-4)
-        config = FixedPointConfig(tolerance=1e-4, max_iterations=1)
-        try:
-            res = fixed_point_solve(problem, config)
-        except FixedPointDiverged as exc:
-            res = exc.result
-        counts.append(res.gmres_iterations[0])
+    counts = _criterion_9_counts()
     # An exact preconditioner would take one iteration per level.
     assert min(counts) > 1, "counts %s: the surrogate was not used" % (counts,)
-    for coarse, fine in zip(counts[:-1], counts[1:]):
-        assert fine < 2 * coarse, "counts %s grew too fast" % (counts,)
     report(9, "separable surrogate, GMRES iterations per level: %s" % counts)
