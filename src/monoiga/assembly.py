@@ -12,13 +12,15 @@ assembled by one kernel, :class:`GramKernel` (one-off through
 :class:`SpatialQuadratureData` and :class:`TimeQuadratureData`.
 """
 
+import copy
 import functools
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .bspline import tensor_at
-from .geometry import jacobian_det
+from .geometry import jacobian_det, jacobian_inverse
 from .tensorops import mode_apply, outer_product_grid
 
 __all__ = [
@@ -28,6 +30,8 @@ __all__ = [
     "WeightedMass",
     "banded_gram",
     "evaluate_field",
+    "IterateOnGrid",
+    "iterate_on_grid",
     "time_matrices",
     "spatial_operators",
     "reaction_mass",
@@ -282,10 +286,11 @@ class SpatialQuadratureData:
 
     @functools.cached_property
     def _pullback(self):
-        # One Jacobian and one Hessian tabulation and one inverse serve the
-        # metric and the Laplacian; only their results are kept.
+        # One Jacobian and one Hessian tabulation and one closed-form inverse
+        # (over the determinants held in ``detj``) serve the metric and the
+        # Laplacian; only their results are kept.
         axes = self._axes()
-        jinv = np.linalg.inv(self.geo.tabulate(axes, 1))
+        jinv = jacobian_inverse(self.geo.tabulate(axes, 1), self.detj)
         metric = np.einsum("...ak,...bk->...ab", jinv, jinv)
         return metric, laplacian_terms(jinv, self.geo.tabulate(axes, 2))
 
@@ -445,6 +450,48 @@ def _apply_factors(time_mat, space_mats, tensor):
     for l in range(d):
         out = mode_apply(space_mats[l], out, 1 + (d - 1 - l))
     return out
+
+
+def contract_space(space_time, coeffs, space_collocs):
+    """Contract a coefficient field with one collocation matrix per direction.
+
+    ``space_collocs`` lists the spatial collocation matrices, direction 1
+    first.  Returns an array shaped (N_t, Q_d, ..., Q_1): the field's
+    temporal coefficients on the spatial grid.
+    """
+    X = np.asarray(coeffs, dtype=float).reshape(space_time.coeff_shape)
+    d = len(space_collocs)
+    for l in range(d):
+        X = mode_apply(space_collocs[l], X, 1 + (d - 1 - l))
+    return X
+
+
+class IterateOnGrid(NamedTuple):
+    """A potential iterate and its recovery field on a tensor quadrature grid.
+
+    ``space`` is the potential contracted in space (:func:`contract_space`
+    with the value collocations), shaped (N_t, Q_d, ..., Q_1), from which
+    any temporal collocation gives a time derivative; ``u`` and ``w`` are
+    the two fields on the grid, shaped (Q_t, Q_d, ..., Q_1).
+    """
+
+    space: np.ndarray
+    u: np.ndarray
+    w: np.ndarray
+
+
+def iterate_on_grid(space_time, u, w, time_colloc, space_collocs):
+    """``u`` and ``w`` on a tensor grid as an :class:`IterateOnGrid`.
+
+    Each field is contracted in space first, then in time.  A solver whose
+    ``w`` is the recovery map ``R u`` evaluates both from one spatial
+    contraction instead (see the solver's workspace).
+    """
+    u_s = contract_space(space_time, u, space_collocs)
+    w_s = contract_space(space_time, w, space_collocs)
+    return IterateOnGrid(
+        u_s, mode_apply(time_colloc, u_s, 0), mode_apply(time_colloc, w_s, 0)
+    )
 
 
 def field_on_grid(space_time, coeffs, time_colloc, space_collocs):
@@ -631,6 +678,7 @@ def reaction_mass(
     w_prev,
     spatial_data=None,
     time_data=None,
+    on_grid=None,
 ):
     """Space-time mass matrix weighted by the reaction coefficient of an iterate.
 
@@ -639,7 +687,9 @@ def reaction_mass(
     ``reaction_mass(u, w) @ u`` is the reaction term of the weak form.
     Returns a :class:`WeightedMass` of size ``N_dof`` whose ``data`` is the
     coefficient times the quadrature measure per quadrature point;
-    ``tosparse()`` assembles it.
+    ``tosparse()`` assembles it.  ``on_grid`` is the :class:`IterateOnGrid`
+    of ``u_prev`` and ``w_prev`` on the grid of the quadrature data when a
+    caller has it already; it is evaluated here otherwise.
     """
     c1 = constants["c1"]
     a = constants["a"]
@@ -655,9 +705,15 @@ def reaction_mass(
 
     ct = time_data.c0
     cs = spatial_data.c0
-    u_vals = field_on_grid(space_time, u_prev, ct, cs)
-    w_vals = field_on_grid(space_time, w_prev, ct, cs)
-    weights = c1 * (u_vals - a) * (u_vals - 1.0) + c2 * w_vals
+    if on_grid is None:
+        on_grid = iterate_on_grid(space_time, u_prev, w_prev, ct, cs)
+    u_vals = on_grid.u
+    weights = u_vals - a
+    tmp = u_vals - 1.0
+    weights *= tmp
+    weights *= c1
+    np.multiply(on_grid.w, c2, out=tmp)
+    weights += tmp
     weights *= spatial_data.measure
     weights *= time_data.weights.reshape((-1,) + (1,) * len(cs))
     return WeightedMass(ct, cs, weights)
@@ -678,6 +734,29 @@ def rhs_vectors(space_time, geo, source, spatial_data=None, time_data=None):
     return load_vector(time_data.c0, spatial_data.c0, vals.reshape(fvals.shape))
 
 
+def _dense(mat):
+    return mat.toarray() if sp.issparse(mat) else np.asarray(mat, dtype=float)
+
+
+def _csr(mat):
+    if sp.issparse(mat) and mat.format == "csr":
+        return mat
+    return sp.csr_matrix(mat)
+
+
+def _vstack_csr(mats):
+    """``vstack`` of CSR matrices with equal column counts, by concatenation."""
+    nnz = [int(m.indptr[-1]) for m in mats]
+    offsets = np.cumsum([0] + nnz[:-1])
+    indptr = np.concatenate(
+        [[0]] + [m.indptr[1:] + off for m, off in zip(mats, offsets)]
+    )
+    data = np.concatenate([m.data[:n] for m, n in zip(mats, nnz)])
+    indices = np.concatenate([m.indices[:n] for m, n in zip(mats, nnz)])
+    shape = (sum(m.shape[0] for m in mats), mats[0].shape[1])
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
+
+
 class KroneckerOperator:
     """Sum of scaled Kronecker products ``sum_k c_k (T_k kron S_k)``.
 
@@ -686,31 +765,53 @@ class KroneckerOperator:
     :class:`WeightedMass`, or any matrix supporting ``@``) is added to the
     matvec; it is the one attribute a caller may replace.
 
-    A matvec applies all terms with two sparse products: the stacked
-    temporal factors ``vstack(c_k T_k)`` act on ``X = x.reshape(N_t, N_s)``,
-    and ``hstack(S_k)`` acts on the transposed blocks, which sums the terms.
-    The stacks are built once, at construction; they hold one copy of the
-    factors, never the space-time product.
+    A matvec applies all terms with two products: the sparse stacked
+    spatial factors ``vstack(S_k)`` act on ``X^T``, with
+    ``X = x.reshape(N_t, N_s)``, and the dense ``hstack(c_k T_k)`` acts on
+    the resulting blocks ``X S_k^T``, which sums the terms (``N_t`` is
+    small, so the temporal stack is dense).  The stacks are built at
+    construction; they hold one copy of the factors, never the space-time
+    product.  :meth:`plus` appends further terms to copies of the stacks,
+    so an operator that shares constant terms with others stacks them once.
     """
 
     def __init__(self, num_time, num_space, terms=(), correction=None):
         self.num_time = int(num_time)
         self.num_space = int(num_space)
-        self.terms = [(float(coef), tmat, smat) for coef, tmat, smat in terms]
-        for _, tmat, smat in self.terms:
+        self.terms = []
+        self._time_stack = np.zeros((self.num_time, 0))
+        self._space_stack = sp.csr_matrix((0, self.num_space))
+        self._append(terms)
+        self.correction = correction
+
+    def _append(self, terms):
+        terms = [(float(coef), tmat, smat) for coef, tmat, smat in terms]
+        for _, tmat, smat in terms:
             if tmat.shape != (self.num_time, self.num_time):
                 raise ValueError("temporal factor has wrong shape")
             if smat.shape != (self.num_space, self.num_space):
                 raise ValueError("spatial factor has wrong shape")
-        if self.terms:
-            self._time_stack = sp.vstack(
-                [coef * sp.csr_matrix(tmat) for coef, tmat, _ in self.terms],
-                format="csr",
-            )
-            self._space_stack = sp.hstack(
-                [sp.csr_matrix(smat) for _, _, smat in self.terms], format="csr"
-            )
-        self.correction = correction
+        if not terms:
+            return
+        self.terms = self.terms + terms
+        self._time_stack = np.hstack(
+            [self._time_stack] + [coef * _dense(tmat) for coef, tmat, _ in terms]
+        )
+        self._space_stack = _vstack_csr(
+            [self._space_stack] + [_csr(smat) for _, _, smat in terms]
+        )
+
+    def plus(self, terms):
+        """The operator of this one's terms followed by ``terms``.
+
+        The result has no correction.  Only ``terms`` are stacked: their
+        factors are appended to this operator's stacks, which stay as they
+        are.
+        """
+        out = copy.copy(self)
+        out.correction = None
+        out._append(terms)
+        return out
 
     @property
     def shape(self):
@@ -725,12 +826,11 @@ class KroneckerOperator:
                 % (self.shape[0], x.size)
             )
         nt, ns = self.num_time, self.num_space
-        if self.terms:
-            Y = self._time_stack @ x.reshape(nt, ns)
-            Z = Y.reshape(-1, nt, ns).transpose(0, 2, 1).reshape(-1, nt)
-            out = (self._space_stack @ Z).T.reshape(-1)
-        else:
-            out = np.zeros_like(x)
+        # Blocks S_k X^T, stacked, then transposed to X S_k^T (no blocks and
+        # a zero result without terms).
+        P = self._space_stack @ x.reshape(nt, ns).T
+        P = P.reshape(-1, ns, nt).transpose(0, 2, 1).reshape(-1, ns)
+        out = (self._time_stack @ P).reshape(-1)
         if self.correction is not None:
             out += self.correction @ x
         return out

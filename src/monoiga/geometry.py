@@ -171,6 +171,37 @@ def _det(jac):
     raise GeometryError("geometry maps must have 1, 2 or 3 dimensions, not %d" % d)
 
 
+def jacobian_inverse(jac, det):
+    """Closed-form inverses of stacked 1x1, 2x2 or 3x3 matrices.
+
+    The adjugate over the determinants ``det`` (as :func:`jacobian_det`
+    returns them for ``jac``).
+    """
+    d = jac.shape[-1]
+    adj = np.empty_like(jac)
+    if d == 1:
+        adj[..., 0, 0] = 1.0
+    elif d == 2:
+        adj[..., 0, 0] = jac[..., 1, 1]
+        adj[..., 0, 1] = -jac[..., 0, 1]
+        adj[..., 1, 0] = -jac[..., 1, 0]
+        adj[..., 1, 1] = jac[..., 0, 0]
+    elif d == 3:
+        # adj[i, j] is the cofactor of entry (j, i), in cyclic form.
+        for i in range(3):
+            i1, i2 = (i + 1) % 3, (i + 2) % 3
+            for j in range(3):
+                j1, j2 = (j + 1) % 3, (j + 2) % 3
+                adj[..., i, j] = (
+                    jac[..., j1, i1] * jac[..., j2, i2]
+                    - jac[..., j1, i2] * jac[..., j2, i1]
+                )
+    else:
+        raise GeometryError("geometry maps must have 1, 2 or 3 dimensions, not %d" % d)
+    adj /= det[..., None, None]
+    return adj
+
+
 def jacobian_det(jac):
     """Determinants of stacked Jacobians, checked for folds and singularity.
 

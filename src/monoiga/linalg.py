@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .assembly import banded_gram, time_matrices
+from .assembly import _dense, banded_gram, time_matrices
 from .tensorops import mode_apply, outer_product_grid
 
 __all__ = [
@@ -82,10 +82,6 @@ def _as_psolve(precond):
     if callable(precond):
         return precond
     raise TypeError("cannot interpret %r as a preconditioner" % (precond,))
-
-
-def _dense(mat):
-    return mat.toarray() if sp.issparse(mat) else np.asarray(mat, dtype=float)
 
 
 def generalized_eig(K, M):
@@ -216,6 +212,7 @@ class FastDiagPreconditioner:
         reaction,
         spatial_data,
         spatial_matrices=None,
+        temporal_matrices=None,
     ):
         """The preconditioner of ``(C_m W_t + r M_t) kron M_s + D M_t kron K_s``.
 
@@ -237,7 +234,10 @@ class FastDiagPreconditioner:
           assembled ``(M_s, K_s)`` are read from ``spatial_matrices`` when
           given, and assembled on ``spatial_data`` otherwise.
 
-        Both give the terms ``(W_t, C_m)`` and ``(M_t, r + D lambda)``.
+        Both give the terms ``(W_t, C_m)`` and ``(M_t, r + D lambda)``; the
+        temporal ``(W_t, M_t)`` are read from ``temporal_matrices`` when
+        given, and assembled by :func:`~monoiga.assembly.time_matrices`
+        otherwise.
         """
         d = space_time.num_spatial_dims
         dims = [s.dimension for s in space_time.spatial]
@@ -264,7 +264,9 @@ class FastDiagPreconditioner:
                 shape[d - 1 - l] = dims[l]
                 lam = lam + lam_l.reshape(shape)
             lam = lam.reshape(-1)
-        W_t, M_t = time_matrices(space_time, final_time)
+        if temporal_matrices is None:
+            temporal_matrices = time_matrices(space_time, final_time)
+        W_t, M_t = temporal_matrices
         terms = [
             (_dense(W_t), np.full(lam.size, float(capacitance))),
             (_dense(M_t), float(reaction) + float(diffusion) * lam),

@@ -12,11 +12,13 @@ tolerance.  ``relaxation`` only damps the recomputed residual indicator.
 One workspace per solve holds the discretization data: a single
 default-rule Gauss grid serves the reaction terms, the load vector and the
 residual indicator, and with stabilization on it also holds the
-stabilizer's refined grid of the upwind weights.  Each indicator, whether
-recomputed every step or latched from the start, becomes one system: one
-complete Kronecker operator (the workspace's constant terms plus the
-stabilizer's) and one preconditioner, built together from the same
-stabilizer terms (:meth:`_Workspace.system`).
+stabilizer's refined grid of the upwind weights.  Each step evaluates its
+iterate on that grid once (:meth:`_Workspace.evaluate`), and the indicator,
+the reaction mass and the residual all read that evaluation.  Each
+indicator, whether recomputed every step or latched from the start, becomes
+one system: one complete Kronecker operator (the workspace's constant
+operator plus the stabilizer's terms) and one preconditioner, built
+together from the same stabilizer terms (:meth:`_Workspace.system`).
 """
 
 import logging
@@ -27,10 +29,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assembly import (
+    IterateOnGrid,
     KroneckerOperator,
     SpatialQuadratureData,
     TimeQuadratureData,
     WeightedMass,
+    contract_space,
     field_on_grid,
     load_vector,
     reaction_mass,
@@ -46,6 +50,7 @@ from .stabilization import (
     compute_theta,
     lowrank_factorize,
 )
+from .tensorops import mode_apply
 
 __all__ = [
     "MonodomainProblem",
@@ -207,12 +212,14 @@ class _Workspace:
     It holds the dense temporal factor ``R_t = b K_t^{-1} M_t`` of the
     recovery map ``w = (R_t kron I) u`` (``None`` when ``b = 0``, where
     ``R = 0``), the temporal test and trial factors ``[C_t; C_t]`` and
-    ``[C_t; C_t R_t]`` of the Jacobian's reaction part, the space-time
-    quadrature ``measure``, the operator's constant Kronecker terms
-    ``(C_m W_t + c1 a M_t) kron M_s`` and ``D M_t kron K_s`` (one term per
-    spatial factor, so a matvec applies ``M_s`` once) and ``precond``, their
-    fast-diagonalization preconditioner (built from the assembled ``M_s``
-    and ``K_s``; exact in space unless the patch is mapped and large).
+    ``[C_t; C_t R_t]`` of the Jacobian's reaction part (the trial factor
+    also evaluates ``u`` and ``w`` together, see :meth:`evaluate`), the
+    space-time quadrature ``measure``, ``operator``, the Kronecker operator
+    of the constant terms ``(C_m W_t + c1 a M_t) kron M_s`` and
+    ``D M_t kron K_s`` (one term per spatial factor, so a matvec applies
+    ``M_s`` once), and ``precond``, their fast-diagonalization
+    preconditioner (built from the assembled ``M_s``, ``K_s``, ``W_t`` and
+    ``M_t``; exact in space unless the patch is mapped and large).
     :meth:`system` builds each step's operator and preconditioner from
     these and a stabilizer.
     """
@@ -243,28 +250,33 @@ class _Workspace:
             problem.a * problem.c1,
             spatial_data=self.spatial_data,
             spatial_matrices=(self.M_s, self.K_s),
+            temporal_matrices=(self.W_t, self.M_t),
         )
         self.recovery = None
+        ct = self.time_data.c0
+        self.jacobian_trial = ct
         if problem.b != 0:
             nt = st.num_time
             eye = np.eye(nt).reshape(-1)
             self.recovery = solve_w_system(
                 self.W_t, self.M_t, problem.b, problem.d_e, eye
             ).reshape(nt, nt)
+            self.jacobian_test = np.vstack([ct, ct])
+            self.jacobian_trial = np.vstack([ct, ct @ self.recovery])
         self.measure = self.spatial_data.measure * self.time_data.weights.reshape(
             (-1,) + (1,) * st.num_spatial_dims
         )
-        if self.recovery is not None:
-            ct = self.time_data.c0
-            self.jacobian_test = np.vstack([ct, ct])
-            self.jacobian_trial = np.vstack([ct, ct @ self.recovery])
         self.stab_grid = None
         if config.stabilization == "spline_upwind":
             self.stab_grid = StabilizationGrid(compute_tau(st.time), st, geo)
         mass_t = problem.C_m * self.W_t + problem.c1 * problem.a * self.M_t
-        self.terms = [(1.0, mass_t, self.M_s), (problem.D, self.M_t, self.K_s)]
-        self.sizes = (st.num_time, st.num_space)
+        self.operator = KroneckerOperator(
+            st.num_time,
+            st.num_space,
+            [(1.0, mass_t, self.M_s), (problem.D, self.M_t, self.K_s)],
+        )
         self.capacitance = problem.C_m
+        self.space_time = st
 
     def recover(self, u):
         """The recovery field ``w = R u`` of a potential."""
@@ -273,35 +285,52 @@ class _Workspace:
         nt = self.recovery.shape[0]
         return (self.recovery @ u.reshape(nt, -1)).reshape(-1)
 
+    def evaluate(self, u):
+        """The :class:`IterateOnGrid` of ``u`` and ``w = R u`` on the default grid.
+
+        One spatial contraction of ``u`` and one temporal contraction with
+        ``jacobian_trial`` give both fields, since
+        ``[C_t; C_t R_t] U_s = [u; w]`` on the grid (``w = 0`` when
+        ``R = 0``).
+        """
+        u_s = contract_space(self.space_time, u, self.spatial_data.c0)
+        vals = mode_apply(self.jacobian_trial, u_s, 0)
+        qt = self.time_data.weights.size
+        if self.recovery is None:
+            return IterateOnGrid(u_s, vals, np.zeros_like(vals))
+        return IterateOnGrid(u_s, vals[:qt], vals[qt:])
+
     def system(self, lowrank=None):
         """The operator, preconditioner and ``||P f||`` of one stabilizer.
 
-        The operator is the Kronecker operator ``K`` of the constant terms
-        and the stabilizer terms of ``lowrank`` (none without one), and the
-        preconditioner ``precond`` with the same stabilizer's terms added
-        to its temporal solves (see :func:`assemble_stabilization`);
-        without stabilizer terms it is ``precond`` itself.
-        ``||P f||``, the norm of the preconditioned load vector, is the
-        absolute floor of the step's GMRES tolerance.
+        The operator is ``operator`` with the stabilizer terms of
+        ``lowrank`` appended (see :meth:`KroneckerOperator.plus`), or
+        ``operator`` itself without one, and the preconditioner ``precond``
+        with the same stabilizer's terms added to its temporal solves (see
+        :func:`assemble_stabilization`); without stabilizer terms it is
+        ``precond`` itself.  ``||P f||``, the norm of the preconditioned
+        load vector, is the absolute floor of the step's GMRES tolerance.
         """
-        terms, precond = self.terms, self.precond
+        op, precond = self.operator, self.precond
         if lowrank is not None:
             stab, precond_terms = assemble_stabilization(
                 lowrank, self.stab_grid, self.capacitance, precond.eigenvectors
             )
-            terms = terms + stab
+            op = op.plus(stab)
             if precond_terms:
                 precond = FastDiagPreconditioner(
                     precond.eigenvectors, precond.terms + precond_terms
                 )
         norm_pf = float(np.linalg.norm(precond.apply(self.f_vec)))
-        return KroneckerOperator(*self.sizes, terms), precond, norm_pf
+        return op, precond, norm_pf
 
-    def linearize(self, problem, u, w, op):
+    def linearize(self, problem, u, w, op, on_grid=None):
         """Residual ``F(u)`` and Jacobian operator at an iterate ``u``, ``w = R u``.
 
-        ``op`` is the Kronecker operator ``K`` of :meth:`system`.  With the
-        reaction coefficient ``c = c1 (u - a)(u - 1) + c2 w``,
+        ``op`` is the Kronecker operator ``K`` of :meth:`system` and
+        ``on_grid`` the iterate's :meth:`evaluate` (evaluated here when not
+        given).  With the reaction coefficient
+        ``c = c1 (u - a)(u - 1) + c2 w``,
         ``F(u) = K u + int (c - c1 a) u v - f``, and the Jacobian is ``K``
         plus the :class:`WeightedMass`
         ``[C_t; C_t]^T diag([j1; j2]) [C_t; C_t R_t]`` with
@@ -314,6 +343,8 @@ class _Workspace:
         op.correction = None
         if not np.any(u):
             return -self.f_vec, op
+        if on_grid is None:
+            on_grid = self.evaluate(u)
         c1, a = problem.c1, problem.a
         ct = self.time_data.c0
         cs = self.spatial_data.c0
@@ -325,19 +356,33 @@ class _Workspace:
             w,
             spatial_data=self.spatial_data,
             time_data=self.time_data,
+            on_grid=on_grid,
         )
-        u_vals = field_on_grid(st, u, ct, cs)
+        u_vals = on_grid.u
+        measure = self.measure
         # (c - c1 a) times the measure: the reaction beyond the one in K.
-        rest = reaction.data - c1 * a * self.measure
+        # The weight grids are formed in place: on grids of the solver's
+        # size each fresh temporary costs more than the arithmetic.
+        rest = np.multiply(measure, c1 * a)
+        np.subtract(reaction.data, rest, out=rest)
         residual = op.matvec(u) + load_vector(ct, cs, rest * u_vals) - self.f_vec
-        j1 = rest + c1 * u_vals * (2.0 * u_vals - 1.0 - a) * self.measure
+        qt = u_vals.shape[0]
+        trial = self.jacobian_trial
+        weights = np.empty((trial.shape[0],) + u_vals.shape[1:])
+        j1 = weights[:qt]
+        np.multiply(u_vals, 2.0, out=j1)
+        j1 -= 1.0 + a
+        j1 *= u_vals
+        j1 *= c1
+        j1 *= measure
+        j1 += rest
         if self.recovery is None:
-            op.correction = WeightedMass(ct, cs, j1)
+            op.correction = WeightedMass(ct, cs, weights)
         else:
-            j2 = problem.c2 * u_vals * self.measure
-            op.correction = WeightedMass(
-                self.jacobian_test, cs, np.concatenate([j1, j2]), self.jacobian_trial
-            )
+            j2 = weights[qt:]
+            np.multiply(u_vals, problem.c2, out=j2)
+            j2 *= measure
+            op.correction = WeightedMass(self.jacobian_test, cs, weights, trial)
         return residual, op
 
 
@@ -379,7 +424,9 @@ def fixed_point_solve(problem, config=None):
     ws = _Workspace(problem, config)
     if config.stabilization == "spline_upwind" and config.indicator_update == "frozen":
         pre = _newton(problem, replace(config, stabilization="off"), ws, t0)
-        indicator = compute_theta(problem, pre.u, pre.w, ws.spatial_data, ws.time_data)
+        indicator = compute_theta(
+            problem, pre.u, pre.w, ws.spatial_data, ws.time_data, ws.evaluate(pre.u)
+        )
         return _newton(problem, config, ws, t0, start=pre, indicator=indicator)
     return _newton(problem, config, ws, t0)
 
@@ -391,6 +438,8 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
     iteration.  A given ``indicator`` is latched: its stabilizer serves
     every step.  The phase builds one system (:meth:`_Workspace.system`)
     per stabilizer, and an unstabilized phase one without stabilizer terms.
+    Each step evaluates its iterate on the default grid once, for the
+    indicator and the linearization.
     """
     if start is None:
         steps = []
@@ -407,9 +456,12 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
 
     for k in range(done + 1, done + config.max_iterations + 1):
         drift = 0.0
+        on_grid = ws.evaluate(u)
         if stabilized and not (latched and system is not None):
             if not latched:
-                fresh = compute_theta(problem, u, w, ws.spatial_data, ws.time_data)
+                fresh = compute_theta(
+                    problem, u, w, ws.spatial_data, ws.time_data, on_grid
+                )
                 if indicator is not None and alpha < 1.0:
                     # Damp the indicator by the relaxation: an undamped
                     # recomputation flip-flops between activation patterns
@@ -425,7 +477,7 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
             lowrank = lowrank_factorize(indicator, config.lowrank_tol)
             system = ws.system(lowrank)
         op, precond, norm_pf = system
-        residual, jac = ws.linearize(problem, u, w, op)
+        residual, jac = ws.linearize(problem, u, w, op, on_grid)
         res = float(np.linalg.norm(residual))
         if k == done + 1:
             eta = config.linear_tol

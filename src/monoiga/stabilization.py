@@ -15,7 +15,9 @@ from .assembly import (
     QuadratureRule,
     SpatialQuadratureData,
     TimeQuadratureData,
+    contract_space,
     evaluate_field,
+    iterate_on_grid,
 )
 from .bspline import KnotVector, SplineSpace
 from .tensorops import abs_max, mode_apply
@@ -97,24 +99,23 @@ def compute_tau(time_space):
     dims = [s.dimension for s in spaces]
     offsets = np.concatenate([[0], np.cumsum(dims)])
 
-    # Conditions over all near-diagonal pairs of the full temporal basis:
-    # this makes the system exactly square; the conditions restricted to the
-    # constrained basis (first function removed) are a subset.
+    # Conditions over all near-diagonal pairs (i, i + ell), ell = 1..p, of
+    # the full temporal basis, ordered by i and then ell: this makes the
+    # system exactly square; the conditions restricted to the constrained
+    # basis (first function removed) are a subset.
     n_full = time_space.dimension
-    rows = []
-    rhs = []
-    for i in range(n_full - 1):
-        rmax = min(p, n_full - 1 - i)
-        for ell in range(1, rmax + 1):
-            j = i + ell
-            row = np.empty(offsets[-1])
-            for k in range(1, p + 1):
-                pair = w * basis[k][:, j] * basis[k][:, i]
-                row[offsets[k - 1] : offsets[k]] = pair @ phis[k - 1]
-            rows.append(row)
-            rhs.append(-np.sum(w * basis[1][:, j] * basis[0][:, i]))
-    G = np.array(rows)
-    b = np.array(rhs)
+    first, ell = np.nonzero(
+        np.arange(n_full - 1)[:, None] + np.arange(1, p + 1)[None, :] < n_full
+    )
+    second = first + ell + 1
+    # Basis values per function, shape (n_full, Q), so a pair's row of
+    # quadrature values is contiguous.
+    rows_of = [c.T for c in basis]
+    G = np.empty((first.size, offsets[-1]))
+    for k in range(1, p + 1):
+        pair = w * rows_of[k][second] * rows_of[k][first]
+        G[:, offsets[k - 1] : offsets[k]] = pair @ phis[k - 1]
+    b = -np.sum(w * rows_of[1][second] * rows_of[0][first], axis=1)
     # Column equilibration: the weight of order k scales like h^(1-2k), so
     # the raw least-squares problem is badly conditioned on fine meshes.
     col = np.linalg.norm(G, axis=0)
@@ -160,15 +161,22 @@ def _residual(problem, u, u_t, lap, w, f):
 
     ``u_t`` is the physical time derivative and ``lap`` the physical
     Laplacian; ``f`` is the source sampled at the same points, or None.
+    Evaluated in place on two arrays: on grids of the solver's size each
+    fresh temporary costs more than the arithmetic.
     """
-    res = (
-        problem.C_m * u_t
-        - problem.D * lap
-        + problem.c1 * u * (u - problem.a) * (u - 1.0)
-        + problem.c2 * u * w
-    )
+    res = u - problem.a
+    tmp = u - 1.0
+    res *= tmp
+    res *= problem.c1
+    np.multiply(w, problem.c2, out=tmp)
+    res += tmp
+    res *= u
+    np.multiply(lap, problem.D, out=tmp)
+    res -= tmp
+    np.multiply(u_t, problem.C_m, out=tmp)
+    res += tmp
     if f is not None:
-        res = res - f
+        res -= f
     return res
 
 
@@ -202,7 +210,7 @@ class ResidualIndicator:
         return float(self.values.max(initial=0.0))
 
 
-def compute_theta(problem, u, w, spatial_data=None, time_data=None):
+def compute_theta(problem, u, w, spatial_data=None, time_data=None, on_grid=None):
     """Residual indicator on the Greville grid of the discrete space.
 
     The numerator of each entry is the maximum absolute strong residual over
@@ -215,9 +223,12 @@ def compute_theta(problem, u, w, spatial_data=None, time_data=None):
     ``spatial_data`` and ``time_data`` are the default (``degree + 1``
     points) quadrature data of the problem, built here when not given; a
     solver passes its own, so the residual is sampled on the grid of its
-    reaction mass and load vector.  The iterates are contracted in space
-    first: ``u`` once for its value and time derivative, and the Laplacian's
-    terms, whose coefficients do not depend on time, are summed on the
+    reaction mass and load vector.  ``on_grid`` is the
+    :class:`~monoiga.assembly.IterateOnGrid` of ``u`` and ``w`` on that
+    grid, which a solver evaluates once per step; it is evaluated here when
+    not given.  Its spatial contraction of ``u`` gives the time derivative
+    by one temporal contraction.  The Laplacian's terms, whose coefficients
+    do not depend on time, are contracted in space and summed on the
     spatial grid before one temporal contraction.
     """
     st = problem.space
@@ -226,33 +237,26 @@ def compute_theta(problem, u, w, spatial_data=None, time_data=None):
         spatial_data = SpatialQuadratureData(st.spatial, geo)
     if time_data is None:
         time_data = TimeQuadratureData(st, geo.final_time)
-    d = st.num_spatial_dims
     T = geo.final_time
     collocs = (spatial_data.c0, spatial_data.c1, spatial_data.c2)
-
-    def in_space(coeffs, orders):
-        """``coeffs`` contracted with the spatial collocations of ``orders``."""
-        X = np.asarray(coeffs, dtype=float).reshape(st.coeff_shape)
-        for l, o in enumerate(orders):
-            X = mode_apply(collocs[o][l], X, 1 + (d - 1 - l))
-        return X
-
-    u_s = in_space(u, [0] * d)
-    u_val = mode_apply(time_data.c0, u_s, 0)
-    u_dt = mode_apply(time_data.c1, u_s, 0)
-    del u_s
+    if on_grid is None:
+        on_grid = iterate_on_grid(st, u, w, time_data.c0, spatial_data.c0)
+    u_val, w_val = on_grid.u, on_grid.w
+    u_dt = mode_apply(time_data.c1, on_grid.space, 0)
     denom = problem.C_m * (abs_max(u_val) / T + abs_max(u_dt) / T)
     u_dt /= T
-    lap_s = sum(c * in_space(u, orders) for orders, c in spatial_data.laplacian)
+    lap_s = sum(
+        c * contract_space(st, u, [collocs[o][l] for l, o in enumerate(orders)])
+        for orders, c in spatial_data.laplacian
+    )
     lap = mode_apply(time_data.c0, lap_s, 0)
     del lap_s
-    w_val = mode_apply(time_data.c0, in_space(w, [0] * d), 0)
 
     f = None
     if problem.source is not None:
         f = spatial_data.sample(problem.source, time_data)
     res = _residual(problem, u_val, u_dt, lap, w_val, f)
-    del u_val, u_dt, lap, w_val
+    del u_dt, lap
 
     # Reduce Gauss points to element maxima, outer axis first, each on a
     # contiguous (leading, points, trailing) view: axes (E_t, E_d, ..., E_1).
@@ -318,9 +322,17 @@ def multilinear_grid(nodes, values, axes):
     query points is the product of one piecewise-linear hat matrix per
     direction.
     """
-    d = len(nodes)
-    for l in range(d):
-        values = mode_apply(_hat_matrix(nodes[l], axes[l]), values, d - 1 - l)
+    return _interpolate([_hat_matrix(n, a) for n, a in zip(nodes, axes)], values)
+
+
+def _interpolate(hats, values):
+    """Apply one hat matrix per direction (direction 1 first) to the last axes.
+
+    The trailing axes of ``values`` are the node grid in C order
+    (direction d first); leading axes, if any, are batched.
+    """
+    for l, hat in enumerate(hats):
+        values = mode_apply(hat, values, values.ndim - 1 - l)
     return values
 
 
@@ -404,8 +416,11 @@ class StabilizationGrid:
     the quadrature weights times the order-``k`` upwind weight ``tau``, and
     ``time_points`` repeats the rule's nodes once per block, and
     ``time_gram`` holds the pair products of ``time_colloc``.  Also holds
-    the spatial quadrature data, whose mass kernel keeps its own.  A solver
-    builds one grid and reuses it for every indicator.
+    the spatial quadrature data, whose mass kernel keeps its own, and
+    ``space_hats``, the hat matrices per direction that interpolate from the
+    spatial Greville abscissae (the nodes of every indicator of the space)
+    to the grid's points.  A solver builds one grid and reuses it for every
+    indicator.
     """
 
     def __init__(self, tau, space_time, geo):
@@ -428,6 +443,10 @@ class StabilizationGrid:
             npoints=max(s.degree for s in st.spatial) + 2,
             extra_breaks=[s.greville() for s in st.spatial],
         )
+        self.space_hats = [
+            _hat_matrix(s.greville(), r.points)
+            for s, r in zip(st.spatial, self.spatial_data.rules)
+        ]
 
 
 def assemble_stabilization(lowrank, grid, capacitance, eigenvectors):
@@ -452,8 +471,9 @@ def assemble_stabilization(lowrank, grid, capacitance, eigenvectors):
     contracting ``W_r`` with ``((C_l U_l)^2)^T`` one axis at a time (sum
     factorization) gives it without forming ``U`` or any ``N_s x N_s``
     matrix.  A single factor over every direction is dense already, and
-    ``d_r`` is read from the assembled ``S^s_r``.  Both lists are empty at
-    rank zero.
+    ``d_r`` is read from the assembled ``S^s_r``.  The spatial profiles of
+    all ranks are interpolated together through the grid's hat matrices.
+    Both lists are empty at rank zero.
     """
     sd = grid.spatial_data
     d = len(sd.c0)
@@ -462,14 +482,16 @@ def assemble_stabilization(lowrank, grid, capacitance, eigenvectors):
         tables = [((c @ U) ** 2).T for c, U in zip(sd.c0, eigenvectors)]
     else:
         (U,) = eigenvectors
-    axes = [r.points for r in sd.rules]
+    rank = lowrank.rank
+    factors = lowrank.space_factors.T.reshape((rank,) + lowrank.indicator.spatial_shape)
+    profiles = _interpolate(grid.space_hats, factors)
     terms = []
     precond_terms = []
-    for r in range(lowrank.rank):
+    for r in range(rank):
         coef = capacitance * lowrank.weights[r]
         prof_t = lowrank.time_profile(r, grid.time_points)
         tmat = grid.time_gram(grid.time_weights * prof_t)
-        weights = sd.measure * lowrank.space_profile(r, axes)
+        weights = sd.measure * profiles[r]
         smat = sd.mass(weights)
         if tables is None:
             diag = np.einsum("ik,ik->k", U, smat @ U)

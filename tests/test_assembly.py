@@ -575,6 +575,32 @@ class TestKroneckerOperator:
         ref = op.tosparse() @ x
         assert np.linalg.norm(op.matvec(x) - ref) <= 1e-13 * np.linalg.norm(ref)
 
+    def test_plus_appends_terms_and_leaves_the_base(self):
+        # An operator extended by further terms, in mixed formats, applies
+        # the sum of all terms; the base keeps its own terms and stacks.
+        st = make_st(d=2, p=2, elements=3)
+        geo = builtin_geometry("ellipse_annulus", final_time=2.0)
+        W_t, M_t = time_matrices(st, 2.0)
+        M_s, K_s = spatial_operators(st.spatial, geo)
+        nt, ns = st.num_time, st.num_space
+        rng = np.random.default_rng(13)
+        base_terms = [(1.0, W_t, M_s), (1e-3, M_t, K_s)]
+        extra = [
+            (0.7, sp.identity(nt), M_s),
+            (-0.2, rng.standard_normal((nt, nt)), sp.identity(ns)),
+        ]
+        base = KroneckerOperator(nt, ns, base_terms)
+        x = rng.standard_normal(st.num_dof)
+        before = base.matvec(x)
+        base.correction = random_reaction_operator(st, geo, seed=7)
+        op = base.plus(extra)
+        assert op.correction is None
+        ref = KroneckerOperator(nt, ns, base_terms + extra).tosparse() @ x
+        assert np.linalg.norm(op.matvec(x) - ref) <= 1e-13 * np.linalg.norm(ref)
+        base.correction = None
+        assert len(base.terms) == 2
+        assert np.array_equal(base.matvec(x), before)
+
     def test_dimension_mismatch(self):
         op = KroneckerOperator(2, 2, [(1.0, sp.identity(2), sp.identity(2))])
         with pytest.raises(ValueError, match="dimension mismatch"):

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
-from monoiga import evaluate_field, solver
+from monoiga import assembly, evaluate_field, solver, stabilization
 from monoiga.assembly import (
     KroneckerOperator,
     SpatialQuadratureData,
@@ -33,7 +33,12 @@ from monoiga.solver import (
     fixed_point_solve,
     l2_error,
 )
-from monoiga.stabilization import ResidualIndicator, compute_theta, lowrank_factorize
+from monoiga.stabilization import (
+    ResidualIndicator,
+    assemble_stabilization,
+    compute_theta,
+    lowrank_factorize,
+)
 
 RNG = np.random.default_rng(123)
 
@@ -313,7 +318,7 @@ class TestFixedPoint:
         galerkin_op, galerkin_precond, galerkin_pf_norm = ws.system()
         assert precond is galerkin_precond is ws.precond
         assert pf_norm == galerkin_pf_norm > 0.0
-        assert len(op.terms) == len(galerkin_op.terms) == len(ws.terms)
+        assert len(op.terms) == len(galerkin_op.terms) == len(ws.operator.terms)
         x = RNG.standard_normal(st.num_dof)
         assert np.array_equal(op.matvec(x), galerkin_op.matvec(x))
 
@@ -378,15 +383,22 @@ class TestFixedPoint:
         [("off", "every_sweep"), ("spline_upwind", "every_sweep"), ("spline_upwind", "frozen")],
     )
     def test_one_operator_per_stabilizer(self, monkeypatch, stabilization, update):
-        # Each stabilizer becomes one complete operator; an unstabilized
-        # phase (a Galerkin solve or the frozen mode's pre-solve) builds one.
+        # The workspace builds one operator, of the constant terms, and each
+        # stabilizer extends it into one complete operator; an unstabilized
+        # phase (a Galerkin solve or the frozen mode's pre-solve) uses the
+        # constant operator itself.
         built = []
+        extended = []
         assembled = []
 
         class CountingOperator(KroneckerOperator):
             def __init__(self, *args, **kwargs):
                 built.append(self)
                 super().__init__(*args, **kwargs)
+
+            def plus(self, terms):
+                extended.append(terms)
+                return super().plus(terms)
 
         assemble = solver.assemble_stabilization
 
@@ -404,14 +416,94 @@ class TestFixedPoint:
         )
         result = fixed_point_solve(problem, config)
         assert result.converged
-        galerkin_phases = int(stabilization == "off" or update == "frozen")
-        assert len(built) == len(assembled) + galerkin_phases
+        assert len(built) == 1
+        assert len(extended) == len(assembled)
         if stabilization == "off":
             assert not assembled
         elif update == "frozen":
             assert len(assembled) == 1
         else:
             assert 1 < len(assembled) <= result.iterations
+
+    @pytest.mark.parametrize("update", ["every_sweep", "frozen"])
+    def test_one_grid_evaluation_per_step(self, monkeypatch, update):
+        # Each step contracts its iterate with the default grid's value
+        # collocations once, for the indicator, the reaction mass and the
+        # residual together (the frozen mode adds one for its indicator);
+        # no other path evaluates the iterate on a grid.
+        workspaces = []
+        contractions = []
+        evaluations = []
+
+        class RecordingWorkspace(solver._Workspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                workspaces.append(self)
+
+        contract = assembly.contract_space
+
+        def counting_contract(space_time, coeffs, space_collocs):
+            contractions.append(space_collocs)
+            return contract(space_time, coeffs, space_collocs)
+
+        def counting_field(*args):
+            evaluations.append(args)
+            return field_on_grid(*args)
+
+        monkeypatch.setattr(solver, "_Workspace", RecordingWorkspace)
+        for module in (assembly, solver, stabilization):
+            monkeypatch.setattr(module, "contract_space", counting_contract)
+        monkeypatch.setattr(solver, "field_on_grid", counting_field)
+        monkeypatch.setattr(assembly, "field_on_grid", counting_field)
+        problem = make_problem(
+            d=2, p=2, elements=3, source=lambda x, t: np.sin(np.pi * t) * x[:, 0]
+        )
+        config = FixedPointConfig(
+            stabilization="spline_upwind", indicator_update=update, tolerance=1e-6
+        )
+        result = fixed_point_solve(problem, config)
+        assert result.converged
+        (ws,) = workspaces
+        values = [c for c in contractions if c is ws.spatial_data.c0]
+        # Steps recompute the indicator before it latches.
+        assert update == "frozen" or not result.steps[1]["latched"]
+        assert len(values) == result.iterations + int(update == "frozen")
+        assert not evaluations
+
+    def test_step_operator_equals_assembled_terms(self):
+        # The constant operator plus one stabilizer's terms, applied from
+        # the appended stacks, against the Kronecker products assembled
+        # term by term; the constant operator itself is left as it was.
+        from monoiga.experiments import make_source
+
+        T = 40.0
+        constants = {"C_m": 1.0, "D": 1e-4, "c1": 0.26, "a": 0.13}
+        geo = builtin_geometry("ellipse_annulus", final_time=T)
+        spatial = [SplineSpace.uniform(2, 6), SplineSpace.uniform(2, 2)]
+        st = SpaceTimeSpace(spatial, SplineSpace.uniform(2, 4))
+        source = make_source("gaussian_pulse_2d", T, constants)
+        problem = MonodomainProblem(geometry=geo, space=st, source=source)
+        ws = _Workspace(problem, FixedPointConfig(stabilization="spline_upwind"))
+        theta = ResidualIndicator(
+            np.random.default_rng(5).random((st.num_time, st.num_space)),
+            st.time_greville(),
+            [s.greville() for s in st.spatial],
+            st.spatial_shape,
+        )
+        lowrank = lowrank_factorize(theta, 0.05)
+        assert lowrank.rank >= 2
+        op, _, _ = ws.system(lowrank)
+        stab, _ = assemble_stabilization(
+            lowrank, ws.stab_grid, problem.C_m, ws.precond.eigenvectors
+        )
+        terms = ws.operator.terms + stab
+        ref = KroneckerOperator(st.num_time, st.num_space, terms).tosparse()
+        x = np.random.default_rng(6).standard_normal(st.num_dof)
+        assert np.linalg.norm(op.matvec(x) - ref @ x) <= 1e-13 * np.linalg.norm(ref @ x)
+        assert len(op.terms) == len(terms)
+        assert len(ws.operator.terms) == 2
+        constant = KroneckerOperator(st.num_time, st.num_space, ws.operator.terms)
+        assert np.array_equal(ws.operator.matvec(x), constant.matvec(x))
 
     def test_refined_grid_builds_no_derivative_tables(self, monkeypatch):
         # The stabilizer integrates values only: its refined grid never
@@ -526,6 +618,30 @@ class TestFixedPoint:
         alone = compute_theta(problem, u, w).values
         assert np.mean(alone < 1.0) > 0.5
         assert np.max(np.abs(shared - alone)) <= 1e-14 * np.max(np.abs(alone))
+
+        # The solver's one evaluation per step, which reads w = R u from the
+        # same temporal contraction as u ([C_t; C_t R_t]), on the annulus
+        # and on the cube.
+        cube = [SplineSpace.uniform(2, 3)] * 3
+        for geometry, spatial, source_name in [
+            ("ellipse_annulus", spatial, "gaussian_pulse_2d"),
+            ("unit_cube", cube, "layer_pulse_3d"),
+        ]:
+            geo = builtin_geometry(geometry, final_time=T)
+            st = SpaceTimeSpace(spatial, SplineSpace.uniform(2, 4))
+            source = make_source(source_name, T, constants)
+            problem = MonodomainProblem(geometry=geo, space=st, source=source)
+            ws = _Workspace(problem, FixedPointConfig(stabilization="spline_upwind"))
+            ramp = np.outer(st.time_greville(), np.ones(st.num_space)).reshape(-1)
+            u = ramp + 1e-3 * rng.standard_normal(st.num_dof)
+            w = ws.recover(u)
+            assert np.any(w)
+            shared = compute_theta(
+                problem, u, w, ws.spatial_data, ws.time_data, ws.evaluate(u)
+            ).values
+            alone = compute_theta(problem, u, w).values
+            assert np.mean(alone < 1.0) > 0.5
+            assert np.max(np.abs(shared - alone)) <= 1e-14 * np.max(np.abs(alone))
 
 
 class TestEvaluateField:
