@@ -32,5 +32,4 @@ print("unknowns: %d spatial x %d temporal = %d" % (st.num_space, st.num_time, st
 print("temporal basis at t=0 (all zero by construction):",
       np.abs(st.time_collocation([0.0])).max())
 
-box = st.support_extension((3, 2), 2)
-print("support extension of basis ((3,2), 2):", box)
+print("element window of temporal basis function 2:", st.time.window_elements(2))

@@ -21,7 +21,6 @@ from .bspline import (
     KnotVector,
     SpaceTimeSpace,
     SplineSpace,
-    SupportExtension,
     uniform_open_knots,
 )
 from .experiments import (
@@ -76,7 +75,6 @@ from .stabilization import (
     compute_tau,
     compute_theta,
     lowrank_factorize,
-    strong_residual,
 )
 
 __version__ = "0.1.0"

@@ -5,10 +5,9 @@ Kronecker products of temporal and pulled-back spatial matrices plus an
 optional correction, a reaction term applied matrix-free by
 :class:`WeightedMass` (the reaction mass or its Newton derivative).
 Every Gram matrix -- the temporal advection and mass, the spatial mass and
-stiffness on any geometry, the preconditioner's univariate factors, the
-stabilizer's factors and the sparse form of :class:`WeightedMass` -- is
-assembled by one kernel, :class:`GramKernel` (one-off through
-:func:`banded_gram`), from the collocation matrices of
+stiffness on any geometry, the preconditioner's univariate factors and the
+stabilizer's factors -- is assembled by one kernel, :class:`GramKernel`
+(one-off through :func:`banded_gram`), from the collocation matrices of
 :class:`SpatialQuadratureData` and :class:`TimeQuadratureData`.
 """
 
@@ -223,30 +222,40 @@ class SpatialQuadratureData:
     Precomputes dense per-direction collocation matrices of values (``c0``)
     at the quadrature grid, direction 1 first, and the Jacobian determinants
     there (which checks the map for singularity); every integral on the grid
-    reads the cached quadrature ``measure``.  The first- and second-derivative
-    collocations (``c1``, ``c2``), the metric ``J^{-1} J^{-T}`` and the
-    parametric table of the physical Laplacian (``laplacian``) are built on
-    first use, the last two together from one Jacobian and one Hessian
-    tabulation of the map and one inverse: only the stiffness, the
-    preconditioner and the residual indicator read them, so the
-    stabilizer's refined grid never holds them.  The indicator also reads the basis functions' element
-    windows and Greville abscissae, built once per grid.
-    The physical points are tabulated only to sample a source.  Shared by the
-    mass/stiffness/weighted assemblies and the indicator so nonlinear steps
-    do not re-evaluate the geometry.
+    reads the cached quadrature ``measure``.  The default rule (``degree +
+    1`` points on the mesh) serves the stiffness, the preconditioner and the
+    residual indicator, so its first- and second-derivative collocations
+    (``c1``, ``c2``) come from the same recursion as ``c0``; a refined rule
+    integrates values, and tabulates them only on use.  The map's own
+    collocation tables up to second order are tabulated once per grid and
+    serve the determinants, the pull-back and the physical points of a
+    source.  The metric ``J^{-1} J^{-T}`` and the parametric table of the
+    physical Laplacian (``laplacian``) are built on first use, together from
+    one Jacobian and one Hessian tabulation of the map and one inverse: only
+    the stiffness, the preconditioner and the residual indicator read them,
+    so the stabilizer's refined grid never holds them.  The indicator also
+    reads the basis functions' element windows and Greville abscissae, built
+    once per grid.  Shared by the mass/stiffness/weighted assemblies and the
+    indicator so nonlinear steps do not re-evaluate the geometry.
     """
 
     def __init__(self, spaces, geo, npoints=None, extra_breaks=None):
         self.spaces = tuple(spaces)
         self.geo = geo
         d = len(self.spaces)
+        nders = 2 if npoints is None and extra_breaks is None else 0
         if extra_breaks is None:
             extra_breaks = [None] * d
         self.rules = [
             QuadratureRule.for_space(s, npoints=npoints, extra_breaks=eb)
             for s, eb in zip(self.spaces, extra_breaks)
         ]
-        self.c0 = self._collocations(0)
+        tables = self._collocations(nders)
+        self.c0 = [t[0] for t in tables]
+        if nders:
+            # Held from here on; the cached properties serve a refined rule.
+            self.c1 = [t[1] for t in tables]
+            self.c2 = [t[2] for t in tables]
         # Derivatives vanish where values do, so the value overlap bounds
         # every Gram band of these factors.
         self.bands = [_half_bandwidth(c, c) for c in self.c0]
@@ -254,16 +263,17 @@ class SpatialQuadratureData:
         self.wgrid = outer_product_grid(
             [r.flat_weights for r in reversed(self.rules)]
         )
-        self.detj = jacobian_det(geo.tabulate(self._axes(), 1))
+        self._geo_tables = geo.collocations(self._axes(), 2)
+        self.detj = jacobian_det(geo.tabulate(self._axes(), 1, self._geo_tables))
         self.grid_shape = self.wgrid.shape
         self._sample = None
 
     def _axes(self):
         return [r.points for r in self.rules]
 
-    def _collocations(self, order):
+    def _collocations(self, nders):
         return [
-            s.collocation_matrix(r.points, order)
+            s.collocation_matrices(r.points, nders)
             for s, r in zip(self.spaces, self.rules)
         ]
 
@@ -277,22 +287,22 @@ class SpatialQuadratureData:
     @functools.cached_property
     def c1(self):
         """Dense first-derivative collocation matrices, direction 1 first."""
-        return self._collocations(1)
+        return [t[1] for t in self._collocations(1)]
 
     @functools.cached_property
     def c2(self):
         """Dense second-derivative collocation matrices, direction 1 first."""
-        return self._collocations(2)
+        return [t[2] for t in self._collocations(2)]
 
     @functools.cached_property
     def _pullback(self):
         # One Jacobian and one Hessian tabulation and one closed-form inverse
         # (over the determinants held in ``detj``) serve the metric and the
         # Laplacian; only their results are kept.
-        axes = self._axes()
-        jinv = jacobian_inverse(self.geo.tabulate(axes, 1), self.detj)
+        axes, tables = self._axes(), self._geo_tables
+        jinv = jacobian_inverse(self.geo.tabulate(axes, 1, tables), self.detj)
         metric = np.einsum("...ak,...bk->...ab", jinv, jinv)
-        return metric, laplacian_terms(jinv, self.geo.tabulate(axes, 2))
+        return metric, laplacian_terms(jinv, self.geo.tabulate(axes, 2, tables))
 
     @property
     def metric(self):
@@ -322,18 +332,23 @@ class SpatialQuadratureData:
         """``f(x, t)`` on the space-time grid of this rule and ``time_data``.
 
         ``f`` takes physical points (m, d) and times (m,); the result is
-        shaped (Q_t,) + grid.  The last sample is kept, so the load vector and
-        every indicator of a solve share one evaluation of its source.
+        shaped (Q_t,) + grid.  ``f`` is called once per temporal element,
+        with the spatial grid repeated for each of the element's Gauss times.
+        The last sample is kept, so the load vector and every indicator of a
+        solve share one evaluation of its source.
         """
         last = self._sample
         if last is None or last[0] is not f or last[1] is not time_data:
-            xq = self.geo.tabulate(self._axes())
+            xq = self.geo.tabulate(self._axes(), 0, self._geo_tables)
             xq = xq.reshape(-1, len(self.spaces))
             qs = xq.shape[0]
-            tq = time_data.points * time_data.final_time
-            vals = np.empty((tq.size, qs))
-            for i, t in enumerate(tq):
-                vals[i] = np.asarray(f(xq, np.full(qs, t)), dtype=float).reshape(qs)
+            npts = time_data.rule.npoints
+            tq = (time_data.points * time_data.final_time).reshape(-1, npts)
+            xe = np.tile(xq, (npts, 1))
+            vals = np.empty(tq.shape + (qs,))
+            for e, times in enumerate(tq):
+                sample = f(xe, np.repeat(times, qs))
+                vals[e] = np.asarray(sample, dtype=float).reshape(npts, qs)
             self._sample = (f, time_data, vals.reshape((tq.size,) + self.grid_shape))
         return self._sample[2]
 
@@ -387,24 +402,24 @@ def spatial_operators(spaces, geo, spatial_data=None):
 
 
 class TimeQuadratureData:
-    """Quadrature and constrained-basis data along the temporal direction."""
+    """Quadrature and constrained-basis data along the temporal direction.
+
+    ``c0`` and ``c1`` are the dense constrained collocation matrices of the
+    values and the (parametric) first derivatives at the rule's points,
+    from one recursion.
+    """
 
     def __init__(self, space_time, final_time, npoints=None):
         self.space_time = space_time
         self.final_time = float(final_time)
         self.rule = QuadratureRule.for_space(space_time.time, npoints=npoints)
-        self.c0 = space_time.time_collocation(self.rule.points, 0)
+        self.c0, self.c1 = space_time.time_collocations(self.rule.points, 1)
         # Physical time measure: dt = T dtau.
         self.weights = self.rule.flat_weights * self.final_time
 
     @property
     def points(self):
         return self.rule.points
-
-    @functools.cached_property
-    def c1(self):
-        """Dense first-derivative (parametric) constrained collocation matrix."""
-        return self.space_time.time_collocation(self.rule.points, 1)
 
     @functools.cached_property
     def windows(self):
@@ -518,28 +533,11 @@ def load_vector(time_colloc, space_collocs, grid):
     ).reshape(-1)
 
 
-def evaluate_field(
-    space_time,
-    geo,
-    coeffs,
-    points,
-    time_derivative=False,
-    laplacian=False,
-):
+def evaluate_field(space_time, coeffs, points):
     """Evaluate a coefficient field at parametric space-time points.
 
-    Parameters
-    ----------
-    points : ndarray, shape (m, d + 1)
-        Parametric points ``(eta_1, ..., eta_d, tau)`` in ``[0, 1]^{d+1}``.
-    time_derivative, laplacian : bool
-        Request the physical time derivative or the physical Laplacian
-        alongside the values.
-
-    Returns
-    -------
-    ndarray of values when nothing extra is requested, otherwise a dict with
-    keys among ``value``, ``dt``, ``laplacian``.
+    ``points`` is shaped (m, d + 1), rows ``(eta_1, ..., eta_d, tau)`` in
+    ``[0, 1]^{d+1}``; returns the m values.
     """
     d = space_time.num_spatial_dims
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -553,21 +551,7 @@ def evaluate_field(
     full = np.zeros((space_time.time.dimension,) + space_time.spatial_shape)
     full[1:] = np.asarray(coeffs, dtype=float).reshape(space_time.coeff_shape)
     spaces = list(space_time.spatial) + [space_time.time]
-
-    def at(space_orders, time_order=0):
-        return tensor_at(spaces, full, points, list(space_orders) + [time_order])
-
-    values = at([0] * d)
-    if not (time_derivative or laplacian):
-        return values
-    out = {"value": values}
-    if time_derivative:
-        out["dt"] = at([0] * d, 1) / geo.final_time
-    if laplacian:
-        jinv = np.linalg.inv(geo.jacobian(points[:, :d]))
-        terms = laplacian_terms(jinv, geo.hessian(points[:, :d]))
-        out["laplacian"] = sum(c * at(orders) for orders, c in terms)
-    return out
+    return tensor_at(spaces, full, points, [0] * (d + 1))
 
 
 def laplacian_terms(jinv, hess):
@@ -656,19 +640,6 @@ class WeightedMass:
     def __matmul__(self, x):
         return self.matvec(x)
 
-    def tosparse(self):
-        """Assemble the operator as a CSR matrix (for the tests' dense oracles).
-
-        Time is the slowest direction of :func:`banded_gram`.
-        """
-        space = self.space_collocs[::-1]
-        return banded_gram(
-            [self.time_colloc] + space, [self.trial_time_colloc] + space, self.data
-        )
-
-    def toarray(self):
-        return self.tosparse().toarray()
-
 
 def reaction_mass(
     space_time,
@@ -686,10 +657,10 @@ def reaction_mass(
     quadrature nodes from the spline expansions of the iterates, so
     ``reaction_mass(u, w) @ u`` is the reaction term of the weak form.
     Returns a :class:`WeightedMass` of size ``N_dof`` whose ``data`` is the
-    coefficient times the quadrature measure per quadrature point;
-    ``tosparse()`` assembles it.  ``on_grid`` is the :class:`IterateOnGrid`
-    of ``u_prev`` and ``w_prev`` on the grid of the quadrature data when a
-    caller has it already; it is evaluated here otherwise.
+    coefficient times the quadrature measure per quadrature point.
+    ``on_grid`` is the :class:`IterateOnGrid` of ``u_prev`` and ``w_prev`` on
+    the grid of the quadrature data when a caller has it already; it is
+    evaluated here otherwise.
     """
     c1 = constants["c1"]
     a = constants["a"]
@@ -834,19 +805,3 @@ class KroneckerOperator:
         if self.correction is not None:
             out += self.correction @ x
         return out
-
-    def tosparse(self):
-        """Materialize the operator as a CSR matrix (for the tests' dense oracles)."""
-        acc = None
-        for coef, tmat, smat in self.terms:
-            term = coef * sp.kron(tmat, smat, format="csr")
-            acc = term if acc is None else acc + term
-        if self.correction is not None:
-            corr = self.correction
-            if hasattr(corr, "tosparse"):
-                corr = corr.tosparse()
-            corr = sp.csr_matrix(corr)
-            acc = corr if acc is None else acc + corr
-        if acc is None:
-            acc = sp.csr_matrix(self.shape)
-        return sp.csr_matrix(acc)

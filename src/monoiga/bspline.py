@@ -12,7 +12,6 @@ __all__ = [
     "KnotVector",
     "SplineSpace",
     "SpaceTimeSpace",
-    "SupportExtension",
     "tensor_at",
     "uniform_open_knots",
 ]
@@ -257,13 +256,22 @@ class SplineSpace:
         Row ``m`` holds the ``degree + 1`` active values at ``points[m]`` and
         zeros elsewhere; every entry is zero for ``order > degree``.
         """
+        return self.collocation_matrices(points, order)[order]
+
+    def collocation_matrices(self, points, nders):
+        """Collocation matrices of the orders ``0..nders``, from one recursion.
+
+        Shaped (nders + 1, npts, dimension): entry ``k`` is
+        :meth:`collocation_matrix` ``(points, k)``.  A derivative's values
+        do not depend on the highest order of the recursion, so a caller
+        that needs several orders at one point set tabulates them at once.
+        """
         points = np.atleast_1d(np.asarray(points, dtype=float))
         p = self.degree
-        out = np.zeros((points.size, self.dimension))
-        if order <= p:
-            first, ders = _basis_all_ders(self.knots, p, points, order)
-            cols = first[:, None] + np.arange(p + 1)
-            out[np.arange(points.size)[:, None], cols] = ders[order]
+        out = np.zeros((nders + 1, points.size, self.dimension))
+        first, ders = _basis_all_ders(self.knots, p, points, min(nders, p))
+        cols = first[:, None] + np.arange(p + 1)
+        out[: ders.shape[0], np.arange(points.size)[:, None], cols] = ders
         return out
 
     def extension_window(self, i):
@@ -311,30 +319,6 @@ class SplineSpace:
             self.dimension,
             self.num_elements,
         )
-
-
-class SupportExtension:
-    """Per-direction open intervals bounding a basis function's neighborhood.
-
-    ``intervals`` lists the ``d`` spatial windows followed by the temporal
-    one, each clamped to [0, 1].
-    """
-
-    def __init__(self, intervals):
-        self.intervals = tuple((float(a), float(b)) for a, b in intervals)
-
-    def __iter__(self):
-        return iter(self.intervals)
-
-    def __getitem__(self, k):
-        return self.intervals[k]
-
-    def __len__(self):
-        return len(self.intervals)
-
-    def __repr__(self):
-        body = " x ".join("(%g, %g)" % ab for ab in self.intervals)
-        return "SupportExtension(%s)" % body
 
 
 class SpaceTimeSpace:
@@ -399,46 +383,23 @@ class SpaceTimeSpace:
     def coeff_shape(self):
         return (self.num_time,) + self.spatial_shape
 
-    def flat_spatial_index(self, multi):
-        """Colexicographic flat index of a spatial multi-index (0-based)."""
-        flat = 0
-        stride = 1
-        for i, s in zip(multi, self.spatial):
-            if not 0 <= i < s.dimension:
-                raise IndexError("spatial index %d out of range" % i)
-            flat += i * stride
-            stride *= s.dimension
-        return flat
-
     def time_collocation(self, points, order=0):
         """Dense collocation matrix of the constrained temporal basis."""
-        return np.ascontiguousarray(self.time.collocation_matrix(points, order)[:, 1:])
+        return self.time_collocations(points, order)[order]
+
+    def time_collocations(self, points, nders):
+        """Constrained temporal collocation matrices of the orders ``0..nders``.
+
+        Shaped (nders + 1, npts, N_t), from one recursion (see
+        :meth:`SplineSpace.collocation_matrices`).
+        """
+        return np.ascontiguousarray(
+            self.time.collocation_matrices(points, nders)[:, :, 1:]
+        )
 
     def time_greville(self):
         """Greville abscissae of the constrained temporal basis functions."""
         return self.time.greville()[1:]
-
-    def support_extension(self, spatial_index, time_index):
-        """Support extension box of basis (``spatial_index``, ``time_index``).
-
-        ``spatial_index`` is a 0-based multi-index (direction 1 first) and
-        ``time_index`` addresses the constrained temporal basis.
-        """
-        if np.isscalar(spatial_index):
-            spatial_index = (spatial_index,)
-        if len(spatial_index) != self.num_spatial_dims:
-            raise IndexError("spatial multi-index has wrong length")
-        if not 0 <= time_index < self.num_time:
-            raise IndexError("time index %d out of range" % time_index)
-        intervals = [
-            s.extension_window(i) for i, s in zip(spatial_index, self.spatial)
-        ]
-        p = self.time.degree
-        kt = self.time.knots
-        lo = kt[max(time_index - p, 0)]
-        hi = kt[min(time_index + p + 1, kt.size - 1)]
-        intervals.append((lo, hi))
-        return SupportExtension(intervals)
 
     def __repr__(self):
         return "SpaceTimeSpace(d=%d, N_s=%d, N_t=%d)" % (

@@ -805,7 +805,7 @@ def write_field(
             pts = np.column_stack([line, np.full(m, tau)])
             block["section"] = [xline, np.full(m, t)]
             block["section"] += [
-                evaluate_field(space_time, geo, c, pts) for c in coeffs.values()
+                evaluate_field(space_time, c, pts) for c in coeffs.values()
             ]
         if indicator is not None:
             # Multilinear interpolation: the hat row in time, then per direction.

@@ -86,18 +86,27 @@ class GeometryMap:
             order,
         )
 
-    def tabulate(self, axes, order=0):
+    def collocations(self, axes, nders):
+        """Per-direction collocation stacks of the map's spaces on a tensor grid.
+
+        ``axes`` lists the parametric points per direction (direction 1
+        first); entry ``l`` holds the orders ``0..nders`` of direction ``l``
+        (see :meth:`~monoiga.bspline.SplineSpace.collocation_matrices`).
+        """
+        return [s.collocation_matrices(ax, nders) for s, ax in zip(self.spaces, axes)]
+
+    def tabulate(self, axes, order=0, tables=None):
         """Values (order 0), Jacobians (1) or Hessians (2) on a tensor grid.
 
         ``axes`` lists the parametric points per direction (direction 1
         first).  The result is shaped grid + (d,), grid + (d, d) or
         grid + (d, d, d) with the grid axes in C order (direction d first);
-        only the requested order is tabulated.
+        only the requested order is tabulated.  ``tables`` are the
+        :meth:`collocations` of ``axes`` up to at least ``order`` when a
+        caller holds them; they are tabulated here otherwise.
         """
-        collocs = [
-            [s.collocation_matrix(ax, o) for o in range(order + 1)]
-            for s, ax in zip(self.spaces, axes)
-        ]
+        if tables is None:
+            tables = self.collocations(axes, order)
         grid_shape = tuple(len(axes[l]) for l in reversed(range(self.dim)))
 
         def tabulate(orders):
@@ -106,7 +115,7 @@ class GeometryMap:
                 o = orders[l]
                 if o > self.spaces[l].degree:
                     return np.zeros(grid_shape + (self.dim,))
-                val = mode_apply(collocs[l][o], val, self._axis_of(l))
+                val = mode_apply(tables[l][o], val, self._axis_of(l))
             return val
 
         return _derivative(tabulate, self.dim, order)

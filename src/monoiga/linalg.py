@@ -10,6 +10,8 @@ metric (boxes, 1D) or the spatial space is large, and one exact factor over
 every direction on a small mapped patch.
 """
 
+import functools
+
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
@@ -109,7 +111,9 @@ class FastDiagPreconditioner:
     ``terms`` lists pairs ``(T_j, c_j)`` of a temporal matrix and its
     per-spatial-mode coefficients, so that spatial mode ``k`` has the
     ``N_t x N_t`` temporal matrix ``A_k = sum_j c_j[k] T_j``.  The inverses
-    of the ``A_k`` are stored as one ``(N_t, N_t, N_s)`` array.
+    of the ``A_k`` are stored as one ``(N_t, N_t, N_s)`` array, computed on
+    the first :meth:`apply`: a preconditioner that is replaced before it is
+    applied never inverts its stack.
     :meth:`build` gives the terms of the Galerkin operator's spatial pencil
     or its separable surrogate; a stabilizer term ``c S^t kron S^s`` adds
     ``(S^t, c d)`` with ``d`` the diagonal of ``U^T S^s U``, which is exact
@@ -128,9 +132,13 @@ class FastDiagPreconditioner:
         self._shape = (nt,) + tuple(U.shape[0] for U in reversed(self.eigenvectors))
         # The stack, laid out (i, j, k) for the contraction of ``apply``, is
         # one product of the flattened matrices and per-mode coefficients.
-        # The inverses are written back into it: one stack is held.
         stack = np.stack(mats).reshape(len(mats), -1).T @ np.stack(coefs)
-        stack = stack.reshape(nt, nt, ns)
+        self._stack = stack.reshape(nt, nt, ns)
+
+    @functools.cached_property
+    def _inverse(self):
+        """The per-mode inverses, written over the stack: one stack is held."""
+        stack = self._stack
         try:
             inv = np.linalg.inv(stack.transpose(2, 0, 1))
         except np.linalg.LinAlgError as exc:
@@ -138,7 +146,7 @@ class FastDiagPreconditioner:
                 "per-mode temporal matrix is singular: %s" % exc
             ) from exc
         stack[...] = inv.transpose(1, 2, 0)
-        self._inv = stack
+        return stack
 
     @staticmethod
     def _separable_weights(spatial_data):
@@ -289,7 +297,7 @@ class FastDiagPreconditioner:
         for l in range(d):
             X = mode_apply(self.eigenvectors[l].T, X, 1 + (d - 1 - l))
         X = X.reshape(self.num_time, self.num_space)
-        X = np.einsum("ijk,jk->ik", self._inv, X).reshape(self._shape)
+        X = np.einsum("ijk,jk->ik", self._inverse, X).reshape(self._shape)
         for l in range(d):
             X = mode_apply(self.eigenvectors[l], X, 1 + (d - 1 - l))
         return X.reshape(-1)

@@ -16,7 +16,6 @@ from .assembly import (
     SpatialQuadratureData,
     TimeQuadratureData,
     contract_space,
-    evaluate_field,
     iterate_on_grid,
 )
 from .bspline import KnotVector, SplineSpace
@@ -29,7 +28,6 @@ __all__ = [
     "LowRankIndicator",
     "StabilizationGrid",
     "compute_tau",
-    "strong_residual",
     "compute_theta",
     "lowrank_factorize",
     "assemble_stabilization",
@@ -94,7 +92,7 @@ def compute_tau(time_space):
     rule = QuadratureRule.for_space(time_space, npoints=2 * p)
     pts = rule.points
     w = rule.flat_weights
-    basis = [time_space.collocation_matrix(pts, k) for k in range(0, p + 1)]
+    basis = time_space.collocation_matrices(pts, p)
     phis = [s.collocation_matrix(pts, 0) for s in spaces]
     dims = [s.dimension for s in spaces]
     offsets = np.concatenate([[0], np.cumsum(dims)])
@@ -130,30 +128,6 @@ def compute_tau(time_space):
         )
     coeffs = [sol[offsets[k] : offsets[k + 1]] for k in range(p)]
     return StabilizationWeights(time_space, spaces, coeffs, residual)
-
-
-def strong_residual(problem, u, w, points):
-    """Pointwise strong residual of the potential equation at the iterates.
-
-    ``points`` are parametric space-time points; the physical Laplacian is
-    the parametric operator of :func:`~monoiga.assembly.laplacian_terms`.
-    """
-    geo = problem.geometry
-    st = problem.space
-    data = evaluate_field(
-        st, geo, u, points, time_derivative=True, laplacian=True
-    )
-    w_val = evaluate_field(st, geo, w, points)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    d = st.num_spatial_dims
-    x = geo.evaluate(points[:, :d])
-    t = points[:, d] * geo.final_time
-    f = None
-    if problem.source is not None:
-        f = np.asarray(problem.source(x, t), dtype=float).reshape(-1)
-    return _residual(
-        problem, data["value"], data["dt"], data["laplacian"], w_val, f
-    )
 
 
 def _residual(problem, u, u_t, lap, w, f):
@@ -340,8 +314,9 @@ class LowRankIndicator:
     """Truncated SVD factorization of the residual indicator.
 
     ``time_factors`` and ``space_factors`` have orthonormal columns; the
-    retained singular values sit in ``weights``.  Piecewise-linear profiles
-    interpolate the factor columns on the Greville grids.
+    retained singular values sit in ``weights``, so the indicator is close to
+    ``(time_factors * weights) @ space_factors.T``.  Piecewise-linear
+    profiles interpolate the factor columns on the Greville grids.
     """
 
     def __init__(self, indicator, rank, time_factors, space_factors, weights):
@@ -351,20 +326,6 @@ class LowRankIndicator:
         self.space_factors = space_factors
         self.weights = weights
 
-    def reconstruction(self):
-        if self.rank == 0:
-            return np.zeros_like(self.indicator.values)
-        return (self.time_factors * self.weights) @ self.space_factors.T
-
-    @property
-    def relative_error(self):
-        norm = np.linalg.norm(self.indicator.values)
-        if norm == 0.0:
-            return 0.0
-        return float(
-            np.linalg.norm(self.indicator.values - self.reconstruction()) / norm
-        )
-
     def time_profile(self, r, points):
         """Piecewise-linear temporal profile of column ``r``."""
         return np.interp(
@@ -372,16 +333,6 @@ class LowRankIndicator:
             self.indicator.time_greville,
             self.time_factors[:, r],
         )
-
-    def space_profile(self, r, axes):
-        """Multilinear spatial profile of column ``r`` on a tensor grid.
-
-        ``axes`` lists query points per direction (direction 1 first);
-        returns the grid of values in C order (direction d first).  Query
-        points outside the Greville hull take the value at its boundary.
-        """
-        prof = self.space_factors[:, r].reshape(self.indicator.spatial_shape)
-        return multilinear_grid(self.indicator.spatial_grevilles, prof, axes)
 
 
 def lowrank_factorize(indicator, tol):
@@ -435,7 +386,7 @@ class StabilizationGrid:
         self.time_weights = np.concatenate(
             [trule.flat_weights * tau.evaluate(k, nodes) for k in orders]
         )
-        self.time_colloc = np.vstack([st.time_collocation(nodes, k) for k in orders])
+        self.time_colloc = np.vstack(st.time_collocations(nodes, p)[1:])
         self.time_gram = GramKernel([self.time_colloc], [self.time_colloc])
         self.spatial_data = SpatialQuadratureData(
             st.spatial,

@@ -1,14 +1,17 @@
 """Brute-force reference computations used to cross-check the assembly paths.
 
-Everything here works with dense matrices and explicit pointwise basis
-evaluation; nothing is shared with the Kronecker-structured production code
-beyond the univariate basis recursion itself, of which
-:func:`scalar_basis_ders` keeps a one-point scalar copy.
+Everything here works with dense or sparse matrices and explicit pointwise
+basis evaluation; nothing is shared with the Kronecker-structured production
+code beyond the univariate basis recursion itself, of which
+:func:`scalar_basis_ders` keeps a one-point scalar copy, and the scattered
+tensor-product evaluation of :func:`~monoiga.bspline.tensor_at`.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
-from monoiga.assembly import QuadratureRule
+from monoiga.assembly import QuadratureRule, WeightedMass, banded_gram, evaluate_field
+from monoiga.bspline import tensor_at
 
 
 def scalar_basis_ders(knots, p, x, nders):
@@ -178,3 +181,110 @@ def fd_gradient(fn, x, step=1e-6):
         e[a] = step
         cols.append((np.asarray(fn(x + e)) - np.asarray(fn(x - e))) / (2 * step))
     return np.stack(cols, axis=-1)
+
+
+def weighted_mass_sparse(mass):
+    """A :class:`~monoiga.assembly.WeightedMass` assembled as a CSR matrix.
+
+    Time is the slowest direction of :func:`~monoiga.assembly.banded_gram`.
+    """
+    space = mass.space_collocs[::-1]
+    return banded_gram(
+        [mass.time_colloc] + space, [mass.trial_time_colloc] + space, mass.data
+    )
+
+
+def kronecker_sparse(op):
+    """A :class:`~monoiga.assembly.KroneckerOperator` materialized as CSR.
+
+    The sum of ``c_k kron(T_k, S_k)`` over its terms plus its correction.
+    """
+    acc = sp.csr_matrix(op.shape)
+    for coef, tmat, smat in op.terms:
+        acc = acc + coef * sp.kron(tmat, smat, format="csr")
+    corr = op.correction
+    if isinstance(corr, WeightedMass):
+        corr = weighted_mass_sparse(corr)
+    if corr is not None:
+        acc = acc + sp.csr_matrix(corr)
+    return sp.csr_matrix(acc)
+
+
+def field_derivatives(space_time, geo, coeffs, points):
+    """Value, physical time derivative and physical Laplacian at scattered points.
+
+    ``points`` are parametric space-time points (m, d + 1).  The Laplacian
+    is the trace of the physical Hessian ``J^{-T} (H_eta u - sum_c
+    (grad_x u)_c H_c) J^{-1}``, with ``grad_x u = J^{-T} grad_eta u`` and the
+    map's Jacobian ``J`` and Hessians ``H_c`` at the points.  Returns a dict
+    with keys ``value``, ``dt`` and ``laplacian``.
+    """
+    st = space_time
+    d = st.num_spatial_dims
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    full = np.zeros((st.time.dimension,) + st.spatial_shape)
+    full[1:] = np.asarray(coeffs, dtype=float).reshape(st.coeff_shape)
+    spaces = list(st.spatial) + [st.time]
+
+    def at(space_orders, time_order=0):
+        return tensor_at(spaces, full, points, list(space_orders) + [time_order])
+
+    unit = np.eye(d, dtype=int)
+    grad = np.array([at(unit[a]) for a in range(d)]).T
+    hess_u = np.array(
+        [[at(unit[a] + unit[b]) for b in range(d)] for a in range(d)]
+    ).transpose(2, 0, 1)
+    eta = points[:, :d]
+    jinv = np.linalg.inv(geo.jacobian(eta))
+    grad_x = np.einsum("mac,ma->mc", jinv, grad)
+    inner = hess_u - np.einsum("mc,mcab->mab", grad_x, geo.hessian(eta))
+    return {
+        "value": at([0] * d),
+        "dt": at([0] * d, 1) / geo.final_time,
+        "laplacian": np.einsum("mai,mab,mbi->m", jinv, inner, jinv),
+    }
+
+
+def strong_residual(problem, u, w, points):
+    """Pointwise strong residual of the potential equation at the iterates.
+
+    ``C_m u_t - D lap u + c1 u (u - a)(u - 1) + c2 u w - f`` at parametric
+    space-time ``points``, with the physical time derivative and Laplacian
+    of :func:`field_derivatives`.
+    """
+    st = problem.space
+    geo = problem.geometry
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    fields = field_derivatives(st, geo, u, points)
+    u_val = fields["value"]
+    w_val = evaluate_field(st, w, points)
+    d = st.num_spatial_dims
+    f = 0.0
+    if problem.source is not None:
+        x = geo.evaluate(points[:, :d])
+        f = np.asarray(problem.source(x, points[:, d] * geo.final_time), dtype=float)
+        f = f.reshape(-1)
+    return (
+        problem.C_m * fields["dt"]
+        - problem.D * fields["laplacian"]
+        + problem.c1 * u_val * (u_val - problem.a) * (u_val - 1.0)
+        + problem.c2 * u_val * w_val
+        - f
+    )
+
+
+def support_extension(space_time, spatial_index, time_index):
+    """Support-extension box of the basis function (``spatial_index``, ``time_index``).
+
+    ``spatial_index`` is a multi-index, direction 1 first, and
+    ``time_index`` addresses the constrained temporal basis.  Returns one
+    interval per direction, the spatial ones first, each the
+    :meth:`~monoiga.bspline.SplineSpace.extension_window` of its index.  The
+    temporal window is that of full-basis function ``time_index``, the
+    index of the indicator's temporal windows.
+    """
+    intervals = [
+        s.extension_window(i) for i, s in zip(spatial_index, space_time.spatial)
+    ]
+    intervals.append(space_time.time.extension_window(time_index))
+    return intervals

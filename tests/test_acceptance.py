@@ -37,10 +37,12 @@ from monoiga.stabilization import (
     compute_tau,
     compute_theta,
     lowrank_factorize,
+    multilinear_grid,
 )
 from oracles import (
     dense_space_time_basis,
     dense_weighted_space_time_mass,
+    weighted_mass_sparse,
 )
 
 RNG = np.random.default_rng(2025)
@@ -102,12 +104,14 @@ def test_criterion_4_lowrank_contract():
     for trial in range(20):
         values = RNG.random((RNG.integers(3, 12), RNG.integers(3, 40)))
         lr = lowrank_factorize(indicator(values), tol)
-        assert lr.relative_error <= tol
+        recon = (lr.time_factors * lr.weights) @ lr.space_factors.T
+        assert np.linalg.norm(values - recon) / np.linalg.norm(values) <= tol
     a = np.abs(RNG.standard_normal(7)) + 0.1
     b = np.abs(RNG.standard_normal(13)) + 0.1
     lr = lowrank_factorize(indicator(np.outer(a, b)), tol)
     assert lr.rank == 1
-    assert np.max(np.abs(lr.reconstruction() - np.outer(a, b))) < 1e-12
+    recon = (lr.time_factors * lr.weights) @ lr.space_factors.T
+    assert np.max(np.abs(recon - np.outer(a, b))) < 1e-12
     report(4, "20 random factorizations within tol 0.1; rank-1 recovered at R=1")
 
 
@@ -160,7 +164,7 @@ def test_criterion_6_dense_oracle_equivalence():
 
     MR_ref = dense_weighted_space_time_mass(st, geo, cr_weight)
     scale = max(np.max(np.abs(MR_ref)), 1.0)
-    assert np.max(np.abs(MR.toarray() - MR_ref)) / scale < 1e-10
+    assert np.max(np.abs(weighted_mass_sparse(MR).toarray() - MR_ref)) / scale < 1e-10
 
     # stabilizer terms against dense quadrature
     tau = compute_tau(st.time)
@@ -175,18 +179,17 @@ def test_criterion_6_dense_oracle_equivalence():
     terms, _ = assemble_stabilization(lr, StabilizationGrid(tau, st, geo), 1.0, eye)
     total = sum(coef * sp.kron(tm, sm).toarray() for coef, tm, sm in terms)
     pdeg = st.time.degree
-    extra = [s.greville() for s in st.spatial] + [theta.time_greville]
+    grevs = [s.greville() for s in st.spatial]
+    extra = grevs + [theta.time_greville]
     stab_ref = np.zeros_like(total)
     for r in range(lr.rank):
         for k in range(1, pdeg + 1):
 
             def weight(pts, r=r, k=k):
                 tv = tau.evaluate(k, pts[:, 2]) * lr.time_profile(r, pts[:, 2])
+                prof = lr.space_factors[:, r].reshape(st.spatial_shape)
                 sv = np.array(
-                    [
-                        lr.space_profile(r, [pts[m, 0:1], pts[m, 1:2]])[0, 0]
-                        for m in range(pts.shape[0])
-                    ]
+                    [multilinear_grid(grevs, prof, [q[0:1], q[1:2]])[0, 0] for q in pts]
                 )
                 return tv * sv
 

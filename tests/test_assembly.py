@@ -26,7 +26,9 @@ from oracles import (
     dense_space_time_basis,
     dense_univariate,
     dense_weighted_space_time_mass,
+    kronecker_sparse,
     space_time_quadrature,
+    weighted_mass_sparse,
 )
 from test_mapped_convergence import warped_square
 
@@ -228,7 +230,7 @@ class TestReactionMass:
         W_t, M_t = time_matrices(st, 1.5)
         M_s, _ = spatial_operators(st.spatial, geo)
         ref = CONSTANTS["a"] * CONSTANTS["c1"] * sp.kron(M_t, M_s)
-        assert np.max(np.abs((MR.tosparse() - ref).toarray())) < 1e-12
+        assert np.max(np.abs((weighted_mass_sparse(MR) - ref).toarray())) < 1e-12
 
     def test_vanishes_where_field_is_one(self):
         # With all-one coefficients the field equals 1 away from the first
@@ -240,7 +242,7 @@ class TestReactionMass:
         MR = reaction_mass(st, geo, CONSTANTS, ones, np.zeros(st.num_dof))
         p = st.time.degree
         ns = st.num_space
-        dense = MR.toarray()
+        dense = weighted_mass_sparse(MR).toarray()
         far = dense[p * ns :, p * ns :]
         assert np.max(np.abs(far)) < 1e-14
 
@@ -250,7 +252,7 @@ class TestReactionMass:
         geo = builtin_geometry("unit_square", final_time=2.0)
         u = rng.standard_normal(st.num_dof)
         w = rng.standard_normal(st.num_dof)
-        MR = reaction_mass(st, geo, CONSTANTS, u, w).toarray()
+        MR = weighted_mass_sparse(reaction_mass(st, geo, CONSTANTS, u, w)).toarray()
 
         def weight(pts):
             B = dense_space_time_basis(st, pts, [0, 0], 0)
@@ -317,7 +319,7 @@ class TestWeightedMass:
         for op in (MR, stacked_trial_operator(MR, seed=d)[0]):
             assert op.shape == (st.num_dof, st.num_dof)
             assert op.nnz == op.data.size
-            ref = op.tosparse() @ x
+            ref = weighted_mass_sparse(op) @ x
             assert np.linalg.norm(op.matvec(x) - ref) <= 1e-13 * np.linalg.norm(ref)
             assert_allclose(op @ x, op.matvec(x), rtol=0, atol=0)
 
@@ -329,7 +331,7 @@ class TestWeightedMass:
         st = make_st(d=d, p=p, elements=elements)
         MR = random_reaction_operator(st, builtin_geometry(geometry), seed=3)
         for op in (MR, stacked_trial_operator(MR, seed=4)[0]):
-            S = op.tosparse().toarray()
+            S = weighted_mass_sparse(op).toarray()
             cols = np.column_stack([op.matvec(e) for e in np.eye(st.num_dof)])
             assert np.max(np.abs(S - cols)) <= 1e-13 * np.max(np.abs(S))
 
@@ -338,9 +340,11 @@ class TestWeightedMass:
         st = make_st(d=2, p=2, elements=2)
         MR = random_reaction_operator(st, builtin_geometry("ellipse_annulus"), seed=5)
         op, R, W2 = stacked_trial_operator(MR, seed=6)
-        second = WeightedMass(MR.time_colloc, MR.space_collocs, W2).tosparse()
-        ref = MR.tosparse() + second @ sp.kron(R, sp.eye(st.num_space))
-        S = op.tosparse()
+        second = weighted_mass_sparse(
+            WeightedMass(MR.time_colloc, MR.space_collocs, W2)
+        )
+        ref = weighted_mass_sparse(MR) + second @ sp.kron(R, sp.eye(st.num_space))
+        S = weighted_mass_sparse(op)
         assert np.max(np.abs((S - ref).toarray())) <= 1e-13 * np.max(np.abs(S))
 
     def test_rejects_mismatched_weight_grid(self):
@@ -356,8 +360,8 @@ class TestWeightedMass:
         op = KroneckerOperator(
             st.num_time, st.num_space, [(1.0, W_t, M_s), (1e-3, M_t, K_s)], MR
         )
-        ref = sp.kron(W_t, M_s) + 1e-3 * sp.kron(M_t, K_s) + MR.tosparse()
-        assert np.max(np.abs((op.tosparse() - ref).toarray())) < 1e-14
+        ref = sp.kron(W_t, M_s) + 1e-3 * sp.kron(M_t, K_s) + weighted_mass_sparse(MR)
+        assert np.max(np.abs((kronecker_sparse(op) - ref).toarray())) < 1e-14
         x = np.random.default_rng(2).standard_normal(st.num_dof)
         assert_allclose(op.matvec(x), ref @ x, rtol=1e-13, atol=1e-15)
 
@@ -379,7 +383,7 @@ class TestWeightedMass:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        S = MR.tosparse()
+        S = weighted_mass_sparse(MR)
         csr_bytes = S.data.nbytes + S.indices.nbytes + S.indptr.nbytes
         assert peak < 8 * MR.data.nbytes
         assert peak < csr_bytes / 4
@@ -484,9 +488,10 @@ class TestRhsVectors:
             return x[:, 0] * x[:, 1] + t
 
         f = rhs_vectors(st, geo, source, spatial_data=sdata, time_data=tdata)
-        assert len(calls) == tdata.points.size
+        # One call per temporal element, with all its Gauss times.
+        assert len(calls) == tdata.rule.num_cells
         grid = sdata.sample(source, tdata)
-        assert len(calls) == tdata.points.size
+        assert len(calls) == tdata.rule.num_cells
         x = sdata.geo.tabulate([r.points for r in sdata.rules])[None]
         t = (tdata.points * geo.final_time).reshape(-1, 1, 1)
         assert np.array_equal(grid, x[..., 0] * x[..., 1] + t)
@@ -522,7 +527,7 @@ class TestKroneckerOperator:
         dense = 1.3 * np.kron(A, B) - 0.4 * np.kron(C, D)
         x = rng.standard_normal(6)
         assert np.max(np.abs(op.matvec(x) - dense @ x)) < 1e-14
-        assert np.max(np.abs(op.tosparse().toarray() - dense)) < 1e-14
+        assert np.max(np.abs(kronecker_sparse(op).toarray() - dense)) < 1e-14
 
     def test_correction_term(self):
         rng = np.random.default_rng(3)
@@ -572,7 +577,7 @@ class TestKroneckerOperator:
         ]
         op = KroneckerOperator(nt, ns, terms, MR)
         x = rng.standard_normal(st.num_dof)
-        ref = op.tosparse() @ x
+        ref = kronecker_sparse(op) @ x
         assert np.linalg.norm(op.matvec(x) - ref) <= 1e-13 * np.linalg.norm(ref)
 
     def test_plus_appends_terms_and_leaves_the_base(self):
@@ -595,7 +600,7 @@ class TestKroneckerOperator:
         base.correction = random_reaction_operator(st, geo, seed=7)
         op = base.plus(extra)
         assert op.correction is None
-        ref = KroneckerOperator(nt, ns, base_terms + extra).tosparse() @ x
+        ref = kronecker_sparse(KroneckerOperator(nt, ns, base_terms + extra)) @ x
         assert np.linalg.norm(op.matvec(x) - ref) <= 1e-13 * np.linalg.norm(ref)
         base.correction = None
         assert len(base.terms) == 2

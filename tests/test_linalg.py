@@ -26,6 +26,7 @@ from monoiga.linalg import (
     pcg,
     solve_w_system,
 )
+from oracles import kronecker_sparse
 
 RNG = np.random.default_rng(77)
 
@@ -187,7 +188,7 @@ class TestFastDiagPreconditioner:
         op, _, _ = separable_surrogate(st, sdata, 1.5, cm, diff, react)
         P = FastDiagPreconditioner.build(st, 1.5, cm, diff, react, spatial_data=sdata)
         r = RNG.standard_normal(st.num_dof)
-        ref = np.linalg.solve(op.tosparse().toarray(), r)
+        ref = np.linalg.solve(kronecker_sparse(op).toarray(), r)
         assert np.linalg.norm(P.apply(r) - ref) < 1e-10 * np.linalg.norm(ref)
 
     def test_fold_matches_dense_per_mode_solve(self, monkeypatch):
@@ -247,7 +248,7 @@ class TestFastDiagPreconditioner:
         assert [U.shape for U in P.eigenvectors] == [(st.num_space, st.num_space)]
         op = surrogate_operator(st, geo, 1.5, cm, diff, react)
         r = RNG.standard_normal(st.num_dof)
-        ref = np.linalg.solve(op.tosparse().toarray(), r)
+        ref = np.linalg.solve(kronecker_sparse(op).toarray(), r)
         assert np.linalg.norm(P.apply(r) - ref) < 1e-10 * np.linalg.norm(ref)
         # The workspace passes its assembled matrices; the result is the same.
         given = FastDiagPreconditioner.build(
@@ -278,7 +279,7 @@ class TestFastDiagPreconditioner:
         assert len(P.eigenvectors) == 1
         op = surrogate_operator(st, geo, 1.0, cm, diff, react)
         r = RNG.standard_normal(st.num_dof)
-        ref = np.linalg.solve(op.tosparse().toarray(), r)
+        ref = np.linalg.solve(kronecker_sparse(op).toarray(), r)
         assert np.linalg.norm(P.apply(r) - ref) < 1e-10 * np.linalg.norm(ref)
 
     def test_mapped_patch_above_the_limit_keeps_separable_factors(self, monkeypatch):
@@ -293,14 +294,17 @@ class TestFastDiagPreconditioner:
         assert factors == [1, 2]
 
     def test_singular_mode_raises(self):
+        # The per-mode inverses are computed on the first application.
         st = make_st(d=1, p=2, elements=3)
         sdata = SpatialQuadratureData(st.spatial, builtin_geometry("unit_interval"))
+        P = FastDiagPreconditioner.build(st, 1.0, 0.0, 0.0, 0.0, spatial_data=sdata)
         with pytest.raises(DecompositionError, match="singular"):
-            FastDiagPreconditioner.build(st, 1.0, 0.0, 0.0, 0.0, spatial_data=sdata)
+            P.apply(np.ones(st.num_dof))
 
     def test_holds_one_inverse_stack(self):
-        # The preconditioner keeps its per-mode inverses, N_s N_t^2 doubles,
-        # and little else; adding a stabilizer's terms builds a fresh stack.
+        # The preconditioner keeps its per-mode stack, N_s N_t^2 doubles that
+        # its first application inverts in place, and little else; adding a
+        # stabilizer's terms builds a fresh stack.
         st = make_st(d=2, p=2, elements=14)
         geo = builtin_geometry("unit_square", final_time=1.0)
         sdata = SpatialQuadratureData(st.spatial, geo)

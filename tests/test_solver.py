@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
-from monoiga import assembly, evaluate_field, solver, stabilization
+from monoiga import assembly, bspline, evaluate_field, solver, stabilization
 from monoiga.assembly import (
     KroneckerOperator,
     SpatialQuadratureData,
@@ -39,6 +39,7 @@ from monoiga.stabilization import (
     compute_theta,
     lowrank_factorize,
 )
+from oracles import field_derivatives, kronecker_sparse
 
 RNG = np.random.default_rng(123)
 
@@ -111,7 +112,7 @@ class TestFixedPoint:
             [(problem.C_m, W_t, M_s), (problem.D, M_t, K_s)],
             correction=MR,
         )
-        u_tilde = spla.spsolve(sp.csc_matrix(op.tosparse()), f_vec)
+        u_tilde = spla.spsolve(sp.csc_matrix(kronecker_sparse(op)), f_vec)
         L = sp.kron(W_t + problem.b * problem.d_e * M_t, M_s)
         w_tilde = spla.spsolve(sp.csc_matrix(L), g_vec)
         for alpha in (0.25, 0.5, 1.0):
@@ -322,6 +323,41 @@ class TestFixedPoint:
         x = RNG.standard_normal(st.num_dof)
         assert np.array_equal(op.matvec(x), galerkin_op.matvec(x))
 
+    def test_inverts_only_applied_preconditioners(self, monkeypatch):
+        # A preconditioner inverts its per-mode stack on its first apply. An
+        # every-sweep stabilized solve replaces the workspace's before any
+        # apply, so it inverts one stack per assembled stabilizer; an
+        # unstabilized solve inverts the workspace's only.
+        inversions = []
+        inv = np.linalg.inv
+
+        def counted_inv(a):
+            inversions.append(a.shape)
+            return inv(a)
+
+        assembled = []
+        assemble = solver.assemble_stabilization
+
+        def counted_assemble(lowrank, *args):
+            assert lowrank.rank > 0
+            assembled.append(lowrank.rank)
+            return assemble(lowrank, *args)
+
+        monkeypatch.setattr(np.linalg, "inv", counted_inv)
+        monkeypatch.setattr(solver, "assemble_stabilization", counted_assemble)
+        problem = make_problem(
+            d=2, p=2, elements=3, source=lambda x, t: np.sin(np.pi * t) * x[:, 0]
+        )
+        config = FixedPointConfig(stabilization="spline_upwind", tolerance=1e-6)
+        result = fixed_point_solve(problem, config)
+        assert result.converged and result.iterations > 1
+        assert len(assembled) > 1
+        assert len(inversions) == len(assembled)
+        inversions.clear()
+        galerkin = replace(config, stabilization="off")
+        assert fixed_point_solve(problem, galerkin).converged
+        assert len(inversions) == 1
+
     def test_stabilizer_switches_off_on_resolved_solution(self):
         from monoiga.experiments import make_source
 
@@ -497,13 +533,42 @@ class TestFixedPoint:
             lowrank, ws.stab_grid, problem.C_m, ws.precond.eigenvectors
         )
         terms = ws.operator.terms + stab
-        ref = KroneckerOperator(st.num_time, st.num_space, terms).tosparse()
+        ref = kronecker_sparse(KroneckerOperator(st.num_time, st.num_space, terms))
         x = np.random.default_rng(6).standard_normal(st.num_dof)
         assert np.linalg.norm(op.matvec(x) - ref @ x) <= 1e-13 * np.linalg.norm(ref @ x)
         assert len(op.terms) == len(terms)
         assert len(ws.operator.terms) == 2
         constant = KroneckerOperator(st.num_time, st.num_space, ws.operator.terms)
         assert np.array_equal(ws.operator.matvec(x), constant.matvec(x))
+
+    @pytest.mark.parametrize(
+        "geometry, p, elements",
+        [("ellipse_annulus", 3, [4, 2]), ("unit_cube", 2, [2, 2, 2])],
+    )
+    def test_workspace_tabulates_each_space_once_per_point_set(
+        self, monkeypatch, geometry, p, elements
+    ):
+        # One recursion per (space, point set) gives every derivative order
+        # the build reads, the geometry's included.
+        st = SpaceTimeSpace(
+            [SplineSpace.uniform(p, n) for n in elements], SplineSpace.uniform(p, 4)
+        )
+        problem = MonodomainProblem(
+            geometry=builtin_geometry(geometry, final_time=2.0),
+            space=st,
+            source=lambda x, t: np.sin(t) * x[:, 0],
+        )
+        tabulated = []
+        recursion = bspline._basis_all_ders
+
+        def counted(knots, degree, x, nders):
+            tabulated.append((id(knots), np.asarray(x, dtype=float).tobytes()))
+            return recursion(knots, degree, x, nders)
+
+        monkeypatch.setattr(bspline, "_basis_all_ders", counted)
+        _Workspace(problem, FixedPointConfig(stabilization="spline_upwind"))
+        assert len(tabulated) > 2 * len(elements)
+        assert len(set(tabulated)) == len(tabulated)
 
     def test_refined_grid_builds_no_derivative_tables(self, monkeypatch):
         # The stabilizer integrates values only: its refined grid never
@@ -649,7 +714,7 @@ class TestEvaluateField:
         problem = make_problem(d=2, p=2, elements=3)
         st = problem.space
         pts = np.column_stack([RNG.random(10), RNG.random(10), RNG.uniform(0.4, 1.0, 10)])
-        vals = evaluate_field(st, problem.geometry, np.ones(st.num_dof), pts)
+        vals = evaluate_field(st, np.ones(st.num_dof), pts)
         assert_allclose(vals, 1.0, atol=1e-13)
 
     def test_bilinear_reproduction(self):
@@ -659,7 +724,7 @@ class TestEvaluateField:
         gt = st.time_greville()
         coeffs = np.outer(gt, gs).reshape(-1)
         pts = np.column_stack([RNG.random(20), RNG.random(20)])
-        vals = evaluate_field(st, problem.geometry, coeffs, pts)
+        vals = evaluate_field(st, coeffs, pts)
         assert np.max(np.abs(vals - pts[:, 0] * pts[:, 1])) < 1e-12
 
     def test_time_derivative_scaling(self):
@@ -669,13 +734,13 @@ class TestEvaluateField:
         gt = st.time_greville()
         coeffs = np.outer(gt, np.ones_like(gs)).reshape(-1)
         pts = np.column_stack([RNG.random(10), RNG.uniform(0.1, 0.9, 10)])
-        out = evaluate_field(st, problem.geometry, coeffs, pts, time_derivative=True)
+        out = field_derivatives(st, problem.geometry, coeffs, pts)
         # field is tau = t / T, so the physical time derivative is 1 / T
         assert_allclose(out["dt"], 1.0 / 5.0, atol=1e-12)
 
     def test_matches_residual_grid_fields(self):
         # At the tensor product of the default Gauss points the scattered
-        # path gives the value, time derivative and Laplacian that
+        # oracle gives the value, time derivative and Laplacian that
         # compute_theta builds from the shared quadrature data.
         geo = builtin_geometry("ellipse_annulus", final_time=3.0)
         spatial = [SplineSpace.uniform(3, 6), SplineSpace.uniform(3, 2)]
@@ -687,7 +752,7 @@ class TestEvaluateField:
             tdata.points, *[r.points for r in reversed(sdata.rules)], indexing="ij"
         )
         pts = np.column_stack([m.reshape(-1) for m in reversed(mesh)])
-        out = evaluate_field(st, geo, u, pts, time_derivative=True, laplacian=True)
+        out = field_derivatives(st, geo, u, pts)
         collocs = (sdata.c0, sdata.c1, sdata.c2)
 
         def field(orders):
@@ -710,7 +775,7 @@ class TestEvaluateField:
         problem = make_problem(d=1, p=2, elements=3)
         st = problem.space
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            evaluate_field(st, problem.geometry, np.zeros(st.num_dof), [[0.5, 1.2]])
+            evaluate_field(st, np.zeros(st.num_dof), [[0.5, 1.2]])
 
 
 class TestL2Error:

@@ -13,7 +13,6 @@ from monoiga.assembly import (
     QuadratureRule,
     SpatialQuadratureData,
     TimeQuadratureData,
-    evaluate_field,
     spatial_operators,
 )
 from monoiga import linalg
@@ -28,9 +27,16 @@ from monoiga.stabilization import (
     compute_tau,
     compute_theta,
     lowrank_factorize,
-    strong_residual,
+    multilinear_grid,
 )
-from oracles import dense_basis_values, dense_univariate, dense_weighted_space_time_mass
+from oracles import (
+    dense_basis_values,
+    dense_univariate,
+    dense_weighted_space_time_mass,
+    field_derivatives,
+    strong_residual,
+    support_extension,
+)
 
 RNG = np.random.default_rng(2024)
 
@@ -252,7 +258,7 @@ class TestResidualIndicator:
         mesh = np.meshgrid(*[r.points for r in rules], indexing="ij")
         pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
         absres = np.abs(strong_residual(problem, u, w, pts)).reshape(mesh[0].shape)
-        fields = evaluate_field(st, geo, u, pts, time_derivative=True)
+        fields = field_derivatives(st, geo, u, pts)
         denom = problem.C_m * (
             np.max(np.abs(fields["value"])) / geo.final_time
             + np.max(np.abs(fields["dt"]))
@@ -265,13 +271,14 @@ class TestResidualIndicator:
         expected = np.empty((st.num_time, st.num_space))
         for c in range(st.num_time):
             for index in itertools.product(*[range(s.dimension) for s in spatial]):
-                box = st.support_extension(index, c)
+                box = support_extension(st, index, c)
                 masks = [
                     (left < hi) & (right > lo)
                     for (left, right), (lo, hi) in zip(ends, box)
                 ]
                 numer = absres[np.ix_(*masks)].max()
-                expected[c, st.flat_spatial_index(index)] = min(numer / denom, 1.0)
+                flat = np.ravel_multi_index(index[::-1], st.spatial_shape)
+                expected[c, flat] = min(numer / denom, 1.0)
         assert np.any((expected > 0.01) & (expected < 0.99))
         assert np.max(np.abs(theta.values - expected)) <= 1e-14
 
@@ -308,7 +315,8 @@ class TestLowRank:
         theta.values = st_values
         lr = lowrank_factorize(theta, 0.1)
         assert lr.rank == 1
-        assert np.max(np.abs(lr.reconstruction() - st_values)) < 1e-12
+        recon = (lr.time_factors * lr.weights) @ lr.space_factors.T
+        assert np.max(np.abs(recon - st_values)) < 1e-12
 
     def test_small_tail_truncates_to_rank_one(self):
         u, _ = np.linalg.qr(RNG.standard_normal((8, 2)))
@@ -322,7 +330,8 @@ class TestLowRank:
         values = RNG.random((5, 7))
         theta = ResidualIndicator(values, np.linspace(0, 1, 5), [np.linspace(0, 1, 7)], (7,))
         lr = lowrank_factorize(theta, 1e-14)
-        assert np.max(np.abs(lr.reconstruction() - values)) < 1e-12
+        recon = (lr.time_factors * lr.weights) @ lr.space_factors.T
+        assert np.max(np.abs(recon - values)) < 1e-12
 
     def test_zero_matrix_gives_rank_zero(self):
         theta = ResidualIndicator(
@@ -330,7 +339,7 @@ class TestLowRank:
         )
         lr = lowrank_factorize(theta, 0.1)
         assert lr.rank == 0
-        assert lr.relative_error == 0.0
+        assert not np.any((lr.time_factors * lr.weights) @ lr.space_factors.T)
 
     @pytest.mark.parametrize("tol", [0.1, 0.35])
     def test_tolerance_contract_and_minimality(self, tol):
@@ -340,9 +349,10 @@ class TestLowRank:
                 values, np.linspace(0, 1, 6), [np.linspace(0, 1, 9)], (9,)
             )
             lr = lowrank_factorize(theta, tol)
-            assert lr.relative_error <= tol
+            norm = np.linalg.norm(values)
+            recon = (lr.time_factors * lr.weights) @ lr.space_factors.T
+            assert np.linalg.norm(values - recon) / norm <= tol
             if lr.rank > 1:
-                norm = np.linalg.norm(values)
                 recon = (
                     lr.time_factors[:, :-1]
                     * lr.weights[:-1]
@@ -413,11 +423,9 @@ class TestAssembleStabilization:
 
                 def weight(pts, r=r, k=k):
                     tvals = tau.evaluate(k, pts[:, 2]) * lr.time_profile(r, pts[:, 2])
+                    prof = lr.space_factors[:, r].reshape(st.spatial_shape)
                     svals = np.array(
-                        [
-                            lr.space_profile(r, [pts[m, 0:1], pts[m, 1:2]])[0, 0]
-                            for m in range(pts.shape[0])
-                        ]
+                        [multilinear_grid(grevs, prof, [q[0:1], q[1:2]])[0, 0] for q in pts]
                     )
                     return tvals * svals
 
@@ -492,7 +500,8 @@ def test_space_profile_is_multilinear_interpolation(geometry, p, elements):
             coords, lr.space_factors[:, r].reshape(st.spatial_shape), method="linear"
         )
         ref = interp(pts).reshape(mesh[0].shape)
-        prof = lr.space_profile(r, axes)
+        factor = lr.space_factors[:, r].reshape(st.spatial_shape)
+        prof = multilinear_grid([s.greville() for s in spatial], factor, axes)
         assert prof.shape == tuple(a.size for a in reversed(axes))
         assert np.max(np.abs(prof - ref)) <= 1e-14 * np.max(np.abs(ref))
 
