@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from .bspline import tensor_at
 from .geometry import jacobian_det, jacobian_inverse
-from .tensorops import mode_apply, outer_product_grid
+from .tensorops import kron_apply, mode_apply, outer_product_grid
 
 __all__ = [
     "QuadratureRule",
@@ -260,9 +260,7 @@ class SpatialQuadratureData:
         # every Gram band of these factors.
         self.bands = [_half_bandwidth(c, c) for c in self.c0]
         # Quadrature weight grid, C order (direction d first).
-        self.wgrid = outer_product_grid(
-            [r.flat_weights for r in reversed(self.rules)]
-        )
+        self.wgrid = outer_product_grid([r.flat_weights for r in self.rules])
         self._geo_tables = geo.collocations(self._axes(), 2)
         self.detj = jacobian_det(geo.tabulate(self._axes(), 1, self._geo_tables))
         self.grid_shape = self.wgrid.shape
@@ -454,19 +452,6 @@ def time_matrices(space_time, final_time, time_data=None):
     return W, M
 
 
-def _apply_factors(time_mat, space_mats, tensor):
-    """Apply ``time_mat`` along axis 0 and ``space_mats[l]`` along direction l.
-
-    ``tensor`` is shaped (N_t, n_d, ..., n_1); ``space_mats`` lists one
-    matrix per spatial direction, direction 1 first.
-    """
-    d = len(space_mats)
-    out = mode_apply(time_mat, tensor, 0)
-    for l in range(d):
-        out = mode_apply(space_mats[l], out, 1 + (d - 1 - l))
-    return out
-
-
 def contract_space(space_time, coeffs, space_collocs):
     """Contract a coefficient field with one collocation matrix per direction.
 
@@ -475,10 +460,7 @@ def contract_space(space_time, coeffs, space_collocs):
     temporal coefficients on the spatial grid.
     """
     X = np.asarray(coeffs, dtype=float).reshape(space_time.coeff_shape)
-    d = len(space_collocs)
-    for l in range(d):
-        X = mode_apply(space_collocs[l], X, 1 + (d - 1 - l))
-    return X
+    return kron_apply(space_collocs, X)
 
 
 class IterateOnGrid(NamedTuple):
@@ -517,7 +499,7 @@ def field_on_grid(space_time, coeffs, time_colloc, space_collocs):
     (direction 1 first).  Returns an array shaped (Q_t, Q_d, ..., Q_1).
     """
     U = np.asarray(coeffs, dtype=float).reshape(space_time.coeff_shape)
-    return _apply_factors(time_colloc, space_collocs, U)
+    return kron_apply(space_collocs, mode_apply(time_colloc, U, 0))
 
 
 def load_vector(time_colloc, space_collocs, grid):
@@ -528,9 +510,8 @@ def load_vector(time_colloc, space_collocs, grid):
     collocations are those of :func:`field_on_grid`.  Time is contracted
     first.
     """
-    return _apply_factors(
-        time_colloc.T, [c.T for c in space_collocs], grid
-    ).reshape(-1)
+    X = mode_apply(time_colloc.T, grid, 0)
+    return kron_apply([c.T for c in space_collocs], X).reshape(-1)
 
 
 def evaluate_field(space_time, coeffs, points):
@@ -630,9 +611,7 @@ class WeightedMass:
 
     def matvec(self, x):
         X = np.asarray(x, dtype=float).reshape(self.coeff_shape)
-        d = len(self.space_collocs)
-        for l in range(d):
-            X = mode_apply(self.space_collocs[l], X, 1 + (d - 1 - l))
+        X = kron_apply(self.space_collocs, X)
         vals = mode_apply(self.trial_time_colloc, X, 0)
         vals *= self.data
         return load_vector(self.time_colloc, self.space_collocs, vals)

@@ -1,7 +1,7 @@
 """Command-line experiment runner.
 
-Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
-4 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 solver non-convergence
+(3 also covers a failed decomposition), 4 I/O error.
 """
 
 import argparse
@@ -17,7 +17,7 @@ from .experiments import (
     run_single,
 )
 from .geometry import GeometryError
-from .linalg import NonConvergenceError
+from .linalg import DecompositionError, NonConvergenceError
 from .solver import FixedPointDiverged
 
 EXIT_OK = 0
@@ -90,6 +90,9 @@ def main(argv=None):
             return EXIT_CONFIG
         except (FixedPointDiverged, NonConvergenceError) as exc:
             print("solver did not converge: %s" % exc, file=sys.stderr)
+            return EXIT_NONCONVERGENCE
+        except DecompositionError as exc:
+            print("solver failed: %s" % exc, file=sys.stderr)
             return EXIT_NONCONVERGENCE
         except OSError as exc:
             print("i/o error: %s" % exc, file=sys.stderr)

@@ -10,7 +10,7 @@ callers.
 import numpy as np
 
 from .bspline import SplineSpace, tensor_at
-from .tensorops import mode_apply
+from .tensorops import kron_apply
 
 __all__ = [
     "GeometryError",
@@ -63,10 +63,6 @@ class GeometryMap:
         shape = tuple(s.dimension for s in reversed(self.spaces))
         self._grid = control_points.reshape(shape + (self.dim,))
 
-    def _axis_of(self, direction):
-        # Parametric direction l lives on grid axis d - 1 - l.
-        return self.dim - 1 - direction
-
     def evaluate(self, points):
         """Physical images of parametric ``points`` with shape (m, d)."""
         return self._scattered(points, 0)
@@ -110,13 +106,10 @@ class GeometryMap:
         grid_shape = tuple(len(axes[l]) for l in reversed(range(self.dim)))
 
         def tabulate(orders):
-            val = self._grid
-            for l in range(self.dim):
-                o = orders[l]
-                if o > self.spaces[l].degree:
-                    return np.zeros(grid_shape + (self.dim,))
-                val = mode_apply(tables[l][o], val, self._axis_of(l))
-            return val
+            if any(o > s.degree for s, o in zip(self.spaces, orders)):
+                return np.zeros(grid_shape + (self.dim,))
+            mats = [table[o] for table, o in zip(tables, orders)]
+            return kron_apply(mats, self._grid, axis=-2)
 
         return _derivative(tabulate, self.dim, order)
 
@@ -254,15 +247,14 @@ def box_geometry(lengths, final_time=1.0, offsets=None, degree=1):
     return GeometryMap(spaces, ctrl, final_time=final_time)
 
 
-def _fit_closed_curve(space, samples, values, seam_point):
+def _fit_closed_curve(C, values, seam_point):
     """Least-squares spline fit of a closed boundary curve.
 
-    The first and last control points are pinned to ``seam_point`` so the
-    fitted curve is exactly closed at the seam.
+    ``C`` is the collocation matrix of the curve's space at the samples of
+    ``values``.  The first and last control points are pinned to
+    ``seam_point`` so the fitted curve is exactly closed at the seam.
     """
-    C = space.collocation_matrix(samples, 0)
-    n = space.dimension
-    fixed = np.zeros((n, 2))
+    fixed = np.zeros((C.shape[1], 2))
     fixed[0] = seam_point
     fixed[-1] = seam_point
     rhs = values - C[:, [0, -1]] @ fixed[[0, -1]]
@@ -297,8 +289,9 @@ def ellipse_annulus_geometry(
     ai, bi = inner_axes
     outer = np.column_stack([ao * np.cos(theta), bo * np.sin(theta)])
     inner = np.column_stack([ai * np.cos(theta), bi * np.sin(theta)])
-    q_out = _fit_closed_curve(ang, eta, outer, (ao, 0.0))
-    q_in = _fit_closed_curve(ang, eta, inner, (ai, 0.0))
+    C = ang.collocation_matrix(eta, 0)
+    q_out = _fit_closed_curve(C, outer, (ao, 0.0))
+    q_in = _fit_closed_curve(C, inner, (ai, 0.0))
     gr = rad.greville()
     n1 = ang.dimension
     n2 = rad.dimension

@@ -17,7 +17,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .assembly import _dense, banded_gram, time_matrices
-from .tensorops import mode_apply, outer_product_grid
+from .tensorops import kron_apply, marginal_mean, outer_product_grid
 
 __all__ = [
     "DecompositionError",
@@ -162,26 +162,13 @@ class FastDiagPreconditioner:
         detj = np.abs(spatial_data.detj)
         log_detj = np.log(detj)
         grand = log_detj.mean()
-        mass = []
-        for l in range(d):
-            axis = d - 1 - l
-            other_axes = tuple(a for a in range(d) if a != axis)
-            main = log_detj.mean(axis=other_axes) if other_axes else log_detj
-            mass.append(np.exp(main - grand + grand / d))
+        mass = [np.exp(marginal_mean(log_detj, l) - grand + grand / d) for l in range(d)]
         stiff = []
         for l in range(d):
-            axis = d - 1 - l
             coeff = detj * spatial_data.metric[..., l, l]
-            denom = np.ones_like(coeff)
-            for m in range(d):
-                if m == l:
-                    continue
-                shape = [1] * d
-                shape[d - 1 - m] = mass[m].size
-                denom = denom * mass[m].reshape(shape)
-            ratio = coeff / denom
-            other_axes = tuple(a for a in range(d) if a != axis)
-            stiff.append(ratio.mean(axis=other_axes) if other_axes else ratio)
+            ones = np.ones(mass[l].size)
+            others = outer_product_grid(mass[:l] + [ones] + mass[l + 1 :])
+            stiff.append(marginal_mean(coeff / others, l))
         return mass, stiff
 
     @staticmethod
@@ -204,8 +191,7 @@ class FastDiagPreconditioner:
             for l in range(d)
         ]
         for target, weights in pairs:
-            # Grid order is direction d first.
-            approx = outer_product_grid(weights[::-1])
+            approx = outer_product_grid(weights)
             if np.max(np.abs(approx - target)) > SEPARABLE_RTOL * np.max(np.abs(target)):
                 return False
         return True
@@ -248,7 +234,6 @@ class FastDiagPreconditioner:
         otherwise.
         """
         d = space_time.num_spatial_dims
-        dims = [s.dimension for s in space_time.spatial]
         w_mass, w_stiff = cls._separable_weights(spatial_data)
         if space_time.num_space <= EXACT_SPACE_LIMIT and not cls._separable_is_exact(
             spatial_data, w_mass, w_stiff
@@ -261,16 +246,15 @@ class FastDiagPreconditioner:
         else:
             rules, c0, c1 = spatial_data.rules, spatial_data.c0, spatial_data.c1
             eigenvectors = []
-            lam = np.zeros(tuple(reversed(dims)))
+            # Each direction's eigenvalues go in front: a C-order grid.
+            lam = 0.0
             for l in range(d):
                 w = rules[l].flat_weights
                 M_l = banded_gram([c0[l]], [c0[l]], w * w_mass[l])
                 K_l = banded_gram([c1[l]], [c1[l]], w * w_stiff[l])
                 U_l, lam_l = generalized_eig(K_l, M_l)
                 eigenvectors.append(U_l)
-                shape = [1] * d
-                shape[d - 1 - l] = dims[l]
-                lam = lam + lam_l.reshape(shape)
+                lam = np.add.outer(lam_l, lam)
             lam = lam.reshape(-1)
         if temporal_matrices is None:
             temporal_matrices = time_matrices(space_time, final_time)
@@ -292,15 +276,10 @@ class FastDiagPreconditioner:
         r = np.asarray(r, dtype=float).reshape(-1)
         if r.size != self.num_time * self.num_space:
             raise ValueError("dimension mismatch in preconditioner application")
-        d = len(self.eigenvectors)
-        X = r.reshape(self._shape)
-        for l in range(d):
-            X = mode_apply(self.eigenvectors[l].T, X, 1 + (d - 1 - l))
+        X = kron_apply([U.T for U in self.eigenvectors], r.reshape(self._shape))
         X = X.reshape(self.num_time, self.num_space)
         X = np.einsum("ijk,jk->ik", self._inverse, X).reshape(self._shape)
-        for l in range(d):
-            X = mode_apply(self.eigenvectors[l], X, 1 + (d - 1 - l))
-        return X.reshape(-1)
+        return kron_apply(self.eigenvectors, X).reshape(-1)
 
 
 _GMRES_BLOCK = 4

@@ -103,8 +103,8 @@ class MonodomainProblem:
 
     def __post_init__(self):
         for name in ("C_m", "D", "a", "b", "c1", "c2", "d_e"):
-            if getattr(self, name) < 0:
-                raise ValueError("%s must be nonnegative" % name)
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError("%s must be finite and nonnegative" % name)
         if not 0.0 < self.geometry.final_time < np.inf:
             raise ValueError("final time must be positive and finite")
         if self.geometry.dim != self.space.num_spatial_dims:

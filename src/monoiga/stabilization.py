@@ -19,7 +19,7 @@ from .assembly import (
     iterate_on_grid,
 )
 from .bspline import KnotVector, SplineSpace
-from .tensorops import abs_max, mode_apply
+from .tensorops import abs_max, kron_apply, mode_apply
 
 __all__ = [
     "StabilizationError",
@@ -291,23 +291,12 @@ def multilinear_grid(nodes, values, axes):
 
     ``values`` holds the data on the grid of ``nodes`` (one strictly
     increasing array per direction, direction 1 first) in C order
-    (direction d first); ``axes`` lists the query points per direction,
-    which are clipped to the node hull.  Multilinear interpolation at tensor
-    query points is the product of one piecewise-linear hat matrix per
-    direction.
+    (direction d first), after any leading batch axes; ``axes`` lists the
+    query points per direction, which are clipped to the node hull.
+    Multilinear interpolation at tensor query points is the product of one
+    piecewise-linear hat matrix per direction.
     """
-    return _interpolate([_hat_matrix(n, a) for n, a in zip(nodes, axes)], values)
-
-
-def _interpolate(hats, values):
-    """Apply one hat matrix per direction (direction 1 first) to the last axes.
-
-    The trailing axes of ``values`` are the node grid in C order
-    (direction d first); leading axes, if any, are batched.
-    """
-    for l, hat in enumerate(hats):
-        values = mode_apply(hat, values, values.ndim - 1 - l)
-    return values
+    return kron_apply([_hat_matrix(n, a) for n, a in zip(nodes, axes)], values)
 
 
 class LowRankIndicator:
@@ -435,7 +424,7 @@ def assemble_stabilization(lowrank, grid, capacitance, eigenvectors):
         (U,) = eigenvectors
     rank = lowrank.rank
     factors = lowrank.space_factors.T.reshape((rank,) + lowrank.indicator.spatial_shape)
-    profiles = _interpolate(grid.space_hats, factors)
+    profiles = kron_apply(grid.space_hats, factors)
     terms = []
     precond_terms = []
     for r in range(rank):
@@ -447,10 +436,7 @@ def assemble_stabilization(lowrank, grid, capacitance, eigenvectors):
         if tables is None:
             diag = np.einsum("ik,ik->k", U, smat @ U)
         else:
-            diag = weights
-            for l, table in enumerate(tables):
-                diag = mode_apply(table, diag, d - 1 - l)
-            diag = diag.reshape(-1)
+            diag = kron_apply(tables, weights).reshape(-1)
         terms.append((coef, tmat, smat))
         precond_terms.append((tmat, coef * diag))
     return terms, precond_terms

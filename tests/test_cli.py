@@ -90,6 +90,9 @@ def test_bad_config_exits_2(tmp_path):
         ("output", "grid", "0 5"),
         ("output", "grid", "1"),
         ("output", "grid", "0"),
+        ("problem", "D", "nan"),
+        ("problem", "a", "nan"),
+        ("problem", "C_m", "inf"),
     ],
 )
 def test_invalid_value_exits_2_before_any_solve(
@@ -180,6 +183,18 @@ def test_nonconvergence_exits_3(tmp_path, capsys):
     )
     assert main(["solve", str(path)]) == EXIT_NONCONVERGENCE
     assert "did not" in capsys.readouterr().err
+
+
+def test_failed_decomposition_exits_3(tmp_path, capsys):
+    # With C_m = D = a = 0 every per-mode temporal matrix of the
+    # preconditioner vanishes, so its inversion fails.
+    zero = [("problem", key, "0") for key in ("C_m", "D", "a")]
+    cfg = write_quick_config(tmp_path, overrides=zero)
+    assert main(["solve", str(cfg)]) == EXIT_NONCONVERGENCE
+    err = capsys.readouterr().err
+    assert "singular" in err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_io_error_exits_4(tmp_path):

@@ -116,6 +116,19 @@ class TestEllipseAnnulus:
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(fn(pts) - ref)) <= 1e-12 * scale
 
+    def test_boundaries_share_one_collocation(self, monkeypatch):
+        calls = []
+        tabulate = SplineSpace.collocation_matrix
+
+        def counted(space, points, order=0):
+            calls.append(len(points))
+            return tabulate(space, points, order)
+
+        monkeypatch.setattr(SplineSpace, "collocation_matrix", counted)
+        geo = ellipse_annulus_geometry()
+        assert calls == [4096]
+        assert np.array_equal(geo.control_points, self.geo.control_points)
+
     def test_point_outside_unit_box_raises(self):
         for bad in ([[0.5, 1.2]], [[-0.1, 0.5]], [[np.nan, 0.5]]):
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
