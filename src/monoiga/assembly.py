@@ -13,6 +13,7 @@ stabilizer's factors -- is assembled by one kernel, :class:`GramKernel`
 
 import copy
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -20,7 +21,7 @@ import scipy.sparse as sp
 
 from .bspline import tensor_at
 from .geometry import jacobian_det, jacobian_inverse
-from .tensorops import kron_apply, mode_apply, outer_product_grid
+from .tensorops import kron_apply, mode_apply, slabs
 
 __all__ = [
     "QuadratureRule",
@@ -220,23 +221,28 @@ class SpatialQuadratureData:
     """Tensorized quadrature, basis and geometry data over the spatial box.
 
     Precomputes dense per-direction collocation matrices of values (``c0``)
-    at the quadrature grid, direction 1 first, and the Jacobian determinants
-    there (which checks the map for singularity); every integral on the grid
-    reads the cached quadrature ``measure``.  The default rule (``degree +
+    at the quadrature grid, direction 1 first, and the quadrature
+    ``measure`` (weights times ``|det J|``, which checks the map for folds
+    and singularity; see :meth:`~monoiga.geometry.GeometryMap.measure`),
+    which every integral on the grid reads.  The measure is the one grid the
+    data holds from the start: the Jacobian determinants (``detj``) are
+    tabulated on first use, which on the default rule the preconditioner's
+    separable weights and the pull-back make.  The default rule (``degree +
     1`` points on the mesh) serves the stiffness, the preconditioner and the
     residual indicator, so its first- and second-derivative collocations
     (``c1``, ``c2``) come from the same recursion as ``c0``; a refined rule
     integrates values, and tabulates them only on use.  The map's own
     collocation tables up to second order are tabulated once per grid and
-    serve the determinants, the pull-back and the physical points of a
-    source.  The metric ``J^{-1} J^{-T}`` and the parametric table of the
-    physical Laplacian (``laplacian``) are built on first use, together from
-    one Jacobian and one Hessian tabulation of the map and one inverse: only
-    the stiffness, the preconditioner and the residual indicator read them,
-    so the stabilizer's refined grid never holds them.  The indicator also
-    reads the basis functions' element windows and Greville abscissae, built
-    once per grid.  Shared by the mass/stiffness/weighted assemblies and the
-    indicator so nonlinear steps do not re-evaluate the geometry.
+    serve the measure, the pull-back and the physical points of a source.
+    The metric ``J^{-1} J^{-T}`` and the parametric table of the physical
+    Laplacian (``laplacian``) are built on first use, together from one
+    Jacobian and one Hessian tabulation of the map, one inverse and one
+    metric: only the stiffness, the preconditioner and the residual
+    indicator read them, so the stabilizer's refined grid never holds them.
+    The indicator also reads the basis functions' element windows and
+    Greville abscissae, built once per grid.  Shared by the
+    mass/stiffness/weighted assemblies and the indicator so nonlinear steps
+    do not re-evaluate the geometry.
     """
 
     def __init__(self, spaces, geo, npoints=None, extra_breaks=None):
@@ -259,11 +265,14 @@ class SpatialQuadratureData:
         # Derivatives vanish where values do, so the value overlap bounds
         # every Gram band of these factors.
         self.bands = [_half_bandwidth(c, c) for c in self.c0]
-        # Quadrature weight grid, C order (direction d first).
-        self.wgrid = outer_product_grid([r.flat_weights for r in self.rules])
         self._geo_tables = geo.collocations(self._axes(), 2)
-        self.detj = jacobian_det(geo.tabulate(self._axes(), 1, self._geo_tables))
-        self.grid_shape = self.wgrid.shape
+        # The quadrature weights times |det J|, C order (direction d first).
+        self.measure = _read_only(
+            geo.measure(
+                self._axes(), [r.flat_weights for r in self.rules], self._geo_tables
+            )
+        )
+        self.grid_shape = self.measure.shape
         self._sample = None
 
     def _axes(self):
@@ -276,11 +285,9 @@ class SpatialQuadratureData:
         ]
 
     @functools.cached_property
-    def measure(self):
-        """Quadrature measure ``wgrid |det J|`` on the grid (read-only)."""
-        measure = self.wgrid * np.abs(self.detj)
-        measure.flags.writeable = False
-        return measure
+    def detj(self):
+        """Jacobian determinants on the grid, shaped like ``measure``."""
+        return jacobian_det(self.geo.tabulate(self._axes(), 1, self._geo_tables))
 
     @functools.cached_property
     def c1(self):
@@ -294,13 +301,14 @@ class SpatialQuadratureData:
 
     @functools.cached_property
     def _pullback(self):
-        # One Jacobian and one Hessian tabulation and one closed-form inverse
-        # (over the determinants held in ``detj``) serve the metric and the
-        # Laplacian; only their results are kept.
+        # One Jacobian and one Hessian tabulation, one closed-form inverse
+        # (over the determinants of ``detj``) and one metric serve the
+        # metric and the Laplacian; only their results are kept.
         axes, tables = self._axes(), self._geo_tables
         jinv = jacobian_inverse(self.geo.tabulate(axes, 1, tables), self.detj)
         metric = np.einsum("...ak,...bk->...ab", jinv, jinv)
-        return metric, laplacian_terms(jinv, self.geo.tabulate(axes, 2, tables))
+        hess = self.geo.tabulate(axes, 2, tables)
+        return metric, laplacian_terms(metric, jinv, hess)
 
     @property
     def metric(self):
@@ -419,6 +427,18 @@ class TimeQuadratureData:
     def points(self):
         return self.rule.points
 
+    def slabs(self, size):
+        """Row slices of whole temporal elements for a pass over a space-time grid.
+
+        ``size`` is the number of spatial points per Gauss time; the slabs
+        are those of :func:`~monoiga.tensorops.slabs` over the elements.
+        """
+        n = self.rule.npoints
+        return [
+            slice(cells.start * n, cells.stop * n)
+            for cells in slabs(self.rule.num_cells, n * size)
+        ]
+
     @functools.cached_property
     def windows(self):
         """Element-window gather table of the constrained basis.
@@ -502,15 +522,24 @@ def field_on_grid(space_time, coeffs, time_colloc, space_collocs):
     return kron_apply(space_collocs, mode_apply(time_colloc, U, 0))
 
 
-def load_vector(time_colloc, space_collocs, grid):
+def load_vector(time_colloc, space_collocs, parts):
     """Integrate values on a tensor quadrature grid against the basis.
 
-    Returns ``(C_t kron C_s)^T g`` for the grid ``g`` shaped
-    (Q_t, Q_d, ..., Q_1), which already carries the quadrature measure; the
+    ``parts`` yields pairs ``(rows, g)``: the values ``g`` at the temporal
+    quadrature points ``rows`` (a slice), shaped (len(rows), Q_d, ..., Q_1),
+    which already carry the quadrature measure.  Returns
+    ``(C_t kron C_s)^T g`` for the grid ``g`` the parts make up; the
     collocations are those of :func:`field_on_grid`.  Time is contracted
-    first.
+    first, part by part, and space once for their sum, so a caller may form
+    the grid one slab at a time.
     """
-    X = mode_apply(time_colloc.T, grid, 0)
+    X = None
+    for rows, grid in parts:
+        part = mode_apply(time_colloc[rows].T, grid, 0)
+        if X is None:
+            X = part
+        else:
+            X += part
     return kron_apply([c.T for c in space_collocs], X).reshape(-1)
 
 
@@ -535,13 +564,14 @@ def evaluate_field(space_time, coeffs, points):
     return tensor_at(spaces, full, points, [0] * (d + 1))
 
 
-def laplacian_terms(jinv, hess):
+def laplacian_terms(metric, jinv, hess):
     """The physical Laplacian as a second-order operator in parametric coordinates.
 
     By the chain rule ``lap u = sum_{a <= b} (2 - delta_ab) G_ab d_a d_b u
     + sum_i l_i d_i u`` with the metric ``G = J^{-1} J^{-T}`` and
-    ``l_i = -sum_{a, b, c} G_ab H[c, a, b] J^{-1}[i, c]``.  ``jinv`` and the
-    geometry Hessian ``hess`` are shaped pts + (d, d) and pts + (d, d, d).
+    ``l_i = -sum_{a, b, c} G_ab H[c, a, b] J^{-1}[i, c]``.  ``metric``,
+    ``jinv`` and the geometry Hessian ``hess`` are shaped pts + (d, d),
+    pts + (d, d) and pts + (d, d, d).
     Returns the ``(orders, coefficient)`` pairs of the sum: ``orders`` lists
     the parametric derivative order per direction (direction 1 first) and
     the coefficient is shaped like ``pts``.  Coefficients that vanish at
@@ -549,7 +579,6 @@ def laplacian_terms(jinv, hess):
     derivatives remain.
     """
     d = jinv.shape[-1]
-    metric = np.einsum("...ak,...bk->...ab", jinv, jinv)
     first = -np.einsum("...ab,...cab,...ic->...i", metric, hess, jinv)
     unit = np.eye(d, dtype=int)
     terms = [
@@ -568,16 +597,24 @@ class WeightedMass:
     ``T'`` are the temporal test and trial collocation matrices (``T' = T``
     unless ``trial_time_colloc`` is given), ``C_s`` the Kronecker product of
     the spatial ones (direction d slowest) and ``W`` the weight on the tensor
-    quadrature grid.  Stacked temporal factors give sums of such terms: the
+    quadrature grid.  ``weights`` may also stack ``m`` grids, with
+    ``trial_time_colloc`` stacking their ``m`` trial factors: the operator is
+    then the sum of the ``m`` masses, which share the test factor ``T``.  The
     Newton derivative of the reaction term with the recovery map
-    ``R = R_t kron I`` is ``[C_t; C_t]^T diag([W_1; W_2]) [C_t; C_t R_t]``.
-    A matvec evaluates the field on the grid space first, scales it by ``W``
-    and integrates it against the basis time first (sum factorization), so
-    only the grid of weights is stored.
+    ``R = R_t kron I`` is such a sum,
+    ``C_t^T diag(W_1) C_t + C_t^T diag(W_2) C_t R_t``.  A matvec evaluates
+    the field in space once, applies each trial factor, scales it by its
+    weight and sums the terms on one grid, which it integrates against the
+    basis time first (sum factorization), so only the grids of weights are
+    stored.  The terms are evaluated, summed and integrated in time by
+    slabs of the slowest spatial direction (:func:`~monoiga.tensorops.slabs`),
+    so no product of the whole grid is held.
 
-    ``time_colloc`` and ``trial_time_colloc`` are dense, shape (Q_t, N_t);
+    ``time_colloc`` is dense, shape (Q_t, N_t), and ``trial_time_colloc``
+    shape (Q_t, N_t) or, with stacked weights, (m, Q_t, N_t);
     ``space_collocs`` are dense, direction 1 first, shapes (Q_l, n_l);
-    ``weights`` is shaped (Q_t, Q_d, ..., Q_1).
+    ``weights`` is shaped (Q_t, Q_d, ..., Q_1) or (m, Q_t, Q_d, ..., Q_1).
+    ``terms`` lists the pairs ``(W, T')``.
     """
 
     def __init__(self, time_colloc, space_collocs, weights, trial_time_colloc=None):
@@ -590,14 +627,26 @@ class WeightedMass:
         grid = (self.time_colloc.shape[0],) + tuple(
             c.shape[0] for c in reversed(self.space_collocs)
         )
-        if self.data.shape != grid:
+        if self.data.shape == grid:
+            self._weights = self.data[None]
+            self._trials = self.trial_time_colloc[None]
+        elif self.data.shape[1:] == grid and trial_time_colloc is not None:
+            if len(self.trial_time_colloc) != len(self.data):
+                raise ValueError("one trial factor per stacked weight grid")
+            self._weights = self.data
+            self._trials = self.trial_time_colloc
+        else:
             raise ValueError(
                 "weight grid has shape %s, quadrature grid is %s"
                 % (self.data.shape, grid)
             )
+        self.terms = list(zip(self._weights, self._trials))
         self.coeff_shape = (self.time_colloc.shape[1],) + tuple(
             c.shape[1] for c in reversed(self.space_collocs)
         )
+        # Every contraction of a matvec is in time, so slabs of the slowest
+        # spatial axis read each value of the spatial contraction once.
+        self._slabs = slabs(grid[1], grid[0] * math.prod(grid[2:]))
 
     @property
     def shape(self):
@@ -606,15 +655,30 @@ class WeightedMass:
 
     @property
     def nnz(self):
-        """Stored values: one weight per quadrature point."""
+        """Stored values: one weight per quadrature point and term."""
         return self.data.size
 
     def matvec(self, x):
         X = np.asarray(x, dtype=float).reshape(self.coeff_shape)
         X = kron_apply(self.space_collocs, X)
-        vals = mode_apply(self.trial_time_colloc, X, 0)
-        vals *= self.data
-        return load_vector(self.time_colloc, self.space_collocs, vals)
+        if len(self._slabs) == 1:
+            out = self._integrate(X, slice(None))
+        else:
+            out = np.empty((self.time_colloc.shape[1],) + X.shape[1:])
+            for cols in self._slabs:
+                out[:, cols] = self._integrate(X[:, cols], cols)
+        return kron_apply([c.T for c in self.space_collocs], out).reshape(-1)
+
+    def _integrate(self, X, cols):
+        """``T^T sum_i W_i (T'_i X)`` on the columns ``cols`` of the slowest spatial axis."""
+        weights = self._weights[:, :, cols]
+        trials = self._trials.reshape(-1, self._trials.shape[-1])
+        vals = mode_apply(trials, X, 0).reshape(weights.shape)
+        vals *= weights
+        total = vals[0]
+        for term in vals[1:]:
+            total += term
+        return mode_apply(self.time_colloc.T, total, 0)
 
     def __matmul__(self, x):
         return self.matvec(x)
@@ -629,6 +693,7 @@ def reaction_mass(
     spatial_data=None,
     time_data=None,
     on_grid=None,
+    out=None,
 ):
     """Space-time mass matrix weighted by the reaction coefficient of an iterate.
 
@@ -636,10 +701,10 @@ def reaction_mass(
     quadrature nodes from the spline expansions of the iterates, so
     ``reaction_mass(u, w) @ u`` is the reaction term of the weak form.
     Returns a :class:`WeightedMass` of size ``N_dof`` whose ``data`` is the
-    coefficient times the quadrature measure per quadrature point.
-    ``on_grid`` is the :class:`IterateOnGrid` of ``u_prev`` and ``w_prev`` on
-    the grid of the quadrature data when a caller has it already; it is
-    evaluated here otherwise.
+    coefficient times the quadrature measure per quadrature point, written
+    into ``out`` when given.  ``on_grid`` is the :class:`IterateOnGrid` of
+    ``u_prev`` and ``w_prev`` on the grid of the quadrature data when a
+    caller has it already; it is evaluated here otherwise.
     """
     c1 = constants["c1"]
     a = constants["a"]
@@ -657,15 +722,21 @@ def reaction_mass(
     cs = spatial_data.c0
     if on_grid is None:
         on_grid = iterate_on_grid(space_time, u_prev, w_prev, ct, cs)
-    u_vals = on_grid.u
-    weights = u_vals - a
-    tmp = u_vals - 1.0
-    weights *= tmp
-    weights *= c1
-    np.multiply(on_grid.w, c2, out=tmp)
-    weights += tmp
-    weights *= spatial_data.measure
-    weights *= time_data.weights.reshape((-1,) + (1,) * len(cs))
+    measure = spatial_data.measure
+    times = time_data.weights.reshape((-1,) + (1,) * len(cs))
+    weights = np.empty(on_grid.u.shape) if out is None else out
+    # In place, by slabs: the one grid-sized array is the result.
+    for rows in time_data.slabs(measure.size):
+        u_vals = on_grid.u[rows]
+        slab = weights[rows]
+        np.subtract(u_vals, a, out=slab)
+        tmp = u_vals - 1.0
+        slab *= tmp
+        slab *= c1
+        np.multiply(on_grid.w[rows], c2, out=tmp)
+        slab += tmp
+        slab *= measure
+        slab *= times[rows]
     return WeightedMass(ct, cs, weights)
 
 
@@ -678,10 +749,10 @@ def rhs_vectors(space_time, geo, source, spatial_data=None, time_data=None):
     if time_data is None:
         time_data = TimeQuadratureData(space_time, geo.final_time)
     fvals = spatial_data.sample(source, time_data)
-    qt = fvals.shape[0]
-    ws = spatial_data.measure.reshape(-1)
-    vals = fvals.reshape(qt, -1) * ws[None, :] * time_data.weights[:, None]
-    return load_vector(time_data.c0, spatial_data.c0, vals.reshape(fvals.shape))
+    # One weighted grid; the sample is cached, and the indicator reads it.
+    vals = np.multiply(fvals, spatial_data.measure)
+    vals *= time_data.weights.reshape((-1,) + (1,) * len(spatial_data.c0))
+    return load_vector(time_data.c0, spatial_data.c0, [(slice(None), vals)])
 
 
 def _dense(mat):
@@ -707,6 +778,17 @@ def _vstack_csr(mats):
     return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
+def _row_block(mat, start, size):
+    """Rows ``start:start + size`` of a CSR matrix, sharing its data and indices."""
+    indptr = mat.indptr[start : start + size + 1]
+    lo, hi = indptr[0], indptr[-1]
+    data, indices = mat.data[lo:hi], mat.indices[lo:hi]
+    block = sp.csr_matrix((data, indices, indptr - lo), shape=(size, mat.shape[1]))
+    # The constructor copies a view of less than half its array.
+    block.data, block.indices = data, indices
+    return block
+
+
 class KroneckerOperator:
     """Sum of scaled Kronecker products ``sum_k c_k (T_k kron S_k)``.
 
@@ -720,15 +802,16 @@ class KroneckerOperator:
     ``X = x.reshape(N_t, N_s)``, and the dense ``hstack(c_k T_k)`` acts on
     the resulting blocks ``X S_k^T``, which sums the terms (``N_t`` is
     small, so the temporal stack is dense).  The stacks are built at
-    construction; they hold one copy of the factors, never the space-time
-    product.  :meth:`plus` appends further terms to copies of the stacks,
-    so an operator that shares constant terms with others stacks them once.
+    construction; they hold the one copy of the factors the operator keeps
+    (never the space-time product), so a caller may drop its own.
+    :meth:`plus` appends further terms to copies of the stacks, so an
+    operator that shares constant terms with others stacks them once.
     """
 
     def __init__(self, num_time, num_space, terms=(), correction=None):
         self.num_time = int(num_time)
         self.num_space = int(num_space)
-        self.terms = []
+        self._temporal = []
         self._time_stack = np.zeros((self.num_time, 0))
         self._space_stack = sp.csr_matrix((0, self.num_space))
         self._append(terms)
@@ -743,13 +826,22 @@ class KroneckerOperator:
                 raise ValueError("spatial factor has wrong shape")
         if not terms:
             return
-        self.terms = self.terms + terms
         self._time_stack = np.hstack(
             [self._time_stack] + [coef * _dense(tmat) for coef, tmat, _ in terms]
         )
         self._space_stack = _vstack_csr(
             [self._space_stack] + [_csr(smat) for _, _, smat in terms]
         )
+        self._temporal = self._temporal + [(coef, tmat) for coef, tmat, _ in terms]
+
+    @property
+    def terms(self):
+        """The terms ``(c_k, T_k, S_k)``; each ``S_k`` is a view of the stack."""
+        ns = self.num_space
+        return [
+            (coef, tmat, _row_block(self._space_stack, k * ns, ns))
+            for k, (coef, tmat) in enumerate(self._temporal)
+        ]
 
     def plus(self, terms):
         """The operator of this one's terms followed by ``terms``.

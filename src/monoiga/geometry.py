@@ -10,7 +10,7 @@ callers.
 import numpy as np
 
 from .bspline import SplineSpace, tensor_at
-from .tensorops import kron_apply
+from .tensorops import kron_apply, outer_product_grid, slabs
 
 __all__ = [
     "GeometryError",
@@ -113,6 +113,38 @@ class GeometryMap:
 
         return _derivative(tabulate, self.dim, order)
 
+    def measure(self, axes, weights, tables=None):
+        """Quadrature measure ``w |det J|`` on a tensor grid.
+
+        ``axes`` and ``weights`` list the parametric points and their
+        quadrature weights per direction (direction 1 first); the result has
+        the grid axes of :meth:`tabulate`.  The Jacobians are tabulated and
+        reduced to determinants by slabs of the slowest direction
+        (:func:`~monoiga.tensorops.slabs`), so no grid of Jacobians is held;
+        the checks of :func:`jacobian_det` cover the whole grid, and raise
+        what it raises for the grid's determinants.  ``tables`` are as in
+        :meth:`tabulate`.
+        """
+        if tables is None:
+            tables = self.collocations(axes, 1)
+        grid_shape = tuple(len(axes[l]) for l in reversed(range(self.dim)))
+        out = np.empty(grid_shape)
+        low, high, singular = np.inf, -np.inf, False
+        for rows in slabs(grid_shape[0], out[0].size):
+            slab = axes[:-1] + [axes[-1][rows]]
+            det, bad = _det_singular(
+                self.tabulate(slab, 1, tables[:-1] + [tables[-1][:, rows]])
+            )
+            low = min(low, det.min())
+            high = max(high, det.max())
+            singular = singular or bad
+            np.abs(det, out=det)
+            np.multiply(
+                outer_product_grid(weights[:-1] + [weights[-1][rows]]), det, out=out[rows]
+            )
+        _check_determinants(low, high, singular)
+        return out
+
     def check_bijective(self, samples_per_element=3):
         """Verify the map on a sample grid and return ``min |det J|`` there.
 
@@ -204,19 +236,9 @@ def jacobian_inverse(jac, det):
     return adj
 
 
-def jacobian_det(jac):
-    """Determinants of stacked Jacobians, checked for folds and singularity.
-
-    The determinants are computed in closed form (d = 1, 2, 3).
-    Determinants of both signs mean the map folds over itself; a map that
-    reverses orientation everywhere is valid.
-    """
+def _det_singular(jac):
+    """Closed-form determinants and whether any of them is singular."""
     det = _det(jac)
-    if np.any(det > 0) and np.any(det < 0):
-        raise GeometryError(
-            "folded geometry map: the Jacobian determinant changes sign "
-            "(from %.3g to %.3g)" % (det.min(), det.max())
-        )
     # Product of the column norms, one multiply per column (a product over
     # the short last axis is a slow strided reduction).
     norms = np.sqrt(np.einsum("...ca,...ca->...a", jac, jac))
@@ -224,8 +246,29 @@ def jacobian_det(jac):
     for a in range(1, norms.shape[-1]):
         scale *= norms[..., a]
     bad = np.abs(det) < SINGULAR_REL_TOL * np.maximum(scale, 1e-300)
-    if np.any(bad):
+    return det, bool(np.any(bad))
+
+
+def _check_determinants(low, high, singular):
+    """Raise for determinants of both signs (a fold), then for a singular one."""
+    if low < 0.0 < high:
+        raise GeometryError(
+            "folded geometry map: the Jacobian determinant changes sign "
+            "(from %.3g to %.3g)" % (low, high)
+        )
+    if singular:
         raise GeometryError("singular Jacobian encountered during pull-back")
+
+
+def jacobian_det(jac):
+    """Determinants of stacked Jacobians, checked for folds and singularity.
+
+    The determinants are computed in closed form (d = 1, 2, 3).
+    Determinants of both signs mean the map folds over itself; a map that
+    reverses orientation everywhere is valid.
+    """
+    det, singular = _det_singular(jac)
+    _check_determinants(det.min(initial=np.inf), det.max(initial=-np.inf), singular)
     return det
 
 

@@ -110,10 +110,10 @@ class FastDiagPreconditioner:
     ``U_l`` per direction or a single factor over every direction.
     ``terms`` lists pairs ``(T_j, c_j)`` of a temporal matrix and its
     per-spatial-mode coefficients, so that spatial mode ``k`` has the
-    ``N_t x N_t`` temporal matrix ``A_k = sum_j c_j[k] T_j``.  The inverses
-    of the ``A_k`` are stored as one ``(N_t, N_t, N_s)`` array, computed on
-    the first :meth:`apply`: a preconditioner that is replaced before it is
-    applied never inverts its stack.
+    ``N_t x N_t`` temporal matrix ``A_k = sum_j c_j[k] T_j``.  The stack of
+    the ``A_k`` and their inverses are one ``(N_t, N_t, N_s)`` array, formed
+    and inverted on the first :meth:`apply`: a preconditioner that is
+    replaced before it is applied never forms its stack.
     :meth:`build` gives the terms of the Galerkin operator's spatial pencil
     or its separable surrogate; a stabilizer term ``c S^t kron S^s`` adds
     ``(S^t, c d)`` with ``d`` the diagonal of ``U^T S^s U``, which is exact
@@ -123,22 +123,21 @@ class FastDiagPreconditioner:
     def __init__(self, eigenvectors, terms):
         self.eigenvectors = list(eigenvectors)
         self.terms = list(terms)
-        mats = [_dense(tmat) for tmat, _ in self.terms]
-        coefs = [coef for _, coef in self.terms]
-        nt = mats[0].shape[0]
-        ns = coefs[0].size
-        self.num_time = nt
-        self.num_space = ns
-        self._shape = (nt,) + tuple(U.shape[0] for U in reversed(self.eigenvectors))
-        # The stack, laid out (i, j, k) for the contraction of ``apply``, is
-        # one product of the flattened matrices and per-mode coefficients.
-        stack = np.stack(mats).reshape(len(mats), -1).T @ np.stack(coefs)
-        self._stack = stack.reshape(nt, nt, ns)
+        self.num_time = self.terms[0][0].shape[0]
+        self.num_space = self.terms[0][1].size
+        self._shape = (self.num_time,) + tuple(
+            U.shape[0] for U in reversed(self.eigenvectors)
+        )
 
     @functools.cached_property
     def _inverse(self):
         """The per-mode inverses, written over the stack: one stack is held."""
-        stack = self._stack
+        nt, ns = self.num_time, self.num_space
+        mats = np.stack([_dense(tmat) for tmat, _ in self.terms])
+        coefs = np.stack([coef for _, coef in self.terms])
+        # The stack, laid out (i, j, k) for the contraction of ``apply``, is
+        # one product of the flattened matrices and per-mode coefficients.
+        stack = (mats.reshape(len(mats), -1).T @ coefs).reshape(nt, nt, ns)
         try:
             inv = np.linalg.inv(stack.transpose(2, 0, 1))
         except np.linalg.LinAlgError as exc:

@@ -211,17 +211,18 @@ class _Workspace:
     holds the stabilizer's :class:`StabilizationGrid` of the upwind weights.
     It holds the dense temporal factor ``R_t = b K_t^{-1} M_t`` of the
     recovery map ``w = (R_t kron I) u`` (``None`` when ``b = 0``, where
-    ``R = 0``), the temporal test and trial factors ``[C_t; C_t]`` and
-    ``[C_t; C_t R_t]`` of the Jacobian's reaction part (the trial factor
-    also evaluates ``u`` and ``w`` together, see :meth:`evaluate`), the
-    space-time quadrature ``measure``, ``operator``, the Kronecker operator
-    of the constant terms ``(C_m W_t + c1 a M_t) kron M_s`` and
-    ``D M_t kron K_s`` (one term per spatial factor, so a matvec applies
-    ``M_s`` once), and ``precond``, their fast-diagonalization
-    preconditioner (built from the assembled ``M_s``, ``K_s``, ``W_t`` and
-    ``M_t``; exact in space unless the patch is mapped and large).
-    :meth:`system` builds each step's operator and preconditioner from
-    these and a stabilizer.
+    ``R = 0``), the stacked temporal trial factors ``[C_t, C_t R_t]`` of the
+    Jacobian's reaction part (``[C_t]`` when ``R = 0``; they also evaluate
+    ``u`` and ``w`` together, see :meth:`evaluate`; no space-time measure
+    is held, :meth:`linearize` forms it slab by slab), ``operator``, the
+    Kronecker operator of the constant terms
+    ``(C_m W_t + c1 a M_t) kron M_s`` and ``D M_t kron K_s`` (one term per
+    spatial factor, so a matvec applies ``M_s`` once), and ``precond``,
+    their fast-diagonalization preconditioner (built from the assembled
+    ``M_s``, ``K_s``, ``W_t`` and ``M_t``; exact in space unless the patch
+    is mapped and large).  The operator's stack is the one copy of ``M_s``
+    and ``K_s`` the workspace keeps.  :meth:`system` builds each step's
+    operator and preconditioner from these and a stabilizer.
     """
 
     def __init__(self, problem, config):
@@ -232,9 +233,7 @@ class _Workspace:
         self.W_t, self.M_t = time_matrices(
             st, problem.final_time, time_data=self.time_data
         )
-        self.M_s, self.K_s = spatial_operators(
-            st.spatial, geo, spatial_data=self.spatial_data
-        )
+        M_s, K_s = spatial_operators(st.spatial, geo, spatial_data=self.spatial_data)
         self.f_vec = rhs_vectors(
             st,
             geo,
@@ -249,23 +248,19 @@ class _Workspace:
             problem.D,
             problem.a * problem.c1,
             spatial_data=self.spatial_data,
-            spatial_matrices=(self.M_s, self.K_s),
+            spatial_matrices=(M_s, K_s),
             temporal_matrices=(self.W_t, self.M_t),
         )
         self.recovery = None
         ct = self.time_data.c0
-        self.jacobian_trial = ct
+        self.jacobian_trials = ct[None]
         if problem.b != 0:
             nt = st.num_time
             eye = np.eye(nt).reshape(-1)
             self.recovery = solve_w_system(
                 self.W_t, self.M_t, problem.b, problem.d_e, eye
             ).reshape(nt, nt)
-            self.jacobian_test = np.vstack([ct, ct])
-            self.jacobian_trial = np.vstack([ct, ct @ self.recovery])
-        self.measure = self.spatial_data.measure * self.time_data.weights.reshape(
-            (-1,) + (1,) * st.num_spatial_dims
-        )
+            self.jacobian_trials = np.stack([ct, ct @ self.recovery])
         self.stab_grid = None
         if config.stabilization == "spline_upwind":
             self.stab_grid = StabilizationGrid(compute_tau(st.time), st, geo)
@@ -273,7 +268,7 @@ class _Workspace:
         self.operator = KroneckerOperator(
             st.num_time,
             st.num_space,
-            [(1.0, mass_t, self.M_s), (problem.D, self.M_t, self.K_s)],
+            [(1.0, mass_t, M_s), (problem.D, self.M_t, K_s)],
         )
         self.capacitance = problem.C_m
         self.space_time = st
@@ -289,12 +284,13 @@ class _Workspace:
         """The :class:`IterateOnGrid` of ``u`` and ``w = R u`` on the default grid.
 
         One spatial contraction of ``u`` and one temporal contraction with
-        ``jacobian_trial`` give both fields, since
+        the stacked ``jacobian_trials`` give both fields, since
         ``[C_t; C_t R_t] U_s = [u; w]`` on the grid (``w = 0`` when
         ``R = 0``).
         """
         u_s = contract_space(self.space_time, u, self.spatial_data.c0)
-        vals = mode_apply(self.jacobian_trial, u_s, 0)
+        trials = self.jacobian_trials
+        vals = mode_apply(trials.reshape(-1, trials.shape[-1]), u_s, 0)
         qt = self.time_data.weights.size
         if self.recovery is None:
             return IterateOnGrid(u_s, vals, np.zeros_like(vals))
@@ -324,6 +320,40 @@ class _Workspace:
         norm_pf = float(np.linalg.norm(precond.apply(self.f_vec)))
         return op, precond, norm_pf
 
+    def _jacobian_slabs(self, problem, on_grid, weights):
+        """Form the Jacobian's weights slab by slab; yield the residual's integrand.
+
+        ``weights[0]`` holds ``c`` times the measure on entry, and ``j1`` and
+        ``j2`` (if stacked) are written over ``weights`` one slab of
+        temporal elements at a time, each slab with its own space-time
+        measure (the spatial measure times the temporal weights).  Each
+        slab yields ``(rows, (c - c1 a) u times the measure)`` for
+        :func:`load_vector`, so the integrand is never a whole grid.
+        """
+        c1, a, c2 = problem.c1, problem.a, problem.c2
+        spatial = self.spatial_data.measure
+        times = self.time_data.weights
+        for rows in self.time_data.slabs(spatial.size):
+            u_vals = on_grid.u[rows]
+            # The outer product by einsum: a broadcast multiply takes twice as long.
+            measure = np.einsum("t,...->t...", times[rows], spatial)
+            # (c - c1 a) times the measure: the reaction beyond the one in K.
+            rest = np.multiply(measure, c1 * a)
+            np.subtract(weights[0, rows], rest, out=rest)
+            j1 = weights[0, rows]
+            np.multiply(u_vals, 2.0, out=j1)
+            j1 -= 1.0 + a
+            j1 *= u_vals
+            j1 *= c1
+            j1 *= measure
+            j1 += rest
+            if len(weights) > 1:
+                j2 = weights[1, rows]
+                np.multiply(u_vals, c2, out=j2)
+                j2 *= measure
+            rest *= u_vals
+            yield rows, rest
+
     def linearize(self, problem, u, w, op, on_grid=None):
         """Residual ``F(u)`` and Jacobian operator at an iterate ``u``, ``w = R u``.
 
@@ -333,11 +363,14 @@ class _Workspace:
         ``c = c1 (u - a)(u - 1) + c2 w``,
         ``F(u) = K u + int (c - c1 a) u v - f``, and the Jacobian is ``K``
         plus the :class:`WeightedMass`
-        ``[C_t; C_t]^T diag([j1; j2]) [C_t; C_t R_t]`` with
+        ``C_t^T diag(j1) C_t + C_t^T diag(j2) C_t R_t`` with
         ``j1 = c - c1 a + c1 u (2 u - 1 - a)`` and ``j2 = c2 u``, both times
         the quadrature measure (``j2`` is dropped when ``R = 0``), set as the
         correction of ``op``.  At the zero iterate the remainder vanishes:
-        ``F = -f`` and the Jacobian is ``K``.
+        ``F = -f`` and the Jacobian is ``K``.  The weights and the residual's
+        integrand are formed by slabs of temporal elements
+        (:meth:`_jacobian_slabs`), ``j1`` in place over the reaction mass's
+        grid, so the Jacobian's weights are the only grids made.
         """
         st = problem.space
         op.correction = None
@@ -345,10 +378,12 @@ class _Workspace:
             return -self.f_vec, op
         if on_grid is None:
             on_grid = self.evaluate(u)
-        c1, a = problem.c1, problem.a
         ct = self.time_data.c0
         cs = self.spatial_data.c0
-        reaction = reaction_mass(
+        trials = self.jacobian_trials
+        weights = np.empty((len(trials),) + on_grid.u.shape)
+        # c times the measure, which becomes j1.
+        reaction_mass(
             st,
             problem.geometry,
             problem.reaction_constants(),
@@ -357,32 +392,11 @@ class _Workspace:
             spatial_data=self.spatial_data,
             time_data=self.time_data,
             on_grid=on_grid,
+            out=weights[0],
         )
-        u_vals = on_grid.u
-        measure = self.measure
-        # (c - c1 a) times the measure: the reaction beyond the one in K.
-        # The weight grids are formed in place: on grids of the solver's
-        # size each fresh temporary costs more than the arithmetic.
-        rest = np.multiply(measure, c1 * a)
-        np.subtract(reaction.data, rest, out=rest)
-        residual = op.matvec(u) + load_vector(ct, cs, rest * u_vals) - self.f_vec
-        qt = u_vals.shape[0]
-        trial = self.jacobian_trial
-        weights = np.empty((trial.shape[0],) + u_vals.shape[1:])
-        j1 = weights[:qt]
-        np.multiply(u_vals, 2.0, out=j1)
-        j1 -= 1.0 + a
-        j1 *= u_vals
-        j1 *= c1
-        j1 *= measure
-        j1 += rest
-        if self.recovery is None:
-            op.correction = WeightedMass(ct, cs, weights)
-        else:
-            j2 = weights[qt:]
-            np.multiply(u_vals, problem.c2, out=j2)
-            j2 *= measure
-            op.correction = WeightedMass(self.jacobian_test, cs, weights, trial)
+        integrand = self._jacobian_slabs(problem, on_grid, weights)
+        residual = op.matvec(u) + load_vector(ct, cs, integrand) - self.f_vec
+        op.correction = WeightedMass(ct, cs, weights, trials)
         return residual, op
 
 
@@ -478,6 +492,8 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
             system = ws.system(lowrank)
         op, precond, norm_pf = system
         residual, jac = ws.linearize(problem, u, w, op, on_grid)
+        # The grid evaluation is not read past the linearization.
+        del on_grid
         res = float(np.linalg.norm(residual))
         if k == done + 1:
             eta = config.linear_tol

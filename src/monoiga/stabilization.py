@@ -203,7 +203,11 @@ def compute_theta(problem, u, w, spatial_data=None, time_data=None, on_grid=None
     not given.  Its spatial contraction of ``u`` gives the time derivative
     by one temporal contraction.  The Laplacian's terms, whose coefficients
     do not depend on time, are contracted in space and summed on the
-    spatial grid before one temporal contraction.
+    spatial grid before one temporal contraction.  The time derivative, the
+    Laplacian and the residual are formed by slabs of temporal elements
+    (see :meth:`~monoiga.assembly.TimeQuadratureData.slabs`), and each
+    slab's residual is reduced to its element maxima before the next, so
+    no derivative or residual of the whole grid is held.
     """
     st = problem.space
     geo = problem.geometry
@@ -215,31 +219,48 @@ def compute_theta(problem, u, w, spatial_data=None, time_data=None, on_grid=None
     collocs = (spatial_data.c0, spatial_data.c1, spatial_data.c2)
     if on_grid is None:
         on_grid = iterate_on_grid(st, u, w, time_data.c0, spatial_data.c0)
-    u_val, w_val = on_grid.u, on_grid.w
-    u_dt = mode_apply(time_data.c1, on_grid.space, 0)
-    denom = problem.C_m * (abs_max(u_val) / T + abs_max(u_dt) / T)
-    u_dt /= T
-    lap_s = sum(
-        c * contract_space(st, u, [collocs[o][l] for l, o in enumerate(orders)])
-        for orders, c in spatial_data.laplacian
-    )
-    lap = mode_apply(time_data.c0, lap_s, 0)
-    del lap_s
-
+    lap_s = None
+    for orders, c in spatial_data.laplacian:
+        term = contract_space(st, u, [collocs[o][l] for l, o in enumerate(orders)])
+        term *= c
+        if lap_s is None:
+            lap_s = term
+        else:
+            lap_s += term
+        del term
     f = None
     if problem.source is not None:
         f = spatial_data.sample(problem.source, time_data)
-    res = _residual(problem, u_val, u_dt, lap, w_val, f)
-    del u_dt, lap
 
-    # Reduce Gauss points to element maxima, outer axis first, each on a
+    # The residual and its element maxima, by slabs of temporal elements;
+    # the points reduce to element maxima, outer axis first, each on a
     # contiguous (leading, points, trailing) view: axes (E_t, E_d, ..., E_1).
     rules = [time_data.rule] + spatial_data.rules[::-1]
-    emax = np.abs(res, out=res)
-    lead = 1
-    for r in rules:
-        lead *= r.num_cells
-        emax = emax.reshape(lead, r.npoints, -1).max(axis=1)
+    npts = time_data.rule.npoints
+    emax = np.empty(tuple(r.num_cells for r in rules))
+    dt_max = 0.0
+    for rows in time_data.slabs(spatial_data.measure.size):
+        cells = slice(rows.start // npts, rows.stop // npts)
+        u_dt = mode_apply(time_data.c1[rows], on_grid.space, 0)
+        dt_max = max(dt_max, abs_max(u_dt))
+        u_dt /= T
+        lap = mode_apply(time_data.c0[rows], lap_s, 0)
+        res = _residual(
+            problem,
+            on_grid.u[rows],
+            u_dt,
+            lap,
+            on_grid.w[rows],
+            None if f is None else f[rows],
+        )
+        del u_dt, lap
+        slab = np.abs(res, out=res)
+        lead = 1
+        for n, r in zip(emax[cells].shape, rules):
+            lead *= n
+            slab = slab.reshape(lead, r.npoints, -1).max(axis=1)
+        emax[cells] = slab.reshape(emax[cells].shape)
+    denom = problem.C_m * (abs_max(on_grid.u) / T + dt_max / T)
 
     # Window the element maxima per axis: one gather of the padded window
     # table, then a max over the window.

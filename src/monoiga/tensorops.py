@@ -5,12 +5,26 @@ spatial direction runs fastest, time runs slowest.  A coefficient vector of
 length ``N_t * N_s`` therefore reshapes to ``(N_t, n_d, ..., n_1)`` in
 C order.  Per-direction lists run the other way, direction 1 first; the
 helpers below map directions to axes, and :func:`kron_apply` is the one
-per-direction contraction.
+per-direction contraction.  Element-wise passes over large grids run over
+slabs of their slowest axis (:func:`slabs`), so their temporaries are
+bounded by ``SLAB_POINTS`` points, not by the grid.
 """
 
 import math
 
 import numpy as np
+
+# Points per slab of a grid pass (a slab of doubles is 0.5 MB).  The largest
+# grids of the two benchmark workloads, the cube's 41,472-point space-time
+# grid and 32,768-point refined spatial grid, stay single slabs, so small
+# solves allocate what they did unslabbed (with 4,096 points the cube
+# workload's solve took 0.080 s against 0.068-0.073 s, minimum of 40, one
+# thread of a 2-vCPU Xeon).  On the 8^3 x 16 cube (minimum of 7) the
+# indicator takes 0.013 s with this budget against 0.015 s at 2^14 and 2^18
+# and 0.022 s unslabbed, and the linearization 0.014 s against 0.017 s,
+# 0.016 s and 0.014 s; at 16^3 x 16 every budget below 331,776 points (one
+# temporal element) runs those passes one element at a time.
+SLAB_POINTS = 2**16
 
 
 def mode_apply(mat, tensor, axis):
@@ -74,3 +88,14 @@ def outer_product_grid(vectors):
     for v in vectors[-2::-1]:
         grid = np.multiply.outer(grid, np.asarray(v, dtype=float))
     return grid
+
+
+def slabs(count, size):
+    """Consecutive slices of ``range(count)`` for a pass over ``count`` items.
+
+    Each item holds ``size`` grid points; a slice takes as many items as fit
+    in ``SLAB_POINTS`` points, and at least one.  A grid of at most
+    ``SLAB_POINTS`` points is a single slab.
+    """
+    step = max(1, SLAB_POINTS // max(size, 1))
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]

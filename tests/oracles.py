@@ -186,12 +186,15 @@ def fd_gradient(fn, x, step=1e-6):
 def weighted_mass_sparse(mass):
     """A :class:`~monoiga.assembly.WeightedMass` assembled as a CSR matrix.
 
-    Time is the slowest direction of :func:`~monoiga.assembly.banded_gram`.
+    Time is the slowest direction of :func:`~monoiga.assembly.banded_gram`;
+    a mass of stacked weights is the sum of one such matrix per term.
     """
     space = mass.space_collocs[::-1]
-    return banded_gram(
-        [mass.time_colloc] + space, [mass.trial_time_colloc] + space, mass.data
-    )
+    grams = [
+        banded_gram([mass.time_colloc] + space, [trial] + space, weights)
+        for weights, trial in mass.terms
+    ]
+    return sp.csr_matrix(sum(grams[1:], grams[0]))
 
 
 def kronecker_sparse(op):

@@ -20,6 +20,7 @@ from monoiga.assembly import (
     spatial_operators,
     time_matrices,
 )
+from monoiga import tensorops
 from monoiga.bspline import SplineSpace, SpaceTimeSpace
 from monoiga.geometry import box_geometry, builtin_geometry
 from oracles import (
@@ -300,6 +301,19 @@ def stacked_trial_operator(MR, seed=0):
     return op, R, W2
 
 
+def test_reaction_mass_writes_its_weights_into_out():
+    st = make_st(d=2, p=2, elements=2)
+    geo = builtin_geometry("ellipse_annulus", final_time=3.0)
+    rng = np.random.default_rng(14)
+    u = rng.standard_normal(st.num_dof)
+    w = rng.standard_normal(st.num_dof)
+    MR = reaction_mass(st, geo, CONSTANTS, u, w)
+    out = np.empty((2,) + MR.data.shape)
+    given = reaction_mass(st, geo, CONSTANTS, u, w, out=out[1])
+    assert np.shares_memory(given.data, out)
+    assert np.array_equal(out[1], MR.data)
+
+
 class TestWeightedMass:
     @pytest.mark.parametrize(
         "d, geometry, p, elements",
@@ -350,6 +364,32 @@ class TestWeightedMass:
     def test_rejects_mismatched_weight_grid(self):
         with pytest.raises(ValueError, match="weight grid"):
             WeightedMass(np.ones((4, 2)), [np.ones((3, 2))], np.ones((4, 4)))
+        with pytest.raises(ValueError, match="one trial factor"):
+            WeightedMass(
+                np.ones((4, 2)), [np.ones((3, 2))], np.ones((2, 4, 3)), np.ones((3, 4, 2))
+            )
+
+    @pytest.mark.parametrize(
+        "d, geometry", [(1, "unit_interval"), (2, "ellipse_annulus"), (3, "unit_cube")]
+    )
+    def test_stacked_weights_sum_their_masses(self, d, geometry):
+        # C_t^T diag(W_1) C_t + C_t^T diag(W_2) C_t R, one grid per term,
+        # equals the stacked [C_t; C_t]^T diag([W_1; W_2]) [C_t; C_t R].
+        st = make_st(d=d, p=2, elements=2)
+        MR = random_reaction_operator(st, builtin_geometry(geometry), seed=8)
+        stacked, R, W2 = stacked_trial_operator(MR, seed=9)
+        ct = MR.time_colloc
+        op = WeightedMass(
+            ct, MR.space_collocs, np.stack([MR.data, W2]), np.stack([ct, ct @ R])
+        )
+        assert op.nnz == 2 * MR.data.size
+        x = np.random.default_rng(10).standard_normal(st.num_dof)
+        ref = stacked.matvec(x)
+        assert np.linalg.norm(op.matvec(x) - ref) <= 1e-13 * np.linalg.norm(ref)
+        S = weighted_mass_sparse(op)
+        assert np.max(np.abs((S - weighted_mass_sparse(stacked)).toarray())) <= (
+            1e-13 * np.max(np.abs(S))
+        )
 
     def test_kronecker_operator_assembles_the_sum_of_its_parts(self):
         st = make_st(d=2, p=2, elements=2)
@@ -399,6 +439,21 @@ def refined_spatial_data(spaces, geo):
     )
 
 
+def measure_oracle(data):
+    """``wgrid |det J|`` on the grid of ``data``, point by point.
+
+    The weights are multiplied on a mesh and the determinants are LU
+    determinants of the map's scattered Jacobians.
+    """
+    axes = [r.points for r in data.rules]
+    mesh = np.meshgrid(*axes[::-1], indexing="ij")
+    pts = np.column_stack([m.reshape(-1) for m in reversed(mesh)])
+    weights = np.meshgrid(*[r.flat_weights for r in data.rules][::-1], indexing="ij")
+    wgrid = functools.reduce(np.multiply, weights)
+    det = np.linalg.det(data.geo.jacobian(pts)).reshape(wgrid.shape)
+    return wgrid * np.abs(det)
+
+
 class TestBandedGram:
     @pytest.mark.parametrize(
         "geometry, p, elements",
@@ -437,10 +492,28 @@ class TestBandedGram:
         data = refined_spatial_data(spaces, builtin_geometry(geometry))
         prof = np.random.default_rng(7).random(data.grid_shape)
         C = functools.reduce(sp.kron, [sp.csr_matrix(c) for c in reversed(data.c0)])
-        w = (data.wgrid * np.abs(data.detj) * prof).reshape(-1)
+        w = (measure_oracle(data) * prof).reshape(-1)
         ref = (C.T @ sp.diags(w) @ C).toarray()
         M = data.mass(data.measure * prof).toarray()
         assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "geometry, p, elements", [("ellipse_annulus", 3, [6, 2]), ("unit_cube", 2, [3, 2, 4])]
+    )
+    def test_refined_rule_holds_only_its_measure(
+        self, monkeypatch, geometry, p, elements
+    ):
+        # The measure is tabulated by slabs of the slowest direction; the
+        # refined rule keeps neither the determinants nor the weight grid.
+        spaces = [SplineSpace.uniform(p, n) for n in elements]
+        geo = builtin_geometry(geometry)
+        ref = measure_oracle(refined_spatial_data(spaces, geo))
+        for budget in (1, ref[0].size * 3, 2**40):
+            monkeypatch.setattr(tensorops, "SLAB_POINTS", budget)
+            data = refined_spatial_data(spaces, geo)
+            assert not {"detj", "wgrid"} & set(vars(data))
+            assert not data.measure.flags.writeable
+            assert_allclose(data.measure, ref, rtol=1e-13, atol=0)
 
     def test_mass_memory_scales_with_the_result(self):
         # A sparse triple product with the Kronecker collocation matrix of
@@ -605,6 +678,11 @@ class TestKroneckerOperator:
         base.correction = None
         assert len(base.terms) == 2
         assert np.array_equal(base.matvec(x), before)
+        # Each spatial factor is a view of the operator's stack and equals
+        # the factor it was given.
+        for (_, _, smat), given in zip(op.terms, base_terms + extra):
+            assert np.shares_memory(smat.data, op._space_stack.data)
+            assert (smat != given[2]).nnz == 0
 
     def test_dimension_mismatch(self):
         op = KroneckerOperator(2, 2, [(1.0, sp.identity(2), sp.identity(2))])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from monoiga import tensorops
 from monoiga.assembly import QuadratureRule
 from monoiga.bspline import SplineSpace
 from monoiga.geometry import (
@@ -166,6 +167,39 @@ def test_folded_map_detected():
     axes = [QuadratureRule.for_space(SplineSpace.uniform(2, 8)).points] * 2
     with pytest.raises(GeometryError, match="Jacobian determinant changes sign"):
         jacobian_det(folded_square().tabulate(axes, 1))
+
+
+@pytest.mark.parametrize("budget", [1, 2**40])
+def test_measure_checks_the_whole_grid(monkeypatch, budget):
+    # Slabs of one row each see one sign of det J at a time; the fold is
+    # still found, with the grid's own range in the message.
+    monkeypatch.setattr(tensorops, "SLAB_POINTS", budget)
+    rule = QuadratureRule.for_space(SplineSpace.uniform(2, 8))
+    axes = [rule.points] * 2
+    weights = [rule.flat_weights] * 2
+    det = np.linalg.det(folded_square().jacobian(
+        np.column_stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="xy")])
+    ))
+    message = "changes sign \\(from %.3g to %.3g\\)" % (det.min(), det.max())
+    with pytest.raises(GeometryError, match=message):
+        folded_square().measure(axes, weights)
+    singular = GeometryMap(folded_square().spaces, np.zeros((9, 2)))
+    with pytest.raises(GeometryError, match="singular"):
+        singular.measure(axes, weights)
+
+
+@pytest.mark.parametrize("budget", [1, 100, 2**40])
+def test_measure_is_weights_times_abs_det(monkeypatch, budget):
+    monkeypatch.setattr(tensorops, "SLAB_POINTS", budget)
+    geo = builtin_geometry("ellipse_annulus")
+    mirrored = GeometryMap(geo.spaces, geo.control_points[:, ::-1])
+    rules = [QuadratureRule.for_space(SplineSpace.uniform(3, n)) for n in (7, 3)]
+    axes = [r.points for r in rules]
+    weights = [r.flat_weights for r in rules]
+    wgrid = np.multiply.outer(weights[1], weights[0])
+    for g in (geo, mirrored):
+        ref = wgrid * np.abs(jacobian_det(g.tabulate(axes, 1)))
+        assert_allclose(g.measure(axes, weights), ref, rtol=1e-15, atol=0)
 
 
 def test_check_bijective_accepts_orientation_reversal():

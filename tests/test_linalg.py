@@ -302,9 +302,9 @@ class TestFastDiagPreconditioner:
             P.apply(np.ones(st.num_dof))
 
     def test_holds_one_inverse_stack(self):
-        # The preconditioner keeps its per-mode stack, N_s N_t^2 doubles that
-        # its first application inverts in place, and little else; adding a
-        # stabilizer's terms builds a fresh stack.
+        # The preconditioner forms its per-mode stack, N_s N_t^2 doubles, on
+        # its first application, inverts it in place and keeps it, and little
+        # else; adding a stabilizer's terms forms no stack until applied.
         st = make_st(d=2, p=2, elements=14)
         geo = builtin_geometry("unit_square", final_time=1.0)
         sdata = SpatialQuadratureData(st.spatial, geo)
@@ -314,14 +314,17 @@ class TestFastDiagPreconditioner:
         try:
             before = tracemalloc.get_traced_memory()[0]
             P = FastDiagPreconditioner.build(st, 1.0, 1.0, 1e-3, 0.03, spatial_data=sdata)
-            held = tracemalloc.get_traced_memory()[0] - before
+            built = tracemalloc.get_traced_memory()[0] - before
             S_t = sp.identity(nt, format="csr")
             F = FastDiagPreconditioner(P.eigenvectors, P.terms + [(S_t, np.ones(ns))])
-            held_both = tracemalloc.get_traced_memory()[0] - before
+            built_both = tracemalloc.get_traced_memory()[0] - before
+            P.apply(np.ones(st.num_dof))
+            held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert held <= 3 * stack
-        assert held_both - held <= 3 * stack
+        assert built < stack / 2
+        assert built_both - built < stack / 2
+        assert held - built_both <= 3 * stack
         assert F.num_space == ns
 
 

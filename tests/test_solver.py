@@ -1,6 +1,8 @@
 """Tests for the fixed-point driver and field evaluation utilities."""
 
+import gc
 import logging
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +11,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
-from monoiga import assembly, bspline, evaluate_field, solver, stabilization
+from monoiga import assembly, bspline, evaluate_field, solver, stabilization, tensorops
 from monoiga.assembly import (
+    IterateOnGrid,
     KroneckerOperator,
     SpatialQuadratureData,
     TimeQuadratureData,
@@ -324,10 +327,19 @@ class TestFixedPoint:
         assert np.array_equal(op.matvec(x), galerkin_op.matvec(x))
 
     def test_inverts_only_applied_preconditioners(self, monkeypatch):
-        # A preconditioner inverts its per-mode stack on its first apply. An
-        # every-sweep stabilized solve replaces the workspace's before any
-        # apply, so it inverts one stack per assembled stabilizer; an
-        # unstabilized solve inverts the workspace's only.
+        # A preconditioner forms and inverts its per-mode stack on its first
+        # apply. An every-sweep stabilized solve replaces the workspace's
+        # before any apply, so it inverts one stack per assembled stabilizer
+        # and the workspace's never forms its stack; an unstabilized solve
+        # inverts the workspace's only.
+        workspaces = []
+
+        class RecordingWorkspace(solver._Workspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                workspaces.append(self)
+
+        monkeypatch.setattr(solver, "_Workspace", RecordingWorkspace)
         inversions = []
         inv = np.linalg.inv
 
@@ -353,10 +365,13 @@ class TestFixedPoint:
         assert result.converged and result.iterations > 1
         assert len(assembled) > 1
         assert len(inversions) == len(assembled)
+        unapplied = vars(workspaces[-1].precond).values()
+        assert not [v for v in unapplied if isinstance(v, np.ndarray)]
         inversions.clear()
         galerkin = replace(config, stabilization="off")
         assert fixed_point_solve(problem, galerkin).converged
         assert len(inversions) == 1
+        assert "_inverse" in vars(workspaces[-1].precond)
 
     def test_stabilizer_switches_off_on_resolved_solution(self):
         from monoiga.experiments import make_source
@@ -570,6 +585,75 @@ class TestFixedPoint:
         assert len(tabulated) > 2 * len(elements)
         assert len(set(tabulated)) == len(tabulated)
 
+    def test_workspace_build_peak_is_a_multiple_of_what_it_holds(self):
+        # The build's transients are slabs of the refined grid's Jacobians,
+        # the weighted source sample and the assembly's contractions; the
+        # workspace keeps the operator's stacks, not M_s and K_s themselves.
+        spatial = [SplineSpace.uniform(2, 8)] * 3
+        st = SpaceTimeSpace(spatial, SplineSpace.uniform(2, 16))
+        problem = MonodomainProblem(
+            geometry=builtin_geometry("unit_cube", final_time=2.0),
+            space=st,
+            source=lambda x, t: np.exp(-t) * x[:, 0],
+        )
+        config = FixedPointConfig(stabilization="spline_upwind")
+        _Workspace(problem, config)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ws = _Workspace(problem, config)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 2 * (held - before)
+        assert not hasattr(ws, "M_s") and not hasattr(ws, "K_s")
+        stack = ws.operator._space_stack
+        for _, _, smat in ws.operator.terms:
+            assert np.shares_memory(smat.data, stack.data)
+            assert np.shares_memory(smat.indices, stack.indices)
+
+    def test_step_holds_no_grid_evaluation_through_gmres(self, monkeypatch):
+        # The step's IterateOnGrid is read by the indicator and the
+        # linearization only, and is released before the linear solve.
+        held = []
+
+        def checked_gmres(*args, **kwargs):
+            gc.collect()
+            held.append(sum(isinstance(o, IterateOnGrid) for o in gc.get_objects()))
+            return gmres(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "gmres", checked_gmres)
+        problem = make_problem(
+            d=2, p=2, elements=3, source=lambda x, t: np.sin(np.pi * t) * x[:, 0]
+        )
+        config = FixedPointConfig(stabilization="spline_upwind", tolerance=1e-6)
+        result = fixed_point_solve(problem, config)
+        assert result.converged
+        assert held == [0] * result.iterations
+
+    @pytest.mark.parametrize("b", [0.0, 0.5])
+    def test_slabbed_linearization_matches_single_slab(self, monkeypatch, b):
+        problem = make_problem(
+            d=2,
+            p=2,
+            elements=4,
+            b=b,
+            source=lambda x, t: np.sin(np.pi * t) * np.ones(t.shape),
+        )
+        ws = _Workspace(problem, FixedPointConfig())
+        rng = np.random.default_rng(12)
+        u = 0.5 * rng.standard_normal(problem.space.num_dof)
+        delta = rng.standard_normal(problem.space.num_dof)
+        op = ws.system()[0]
+        out = []
+        for budget in (1, 2**40):
+            monkeypatch.setattr(tensorops, "SLAB_POINTS", budget)
+            residual, jac = ws.linearize(problem, u, ws.recover(u), op)
+            out.append((residual, jac.matvec(delta)))
+        assert len(ws.time_data.slabs(ws.spatial_data.measure.size)) == 1
+        for slabbed, single in zip(*out):
+            assert_allclose(slabbed, single, rtol=0, atol=1e-14 * np.max(np.abs(single)))
+
     def test_refined_grid_builds_no_derivative_tables(self, monkeypatch):
         # The stabilizer integrates values only: its refined grid never
         # tabulates derivatives, the metric or the source's points.
@@ -589,8 +673,9 @@ class TestFixedPoint:
         (grid,) = grids
         built = vars(grid.spatial_data)
         assert "measure" in built
-        # The metric and the Laplacian table are cached together.
-        for table in ("c1", "c2", "_pullback"):
+        # The metric and the Laplacian table are cached together; the
+        # measure is the one grid the refined rule holds.
+        for table in ("c1", "c2", "_pullback", "detj", "wgrid"):
             assert table not in built
         assert grid.spatial_data._sample is None
 

@@ -13,9 +13,10 @@ from monoiga.assembly import (
     QuadratureRule,
     SpatialQuadratureData,
     TimeQuadratureData,
+    iterate_on_grid,
     spatial_operators,
 )
-from monoiga import linalg
+from monoiga import linalg, tensorops
 from monoiga.bspline import SplineSpace, SpaceTimeSpace
 from monoiga.geometry import builtin_geometry
 from monoiga.linalg import FastDiagPreconditioner, gmres
@@ -301,8 +302,66 @@ class TestResidualIndicator:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        grid_bytes = tdata.points.size * sdata.wgrid.size * 8
+        grid_bytes = tdata.points.size * sdata.measure.size * 8
         assert peak <= 10 * grid_bytes
+
+    def test_peak_memory_is_a_few_slabs(self):
+        # Given the solver's grid evaluation, an indicator call forms the
+        # time derivative, the Laplacian and the residual one slab of
+        # temporal elements at a time; beyond the slabs it holds only the
+        # Laplacian on the spatial grid, one value per temporal function and
+        # spatial point (N_t Q_s), and one spatial contraction at a time.
+        spatial = [SplineSpace.uniform(2, 8)] * 3
+        st = SpaceTimeSpace(spatial, SplineSpace.uniform(2, 16))
+        geo = builtin_geometry("unit_cube", final_time=2.0)
+        problem = MonodomainProblem(
+            geometry=geo, space=st, source=lambda x, t: np.exp(-t) * x[:, 0]
+        )
+        sdata = SpatialQuadratureData(st.spatial, geo)
+        tdata = TimeQuadratureData(st, geo.final_time)
+        slabs = tdata.slabs(sdata.measure.size)
+        assert len(slabs) >= 4
+        rng = np.random.default_rng(6)
+        u = rng.standard_normal(st.num_dof)
+        w = rng.standard_normal(st.num_dof)
+        on_grid = iterate_on_grid(st, u, w, tdata.c0, sdata.c0)
+        compute_theta(problem, u, w, sdata, tdata, on_grid)
+        tracemalloc.start()
+        try:
+            compute_theta(problem, u, w, sdata, tdata, on_grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        slab_bytes = max(s.stop - s.start for s in slabs) * sdata.measure.size * 8
+        spatial_bytes = st.num_time * sdata.measure.size * 8
+        assert peak <= 6 * slab_bytes + 3 * spatial_bytes
+        assert peak < on_grid.u.nbytes
+
+    @pytest.mark.parametrize(
+        "geometry, elements", [("ellipse_annulus", [6, 3]), ("unit_cube", [3, 2, 3])]
+    )
+    def test_slabbed_and_single_slab_indicators_agree(
+        self, monkeypatch, geometry, elements
+    ):
+        spatial = [SplineSpace.uniform(2, n) for n in elements]
+        st = SpaceTimeSpace(spatial, SplineSpace.uniform(2, 6))
+        geo = builtin_geometry(geometry, final_time=2.0)
+        problem = MonodomainProblem(
+            geometry=geo, space=st, source=lambda x, t: 1e-2 * np.exp(-t) * x[:, 0]
+        )
+        sdata = SpatialQuadratureData(st.spatial, geo)
+        tdata = TimeQuadratureData(st, geo.final_time)
+        rng = np.random.default_rng(9)
+        u = 0.1 * rng.standard_normal(st.num_dof)
+        w = 0.1 * rng.standard_normal(st.num_dof)
+        values = []
+        for budget in (1, 2 * tdata.rule.npoints * sdata.measure.size, 2**40):
+            monkeypatch.setattr(tensorops, "SLAB_POINTS", budget)
+            values.append(compute_theta(problem, u, w, sdata, tdata).values)
+        assert len(tdata.slabs(sdata.measure.size)) == 1
+        assert np.any((values[-1] > 0.01) & (values[-1] < 0.99))
+        for slabbed in values[:-1]:
+            assert np.max(np.abs(slabbed - values[-1])) <= 1e-14
 
 
 class TestLowRank:
