@@ -18,7 +18,7 @@ from monoiga import (
     spatial_operators,
     time_matrices,
 )
-from monoiga.assembly import SpatialQuadratureData
+from monoiga.assembly import SpatialQuadratureData, TimeQuadratureData
 from monoiga.linalg import NonConvergenceError
 
 p, elements = 2, 8
@@ -30,8 +30,8 @@ print("space-time unknowns:", st.num_dof)
 
 cm, diff, react = 1.0, 1e-3, 0.13 * 0.26
 sdata = SpatialQuadratureData(st.spatial, geo)
-W_t, M_t = time_matrices(st, 1.0)
-M_s, K_s = spatial_operators(st.spatial, geo, spatial_data=sdata)
+W_t, M_t = time_matrices(TimeQuadratureData(st, 1.0))
+M_s, K_s = spatial_operators(sdata)
 op = KroneckerOperator(
     st.num_time,
     st.num_space,
@@ -42,7 +42,9 @@ rng = np.random.default_rng(0)
 rhs = rng.standard_normal(st.num_dof)
 
 t0 = time.time()
-precond = FastDiagPreconditioner.build(st, 1.0, cm, diff, react, spatial_data=sdata)
+precond = FastDiagPreconditioner.build(
+    cm, diff, react, sdata, (M_s, K_s), (W_t, M_t)
+)
 print("preconditioner setup: %.2fs" % (time.time() - t0))
 
 t0 = time.time()

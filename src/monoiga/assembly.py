@@ -31,7 +31,6 @@ __all__ = [
     "banded_gram",
     "evaluate_field",
     "IterateOnGrid",
-    "iterate_on_grid",
     "time_matrices",
     "spatial_operators",
     "reaction_mass",
@@ -395,15 +394,12 @@ class SpatialQuadratureData:
         return kernel.pattern.tocsr(vals)
 
 
-def spatial_operators(spaces, geo, spatial_data=None):
+def spatial_operators(spatial_data):
     """Pulled-back spatial mass and stiffness matrices ``(M_s, K_s)``.
 
     Assembled by tensorized quadrature on ``spatial_data`` (the default
-    ``degree + 1`` point rule, built here when not given), which is exact on
-    axis-aligned boxes.
+    ``degree + 1`` point rule), which is exact on axis-aligned boxes.
     """
-    if spatial_data is None:
-        spatial_data = SpatialQuadratureData(spaces, geo)
     return spatial_data.mass(), spatial_data.stiffness()
 
 
@@ -456,16 +452,13 @@ class TimeQuadratureData:
         return _read_only(self.space_time.time_greville())
 
 
-def time_matrices(space_time, final_time, time_data=None):
+def time_matrices(time_data):
     """Constrained temporal matrices ``(W_t, M_t)`` in physical time.
 
     ``W_t[i, j] = int b'_j b_i`` is invariant under the time scaling; the
     mass matrix picks up a factor of the final time.  ``time_data`` is the
-    default-rule :class:`TimeQuadratureData` of the space, built here when
-    not given.
+    default-rule :class:`TimeQuadratureData` of the space.
     """
-    if time_data is None:
-        time_data = TimeQuadratureData(space_time, final_time)
     c0 = time_data.c0
     W = banded_gram([c0], [time_data.c1], time_data.rule.flat_weights)
     M = banded_gram([c0], [c0], time_data.weights)
@@ -495,20 +488,6 @@ class IterateOnGrid(NamedTuple):
     space: np.ndarray
     u: np.ndarray
     w: np.ndarray
-
-
-def iterate_on_grid(space_time, u, w, time_colloc, space_collocs):
-    """``u`` and ``w`` on a tensor grid as an :class:`IterateOnGrid`.
-
-    Each field is contracted in space first, then in time.  A solver whose
-    ``w`` is the recovery map ``R u`` evaluates both from one spatial
-    contraction instead (see the solver's workspace).
-    """
-    u_s = contract_space(space_time, u, space_collocs)
-    w_s = contract_space(space_time, w, space_collocs)
-    return IterateOnGrid(
-        u_s, mode_apply(time_colloc, u_s, 0), mode_apply(time_colloc, w_s, 0)
-    )
 
 
 def field_on_grid(space_time, coeffs, time_colloc, space_collocs):
@@ -591,17 +570,15 @@ def laplacian_terms(metric, jinv, hess):
 
 
 class WeightedMass:
-    """Space-time mass matrix with a pointwise weight, applied matrix-free.
+    """Sum of space-time mass matrices with pointwise weights, applied matrix-free.
 
-    Represents ``(T kron C_s)^T diag(W) (T' kron C_s)``, where ``T`` and
-    ``T'`` are the temporal test and trial collocation matrices (``T' = T``
-    unless ``trial_time_colloc`` is given), ``C_s`` the Kronecker product of
-    the spatial ones (direction d slowest) and ``W`` the weight on the tensor
-    quadrature grid.  ``weights`` may also stack ``m`` grids, with
-    ``trial_time_colloc`` stacking their ``m`` trial factors: the operator is
-    then the sum of the ``m`` masses, which share the test factor ``T``.  The
-    Newton derivative of the reaction term with the recovery map
-    ``R = R_t kron I`` is such a sum,
+    Represents ``sum_i (T kron C_s)^T diag(W_i) (T'_i kron C_s)``, where
+    ``T`` is the temporal test collocation matrix, ``T'_i`` the ``i``-th
+    temporal trial factor, ``C_s`` the Kronecker product of the spatial
+    collocation matrices (direction d slowest) and ``W_i`` the ``i``-th
+    weight grid on the tensor quadrature grid.  A reaction mass is one term
+    with ``T'_1 = T``; the Newton derivative of the reaction term with the
+    recovery map ``R = R_t kron I`` is the pair
     ``C_t^T diag(W_1) C_t + C_t^T diag(W_2) C_t R_t``.  A matvec evaluates
     the field in space once, applies each trial factor, scales it by its
     weight and sums the terms on one grid, which it integrates against the
@@ -610,37 +587,29 @@ class WeightedMass:
     slabs of the slowest spatial direction (:func:`~monoiga.tensorops.slabs`),
     so no product of the whole grid is held.
 
-    ``time_colloc`` is dense, shape (Q_t, N_t), and ``trial_time_colloc``
-    shape (Q_t, N_t) or, with stacked weights, (m, Q_t, N_t);
-    ``space_collocs`` are dense, direction 1 first, shapes (Q_l, n_l);
-    ``weights`` is shaped (Q_t, Q_d, ..., Q_1) or (m, Q_t, Q_d, ..., Q_1).
-    ``terms`` lists the pairs ``(W, T')``.
+    ``time_colloc`` is dense, shape (Q_t, N_t); ``space_collocs`` are dense,
+    direction 1 first, shapes (Q_l, n_l); ``weights`` stacks the ``m``
+    grids, shape (m, Q_t, Q_d, ..., Q_1), and ``trial_time_colloc`` their
+    trial factors, shape (m, Q_t, N_t).  ``terms`` lists the pairs
+    ``(W_i, T'_i)``.
     """
 
-    def __init__(self, time_colloc, space_collocs, weights, trial_time_colloc=None):
+    def __init__(self, time_colloc, space_collocs, weights, trial_time_colloc):
         self.time_colloc = time_colloc
-        self.trial_time_colloc = time_colloc
-        if trial_time_colloc is not None:
-            self.trial_time_colloc = trial_time_colloc
+        self.trial_time_colloc = trial_time_colloc
         self.space_collocs = list(space_collocs)
         self.data = np.asarray(weights, dtype=float)
         grid = (self.time_colloc.shape[0],) + tuple(
             c.shape[0] for c in reversed(self.space_collocs)
         )
-        if self.data.shape == grid:
-            self._weights = self.data[None]
-            self._trials = self.trial_time_colloc[None]
-        elif self.data.shape[1:] == grid and trial_time_colloc is not None:
-            if len(self.trial_time_colloc) != len(self.data):
-                raise ValueError("one trial factor per stacked weight grid")
-            self._weights = self.data
-            self._trials = self.trial_time_colloc
-        else:
+        if self.data.shape[1:] != grid:
             raise ValueError(
-                "weight grid has shape %s, quadrature grid is %s"
-                % (self.data.shape, grid)
+                "weight grids have shape %s, quadrature grid is %s"
+                % (self.data.shape[1:], grid)
             )
-        self.terms = list(zip(self._weights, self._trials))
+        if len(self.trial_time_colloc) != len(self.data):
+            raise ValueError("one trial factor per stacked weight grid")
+        self.terms = list(zip(self.data, self.trial_time_colloc))
         self.coeff_shape = (self.time_colloc.shape[1],) + tuple(
             c.shape[1] for c in reversed(self.space_collocs)
         )
@@ -671,8 +640,9 @@ class WeightedMass:
 
     def _integrate(self, X, cols):
         """``T^T sum_i W_i (T'_i X)`` on the columns ``cols`` of the slowest spatial axis."""
-        weights = self._weights[:, :, cols]
-        trials = self._trials.reshape(-1, self._trials.shape[-1])
+        weights = self.data[:, :, cols]
+        trials = self.trial_time_colloc
+        trials = trials.reshape(-1, trials.shape[-1])
         vals = mode_apply(trials, X, 0).reshape(weights.shape)
         vals *= weights
         total = vals[0]
@@ -684,44 +654,22 @@ class WeightedMass:
         return self.matvec(x)
 
 
-def reaction_mass(
-    space_time,
-    geo,
-    constants,
-    u_prev,
-    w_prev,
-    spatial_data=None,
-    time_data=None,
-    on_grid=None,
-    out=None,
-):
+def reaction_mass(constants, on_grid, spatial_data, time_data, out=None):
     """Space-time mass matrix weighted by the reaction coefficient of an iterate.
 
     The coefficient ``c1 (u - a)(u - 1) + c2 w`` is evaluated at the
-    quadrature nodes from the spline expansions of the iterates, so
-    ``reaction_mass(u, w) @ u`` is the reaction term of the weak form.
-    Returns a :class:`WeightedMass` of size ``N_dof`` whose ``data`` is the
-    coefficient times the quadrature measure per quadrature point, written
-    into ``out`` when given.  ``on_grid`` is the :class:`IterateOnGrid` of
-    ``u_prev`` and ``w_prev`` on the grid of the quadrature data when a
-    caller has it already; it is evaluated here otherwise.
+    quadrature nodes of ``spatial_data`` and ``time_data`` from
+    ``on_grid``, the :class:`IterateOnGrid` of the iterates ``u`` and ``w``
+    on that grid, so ``reaction_mass(...) @ u`` is the reaction term of the
+    weak form.  Returns a :class:`WeightedMass` of size ``N_dof`` of one
+    term, whose weight grid is the coefficient times the quadrature measure
+    per quadrature point, written into ``out`` when given.
     """
     c1 = constants["c1"]
     a = constants["a"]
     c2 = constants["c2"]
-    u_prev = np.asarray(u_prev, dtype=float)
-    w_prev = np.asarray(w_prev, dtype=float)
-    if u_prev.size != space_time.num_dof or w_prev.size != space_time.num_dof:
-        raise ValueError("iterate coefficient vectors must have length N_dof")
-    if spatial_data is None:
-        spatial_data = SpatialQuadratureData(space_time.spatial, geo)
-    if time_data is None:
-        time_data = TimeQuadratureData(space_time, geo.final_time)
-
     ct = time_data.c0
     cs = spatial_data.c0
-    if on_grid is None:
-        on_grid = iterate_on_grid(space_time, u_prev, w_prev, ct, cs)
     measure = spatial_data.measure
     times = time_data.weights.reshape((-1,) + (1,) * len(cs))
     weights = np.empty(on_grid.u.shape) if out is None else out
@@ -737,17 +685,13 @@ def reaction_mass(
         slab += tmp
         slab *= measure
         slab *= times[rows]
-    return WeightedMass(ct, cs, weights)
+    return WeightedMass(ct, cs, weights[None], ct[None])
 
 
-def rhs_vectors(space_time, geo, source, spatial_data=None, time_data=None):
+def rhs_vectors(source, spatial_data, time_data):
     """Load vector ``f_vec[i] = int int f B_i`` of the source (zero if ``None``)."""
     if source is None:
-        return np.zeros(space_time.num_dof)
-    if spatial_data is None:
-        spatial_data = SpatialQuadratureData(space_time.spatial, geo)
-    if time_data is None:
-        time_data = TimeQuadratureData(space_time, geo.final_time)
+        return np.zeros(time_data.space_time.num_dof)
     fvals = spatial_data.sample(source, time_data)
     # One weighted grid; the sample is cached, and the indicator reads it.
     vals = np.multiply(fvals, spatial_data.measure)

@@ -379,30 +379,54 @@ def save_geometry(geo, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def _fields(line, count, what, kind=int):
+    """The ``count`` entries of a geometry-file line, parsed by ``kind``."""
+    if len(line) != count:
+        raise GeometryError(
+            "%s line has %d entries, expected %d" % (what, len(line), count)
+        )
+    try:
+        return [kind(v) for v in line]
+    except ValueError as exc:
+        raise GeometryError("%s line: %s" % (what, exc)) from exc
+
+
 def load_geometry(path, final_time=1.0):
-    """Read a control-point file written by :func:`save_geometry`."""
+    """Read a control-point file written by :func:`save_geometry`.
+
+    Raises :class:`GeometryError` unless the dimension is a positive integer,
+    every line has the entries the header declares (``d`` degrees and knot
+    counts, the counted knots per direction, ``d`` coordinates on each of
+    the control rows) and each direction's knots and degree make a spline
+    space.
+    """
     with open(path) as fh:
         tokens = [ln.split() for ln in fh if ln.strip() and not ln.startswith("#")]
+    d = _fields(tokens[0], 1, "dimension")[0] if tokens else 0
+    if tokens and d < 1:
+        raise GeometryError("dimension must be positive, got %d" % d)
     # dimension, degrees, knot counts and one knot line per direction
-    header = 3 + int(tokens[0][0]) if tokens else 3
+    header = 3 + d
     if len(tokens) < header:
         raise GeometryError(
             "geometry file has %d lines, expected at least %d" % (len(tokens), header)
         )
-    d = header - 3
-    degrees = [int(v) for v in tokens[1][:d]]
-    counts = [int(v) for v in tokens[2][:d]]
+    degrees = _fields(tokens[1], d, "degree")
+    counts = _fields(tokens[2], d, "knot count")
     spaces = []
     for l in range(d):
-        knots = np.array([float(v) for v in tokens[3 + l][: counts[l]]])
-        spaces.append(SplineSpace.from_knots(knots, degrees[l]))
+        knots = np.array(_fields(tokens[3 + l], counts[l], "knot", float))
+        try:
+            spaces.append(SplineSpace.from_knots(knots, degrees[l]))
+        except ValueError as exc:
+            raise GeometryError("direction %d: %s" % (l + 1, exc)) from exc
     n = 1
     for s in spaces:
         n *= s.dimension
-    rows = tokens[3 + d : 3 + d + n]
+    rows = tokens[header:]
     if len(rows) != n:
         raise GeometryError(
             "geometry file has %d control rows, expected %d" % (len(rows), n)
         )
-    ctrl = np.array([[float(v) for v in row[:d]] for row in rows])
+    ctrl = np.array([_fields(row, d, "control point", float) for row in rows])
     return GeometryMap(spaces, ctrl, final_time=final_time)

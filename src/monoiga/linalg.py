@@ -11,12 +11,13 @@ every direction on a small mapped patch.
 """
 
 import functools
+import math
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .assembly import _dense, banded_gram, time_matrices
+from .assembly import _dense, banded_gram
 from .tensorops import kron_apply, marginal_mean, outer_product_grid
 
 __all__ = [
@@ -198,14 +199,12 @@ class FastDiagPreconditioner:
     @classmethod
     def build(
         cls,
-        space_time,
-        final_time,
         capacitance,
         diffusion,
         reaction,
         spatial_data,
-        spatial_matrices=None,
-        temporal_matrices=None,
+        spatial_matrices,
+        temporal_matrices,
     ):
         """The preconditioner of ``(C_m W_t + r M_t) kron M_s + D M_t kron K_s``.
 
@@ -222,23 +221,19 @@ class FastDiagPreconditioner:
           generalized eigenvectors give ``U_l^T M_l U_l = I``,
           ``U_l^T K_l U_l = Lambda_l``;
         - one factor over every direction otherwise: the dense generalized
-          eigenvectors of the true pencil, ``U^T M_s U = I``,
-          ``U^T K_s U = Lambda``, so the spatial factor is exact.  The
-          assembled ``(M_s, K_s)`` are read from ``spatial_matrices`` when
-          given, and assembled on ``spatial_data`` otherwise.
+          eigenvectors of the true pencil ``spatial_matrices = (M_s, K_s)``,
+          ``U^T M_s U = I``, ``U^T K_s U = Lambda``, so the spatial factor
+          is exact.
 
-        Both give the terms ``(W_t, C_m)`` and ``(M_t, r + D lambda)``; the
-        temporal ``(W_t, M_t)`` are read from ``temporal_matrices`` when
-        given, and assembled by :func:`~monoiga.assembly.time_matrices`
-        otherwise.
+        Both give the terms ``(W_t, C_m)`` and ``(M_t, r + D lambda)`` of
+        ``temporal_matrices = (W_t, M_t)``.
         """
-        d = space_time.num_spatial_dims
+        d = len(spatial_data.spaces)
+        num_space = math.prod(s.dimension for s in spatial_data.spaces)
         w_mass, w_stiff = cls._separable_weights(spatial_data)
-        if space_time.num_space <= EXACT_SPACE_LIMIT and not cls._separable_is_exact(
+        if num_space <= EXACT_SPACE_LIMIT and not cls._separable_is_exact(
             spatial_data, w_mass, w_stiff
         ):
-            if spatial_matrices is None:
-                spatial_matrices = (spatial_data.mass(), spatial_data.stiffness())
             M_s, K_s = spatial_matrices
             U, lam = generalized_eig(K_s, M_s)
             eigenvectors = [U]
@@ -255,8 +250,6 @@ class FastDiagPreconditioner:
                 eigenvectors.append(U_l)
                 lam = np.add.outer(lam_l, lam)
             lam = lam.reshape(-1)
-        if temporal_matrices is None:
-            temporal_matrices = time_matrices(space_time, final_time)
         W_t, M_t = temporal_matrices
         terms = [
             (_dense(W_t), np.full(lam.size, float(capacitance))),

@@ -230,26 +230,16 @@ class _Workspace:
         geo = problem.geometry
         self.spatial_data = SpatialQuadratureData(st.spatial, geo)
         self.time_data = TimeQuadratureData(st, problem.final_time)
-        self.W_t, self.M_t = time_matrices(
-            st, problem.final_time, time_data=self.time_data
-        )
-        M_s, K_s = spatial_operators(st.spatial, geo, spatial_data=self.spatial_data)
-        self.f_vec = rhs_vectors(
-            st,
-            geo,
-            problem.source,
-            spatial_data=self.spatial_data,
-            time_data=self.time_data,
-        )
+        self.W_t, self.M_t = time_matrices(self.time_data)
+        M_s, K_s = spatial_operators(self.spatial_data)
+        self.f_vec = rhs_vectors(problem.source, self.spatial_data, self.time_data)
         self.precond = FastDiagPreconditioner.build(
-            st,
-            problem.final_time,
             problem.C_m,
             problem.D,
             problem.a * problem.c1,
-            spatial_data=self.spatial_data,
-            spatial_matrices=(M_s, K_s),
-            temporal_matrices=(self.W_t, self.M_t),
+            self.spatial_data,
+            (M_s, K_s),
+            (self.W_t, self.M_t),
         )
         self.recovery = None
         ct = self.time_data.c0
@@ -285,15 +275,15 @@ class _Workspace:
 
         One spatial contraction of ``u`` and one temporal contraction with
         the stacked ``jacobian_trials`` give both fields, since
-        ``[C_t; C_t R_t] U_s = [u; w]`` on the grid (``w = 0`` when
-        ``R = 0``).
+        ``[C_t; C_t R_t] U_s = [u; w]`` on the grid.  When ``R = 0``, ``w``
+        is a read-only zero-stride view of one zero, not a grid.
         """
         u_s = contract_space(self.space_time, u, self.spatial_data.c0)
         trials = self.jacobian_trials
         vals = mode_apply(trials.reshape(-1, trials.shape[-1]), u_s, 0)
-        qt = self.time_data.weights.size
         if self.recovery is None:
-            return IterateOnGrid(u_s, vals, np.zeros_like(vals))
+            return IterateOnGrid(u_s, vals, np.broadcast_to(0.0, vals.shape))
+        qt = self.time_data.weights.size
         return IterateOnGrid(u_s, vals[:qt], vals[qt:])
 
     def system(self, lowrank=None):
@@ -354,13 +344,12 @@ class _Workspace:
             rest *= u_vals
             yield rows, rest
 
-    def linearize(self, problem, u, w, op, on_grid=None):
+    def linearize(self, problem, u, op, on_grid):
         """Residual ``F(u)`` and Jacobian operator at an iterate ``u``, ``w = R u``.
 
         ``op`` is the Kronecker operator ``K`` of :meth:`system` and
-        ``on_grid`` the iterate's :meth:`evaluate` (evaluated here when not
-        given).  With the reaction coefficient
-        ``c = c1 (u - a)(u - 1) + c2 w``,
+        ``on_grid`` the iterate's :meth:`evaluate`.  With the reaction
+        coefficient ``c = c1 (u - a)(u - 1) + c2 w``,
         ``F(u) = K u + int (c - c1 a) u v - f``, and the Jacobian is ``K``
         plus the :class:`WeightedMass`
         ``C_t^T diag(j1) C_t + C_t^T diag(j2) C_t R_t`` with
@@ -372,26 +361,19 @@ class _Workspace:
         (:meth:`_jacobian_slabs`), ``j1`` in place over the reaction mass's
         grid, so the Jacobian's weights are the only grids made.
         """
-        st = problem.space
         op.correction = None
         if not np.any(u):
             return -self.f_vec, op
-        if on_grid is None:
-            on_grid = self.evaluate(u)
         ct = self.time_data.c0
         cs = self.spatial_data.c0
         trials = self.jacobian_trials
         weights = np.empty((len(trials),) + on_grid.u.shape)
         # c times the measure, which becomes j1.
         reaction_mass(
-            st,
-            problem.geometry,
             problem.reaction_constants(),
-            u,
-            w,
-            spatial_data=self.spatial_data,
-            time_data=self.time_data,
-            on_grid=on_grid,
+            on_grid,
+            self.spatial_data,
+            self.time_data,
             out=weights[0],
         )
         integrand = self._jacobian_slabs(problem, on_grid, weights)
@@ -439,7 +421,7 @@ def fixed_point_solve(problem, config=None):
     if config.stabilization == "spline_upwind" and config.indicator_update == "frozen":
         pre = _newton(problem, replace(config, stabilization="off"), ws, t0)
         indicator = compute_theta(
-            problem, pre.u, pre.w, ws.spatial_data, ws.time_data, ws.evaluate(pre.u)
+            problem, pre.u, ws.evaluate(pre.u), ws.spatial_data, ws.time_data
         )
         return _newton(problem, config, ws, t0, start=pre, indicator=indicator)
     return _newton(problem, config, ws, t0)
@@ -462,7 +444,6 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
         steps = list(start.steps)
         u = start.u
     done = len(steps)
-    w = ws.recover(u)
     alpha = config.relaxation
     stabilized = config.stabilization == "spline_upwind"
     latched = indicator is not None
@@ -474,7 +455,7 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
         if stabilized and not (latched and system is not None):
             if not latched:
                 fresh = compute_theta(
-                    problem, u, w, ws.spatial_data, ws.time_data, on_grid
+                    problem, u, on_grid, ws.spatial_data, ws.time_data
                 )
                 if indicator is not None and alpha < 1.0:
                     # Damp the indicator by the relaxation: an undamped
@@ -491,7 +472,7 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
             lowrank = lowrank_factorize(indicator, config.lowrank_tol)
             system = ws.system(lowrank)
         op, precond, norm_pf = system
-        residual, jac = ws.linearize(problem, u, w, op, on_grid)
+        residual, jac = ws.linearize(problem, u, op, on_grid)
         # The grid evaluation is not read past the linearization.
         del on_grid
         res = float(np.linalg.norm(residual))
@@ -509,7 +490,6 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
         # The Jacobian's weight grid is not needed past its solve.
         jac.correction = None
         u = u + delta
-        w = ws.recover(u)
         step = {
             "sweep": k,
             "increment": float(np.max(np.abs(delta))),
@@ -533,7 +513,8 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
         converged = step["increment"] <= config.tolerance
         if converged:
             break
-    result = SolveResult(u, w, steps, converged, _time.perf_counter() - t0, indicator)
+    wall_time = _time.perf_counter() - t0
+    result = SolveResult(u, ws.recover(u), steps, converged, wall_time, indicator)
     if not converged:
         raise FixedPointDiverged(
             "Newton iteration did not reach %.2e in %d steps"

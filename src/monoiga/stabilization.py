@@ -10,14 +10,7 @@ solver shares with its reaction mass and load vector.
 
 import numpy as np
 
-from .assembly import (
-    GramKernel,
-    QuadratureRule,
-    SpatialQuadratureData,
-    TimeQuadratureData,
-    contract_space,
-    iterate_on_grid,
-)
+from .assembly import GramKernel, QuadratureRule, SpatialQuadratureData, contract_space
 from .bspline import KnotVector, SplineSpace
 from .tensorops import abs_max, kron_apply, mode_apply
 
@@ -184,7 +177,7 @@ class ResidualIndicator:
         return float(self.values.max(initial=0.0))
 
 
-def compute_theta(problem, u, w, spatial_data=None, time_data=None, on_grid=None):
+def compute_theta(problem, u, on_grid, spatial_data, time_data):
     """Residual indicator on the Greville grid of the discrete space.
 
     The numerator of each entry is the maximum absolute strong residual over
@@ -195,30 +188,22 @@ def compute_theta(problem, u, w, spatial_data=None, time_data=None, on_grid=None
     where it does not, and is recorded as ``denominator_vanished``.
 
     ``spatial_data`` and ``time_data`` are the default (``degree + 1``
-    points) quadrature data of the problem, built here when not given; a
-    solver passes its own, so the residual is sampled on the grid of its
-    reaction mass and load vector.  ``on_grid`` is the
-    :class:`~monoiga.assembly.IterateOnGrid` of ``u`` and ``w`` on that
-    grid, which a solver evaluates once per step; it is evaluated here when
-    not given.  Its spatial contraction of ``u`` gives the time derivative
-    by one temporal contraction.  The Laplacian's terms, whose coefficients
-    do not depend on time, are contracted in space and summed on the
-    spatial grid before one temporal contraction.  The time derivative, the
-    Laplacian and the residual are formed by slabs of temporal elements
-    (see :meth:`~monoiga.assembly.TimeQuadratureData.slabs`), and each
-    slab's residual is reduced to its element maxima before the next, so
-    no derivative or residual of the whole grid is held.
+    points) quadrature data of the problem, which a solver shares with its
+    reaction mass and load vector, and ``on_grid`` is the
+    :class:`~monoiga.assembly.IterateOnGrid` of ``u`` and its recovery
+    field on that grid, which a solver evaluates once per step.  Its
+    spatial contraction of ``u`` gives the time derivative by one temporal
+    contraction.  The Laplacian's terms, whose coefficients do not depend
+    on time, are contracted in space and summed on the spatial grid before
+    one temporal contraction.  The time derivative, the Laplacian and the
+    residual are formed by slabs of temporal elements (see
+    :meth:`~monoiga.assembly.TimeQuadratureData.slabs`), and each slab's
+    residual is reduced to its element maxima before the next, so no
+    derivative or residual of the whole grid is held.
     """
     st = problem.space
-    geo = problem.geometry
-    if spatial_data is None:
-        spatial_data = SpatialQuadratureData(st.spatial, geo)
-    if time_data is None:
-        time_data = TimeQuadratureData(st, geo.final_time)
-    T = geo.final_time
+    T = problem.final_time
     collocs = (spatial_data.c0, spatial_data.c1, spatial_data.c2)
-    if on_grid is None:
-        on_grid = iterate_on_grid(st, u, w, time_data.c0, spatial_data.c0)
     lap_s = None
     for orders, c in spatial_data.laplacian:
         term = contract_space(st, u, [collocs[o][l] for l, o in enumerate(orders)])

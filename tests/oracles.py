@@ -5,13 +5,24 @@ basis evaluation; nothing is shared with the Kronecker-structured production
 code beyond the univariate basis recursion itself, of which
 :func:`scalar_basis_ders` keeps a one-point scalar copy, and the scattered
 tensor-product evaluation of :func:`~monoiga.bspline.tensor_at`.
+:func:`iterate_on_grid` is the exception: it evaluates an arbitrary pair of
+fields by the library's own contractions, for the kernels that read an
+:class:`~monoiga.assembly.IterateOnGrid`.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from monoiga.assembly import QuadratureRule, WeightedMass, banded_gram, evaluate_field
+from monoiga.assembly import (
+    IterateOnGrid,
+    QuadratureRule,
+    WeightedMass,
+    banded_gram,
+    contract_space,
+    evaluate_field,
+)
 from monoiga.bspline import tensor_at
+from monoiga.tensorops import mode_apply
 
 
 def scalar_basis_ders(knots, p, x, nders):
@@ -195,6 +206,19 @@ def weighted_mass_sparse(mass):
         for weights, trial in mass.terms
     ]
     return sp.csr_matrix(sum(grams[1:], grams[0]))
+
+
+def iterate_on_grid(space_time, u, w, spatial_data, time_data):
+    """``u`` and ``w`` on a quadrature grid as an :class:`~monoiga.assembly.IterateOnGrid`.
+
+    Each field is contracted in space, then in time, on its own, so ``w``
+    need not be the recovery map of ``u``; the solver's workspace evaluates
+    both from one spatial contraction of ``u`` instead.
+    """
+    u_s = contract_space(space_time, u, spatial_data.c0)
+    w_s = contract_space(space_time, w, spatial_data.c0)
+    ct = time_data.c0
+    return IterateOnGrid(u_s, mode_apply(ct, u_s, 0), mode_apply(ct, w_s, 0))
 
 
 def kronecker_sparse(op):

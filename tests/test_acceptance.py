@@ -13,6 +13,7 @@ from monoiga import linalg, solver
 from monoiga.assembly import (
     KroneckerOperator,
     SpatialQuadratureData,
+    TimeQuadratureData,
     reaction_mass,
     spatial_operators,
     time_matrices,
@@ -42,6 +43,7 @@ from monoiga.stabilization import (
 from oracles import (
     dense_space_time_basis,
     dense_weighted_space_time_mass,
+    iterate_on_grid,
     weighted_mass_sparse,
 )
 
@@ -124,15 +126,17 @@ def test_criterion_5_preconditioner_exactness(elements):
     )
     geo = builtin_geometry("unit_cube", final_time=1.0)
     cm, diff, react = 1.0, 1e-3, A_RM * C1_RM
-    W_t, M_t = time_matrices(st, 1.0)
-    M_s, K_s = spatial_operators(st.spatial, geo)
+    sdata = SpatialQuadratureData(st.spatial, geo)
+    W_t, M_t = time_matrices(TimeQuadratureData(st, 1.0))
+    M_s, K_s = spatial_operators(sdata)
     op = KroneckerOperator(
         st.num_time,
         st.num_space,
         [(cm, W_t, M_s), (diff, M_t, K_s), (react, M_t, M_s)],
     )
-    sdata = SpatialQuadratureData(st.spatial, geo)
-    precond = FastDiagPreconditioner.build(st, 1.0, cm, diff, react, spatial_data=sdata)
+    precond = FastDiagPreconditioner.build(
+        cm, diff, react, sdata, (M_s, K_s), (W_t, M_t)
+    )
     rhs = RNG.standard_normal(st.num_dof)
     x, iters, _ = gmres(op, rhs, precond=precond, tol=1e-8)
     assert iters <= 3
@@ -154,7 +158,9 @@ def test_criterion_6_dense_oracle_equivalence():
     w = RNG.standard_normal(st.num_dof)
 
     # reaction mass against dense quadrature
-    MR = reaction_mass(st, geo, consts, u, w)
+    sdata = SpatialQuadratureData(st.spatial, geo)
+    tdata = TimeQuadratureData(st, geo.final_time)
+    MR = reaction_mass(consts, iterate_on_grid(st, u, w, sdata, tdata), sdata, tdata)
 
     def cr_weight(pts):
         B = dense_space_time_basis(st, pts, [0, 0], 0)
@@ -204,8 +210,8 @@ def test_criterion_6_dense_oracle_equivalence():
     assert np.max(np.abs(total - stab_ref)) / sscale < 1e-10
 
     # full operator matvec against a dense assembly
-    W_t, M_t = time_matrices(st, geo.final_time)
-    M_s, K_s = spatial_operators(st.spatial, geo)
+    W_t, M_t = time_matrices(tdata)
+    M_s, K_s = spatial_operators(sdata)
     op = KroneckerOperator(
         st.num_time,
         st.num_space,
@@ -225,8 +231,9 @@ def test_criterion_6_dense_oracle_equivalence():
     # preconditioner against a dense solve of its surrogate (the unit
     # square's separable factors are the exact mass and stiffness)
     react = A_RM * C1_RM
-    sdata = SpatialQuadratureData(st.spatial, geo)
-    P = FastDiagPreconditioner.build(st, geo.final_time, 1.0, 1e-3, react, spatial_data=sdata)
+    P = FastDiagPreconditioner.build(
+        1.0, 1e-3, react, sdata, (M_s, K_s), (W_t, M_t)
+    )
     surrogate = (
         np.kron((W_t + react * M_t).toarray(), M_s.toarray())
         + 1e-3 * np.kron(M_t.toarray(), K_s.toarray())

@@ -27,6 +27,7 @@ from oracles import (
     dense_space_time_basis,
     dense_univariate,
     dense_weighted_space_time_mass,
+    iterate_on_grid,
     kronecker_sparse,
     space_time_quadrature,
     weighted_mass_sparse,
@@ -34,6 +35,14 @@ from oracles import (
 from test_mapped_convergence import warped_square
 
 CONSTANTS = {"c1": 0.26, "a": 0.13, "c2": 0.1}
+
+
+def reaction_mass_of(st, geo, u, w, out=None):
+    """:func:`reaction_mass` of ``u`` and ``w`` on fresh default quadrature data."""
+    sdata = SpatialQuadratureData(st.spatial, geo)
+    tdata = TimeQuadratureData(st, geo.final_time)
+    on_grid = iterate_on_grid(st, u, w, sdata, tdata)
+    return reaction_mass(CONSTANTS, on_grid, sdata, tdata, out=out)
 
 
 def make_st(d=1, p=2, elements=2, elements_t=None):
@@ -102,7 +111,7 @@ class TestUnivariate:
 
     def test_time_matrices_against_dense_oracle(self):
         st = make_st(p=3, elements=2, elements_t=3)
-        W, M = time_matrices(st, final_time=2.5)
+        W, M = time_matrices(TimeQuadratureData(st, 2.5))
         W_ref = dense_univariate(st.time, 0, 1)[1:, 1:]
         M_ref = 2.5 * dense_univariate(st.time)[1:, 1:]
         assert np.max(np.abs(W.toarray() - W_ref)) < 1e-13
@@ -128,13 +137,13 @@ class TestUnivariate:
 
 def test_constrained_time_advection_rank_one():
     st = make_st(p=3, elements=4)
-    W, M = time_matrices(st, final_time=2.0)
+    W, M = time_matrices(TimeQuadratureData(st, 2.0))
     S = (W + W.T).toarray()
     expected = np.zeros_like(S)
     expected[-1, -1] = 1.0
     assert np.max(np.abs(S - expected)) < 1e-13
     # temporal mass scales with the final time
-    _, M1 = time_matrices(st, final_time=1.0)
+    _, M1 = time_matrices(TimeQuadratureData(st, 1.0))
     assert_allclose(M.toarray(), 2.0 * M1.toarray(), atol=1e-15)
 
 
@@ -142,7 +151,7 @@ class TestSpatialOperators:
     def test_constants_in_stiffness_kernel(self):
         geo = builtin_geometry("unit_square")
         spaces = [SplineSpace.uniform(2, 3)] * 2
-        _, K = spatial_operators(spaces, geo)
+        _, K = spatial_operators(SpatialQuadratureData(spaces, geo))
         ones = np.ones(K.shape[0])
         assert np.max(np.abs(K @ ones)) < 1e-12
 
@@ -154,7 +163,7 @@ class TestSpatialOperators:
             SplineSpace.uniform(3, 3),
             SplineSpace.uniform(2, 3),
         ]
-        M, K = spatial_operators(spaces, geo)
+        M, K = spatial_operators(SpatialQuadratureData(spaces, geo))
         mass = [L * dense_univariate(s) for L, s in zip(lengths, spaces)]
         stiff = [dense_univariate(s, 1, 1) / L for L, s in zip(lengths, spaces)]
         # Direction d is the slowest Kronecker factor.
@@ -170,15 +179,16 @@ class TestSpatialOperators:
 
     def test_affine_scaling_2d(self):
         spaces = [SplineSpace.uniform(2, 2)] * 2
-        M_ref, K_ref = spatial_operators(spaces, builtin_geometry("unit_square"))
-        M, K = spatial_operators(spaces, box_geometry([2.0, 2.0]))
+        unit = SpatialQuadratureData(spaces, builtin_geometry("unit_square"))
+        M_ref, K_ref = spatial_operators(unit)
+        M, K = spatial_operators(SpatialQuadratureData(spaces, box_geometry([2.0, 2.0])))
         assert np.max(np.abs((M - 4.0 * M_ref).toarray())) < 1e-12
         assert np.max(np.abs((K - K_ref).toarray())) < 1e-12
 
     def test_curved_geometry_mass_symmetric_positive(self):
         geo = builtin_geometry("ellipse_annulus")
         spaces = [SplineSpace.uniform(2, 8), SplineSpace.uniform(2, 2)]
-        M, K = spatial_operators(spaces, geo)
+        M, K = spatial_operators(SpatialQuadratureData(spaces, geo))
         Md = M.toarray()
         assert_allclose(Md, Md.T, atol=1e-14)
         assert np.all(np.linalg.eigvalsh(Md) > 0)
@@ -227,9 +237,9 @@ class TestReactionMass:
         st = make_st(d=2, p=2, elements=2)
         geo = builtin_geometry("unit_square", final_time=1.5)
         z = np.zeros(st.num_dof)
-        MR = reaction_mass(st, geo, CONSTANTS, z, z)
-        W_t, M_t = time_matrices(st, 1.5)
-        M_s, _ = spatial_operators(st.spatial, geo)
+        MR = reaction_mass_of(st, geo, z, z)
+        W_t, M_t = time_matrices(TimeQuadratureData(st, 1.5))
+        M_s, _ = spatial_operators(SpatialQuadratureData(st.spatial, geo))
         ref = CONSTANTS["a"] * CONSTANTS["c1"] * sp.kron(M_t, M_s)
         assert np.max(np.abs((weighted_mass_sparse(MR) - ref).toarray())) < 1e-12
 
@@ -240,7 +250,7 @@ class TestReactionMass:
         st = make_st(d=1, p=2, elements=3)
         geo = builtin_geometry("unit_interval")
         ones = np.ones(st.num_dof)
-        MR = reaction_mass(st, geo, CONSTANTS, ones, np.zeros(st.num_dof))
+        MR = reaction_mass_of(st, geo, ones, np.zeros(st.num_dof))
         p = st.time.degree
         ns = st.num_space
         dense = weighted_mass_sparse(MR).toarray()
@@ -253,7 +263,7 @@ class TestReactionMass:
         geo = builtin_geometry("unit_square", final_time=2.0)
         u = rng.standard_normal(st.num_dof)
         w = rng.standard_normal(st.num_dof)
-        MR = weighted_mass_sparse(reaction_mass(st, geo, CONSTANTS, u, w)).toarray()
+        MR = weighted_mass_sparse(reaction_mass_of(st, geo, u, w)).toarray()
 
         def weight(pts):
             B = dense_space_time_basis(st, pts, [0, 0], 0)
@@ -268,35 +278,31 @@ class TestReactionMass:
         scale = max(np.max(np.abs(ref)), 1.0)
         assert np.max(np.abs(MR - ref)) / scale < 1e-12
 
-    def test_dimension_mismatch(self):
-        st = make_st()
-        geo = builtin_geometry("unit_interval")
-        with pytest.raises(ValueError, match="length"):
-            reaction_mass(st, geo, CONSTANTS, np.zeros(3), np.zeros(st.num_dof))
-
 
 def random_reaction_operator(st, geo, seed=0):
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(st.num_dof)
     w = rng.standard_normal(st.num_dof)
-    return reaction_mass(st, geo, CONSTANTS, u, w)
+    return reaction_mass_of(st, geo, u, w)
 
 
 def stacked_trial_operator(MR, seed=0):
     """``[C_t; C_t]^T diag([W_1; W_2]) [C_t; C_t R]`` with a dense random ``R``.
 
     The form of the reaction part of the Newton derivative; ``W_1`` is the
-    weight grid of ``MR``.  Returns the operator, ``R`` and ``W_2``.
+    weight grid of ``MR``, and the operator is one term on a doubled
+    temporal grid.  Returns the operator, ``R`` and ``W_2``.
     """
     rng = np.random.default_rng(seed)
     ct = MR.time_colloc
     R = rng.standard_normal((ct.shape[1], ct.shape[1]))
-    W2 = rng.standard_normal(MR.data.shape) * np.abs(MR.data)
+    (W1,) = MR.data
+    W2 = rng.standard_normal(W1.shape) * np.abs(W1)
     op = WeightedMass(
         np.vstack([ct, ct]),
         MR.space_collocs,
-        np.concatenate([MR.data, W2]),
-        np.vstack([ct, ct @ R]),
+        np.concatenate([W1, W2])[None],
+        np.vstack([ct, ct @ R])[None],
     )
     return op, R, W2
 
@@ -307,11 +313,11 @@ def test_reaction_mass_writes_its_weights_into_out():
     rng = np.random.default_rng(14)
     u = rng.standard_normal(st.num_dof)
     w = rng.standard_normal(st.num_dof)
-    MR = reaction_mass(st, geo, CONSTANTS, u, w)
-    out = np.empty((2,) + MR.data.shape)
-    given = reaction_mass(st, geo, CONSTANTS, u, w, out=out[1])
+    MR = reaction_mass_of(st, geo, u, w)
+    out = np.empty((2,) + MR.data.shape[1:])
+    given = reaction_mass_of(st, geo, u, w, out=out[1])
     assert np.shares_memory(given.data, out)
-    assert np.array_equal(out[1], MR.data)
+    assert np.array_equal(out[1], MR.data[0])
 
 
 class TestWeightedMass:
@@ -355,7 +361,9 @@ class TestWeightedMass:
         MR = random_reaction_operator(st, builtin_geometry("ellipse_annulus"), seed=5)
         op, R, W2 = stacked_trial_operator(MR, seed=6)
         second = weighted_mass_sparse(
-            WeightedMass(MR.time_colloc, MR.space_collocs, W2)
+            WeightedMass(
+                MR.time_colloc, MR.space_collocs, W2[None], MR.time_colloc[None]
+            )
         )
         ref = weighted_mass_sparse(MR) + second @ sp.kron(R, sp.eye(st.num_space))
         S = weighted_mass_sparse(op)
@@ -363,7 +371,9 @@ class TestWeightedMass:
 
     def test_rejects_mismatched_weight_grid(self):
         with pytest.raises(ValueError, match="weight grid"):
-            WeightedMass(np.ones((4, 2)), [np.ones((3, 2))], np.ones((4, 4)))
+            WeightedMass(
+                np.ones((4, 2)), [np.ones((3, 2))], np.ones((1, 4, 4)), np.ones((1, 4, 2))
+            )
         with pytest.raises(ValueError, match="one trial factor"):
             WeightedMass(
                 np.ones((4, 2)), [np.ones((3, 2))], np.ones((2, 4, 3)), np.ones((3, 4, 2))
@@ -380,7 +390,7 @@ class TestWeightedMass:
         stacked, R, W2 = stacked_trial_operator(MR, seed=9)
         ct = MR.time_colloc
         op = WeightedMass(
-            ct, MR.space_collocs, np.stack([MR.data, W2]), np.stack([ct, ct @ R])
+            ct, MR.space_collocs, np.stack([MR.data[0], W2]), np.stack([ct, ct @ R])
         )
         assert op.nnz == 2 * MR.data.size
         x = np.random.default_rng(10).standard_normal(st.num_dof)
@@ -395,8 +405,8 @@ class TestWeightedMass:
         st = make_st(d=2, p=2, elements=2)
         geo = builtin_geometry("ellipse_annulus", final_time=2.0)
         MR = random_reaction_operator(st, geo, seed=4)
-        W_t, M_t = time_matrices(st, 2.0)
-        M_s, K_s = spatial_operators(st.spatial, geo)
+        W_t, M_t = time_matrices(TimeQuadratureData(st, 2.0))
+        M_s, K_s = spatial_operators(SpatialQuadratureData(st.spatial, geo))
         op = KroneckerOperator(
             st.num_time, st.num_space, [(1.0, W_t, M_s), (1e-3, M_t, K_s)], MR
         )
@@ -415,11 +425,10 @@ class TestWeightedMass:
         rng = np.random.default_rng(6)
         u = rng.standard_normal(st.num_dof)
         w = rng.standard_normal(st.num_dof)
+        on_grid = iterate_on_grid(st, u, w, sdata, tdata)
         tracemalloc.start()
         try:
-            MR = reaction_mass(
-                st, geo, CONSTANTS, u, w, spatial_data=sdata, time_data=tdata
-            )
+            MR = reaction_mass(CONSTANTS, on_grid, sdata, tdata)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -536,14 +545,17 @@ class TestRhsVectors:
     def test_zero_source_and_zero_state(self):
         st = make_st(d=1, p=2, elements=3)
         geo = builtin_geometry("unit_interval")
-        f = rhs_vectors(st, geo, None)
+        sdata = SpatialQuadratureData(st.spatial, geo)
+        f = rhs_vectors(None, sdata, TimeQuadratureData(st, geo.final_time))
         assert f.shape == (st.num_dof,)
         assert np.all(f == 0.0)
 
     def test_unit_source_entries_are_basis_integrals(self):
         st = make_st(d=2, p=2, elements=2)
         geo = builtin_geometry("unit_square", final_time=3.0)
-        f = rhs_vectors(st, geo, lambda x, t: np.ones(t.shape))
+        sdata = SpatialQuadratureData(st.spatial, geo)
+        tdata = TimeQuadratureData(st, geo.final_time)
+        f = rhs_vectors(lambda x, t: np.ones(t.shape), sdata, tdata)
         pts, w = space_time_quadrature(st, npoints=4)
         B = dense_space_time_basis(st, pts, [0, 0], 0)
         ref = (w * 3.0) @ B
@@ -560,7 +572,7 @@ class TestRhsVectors:
             calls.append(t[0])
             return x[:, 0] * x[:, 1] + t
 
-        f = rhs_vectors(st, geo, source, spatial_data=sdata, time_data=tdata)
+        f = rhs_vectors(source, sdata, tdata)
         # One call per temporal element, with all its Gauss times.
         assert len(calls) == tdata.rule.num_cells
         grid = sdata.sample(source, tdata)
@@ -569,7 +581,7 @@ class TestRhsVectors:
         t = (tdata.points * geo.final_time).reshape(-1, 1, 1)
         assert np.array_equal(grid, x[..., 0] * x[..., 1] + t)
         assert np.array_equal(
-            f, rhs_vectors(st, geo, source, spatial_data=sdata, time_data=tdata)
+            f, rhs_vectors(source, sdata, tdata)
         )
         # Another callable or another temporal rule is sampled afresh.
         doubled = sdata.sample(lambda x, t: 2.0 * t, tdata)
@@ -616,8 +628,8 @@ class TestKroneckerOperator:
         # vector reproduces the univariate time discretization blocks.
         st = make_st(d=1, p=2, elements=3)
         geo = builtin_geometry("unit_interval")
-        W_t, M_t = time_matrices(st, 1.0)
-        M_s, K_s = spatial_operators(st.spatial, geo)
+        W_t, M_t = time_matrices(TimeQuadratureData(st, 1.0))
+        M_s, K_s = spatial_operators(SpatialQuadratureData(st.spatial, geo))
         cm, diff, react = 1.0, 1e-4, 0.26 * 0.13
         op = KroneckerOperator(
             st.num_time,
@@ -637,8 +649,8 @@ class TestKroneckerOperator:
         st = make_st(d=2, p=2, elements=3)
         geo = builtin_geometry("ellipse_annulus", final_time=2.0)
         MR = random_reaction_operator(st, geo, seed=6)
-        W_t, M_t = time_matrices(st, 2.0)
-        M_s, K_s = spatial_operators(st.spatial, geo)
+        W_t, M_t = time_matrices(TimeQuadratureData(st, 2.0))
+        M_s, K_s = spatial_operators(SpatialQuadratureData(st.spatial, geo))
         nt, ns = st.num_time, st.num_space
         rng = np.random.default_rng(12)
         dense_t = rng.standard_normal((nt, nt))
@@ -658,8 +670,8 @@ class TestKroneckerOperator:
         # the sum of all terms; the base keeps its own terms and stacks.
         st = make_st(d=2, p=2, elements=3)
         geo = builtin_geometry("ellipse_annulus", final_time=2.0)
-        W_t, M_t = time_matrices(st, 2.0)
-        M_s, K_s = spatial_operators(st.spatial, geo)
+        W_t, M_t = time_matrices(TimeQuadratureData(st, 2.0))
+        M_s, K_s = spatial_operators(SpatialQuadratureData(st.spatial, geo))
         nt, ns = st.num_time, st.num_space
         rng = np.random.default_rng(13)
         base_terms = [(1.0, W_t, M_s), (1e-3, M_t, K_s)]

@@ -114,6 +114,16 @@ def test_truncated_geometry_file_exits_2(tmp_path, capsys):
     assert "has 2 lines, expected at least 5" in err
 
 
+def test_negative_geometry_dimension_exits_2(tmp_path, capsys):
+    path = tmp_path / "negative.geo"
+    save_geometry(builtin_geometry("unit_interval"), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(["-1"] + lines[1:]) + "\n")
+    cfg = write_quick_config(tmp_path, overrides=[("experiment", "geometry", path)])
+    err = assert_config_error(tmp_path, capsys, cfg)
+    assert "dimension must be positive, got -1" in err
+
+
 def test_collapsed_control_net_exits_2(tmp_path, capsys):
     # every control point at one place: the Jacobian vanishes everywhere
     geo = builtin_geometry("unit_interval")

@@ -236,14 +236,37 @@ def test_geometry_file_round_trip(tmp_path):
     assert_allclose(loaded.evaluate(pts), geo.evaluate(pts), atol=1e-14)
 
 
+def _edit(index, text, message):
+    """A case with line ``index`` replaced by ``text`` (appended past the end)."""
+    return pytest.param((index, text), message, id="line%d=%s" % (index, text))
+
+
 @pytest.mark.parametrize(
     "keep,message",
-    [(2, "has 2 lines, expected at least 5"), (-1, "has 3 control rows, expected 4")],
+    [
+        (2, "has 2 lines, expected at least 5"),
+        (-1, "has 3 control rows, expected 4"),
+        _edit(9, "1 1", "has 5 control rows, expected 4"),
+        _edit(0, "-1", "dimension must be positive, got -1"),
+        _edit(0, "0", "dimension must be positive, got 0"),
+        _edit(0, "2 2", "dimension line has 2 entries, expected 1"),
+        _edit(1, "1", "degree line has 1 entries, expected 2"),
+        _edit(1, "1 x", "degree line: invalid literal"),
+        _edit(2, "99 4", "knot line has 4 entries, expected 99"),
+        _edit(3, "1 1 0 0", "direction 1: knots must be nondecreasing"),
+        _edit(8, "1 1 7", "control point line has 3 entries, expected 2"),
+    ],
 )
 def test_truncated_geometry_file_raises(tmp_path, keep, message):
+    # ``keep`` lines are kept, or one line is edited.
     path = tmp_path / "square.txt"
     save_geometry(builtin_geometry("unit_square"), path)
-    lines = path.read_text().splitlines()[:keep]
+    lines = path.read_text().splitlines()
+    if isinstance(keep, tuple):
+        index, text = keep
+        lines[index : index + 1] = [text]
+    else:
+        lines = lines[:keep]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(GeometryError, match=message):
         load_geometry(path)

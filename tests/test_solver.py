@@ -39,10 +39,10 @@ from monoiga.solver import (
 from monoiga.stabilization import (
     ResidualIndicator,
     assemble_stabilization,
-    compute_theta,
     lowrank_factorize,
 )
-from oracles import field_derivatives, kronecker_sparse
+from oracles import field_derivatives, iterate_on_grid, kronecker_sparse
+from test_stabilization import theta_of
 
 RNG = np.random.default_rng(123)
 
@@ -102,12 +102,13 @@ class TestFixedPoint:
         assert len(res.gmres_iterations) == res.iterations
         st = problem.space
         geo = problem.geometry
-        W_t, M_t = time_matrices(st, problem.final_time)
-        M_s, K_s = spatial_operators(st.spatial, geo)
-        MR = reaction_mass(
-            st, geo, problem.reaction_constants(), res.u, res.w
-        )
-        f_vec = rhs_vectors(st, geo, problem.source)
+        sd = SpatialQuadratureData(st.spatial, geo)
+        td = TimeQuadratureData(st, problem.final_time)
+        W_t, M_t = time_matrices(td)
+        M_s, K_s = spatial_operators(sd)
+        on_grid = iterate_on_grid(st, res.u, res.w, sd, td)
+        MR = reaction_mass(problem.reaction_constants(), on_grid, sd, td)
+        f_vec = rhs_vectors(problem.source, sd, td)
         g_vec = problem.b * (sp.kron(M_t, M_s) @ res.u)
         op = KroneckerOperator(
             st.num_time,
@@ -144,7 +145,9 @@ class TestFixedPoint:
             assert "residual %.3e" % record.residual in record.getMessage()
         # The first residual is F(0) = -f, solved to linear_tol; later
         # forcing terms follow Eisenstat-Walker choice 2 on the residuals.
-        f_vec = rhs_vectors(problem.space, problem.geometry, problem.source)
+        sd = SpatialQuadratureData(problem.space.spatial, problem.geometry)
+        td = TimeQuadratureData(problem.space, problem.final_time)
+        f_vec = rhs_vectors(problem.source, sd, td)
         assert records[0].residual == pytest.approx(np.linalg.norm(f_vec), rel=1e-12)
         assert records[0].forcing == config.linear_tol
         for prev, rec in zip(records[:-1], records[1:]):
@@ -169,9 +172,9 @@ class TestFixedPoint:
         op = ws.system()[0]
 
         def residual(v):
-            return ws.linearize(problem, v, ws.recover(v), op)[0]
+            return ws.linearize(problem, v, op, ws.evaluate(v))[0]
 
-        jd = ws.linearize(problem, u, ws.recover(u), op)[1].matvec(delta)
+        jd = ws.linearize(problem, u, op, ws.evaluate(u))[1].matvec(delta)
         h = 1e-5
         fd = (residual(u + h * delta) - residual(u - h * delta)) / (2 * h)
         assert np.linalg.norm(jd - fd) <= 1e-6 * np.linalg.norm(jd)
@@ -191,8 +194,8 @@ class TestFixedPoint:
         first = err.value.result
         sd = SpatialQuadratureData(st.spatial, geo)
         td = TimeQuadratureData(st, problem.final_time)
-        W_t, M_t = time_matrices(st, problem.final_time, time_data=td)
-        M_s, K_s = spatial_operators(st.spatial, geo, spatial_data=sd)
+        W_t, M_t = time_matrices(td)
+        M_s, K_s = spatial_operators(sd)
         op = KroneckerOperator(
             st.num_time,
             st.num_space,
@@ -202,14 +205,14 @@ class TestFixedPoint:
             ],
         )
         precond = FastDiagPreconditioner.build(
-            st,
-            problem.final_time,
             problem.C_m,
             problem.D,
             problem.a * problem.c1,
-            spatial_data=sd,
+            sd,
+            (M_s, K_s),
+            (W_t, M_t),
         )
-        f_vec = rhs_vectors(st, geo, problem.source, spatial_data=sd, time_data=td)
+        f_vec = rhs_vectors(problem.source, sd, td)
         x, nit, _ = gmres(op, f_vec, precond=precond, tol=1e-8)
         assert first.gmres_iterations == [nit]
         assert np.array_equal(first.u, x)
@@ -387,7 +390,7 @@ class TestFixedPoint:
             indicator_update="frozen",
         )
         result = fixed_point_solve(problem, frozen)
-        theta = compute_theta(problem, result.u, result.w)
+        theta = theta_of(problem, result.u, result.w)
         assert theta.max < 0.1
         # The stabilized sweeps start from the Galerkin pre-solve's iterate;
         # from the zero iterate they take 6.
@@ -648,7 +651,7 @@ class TestFixedPoint:
         out = []
         for budget in (1, 2**40):
             monkeypatch.setattr(tensorops, "SLAB_POINTS", budget)
-            residual, jac = ws.linearize(problem, u, ws.recover(u), op)
+            residual, jac = ws.linearize(problem, u, op, ws.evaluate(u))
             out.append((residual, jac.matvec(delta)))
         assert len(ws.time_data.slabs(ws.spatial_data.measure.size)) == 1
         for slabbed, single in zip(*out):
@@ -746,52 +749,38 @@ class TestFixedPoint:
             else:
                 assert 0.0 < step["gmres_residual"] < 1.0
 
-    def test_indicator_on_solver_data_equals_standalone(self):
-        from monoiga.experiments import make_source
-        from monoiga.solver import _Workspace
-
-        T = 40.0
-        constants = {"C_m": 1.0, "D": 1e-4, "c1": 0.26, "a": 0.13}
-        geo = builtin_geometry("ellipse_annulus", final_time=T)
-        spatial = [SplineSpace.uniform(2, 8), SplineSpace.uniform(2, 2)]
-        st = SpaceTimeSpace(spatial, SplineSpace.uniform(2, 4))
-        source = make_source("gaussian_pulse_2d", T, constants)
-        problem = MonodomainProblem(geometry=geo, space=st, source=source)
-        ws = _Workspace(problem, FixedPointConfig(stabilization="spline_upwind"))
+    def test_evaluate_matches_separate_contractions(self):
+        # The solver's one evaluation per step reads w = R u from the same
+        # temporal contraction as u ([C_t; C_t R_t]); contracting each field
+        # on its own gives the same grids, on the annulus and on the cube.
         rng = np.random.default_rng(7)
-        # A smooth ramp in time plus a small perturbation keeps most
-        # entries below the clamp.
-        ramp = np.outer(st.time_greville(), np.ones(st.num_space)).reshape(-1)
-        u = ramp + 1e-3 * rng.standard_normal(st.num_dof)
-        w = 1e-2 * rng.standard_normal(st.num_dof)
-        shared = compute_theta(problem, u, w, ws.spatial_data, ws.time_data).values
-        alone = compute_theta(problem, u, w).values
-        assert np.mean(alone < 1.0) > 0.5
-        assert np.max(np.abs(shared - alone)) <= 1e-14 * np.max(np.abs(alone))
-
-        # The solver's one evaluation per step, which reads w = R u from the
-        # same temporal contraction as u ([C_t; C_t R_t]), on the annulus
-        # and on the cube.
-        cube = [SplineSpace.uniform(2, 3)] * 3
-        for geometry, spatial, source_name in [
-            ("ellipse_annulus", spatial, "gaussian_pulse_2d"),
-            ("unit_cube", cube, "layer_pulse_3d"),
+        for geometry, spatial in [
+            ("ellipse_annulus", [SplineSpace.uniform(2, 8), SplineSpace.uniform(2, 2)]),
+            ("unit_cube", [SplineSpace.uniform(2, 3)] * 3),
         ]:
-            geo = builtin_geometry(geometry, final_time=T)
+            geo = builtin_geometry(geometry, final_time=40.0)
             st = SpaceTimeSpace(spatial, SplineSpace.uniform(2, 4))
-            source = make_source(source_name, T, constants)
-            problem = MonodomainProblem(geometry=geo, space=st, source=source)
-            ws = _Workspace(problem, FixedPointConfig(stabilization="spline_upwind"))
-            ramp = np.outer(st.time_greville(), np.ones(st.num_space)).reshape(-1)
-            u = ramp + 1e-3 * rng.standard_normal(st.num_dof)
+            problem = MonodomainProblem(geometry=geo, space=st)
+            ws = _Workspace(problem, FixedPointConfig())
+            u = rng.standard_normal(st.num_dof)
             w = ws.recover(u)
             assert np.any(w)
-            shared = compute_theta(
-                problem, u, w, ws.spatial_data, ws.time_data, ws.evaluate(u)
-            ).values
-            alone = compute_theta(problem, u, w).values
-            assert np.mean(alone < 1.0) > 0.5
-            assert np.max(np.abs(shared - alone)) <= 1e-14 * np.max(np.abs(alone))
+            ref = iterate_on_grid(st, u, w, ws.spatial_data, ws.time_data)
+            for got, want in zip(ws.evaluate(u), ref):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_evaluate_without_recovery_allocates_no_w_grid(self):
+        # With b = 0 the recovery field is zero, and evaluate returns it as a
+        # zero-stride view instead of a grid of zeros.
+        problem = make_problem(d=3, p=2, elements=3, b=0.0)
+        ws = _Workspace(problem, FixedPointConfig())
+        u = np.random.default_rng(3).standard_normal(problem.space.num_dof)
+        on_grid = ws.evaluate(u)
+        assert on_grid.w.shape == on_grid.u.shape
+        assert not on_grid.w.flags.owndata
+        assert set(on_grid.w.strides) == {0}
+        assert not np.any(on_grid.w)
 
 
 class TestEvaluateField:

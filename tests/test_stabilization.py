@@ -13,13 +13,12 @@ from monoiga.assembly import (
     QuadratureRule,
     SpatialQuadratureData,
     TimeQuadratureData,
-    iterate_on_grid,
     spatial_operators,
 )
 from monoiga import linalg, tensorops
 from monoiga.bspline import SplineSpace, SpaceTimeSpace
 from monoiga.geometry import builtin_geometry
-from monoiga.linalg import FastDiagPreconditioner, gmres
+from monoiga.linalg import gmres
 from monoiga.solver import FixedPointConfig, MonodomainProblem, _Workspace
 from monoiga.stabilization import (
     ResidualIndicator,
@@ -35,9 +34,11 @@ from oracles import (
     dense_univariate,
     dense_weighted_space_time_mass,
     field_derivatives,
+    iterate_on_grid,
     strong_residual,
     support_extension,
 )
+from test_linalg import build_precond
 
 RNG = np.random.default_rng(2024)
 
@@ -49,6 +50,15 @@ def make_problem(d=1, p=2, elements=4, final_time=1.0, source=None, **kw):
     names = {1: "unit_interval", 2: "unit_square", 3: "unit_cube"}
     geo = builtin_geometry(names[d], final_time=final_time)
     return MonodomainProblem(geometry=geo, space=st, source=source, **kw)
+
+
+def theta_of(problem, u, w):
+    """:func:`compute_theta` of ``u`` and ``w`` on fresh default quadrature data."""
+    st = problem.space
+    sdata = SpatialQuadratureData(st.spatial, problem.geometry)
+    tdata = TimeQuadratureData(st, problem.final_time)
+    on_grid = iterate_on_grid(st, u, w, sdata, tdata)
+    return compute_theta(problem, u, on_grid, sdata, tdata)
 
 
 def indicator_of(st, values):
@@ -187,7 +197,7 @@ class TestResidualIndicator:
     def test_zero_state_zero_source(self):
         problem = make_problem(d=1, p=2, elements=4)
         z = np.zeros(problem.space.num_dof)
-        theta = compute_theta(problem, z, z)
+        theta = theta_of(problem, z, z)
         assert np.all(theta.values == 0.0)
         assert theta.values.shape == (
             problem.space.num_time,
@@ -200,7 +210,7 @@ class TestResidualIndicator:
         )
         st = problem.space
         u = 1e-3 * RNG.standard_normal(st.num_dof)
-        theta = compute_theta(problem, u, np.zeros(st.num_dof))
+        theta = theta_of(problem, u, np.zeros(st.num_dof))
         assert np.all(theta.values == 1.0)
 
     def test_zero_denominator_activates_and_is_recorded(self):
@@ -211,10 +221,10 @@ class TestResidualIndicator:
             source=lambda x, t: np.where(t < 0.1, 1.0, 0.0),
         )
         z = np.zeros(problem.space.num_dof)
-        theta = compute_theta(problem, z, z)
+        theta = theta_of(problem, z, z)
         assert theta.denominator_vanished
         u = 1e-3 * RNG.standard_normal(problem.space.num_dof)
-        assert not compute_theta(problem, u, z).denominator_vanished
+        assert not theta_of(problem, u, z).denominator_vanished
         assert set(np.unique(theta.values)) <= {0.0, 1.0}
         assert theta.values.max() == 1.0
         assert theta.values.min() == 0.0
@@ -230,10 +240,10 @@ class TestResidualIndicator:
         st = base.space
         u = 1e-3 * RNG.standard_normal(st.num_dof)
         w = 1e-3 * RNG.standard_normal(st.num_dof)
-        theta1 = compute_theta(base, u, w)
+        theta1 = theta_of(base, u, w)
         assert np.all(theta1.values >= 0.0) and np.all(theta1.values <= 1.0)
         scaled = make_problem(source=src(10.0), **st_kw)
-        theta10 = compute_theta(scaled, u, w)
+        theta10 = theta_of(scaled, u, w)
         assert np.all(theta10.values >= theta1.values - 1e-14)
 
     @pytest.mark.parametrize(
@@ -253,7 +263,7 @@ class TestResidualIndicator:
         rng = np.random.default_rng(8)
         u = 0.1 * rng.standard_normal(st.num_dof)
         w = 0.1 * rng.standard_normal(st.num_dof)
-        theta = compute_theta(problem, u, w)
+        theta = theta_of(problem, u, w)
 
         rules = [QuadratureRule.for_space(s) for s in spatial + [st.time]]
         mesh = np.meshgrid(*[r.points for r in rules], indexing="ij")
@@ -285,7 +295,7 @@ class TestResidualIndicator:
 
     def test_peak_memory_is_a_few_space_time_grids(self):
         # The Laplacian table is built once per grid, so an indicator call
-        # holds the iterate's fields and one derivative at a time.
+        # on a single slab holds one derivative at a time.
         problem = make_problem(
             d=3, p=2, elements=6, source=lambda x, t: np.exp(-t) * x[:, 0]
         )
@@ -295,10 +305,11 @@ class TestResidualIndicator:
         rng = np.random.default_rng(6)
         u = rng.standard_normal(st.num_dof)
         w = rng.standard_normal(st.num_dof)
-        compute_theta(problem, u, w, sdata, tdata)
+        on_grid = iterate_on_grid(st, u, w, sdata, tdata)
+        compute_theta(problem, u, on_grid, sdata, tdata)
         tracemalloc.start()
         try:
-            compute_theta(problem, u, w, sdata, tdata)
+            compute_theta(problem, u, on_grid, sdata, tdata)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -324,11 +335,11 @@ class TestResidualIndicator:
         rng = np.random.default_rng(6)
         u = rng.standard_normal(st.num_dof)
         w = rng.standard_normal(st.num_dof)
-        on_grid = iterate_on_grid(st, u, w, tdata.c0, sdata.c0)
-        compute_theta(problem, u, w, sdata, tdata, on_grid)
+        on_grid = iterate_on_grid(st, u, w, sdata, tdata)
+        compute_theta(problem, u, on_grid, sdata, tdata)
         tracemalloc.start()
         try:
-            compute_theta(problem, u, w, sdata, tdata, on_grid)
+            compute_theta(problem, u, on_grid, sdata, tdata)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -354,10 +365,11 @@ class TestResidualIndicator:
         rng = np.random.default_rng(9)
         u = 0.1 * rng.standard_normal(st.num_dof)
         w = 0.1 * rng.standard_normal(st.num_dof)
+        on_grid = iterate_on_grid(st, u, w, sdata, tdata)
         values = []
         for budget in (1, 2 * tdata.rule.npoints * sdata.measure.size, 2**40):
             monkeypatch.setattr(tensorops, "SLAB_POINTS", budget)
-            values.append(compute_theta(problem, u, w, sdata, tdata).values)
+            values.append(compute_theta(problem, u, on_grid, sdata, tdata).values)
         assert len(tdata.slabs(sdata.measure.size)) == 1
         assert np.any((values[-1] > 0.01) & (values[-1] < 0.99))
         for slabbed in values[:-1]:
@@ -450,7 +462,7 @@ class TestAssembleStabilization:
         Ktau = dense_univariate(
             st.time, 1, 1, weight=lambda x: tau.evaluate(1, x), npoints=3, cells=rule.cells
         )[1:, 1:]
-        M_s, _ = spatial_operators(st.spatial, geo)
+        M_s, _ = spatial_operators(SpatialQuadratureData(st.spatial, geo))
         ref = np.kron(Ktau, M_s.toarray())
         assert np.max(np.abs(total - ref)) < 1e-12
 
@@ -506,7 +518,7 @@ class TestAssembleStabilization:
         theta = indicator_of(st, RNG.random((st.num_time, st.num_space)))
         lr = lowrank_factorize(theta, 0.2)
         terms = stabilizer_terms(lr, tau, st, geo)
-        M_s, _ = spatial_operators(st.spatial, geo)
+        M_s, _ = spatial_operators(SpatialQuadratureData(st.spatial, geo))
         Md = M_s.toarray()
         assert len(terms) == lr.rank
         for _, tm, sm in terms:
@@ -578,7 +590,7 @@ class TestStabilizerDiagonals:
         geo = builtin_geometry(geometry, final_time=2.0)
         grid = StabilizationGrid(compute_tau(st.time), st, geo)
         sdata = SpatialQuadratureData(st.spatial, geo)
-        P = FastDiagPreconditioner.build(st, 2.0, 1.0, 1e-3, 0.03, spatial_data=sdata)
+        P = build_precond(st, sdata, 2.0, 1.0, 1e-3, 0.03)
         values = np.random.default_rng(8).random((st.num_time, st.num_space))
         lr = lowrank_factorize(indicator_of(st, values), 0.05)
         assert lr.rank >= 2
@@ -605,7 +617,7 @@ class TestStabilizerDiagonals:
         geo = builtin_geometry("ellipse_annulus", final_time=2.0)
         grid = StabilizationGrid(compute_tau(st.time), st, geo)
         sdata = SpatialQuadratureData(st.spatial, geo)
-        P = FastDiagPreconditioner.build(st, 2.0, 1.0, 1e-3, 0.03, spatial_data=sdata)
+        P = build_precond(st, sdata, 2.0, 1.0, 1e-3, 0.03)
         assert len(P.eigenvectors) == factors
         U = np.ones((1, 1))
         for U_l in P.eigenvectors:
