@@ -8,14 +8,17 @@ is a list of factors, each over a group of spatial directions: one factor
 per direction where separable weights reproduce the pulled-back measure and
 metric (boxes, 1D) or the spatial space is large, and one exact factor over
 every direction on a small mapped patch.
+
+The dense factorizations run on numpy's LAPACK.  The library uses SciPy for
+its sparse matrices only, and ``assembly`` is the one module that knows
+their format: sparse operands reach this module through ``@`` and
+``assembly._dense``.
 """
 
 import functools
 import math
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .assembly import _dense, banded_gram
 from .tensorops import kron_apply, marginal_mean, outer_product_grid
@@ -33,16 +36,17 @@ __all__ = [
 # Largest number of spatial functions at which a patch whose separable
 # weights are inexact gets one dense generalized eigendecomposition of the
 # true ``(K_s, M_s)``.  The exact factor saves about two thirds of the GMRES
-# iterations but costs an O(N_s^3) ``eigh`` per solve, an N_s x N_s
+# iterations but costs an O(N_s^3) decomposition per solve, an N_s x N_s
 # transform each way per application and a sparse ``S @ U`` per rank per
 # indicator; the separable factors cost none of these.  Stabilized annulus
-# solves (p = 3, 4:1 elements, one thread of a 2-vCPU Xeon) favour the exact
-# factor on every run up to N_s = 1,003 (by 5-9 % with 14 temporal
-# functions, 27 % with 26).  With 14 temporal functions the two break even
-# near 1,270 and the exact factor is 12-42 % slower at 1,575-1,909; with 26
-# it still wins at 1,575.  The limit sits just below 1,003, the largest size
-# that won on both.
-EXACT_SPACE_LIMIT = 1000
+# solves (p = 3, 4:1 elements, one solve per process on one thread of a
+# 2-vCPU Xeon, median of five, exact / separable seconds): with 14 temporal
+# functions 0.77 / 0.86 at N_s = 559, 1.22 / 1.21 at 765 and 2.00 / 1.66 at
+# 1,003; with 26, 1.31 / 1.70, 2.14 / 2.59 and 3.06 / 3.93.  The
+# decomposition takes 0.23 s of the exact solve at 765 and 0.49 s at 1,003.
+# The limit sits just above 765, where the two break even with 14 temporal
+# functions and the exact factor still wins with 26.
+EXACT_SPACE_LIMIT = 800
 
 # Relative miss of the separable weights that counts as rounding.
 SEPARABLE_RTOL = 1e-12
@@ -68,7 +72,7 @@ class NonConvergenceError(RuntimeError):
 def _as_matvec(op):
     if hasattr(op, "matvec"):
         return op.matvec
-    if sp.issparse(op) or isinstance(op, np.ndarray):
+    if hasattr(op, "__matmul__"):
         return lambda x: np.asarray(op @ x).reshape(-1)
     if callable(op):
         return op
@@ -80,7 +84,7 @@ def _as_psolve(precond):
         return lambda x: x
     if hasattr(precond, "apply"):
         return precond.apply
-    if sp.issparse(precond) or isinstance(precond, np.ndarray):
+    if hasattr(precond, "__matmul__"):
         return lambda x: np.asarray(precond @ x).reshape(-1)
     if callable(precond):
         return precond
@@ -91,15 +95,19 @@ def generalized_eig(K, M):
     """M-orthonormal generalized eigendecomposition of the pencil ``(K, M)``.
 
     Returns ``(U, lam)`` with ``K U = M U diag(lam)``, ``U^T M U = I`` and
-    eigenvalues ascending.  ``M`` must be symmetric positive definite.
+    eigenvalues ascending.  ``M`` must be symmetric positive definite.  The
+    pencil is reduced to standard form by the inverse Cholesky factor,
+    ``L^{-1} K L^{-T} V = V diag(lam)`` with ``M = L L^T``, and
+    ``U = L^{-T} V``.
     """
     try:
-        lam, U = sla.eigh(K.toarray(), M.toarray())
-    except sla.LinAlgError as exc:
+        Li = np.linalg.inv(np.linalg.cholesky(_dense(M)))
+        lam, V = np.linalg.eigh(Li @ _dense(K) @ Li.T)
+    except np.linalg.LinAlgError as exc:
         raise DecompositionError(
             "generalized eigendecomposition failed: %s" % exc
         ) from exc
-    return U, lam
+    return Li.T @ V, lam
 
 
 class FastDiagPreconditioner:
@@ -362,7 +370,9 @@ def gmres(op, rhs, precond=None, tol=1e-8, max_iter=None, atol=0.0):
     R = np.zeros((k_done, k_done))
     for j, col in enumerate(cols):
         R[: j + 1, j] = col
-    y = sla.solve_triangular(R, np.array(gvec[:k_done]))
+    # ``R`` is upper triangular, so the LU factor inside ``solve`` is ``R``
+    # itself and the solve is one back substitution.
+    y = np.linalg.solve(R, np.array(gvec[:k_done]))
     return y @ V[:k_done], k_done, history
 
 
@@ -417,14 +427,14 @@ def solve_w_system(W_t, M_t, recovery_rate, equilibrium_rate, u):
     the time axis of ``U = u.reshape(N_t, N_s)``.  Raises
     :class:`DecompositionError` when ``K_t`` is singular.
     """
-    Kt = (W_t + recovery_rate * equilibrium_rate * M_t).toarray()
-    Mt = M_t.toarray()
+    Kt = _dense(W_t + recovery_rate * equilibrium_rate * M_t)
+    Mt = _dense(M_t)
     nt = Kt.shape[0]
     u = np.asarray(u, dtype=float).reshape(-1)
     if u.size % nt:
         raise ValueError("potential length incompatible with the temporal factors")
     try:
-        Ht = sla.solve(Kt, Mt)
-    except sla.LinAlgError as exc:
+        Ht = np.linalg.solve(Kt, Mt)
+    except np.linalg.LinAlgError as exc:
         raise DecompositionError("temporal recovery matrix is singular: %s" % exc) from exc
     return recovery_rate * (Ht @ u.reshape(nt, -1)).reshape(-1)

@@ -483,19 +483,49 @@ def test_theta_column_matches_multilinear_oracle(tmp_path):
         assert np.max(np.abs(theta - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def test_import_loads_no_scipy_interpolate():
+# A small stabilized solve on the annulus runs every dense factorization the
+# library has (the exact spatial eigenbasis, GMRES's triangular solve and the
+# recovery solve), so a lazy import inside any of them shows too.
+IMPORT_FOOTPRINT_SCRIPT = """
+import sys
+prefix = sys.argv[1]
+def loaded():
+    return [m for m in sys.modules if m == prefix or m.startswith(prefix + ".")]
+import monoiga
+from monoiga import experiments, solver
+print(loaded())
+cfg = experiments.ExperimentConfig(
+    geometry="ellipse_annulus", degree=2, h_space=[0.25, 0.5], h_time=0.25,
+    final_time=120.0, source="gaussian_pulse_2d",
+)
+geo = experiments.build_geometry(cfg.geometry, final_time=cfg.final_time)
+space = experiments.build_space(geo, cfg.degree, cfg.h_space, cfg.h_time)
+source = experiments.make_source(
+    cfg.source, cfg.final_time, cfg.constants, cfg.source_params
+)
+problem = solver.MonodomainProblem(
+    geometry=geo, space=space, source=source, **cfg.constants
+)
+result = solver.fixed_point_solve(problem, cfg.solver_config())
+assert result.converged and max(s["rank"] for s in result.steps) > 0
+print(loaded())
+"""
+
+
+@pytest.mark.parametrize("module", ["scipy.interpolate", "scipy.linalg"])
+def test_import_and_solve_load_no_module(module):
     import monoiga
 
     src = os.path.dirname(os.path.dirname(monoiga.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = (
-        "import sys, monoiga; "
-        "print([m for m in sys.modules if m.startswith('scipy.interpolate')])"
-    )
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", IMPORT_FOOTPRINT_SCRIPT, module],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_grid_csv_includes_theta_for_stabilized_runs(quick_problem_files):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
@@ -51,15 +52,24 @@ class TestGeneralizedEig:
         assert_allclose(lam, [1.0, 4.0], atol=1e-14)
         assert_allclose(np.abs(U), np.eye(2), atol=1e-14)
 
-    def test_spline_matrices_residual(self):
-        space = SplineSpace.uniform(3, 6)
-        data = SpatialQuadratureData([space], builtin_geometry("unit_interval"))
+    @pytest.mark.parametrize(
+        "geometry, elements",
+        # The annulus pencil is the exact spatial factor of the benchmark's
+        # annulus workload (p = 3, 12 x 2 elements, N_s = 75).
+        [("unit_interval", [6]), ("ellipse_annulus", [12, 2])],
+        ids=["unit_interval", "ellipse_annulus"],
+    )
+    def test_spline_matrices_residual(self, geometry, elements):
+        spaces = [SplineSpace.uniform(3, n) for n in elements]
+        data = SpatialQuadratureData(spaces, builtin_geometry(geometry))
         U, lam = generalized_eig(data.stiffness(), data.mass())
         K = data.stiffness().toarray()
         M = data.mass().toarray()
         assert np.linalg.norm(K @ U - M @ U @ np.diag(lam)) < 1e-10
-        assert_allclose(U.T @ M @ U, np.eye(space.dimension), atol=1e-10)
+        assert_allclose(U.T @ M @ U, np.eye(M.shape[0]), atol=1e-10)
         assert np.all(np.diff(lam) >= -1e-9)
+        ref = sla.eigh(K, M, eigvals_only=True)
+        assert np.max(np.abs(lam - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_indefinite_mass_raises(self):
         with pytest.raises(DecompositionError):

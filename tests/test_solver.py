@@ -347,7 +347,10 @@ class TestFixedPoint:
         inv = np.linalg.inv
 
         def counted_inv(a):
-            inversions.append(a.shape)
+            # Only the per-mode stacks: ``generalized_eig`` inverts 2-D
+            # Cholesky factors through the same function.
+            if a.ndim == 3:
+                inversions.append(a.shape)
             return inv(a)
 
         assembled = []
