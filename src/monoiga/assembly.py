@@ -8,7 +8,10 @@ Every Gram matrix -- the temporal advection and mass, the spatial mass and
 stiffness on any geometry, the preconditioner's univariate factors and the
 stabilizer's factors -- is assembled by one kernel, :class:`GramKernel`
 (one-off through :func:`banded_gram`), from the collocation matrices of
-:class:`SpatialQuadratureData` and :class:`TimeQuadratureData`.
+:class:`SpatialQuadratureData` and :class:`TimeQuadratureData`, into a
+:class:`BandMatrix`: dense blocks of consecutive rows in the layout of a
+:class:`GramPattern`, whose :meth:`~GramPattern.apply` is the one kernel
+that multiplies band matrices.
 """
 
 import copy
@@ -17,7 +20,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bspline import tensor_at
 from .geometry import jacobian_det, jacobian_inverse
@@ -26,6 +28,7 @@ from .tensorops import kron_apply, mode_apply, slabs
 __all__ = [
     "QuadratureRule",
     "GramKernel",
+    "BandMatrix",
     "KroneckerOperator",
     "WeightedMass",
     "banded_gram",
@@ -105,60 +108,180 @@ def _pair_products(test, trial, band):
     return (test[:, :, None] * padded[:, cols]).reshape(q, -1)
 
 
-class GramPattern:
-    """CSR pattern of a banded tensor-product Gram matrix.
+# Most rows per block of a :class:`GramPattern`.  Per stacked matvec of
+# each benchmark workload's largest operator and of the 16^3 x 16 cube's
+# (BLAS on one thread of a 2-vCPU Xeon, minimum of 25 and 6 interleaved
+# rounds), against the CSR product this layout replaced (93 us, 185 us,
+# 14.0 ms): 6 (blocks of 5, 6 and 6 rows) took 81 us, 152 us and 12.1 ms;
+# 3 took 76 us, 184 us and 17.8 ms; 9 took 87 us, 152 us and 12.5 ms.  A
+# block of c rows stores c + 2 b_f entries along the fastest axis, so
+# longer blocks also hold more padding: a 16^3 term is 11.7 MB at 6, and
+# its CSR form was 7.1 MB.
+BLOCK_ROWS = 6
 
-    Row ``i = (i_0, i_1, ...)`` couples with column ``j`` when
-    ``|i_k - j_k| <= b_k`` on every axis (axis 0 slowest).  ``select`` maps
-    each stored entry, in CSR order, to its position in the flattened output
-    of :meth:`GramKernel.band_values`, so assembling is one gather.
+
+class GramPattern:
+    """Blocked layout of a banded tensor-product Gram matrix.
+
+    Row ``i = (i_0, ..., i_f)`` couples with column ``j`` when
+    ``|i_k - j_k| <= b_k`` on every axis (axis 0 slowest, axis ``f``
+    fastest).  The rows are split into blocks of ``c`` consecutive indices
+    along the fastest axis: the fewest blocks of at most ``BLOCK_ROWS`` rows
+    per line of that axis, ``ceil(n_f / BLOCK_ROWS)``, of equal length, so
+    the last block of a line is padded with fewer rows past ``n_f`` than
+    there are blocks.  Each block is stored as one dense ``c x inner``
+    matrix over its window: the ``(2 b_0 + 1) ... (2 b_{f-1} + 1)
+    (c + 2 b_f)`` entries of the input, zero-padded by ``b_k`` on each side
+    of every axis, around the block's rows.  Entries whose column falls in
+    the padding are never read, and padded rows are dropped.  :meth:`apply`
+    is the one kernel that multiplies such matrices.
     """
 
     def __init__(self, sizes, bands):
-        m = len(sizes)
-        widths = [2 * b + 1 for b in bands]
-        num_band = int(np.prod([n * w for n, w in zip(sizes, widths)]))
-        itype = np.int32 if num_band < 2**31 else np.int64
-        shape = tuple(sizes) + tuple(widths)
-        valid = np.ones(shape, dtype=bool)
-        select = np.zeros(shape, dtype=itype)
-        cols = np.zeros(shape, dtype=itype)
-        band_stride = 1
-        col_stride = 1
-        for k in reversed(range(m)):
-            n, b, w = sizes[k], bands[k], widths[k]
-            i = np.arange(n, dtype=itype)[:, None]
-            o = np.arange(w, dtype=itype)[None, :]
-            j = i + o - b
-            view = [1] * (2 * m)
-            view[k] = n
-            view[m + k] = w
-            valid &= ((j >= 0) & (j < n)).reshape(view)
-            select += ((i * w + o) * band_stride).reshape(view)
-            cols += (j * col_stride).reshape(view)
-            band_stride *= n * w
-            col_stride *= n
-        rows = col_stride
-        self.shape = (rows, rows)
-        self.select = select[valid]
-        self.indices = cols[valid]
-        self.indptr = np.zeros(rows + 1, dtype=itype)
-        np.cumsum(valid.reshape(rows, -1).sum(axis=1), out=self.indptr[1:])
-        for arr in (self.select, self.indices, self.indptr):
-            arr.flags.writeable = False
+        self.sizes = tuple(int(n) for n in sizes)
+        self.bands = tuple(int(b) for b in bands)
+        n_f, b_f = self.sizes[-1], self.bands[-1]
+        chunks = -(-n_f // BLOCK_ROWS)
+        c = -(-n_f // chunks)
+        self.block_rows = c
+        self.block_shape = self.sizes[:-1] + (chunks,)
+        self.window = tuple(2 * b + 1 for b in self.bands[:-1]) + (c + 2 * b_f,)
+        padded = [n + 2 * b for n, b in zip(self.sizes, self.bands)]
+        padded[-1] = chunks * c + 2 * b_f
+        self._padded = tuple(padded)
+        self._interior = tuple(slice(b, b + n) for n, b in zip(self.sizes, self.bands))
+        n = math.prod(self.sizes)
+        self.shape = (n, n)
 
-    def tocsr(self, band_values):
-        """CSR matrix of the output of :meth:`GramKernel.band_values`."""
-        data = np.take(band_values.reshape(-1), self.select)
-        return sp.csr_matrix(
-            (data, self.indices.copy(), self.indptr.copy()), shape=self.shape
+    def matrix(self, band_values):
+        """The :class:`BandMatrix` of the output of :meth:`GramKernel.band_values`.
+
+        Along a slow axis a block's window is the band itself, so those
+        values move by a transposed copy; along the fastest axis row ``r``
+        of a block holds its band at window offset ``r``, one strided copy
+        per ``r``.
+        """
+        d = len(self.sizes)
+        c = self.block_rows
+        width = 2 * self.bands[-1] + 1
+        shape = [x for n, b in zip(self.sizes, self.bands) for x in (n, 2 * b + 1)]
+        # Axes (i_0, ..., i_f, o_0, ..., o_f).
+        band = band_values.reshape(shape).transpose(
+            tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))
         )
+        data = np.zeros(self.block_shape + (c,) + self.window)
+        slow = (slice(None),) * (d - 1)
+        for r in range(c):
+            rows = band[slow + (slice(r, None, c),)]
+            block_rows = slow + (slice(0, rows.shape[d - 1]), r)
+            data[block_rows + slow + (slice(r, r + width),)] = rows
+        return BandMatrix(self, data.reshape(-1, c, math.prod(self.window)))
+
+    def apply(self, stacks, X):
+        """Apply stacked matrices of this pattern to the columns of ``X``.
+
+        ``stacks`` lists arrays shaped (blocks, c k_i, inner), each holding
+        ``k_i`` matrices row by row: row ``r k_i + t`` of a block is row
+        ``r`` of the block of matrix ``t``.  ``X`` is shaped (N, m).
+        Returns one array per stack, shaped (blocks c, k_i m), whose entry
+        ``(i, t m + q)`` is ``(A_t X)[i, q]`` for the padded row ``i``
+        (see :meth:`unpad`).  ``X`` is copied once into a zero-padded array;
+        the blocks' windows are a strided view of it, copied contiguously by
+        slabs (:func:`~monoiga.tensorops.slabs`) of the slowest block axis,
+        and each slab is one batched product per stack.  Where one index of
+        that axis takes more than a slab, the rows of ``X`` are split too,
+        into groups no smaller than the stacked rows of a block, so the
+        blocks are read again at most once per window copy of their size.
+        """
+        m = X.shape[1]
+        inner = math.prod(self.window)
+        # The columns of X last, so a window's entries along the fastest
+        # axis are one contiguous run for all of them.
+        P = np.zeros(self._padded + (m,))
+        P[self._interior] = X.reshape(self.sizes + (m,))
+        s = P.strides
+        windows = np.ndarray(
+            self.block_shape + self.window + (m,),
+            P.dtype,
+            P,
+            0,
+            s[:-2] + (self.block_rows * s[-2],) + s,
+        )
+        outs = [np.empty((len(data), data.shape[1], m)) for data in stacks]
+        rest = math.prod(self.block_shape[1:])
+        axes = (slice(None),) * (2 * len(self.sizes) - 1)
+        stacked = sum(data.shape[1] for data in stacks)
+        for cols in slabs(m, rest * inner, least=stacked):
+            width = cols.stop - cols.start
+            for rows in slabs(self.block_shape[0], rest * width * inner):
+                slab = windows[(rows,) + axes + (cols,)].reshape(-1, inner, width)
+                blocks = slice(rows.start * rest, rows.stop * rest)
+                for data, out in zip(stacks, outs):
+                    np.matmul(data[blocks], slab, out=out[blocks, :, cols])
+        return [out.reshape(-1, out.shape[1] // self.block_rows * m) for out in outs]
+
+    def dense(self, data):
+        """The dense matrix of one matrix's blocks ``data``, shaped (blocks, c, inner).
+
+        Every block row is written into its window of a row over the
+        zero-padded input, all at once through one strided view, and the
+        padding is dropped.
+        """
+        c = self.block_rows
+        size = math.prod(self._padded)
+        out = np.zeros((data.shape[0] * c, size))
+        # Steps in entries of ``out``: of a padded input index along each
+        # axis (a column), and of a block along each block axis, which is c
+        # rows down and one window along (c input indices on the fast axis).
+        col = [math.prod(self._padded[k + 1 :]) for k in range(len(self.sizes))]
+        row = [c * size * math.prod(self.block_shape[k + 1 :]) for k in range(len(col))]
+        block = [r + k for r, k in zip(row, col[:-1] + [c * col[-1]])]
+        view = np.ndarray(
+            self.block_shape + (c,) + self.window,
+            out.dtype,
+            out,
+            0,
+            tuple(out.itemsize * s for s in block + [size] + col),
+        )
+        view[...] = data.reshape(view.shape)
+        out = out.reshape((-1,) + self._padded)[(slice(None),) + self._interior]
+        return self.unpad(out.reshape(out.shape[0], -1))
+
+    def unpad(self, rows):
+        """The rows of the matrix from the padded rows of :meth:`apply`."""
+        rows = rows.reshape(self.sizes[:-1] + (-1,) + rows.shape[1:])
+        return rows[..., : self.sizes[-1], :].reshape(self.shape[0], -1)
 
 
-@functools.lru_cache(maxsize=8)
-def gram_pattern(sizes, bands):
-    """Shared, read-only :class:`GramPattern` of the given sizes and bands."""
-    return GramPattern(sizes, bands)
+class BandMatrix:
+    """A banded tensor-product matrix in the blocked layout of its :class:`GramPattern`.
+
+    ``data`` holds the blocks, shaped (blocks, c, inner) as the pattern
+    lays them out.  ``A @ x`` takes a vector of length ``N`` or an (N, m)
+    array and runs the pattern's kernel; ``toarray()`` is the dense matrix.
+    """
+
+    def __init__(self, pattern, data):
+        self.pattern = pattern
+        self.data = data
+
+    @property
+    def shape(self):
+        return self.pattern.shape
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
+            raise ValueError(
+                "dimension mismatch: matrix of shape %s applied to array of shape %s"
+                % (self.shape, x.shape)
+            )
+        (rows,) = self.pattern.apply([self.data], x.reshape(x.shape[0], -1))
+        return self.pattern.unpad(rows).reshape(x.shape)
+
+    def toarray(self):
+        """The dense matrix."""
+        return self.pattern.dense(self.data)
 
 
 class GramKernel:
@@ -169,8 +292,8 @@ class GramKernel:
     shape (Q_k, n_k) paired with axis ``k`` of ``W`` (axis 0 slowest), and
     ``bands[k]`` bounds ``|i_k - j_k|`` over the coupled basis pairs
     (default: the overlap of the factors' nonzeros).  The pair products of
-    each axis and the CSR pattern are built once, so an assembly is
-    contractions and one gather.
+    each axis and the :class:`GramPattern` are built once, so an assembly is
+    contractions and one copy into the blocked layout.
     """
 
     def __init__(self, tests, trials, bands=None):
@@ -180,7 +303,7 @@ class GramKernel:
             _pair_products(a, b, band) for a, b, band in zip(tests, trials, bands)
         ]
         sizes = tuple(int(t.shape[1]) for t in trials)
-        self.pattern = gram_pattern(sizes, tuple(int(b) for b in bands))
+        self.pattern = GramPattern(sizes, bands)
 
     def band_values(self, weights):
         """Every band entry of the Gram matrix of ``weights``.
@@ -196,17 +319,16 @@ class GramKernel:
         return vals
 
     def __call__(self, weights):
-        """The Gram matrix of ``weights`` as a CSR matrix."""
-        return self.pattern.tocsr(self.band_values(weights))
+        """The Gram matrix of ``weights`` as a :class:`BandMatrix`."""
+        return self.pattern.matrix(self.band_values(weights))
 
 
 def banded_gram(tests, trials, weights, bands=None):
-    """Assemble ``(kron_k A_k)^T diag(W) (kron_k B_k)`` as a CSR matrix.
+    """Assemble ``(kron_k A_k)^T diag(W) (kron_k B_k)`` as a :class:`BandMatrix`.
 
     A one-off :class:`GramKernel`; factors pair with the axes of
     ``weights``, slowest first, and test and trial factors have equal
-    column counts.  The CSR pattern depends only on the sizes and bands and
-    is built once.
+    column counts.
     """
     return GramKernel(tests, trials, bands)(weights)
 
@@ -391,7 +513,7 @@ class SpatialQuadratureData:
                     continue
                 kernel = GramKernel(grads[a], grads[b], bands)
                 vals = vals + kernel.band_values(base * m)
-        return kernel.pattern.tocsr(vals)
+        return kernel.pattern.matrix(vals)
 
 
 def spatial_operators(spatial_data):
@@ -453,16 +575,18 @@ class TimeQuadratureData:
 
 
 def time_matrices(time_data):
-    """Constrained temporal matrices ``(W_t, M_t)`` in physical time.
+    """Constrained temporal matrices ``(W_t, M_t)`` in physical time, dense.
 
     ``W_t[i, j] = int b'_j b_i`` is invariant under the time scaling; the
     mass matrix picks up a factor of the final time.  ``time_data`` is the
-    default-rule :class:`TimeQuadratureData` of the space.
+    default-rule :class:`TimeQuadratureData` of the space.  ``N_t`` is
+    small, and every reader (the operator's temporal stack, the
+    preconditioner and the recovery map) wants them dense.
     """
     c0 = time_data.c0
     W = banded_gram([c0], [time_data.c1], time_data.rule.flat_weights)
     M = banded_gram([c0], [c0], time_data.weights)
-    return W, M
+    return W.toarray(), M.toarray()
 
 
 def contract_space(space_time, coeffs, space_collocs):
@@ -700,64 +824,42 @@ def rhs_vectors(source, spatial_data, time_data):
 
 
 def _dense(mat):
-    return mat.toarray() if sp.issparse(mat) else np.asarray(mat, dtype=float)
-
-
-def _csr(mat):
-    if sp.issparse(mat) and mat.format == "csr":
-        return mat
-    return sp.csr_matrix(mat)
-
-
-def _vstack_csr(mats):
-    """``vstack`` of CSR matrices with equal column counts, by concatenation."""
-    nnz = [int(m.indptr[-1]) for m in mats]
-    offsets = np.cumsum([0] + nnz[:-1])
-    indptr = np.concatenate(
-        [[0]] + [m.indptr[1:] + off for m, off in zip(mats, offsets)]
-    )
-    data = np.concatenate([m.data[:n] for m, n in zip(mats, nnz)])
-    indices = np.concatenate([m.indices[:n] for m, n in zip(mats, nnz)])
-    shape = (sum(m.shape[0] for m in mats), mats[0].shape[1])
-    return sp.csr_matrix((data, indices, indptr), shape=shape)
-
-
-def _row_block(mat, start, size):
-    """Rows ``start:start + size`` of a CSR matrix, sharing its data and indices."""
-    indptr = mat.indptr[start : start + size + 1]
-    lo, hi = indptr[0], indptr[-1]
-    data, indices = mat.data[lo:hi], mat.indices[lo:hi]
-    block = sp.csr_matrix((data, indices, indptr - lo), shape=(size, mat.shape[1]))
-    # The constructor copies a view of less than half its array.
-    block.data, block.indices = data, indices
-    return block
+    """``mat`` as a dense array: an array, or anything with ``toarray()``."""
+    return mat.toarray() if hasattr(mat, "toarray") else np.asarray(mat, dtype=float)
 
 
 class KroneckerOperator:
     """Sum of scaled Kronecker products ``sum_k c_k (T_k kron S_k)``.
 
-    Each term pairs a temporal factor of size ``N_t`` with a spatial factor
-    of size ``N_s``.  An optional ``correction`` (a reaction term such as a
-    :class:`WeightedMass`, or any matrix supporting ``@``) is added to the
-    matvec; it is the one attribute a caller may replace.
+    Each term pairs a temporal factor of size ``N_t`` (a dense array, or
+    any matrix with ``toarray()``) with a spatial factor of size ``N_s``, a
+    :class:`BandMatrix`; the spatial factors of one operator share one
+    :class:`GramPattern` (the same sizes and bands), as the assembled mass,
+    stiffness and stabilizer matrices of one space do.  An optional
+    ``correction`` (a reaction term such as a :class:`WeightedMass`, or any
+    matrix supporting ``@``) is added to the matvec; it is the one
+    attribute a caller may replace.
 
-    A matvec applies all terms with two products: the sparse stacked
-    spatial factors ``vstack(S_k)`` act on ``X^T``, with
-    ``X = x.reshape(N_t, N_s)``, and the dense ``hstack(c_k T_k)`` acts on
-    the resulting blocks ``X S_k^T``, which sums the terms (``N_t`` is
-    small, so the temporal stack is dense).  The stacks are built at
-    construction; they hold the one copy of the factors the operator keeps
-    (never the space-time product), so a caller may drop its own.
-    :meth:`plus` appends further terms to copies of the stacks, so an
-    operator that shares constant terms with others stacks them once.
+    The terms are held in stacks, each a spatial array that interleaves
+    its factors' blocks row by row (see :meth:`GramPattern.apply`) and the
+    dense ``vstack(c_k T_k^T)`` of their temporal factors (``N_t`` is
+    small).  A matvec applies all terms with two products per stack: the
+    pattern's kernel gives the blocks ``S_k X^T`` of
+    ``X = x.reshape(N_t, N_s)`` from one copy of the windows of ``X^T``
+    shared by the stacks, and the temporal stack sums them.  The factors
+    given at construction form one stack, the one copy of them the
+    operator keeps (never the space-time product), so a caller may drop
+    its own.  :meth:`plus` stacks further terms into a new stack and shares
+    the existing ones, so an operator that shares constant terms with
+    others holds them once.
     """
 
     def __init__(self, num_time, num_space, terms=(), correction=None):
         self.num_time = int(num_time)
         self.num_space = int(num_space)
+        self._pattern = None
         self._temporal = []
-        self._time_stack = np.zeros((self.num_time, 0))
-        self._space_stack = sp.csr_matrix((0, self.num_space))
+        self._stacks = []
         self._append(terms)
         self.correction = correction
 
@@ -768,31 +870,36 @@ class KroneckerOperator:
                 raise ValueError("temporal factor has wrong shape")
             if smat.shape != (self.num_space, self.num_space):
                 raise ValueError("spatial factor has wrong shape")
+            if not isinstance(smat, BandMatrix):
+                raise TypeError("spatial factors must be BandMatrix instances")
+            pattern = self._pattern or smat.pattern
+            if (smat.pattern.sizes, smat.pattern.bands) != (pattern.sizes, pattern.bands):
+                raise ValueError("spatial factors must share one band pattern")
+            self._pattern = pattern
         if not terms:
             return
-        self._time_stack = np.hstack(
-            [self._time_stack] + [coef * _dense(tmat) for coef, tmat, _ in terms]
-        )
-        self._space_stack = _vstack_csr(
-            [self._space_stack] + [_csr(smat) for _, _, smat in terms]
-        )
+        space = np.stack([smat.data for _, _, smat in terms], axis=2)
+        time = np.vstack([coef * _dense(tmat).T for coef, tmat, _ in terms])
+        space = space.reshape(len(space), -1, space.shape[-1])
+        self._stacks = self._stacks + [(space, time)]
         self._temporal = self._temporal + [(coef, tmat) for coef, tmat, _ in terms]
 
     @property
     def terms(self):
-        """The terms ``(c_k, T_k, S_k)``; each ``S_k`` is a view of the stack."""
-        ns = self.num_space
-        return [
-            (coef, tmat, _row_block(self._space_stack, k * ns, ns))
-            for k, (coef, tmat) in enumerate(self._temporal)
-        ]
+        """The terms ``(c_k, T_k, S_k)``; each ``S_k`` is a view of a stack."""
+        factors = []
+        for space, time in self._stacks:
+            k = len(time) // self.num_time
+            blocks = space.reshape(len(space), -1, k, space.shape[-1])
+            factors += [BandMatrix(self._pattern, blocks[:, :, t]) for t in range(k)]
+        return [(coef, tmat, smat) for (coef, tmat), smat in zip(self._temporal, factors)]
 
     def plus(self, terms):
         """The operator of this one's terms followed by ``terms``.
 
-        The result has no correction.  Only ``terms`` are stacked: their
-        factors are appended to this operator's stacks, which stay as they
-        are.
+        The result has no correction.  Only ``terms`` are stacked, into a
+        new stack; the result shares this operator's stacks, which stay as
+        they are.
         """
         out = copy.copy(self)
         out.correction = None
@@ -811,12 +918,16 @@ class KroneckerOperator:
                 "dimension mismatch: operator of size %d applied to vector of size %d"
                 % (self.shape[0], x.size)
             )
-        nt, ns = self.num_time, self.num_space
-        # Blocks S_k X^T, stacked, then transposed to X S_k^T (no blocks and
-        # a zero result without terms).
-        P = self._space_stack @ x.reshape(nt, ns).T
-        P = P.reshape(-1, ns, nt).transpose(0, 2, 1).reshape(-1, ns)
-        out = (self._time_stack @ P).reshape(-1)
+        if not self._stacks:
+            out = np.zeros(x.size)
+        else:
+            X = x.reshape(self.num_time, self.num_space).T
+            blocks = self._pattern.apply([space for space, _ in self._stacks], X)
+            # Padded rows of sum_k c_k S_k X^T T_k^T, the transposed result.
+            rows = blocks[0] @ self._stacks[0][1]
+            for more, (_, time) in zip(blocks[1:], self._stacks[1:]):
+                rows += more @ time
+            out = self._pattern.unpad(rows).T.reshape(-1)
         if self.correction is not None:
             out += self.correction @ x
         return out

@@ -9,10 +9,9 @@ per direction where separable weights reproduce the pulled-back measure and
 metric (boxes, 1D) or the spatial space is large, and one exact factor over
 every direction on a small mapped patch.
 
-The dense factorizations run on numpy's LAPACK.  The library uses SciPy for
-its sparse matrices only, and ``assembly`` is the one module that knows
-their format: sparse operands reach this module through ``@`` and
-``assembly._dense``.
+The dense factorizations run on numpy's LAPACK.  Band matrices reach this
+module through ``@`` and ``assembly._dense``; ``assembly`` is the one
+module that knows their layout.
 """
 
 import functools
@@ -37,7 +36,7 @@ __all__ = [
 # weights are inexact gets one dense generalized eigendecomposition of the
 # true ``(K_s, M_s)``.  The exact factor saves about two thirds of the GMRES
 # iterations but costs an O(N_s^3) decomposition per solve, an N_s x N_s
-# transform each way per application and a sparse ``S @ U`` per rank per
+# transform each way per application and a band ``S @ U`` per rank per
 # indicator; the separable factors cost none of these.  Stabilized annulus
 # solves (p = 3, 4:1 elements, one solve per process on one thread of a
 # 2-vCPU Xeon, median of five, exact / separable seconds): with 14 temporal
@@ -98,11 +97,13 @@ def generalized_eig(K, M):
     eigenvalues ascending.  ``M`` must be symmetric positive definite.  The
     pencil is reduced to standard form by the inverse Cholesky factor,
     ``L^{-1} K L^{-T} V = V diag(lam)`` with ``M = L L^T``, and
-    ``U = L^{-T} V``.
+    ``U = L^{-T} V``.  ``K`` enters only through ``K @ L^{-T}``, so a
+    :class:`~monoiga.assembly.BandMatrix` is applied by its band kernel,
+    not densified.
     """
     try:
         Li = np.linalg.inv(np.linalg.cholesky(_dense(M)))
-        lam, V = np.linalg.eigh(Li @ _dense(K) @ Li.T)
+        lam, V = np.linalg.eigh(Li @ (K @ Li.T))
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(
             "generalized eigendecomposition failed: %s" % exc

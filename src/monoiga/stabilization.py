@@ -409,17 +409,18 @@ def assemble_stabilization(lowrank, grid, capacitance, eigenvectors):
 
     Returns ``(terms, precond_terms)``: the operator's Kronecker terms
     ``(C_m sigma_r, S^t_r, S^s_r)`` and the preconditioner's
-    ``(S^t_r, C_m sigma_r d_r)``, where ``d_r = diag(U^T S^s_r U)`` in the
-    spatial eigenbasis ``U`` of ``eigenvectors`` (the preconditioner's
+    ``(S^t_r, C_m sigma_r d_r)``, with ``S^t_r`` dense and ``S^s_r`` a
+    :class:`~monoiga.assembly.BandMatrix`, where ``d_r = diag(U^T S^s_r U)``
+    in the spatial eigenbasis ``U`` of ``eigenvectors`` (the preconditioner's
     factors, see :class:`~monoiga.linalg.FastDiagPreconditioner`).  With one
     factor ``U_l`` per direction (direction 1 first) and the grid's
     collocations ``C_l``, ``d_r[k] = sum_q W_r[q] prod_l (C_l U_l)[q_l, k_l]^2``:
     contracting ``W_r`` with ``((C_l U_l)^2)^T`` one axis at a time (sum
     factorization) gives it without forming ``U`` or any ``N_s x N_s``
     matrix.  A single factor over every direction is dense already, and
-    ``d_r`` is read from the assembled ``S^s_r``.  The spatial profiles of
-    all ranks are interpolated together through the grid's hat matrices.
-    Both lists are empty at rank zero.
+    ``d_r`` is read from ``S^s_r U``, which the band kernel applies.  The
+    spatial profiles of all ranks are interpolated together through the
+    grid's hat matrices.  Both lists are empty at rank zero.
     """
     sd = grid.spatial_data
     d = len(sd.c0)
@@ -436,7 +437,7 @@ def assemble_stabilization(lowrank, grid, capacitance, eigenvectors):
     for r in range(rank):
         coef = capacitance * lowrank.weights[r]
         prof_t = lowrank.time_profile(r, grid.time_points)
-        tmat = grid.time_gram(grid.time_weights * prof_t)
+        tmat = grid.time_gram(grid.time_weights * prof_t).toarray()
         weights = sd.measure * profiles[r]
         smat = sd.mass(weights)
         if tables is None:

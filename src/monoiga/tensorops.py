@@ -90,12 +90,12 @@ def outer_product_grid(vectors):
     return grid
 
 
-def slabs(count, size):
+def slabs(count, size, least=1):
     """Consecutive slices of ``range(count)`` for a pass over ``count`` items.
 
     Each item holds ``size`` grid points; a slice takes as many items as fit
-    in ``SLAB_POINTS`` points, and at least one.  A grid of at most
+    in ``SLAB_POINTS`` points, and at least ``least``.  A grid of at most
     ``SLAB_POINTS`` points is a single slab.
     """
-    step = max(1, SLAB_POINTS // max(size, 1))
+    step = max(least, SLAB_POINTS // max(size, 1))
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]

@@ -14,10 +14,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from monoiga.assembly import (
+    GramKernel,
     IterateOnGrid,
     QuadratureRule,
     WeightedMass,
-    banded_gram,
     contract_space,
     evaluate_field,
 )
@@ -194,15 +194,48 @@ def fd_gradient(fn, x, step=1e-6):
     return np.stack(cols, axis=-1)
 
 
+def band_csr(kernel, weights):
+    """The Gram matrix of a :class:`~monoiga.assembly.GramKernel` as a CSR matrix.
+
+    Every band entry of :meth:`~monoiga.assembly.GramKernel.band_values`
+    whose column lies in the matrix is stored, zeros included, so the
+    values are the kernel's and the storage is that of the matrix's full
+    band.
+    """
+    sizes, bands = kernel.pattern.sizes, kernel.pattern.bands
+    vals = kernel.band_values(weights).reshape(
+        [x for n, b in zip(sizes, bands) for x in (n, 2 * b + 1)]
+    )
+    idx = np.indices(vals.shape)
+    rows = idx[0::2]
+    cols = [i + o - b for i, o, b in zip(idx[0::2], idx[1::2], bands)]
+    valid = np.all([(j >= 0) & (j < n) for j, n in zip(cols, sizes)], axis=0)
+    shape = (int(np.prod(sizes)),) * 2
+    rows = np.ravel_multi_index([r[valid] for r in rows], sizes)
+    cols = np.ravel_multi_index([j[valid] for j in cols], sizes)
+    return sp.coo_matrix((vals[valid], (rows, cols)), shape=shape).tocsr()
+
+
+def band_matrix(A):
+    """A dense square matrix as a :class:`~monoiga.assembly.BandMatrix` of one full band.
+
+    The Gram matrix ``I^T diag(1) A`` of the 1D kernel, whose entries are
+    those of ``A``; a matrix of tests that need any band matrix.
+    """
+    n = A.shape[0]
+    return GramKernel([np.eye(n)], [A])(np.ones(n))
+
+
 def weighted_mass_sparse(mass):
     """A :class:`~monoiga.assembly.WeightedMass` assembled as a CSR matrix.
 
-    Time is the slowest direction of :func:`~monoiga.assembly.banded_gram`;
-    a mass of stacked weights is the sum of one such matrix per term.
+    Time is the slowest direction of :class:`~monoiga.assembly.GramKernel`
+    (see :func:`band_csr`); a mass of stacked weights is the sum of one
+    such matrix per term.
     """
     space = mass.space_collocs[::-1]
     grams = [
-        banded_gram([mass.time_colloc] + space, [trial] + space, weights)
+        band_csr(GramKernel([mass.time_colloc] + space, [trial] + space), weights)
         for weights, trial in mass.terms
     ]
     return sp.csr_matrix(sum(grams[1:], grams[0]))
@@ -228,7 +261,7 @@ def kronecker_sparse(op):
     """
     acc = sp.csr_matrix(op.shape)
     for coef, tmat, smat in op.terms:
-        acc = acc + coef * sp.kron(tmat, smat, format="csr")
+        acc = acc + coef * sp.kron(tmat, smat.toarray(), format="csr")
     corr = op.correction
     if isinstance(corr, WeightedMass):
         corr = weighted_mass_sparse(corr)

@@ -7,7 +7,6 @@ study and the desk-scale 2D comparison).
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from monoiga import linalg, solver
 from monoiga.assembly import (
@@ -183,7 +182,7 @@ def test_criterion_6_dense_oracle_equivalence():
     lr = lowrank_factorize(theta, 0.3)
     eye = [np.eye(s.dimension) for s in st.spatial]
     terms, _ = assemble_stabilization(lr, StabilizationGrid(tau, st, geo), 1.0, eye)
-    total = sum(coef * sp.kron(tm, sm).toarray() for coef, tm, sm in terms)
+    total = sum(coef * np.kron(tm, sm.toarray()) for coef, tm, sm in terms)
     pdeg = st.time.degree
     grevs = [s.greville() for s in st.spatial]
     extra = grevs + [theta.time_greville]
@@ -219,8 +218,8 @@ def test_criterion_6_dense_oracle_equivalence():
         correction=MR,
     )
     dense = (
-        np.kron(W_t.toarray(), M_s.toarray())
-        + 1e-3 * np.kron(M_t.toarray(), K_s.toarray())
+        np.kron(W_t, M_s.toarray())
+        + 1e-3 * np.kron(M_t, K_s.toarray())
         + MR_ref
         + stab_ref
     )
@@ -235,8 +234,8 @@ def test_criterion_6_dense_oracle_equivalence():
         1.0, 1e-3, react, sdata, (M_s, K_s), (W_t, M_t)
     )
     surrogate = (
-        np.kron((W_t + react * M_t).toarray(), M_s.toarray())
-        + 1e-3 * np.kron(M_t.toarray(), K_s.toarray())
+        np.kron(W_t + react * M_t, M_s.toarray())
+        + 1e-3 * np.kron(M_t, K_s.toarray())
     )
     r = RNG.standard_normal(st.num_dof)
     ref = np.linalg.solve(surrogate, r)
@@ -246,8 +245,8 @@ def test_criterion_6_dense_oracle_equivalence():
     # so this right-hand side covers every right-hand side
     u = RNG.standard_normal(st.num_dof)
     wsol = solve_w_system(W_t, M_t, 0.013, 1.0, u)
-    L = np.kron((W_t + 0.013 * M_t).toarray(), M_s.toarray())
-    g = 0.013 * np.kron(M_t.toarray(), M_s.toarray()) @ u
+    L = np.kron(W_t + 0.013 * M_t, M_s.toarray())
+    g = 0.013 * np.kron(M_t, M_s.toarray()) @ u
     ref = np.linalg.solve(L, g)
     assert np.linalg.norm(wsol - ref) / np.linalg.norm(ref) < 1e-10
     report(6, "matvec, reaction mass, stabilizer, preconditioner and recovery "

@@ -9,6 +9,8 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from monoiga.assembly import (
+    BandMatrix,
+    GramKernel,
     KroneckerOperator,
     QuadratureRule,
     SpatialQuadratureData,
@@ -24,6 +26,8 @@ from monoiga import tensorops
 from monoiga.bspline import SplineSpace, SpaceTimeSpace
 from monoiga.geometry import box_geometry, builtin_geometry
 from oracles import (
+    band_csr,
+    band_matrix,
     dense_space_time_basis,
     dense_univariate,
     dense_weighted_space_time_mass,
@@ -63,7 +67,7 @@ class TestQuadrature:
         geo = builtin_geometry("unit_interval")
         M1 = SpatialQuadratureData([space], geo, npoints=4).mass()
         M2 = SpatialQuadratureData([space], geo, npoints=6).mass()
-        assert np.max(np.abs((M1 - M2).toarray())) < 1e-12
+        assert np.max(np.abs(M1.toarray() - M2.toarray())) < 1e-12
 
 
 def univariate_grams(space, weight_grid=None):
@@ -114,8 +118,8 @@ class TestUnivariate:
         W, M = time_matrices(TimeQuadratureData(st, 2.5))
         W_ref = dense_univariate(st.time, 0, 1)[1:, 1:]
         M_ref = 2.5 * dense_univariate(st.time)[1:, 1:]
-        assert np.max(np.abs(W.toarray() - W_ref)) < 1e-13
-        assert np.max(np.abs(M.toarray() - M_ref)) < 1e-13
+        assert np.max(np.abs(W - W_ref)) < 1e-13
+        assert np.max(np.abs(M - M_ref)) < 1e-13
 
     def test_spd_structure(self):
         space = SplineSpace.uniform(2, 5)
@@ -138,13 +142,13 @@ class TestUnivariate:
 def test_constrained_time_advection_rank_one():
     st = make_st(p=3, elements=4)
     W, M = time_matrices(TimeQuadratureData(st, 2.0))
-    S = (W + W.T).toarray()
+    S = W + W.T
     expected = np.zeros_like(S)
     expected[-1, -1] = 1.0
     assert np.max(np.abs(S - expected)) < 1e-13
     # temporal mass scales with the final time
     _, M1 = time_matrices(TimeQuadratureData(st, 1.0))
-    assert_allclose(M.toarray(), 2.0 * M1.toarray(), atol=1e-15)
+    assert_allclose(M, 2.0 * M1, atol=1e-15)
 
 
 class TestSpatialOperators:
@@ -182,8 +186,8 @@ class TestSpatialOperators:
         unit = SpatialQuadratureData(spaces, builtin_geometry("unit_square"))
         M_ref, K_ref = spatial_operators(unit)
         M, K = spatial_operators(SpatialQuadratureData(spaces, box_geometry([2.0, 2.0])))
-        assert np.max(np.abs((M - 4.0 * M_ref).toarray())) < 1e-12
-        assert np.max(np.abs((K - K_ref).toarray())) < 1e-12
+        assert np.max(np.abs(M.toarray() - 4.0 * M_ref.toarray())) < 1e-12
+        assert np.max(np.abs(K.toarray() - K_ref.toarray())) < 1e-12
 
     def test_curved_geometry_mass_symmetric_positive(self):
         geo = builtin_geometry("ellipse_annulus")
@@ -240,7 +244,7 @@ class TestReactionMass:
         MR = reaction_mass_of(st, geo, z, z)
         W_t, M_t = time_matrices(TimeQuadratureData(st, 1.5))
         M_s, _ = spatial_operators(SpatialQuadratureData(st.spatial, geo))
-        ref = CONSTANTS["a"] * CONSTANTS["c1"] * sp.kron(M_t, M_s)
+        ref = CONSTANTS["a"] * CONSTANTS["c1"] * sp.kron(M_t, M_s.toarray())
         assert np.max(np.abs((weighted_mass_sparse(MR) - ref).toarray())) < 1e-12
 
     def test_vanishes_where_field_is_one(self):
@@ -410,7 +414,11 @@ class TestWeightedMass:
         op = KroneckerOperator(
             st.num_time, st.num_space, [(1.0, W_t, M_s), (1e-3, M_t, K_s)], MR
         )
-        ref = sp.kron(W_t, M_s) + 1e-3 * sp.kron(M_t, K_s) + weighted_mass_sparse(MR)
+        ref = (
+            sp.kron(W_t, M_s.toarray())
+            + 1e-3 * sp.kron(M_t, K_s.toarray())
+            + weighted_mass_sparse(MR)
+        )
         assert np.max(np.abs((kronecker_sparse(op) - ref).toarray())) < 1e-14
         x = np.random.default_rng(2).standard_normal(st.num_dof)
         assert_allclose(op.matvec(x), ref @ x, rtol=1e-13, atol=1e-15)
@@ -488,7 +496,7 @@ class TestBandedGram:
         B = functools.reduce(sp.kron, [sp.csr_matrix(c) for c in trials]).toarray()
         ref = A.T @ (W.reshape(-1)[:, None] * B)
         G = banded_gram(tests, trials, W)
-        assert sp.isspmatrix_csr(G) and G.has_sorted_indices
+        assert isinstance(G, BandMatrix)
         assert np.max(np.abs(G.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize(
@@ -533,11 +541,14 @@ class TestBandedGram:
         prof = np.random.default_rng(8).random(data.grid_shape)
         tracemalloc.start()
         try:
-            M = data.mass(data.measure * prof)
+            data.mass(data.measure * prof)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        csr_bytes = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+        # The bound is the CSR storage of the same matrix's full band.
+        c = data.c0[::-1]
+        S = band_csr(GramKernel(c, c, data.bands[::-1]), data.measure * prof)
+        csr_bytes = S.data.nbytes + S.indices.nbytes + S.indptr.nbytes
         assert peak < 8 * csr_bytes
 
 
@@ -591,10 +602,71 @@ class TestRhsVectors:
         assert sdata.sample(source, finer).shape == shape
 
 
+def band_identity(like):
+    """The identity in the band pattern of the :class:`BandMatrix` ``like``."""
+    sizes, bands = like.pattern.sizes, like.pattern.bands
+    eyes = [np.eye(n) for n in sizes]
+    return banded_gram(eyes, eyes, np.ones(sizes), bands=bands)
+
+
+class TestBandMatrix:
+    # Fast-axis lengths 7, 13 and 9 split into blocks of 4, 5 and 5 rows,
+    # with padded rows; 6 is one block.
+    @pytest.mark.parametrize(
+        "geometry, p, elements",
+        [
+            ("unit_interval", 2, [5]),
+            ("ellipse_annulus", 3, [10, 2]),
+            ("unit_cube", 2, [7, 2, 3]),
+            ("unit_cube", 2, [4, 3, 4]),
+        ],
+    )
+    def test_matches_csr_of_its_band(self, monkeypatch, geometry, p, elements):
+        spaces = [SplineSpace.uniform(p, n) for n in elements]
+        data = refined_spatial_data(spaces, builtin_geometry(geometry))
+        c = data.c0[::-1]
+        kernel = GramKernel(c, c, data.bands[::-1])
+        W = data.measure * np.random.default_rng(3).random(data.grid_shape)
+        ref = band_csr(kernel, W)
+        M = kernel(W)
+        assert M.shape == ref.shape
+        scale = np.max(np.abs(ref.data))
+        assert np.max(np.abs(M.toarray() - ref.toarray())) <= 1e-14 * scale
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(M.shape[0])
+        X = rng.standard_normal((M.shape[0], 3))
+        for arg in (x, X):
+            y = ref @ arg
+            assert (M @ arg).shape == y.shape
+            assert np.max(np.abs(M @ arg - y)) <= 1e-14 * np.max(np.abs(y))
+            # One block and one column per slab of the windows.
+            monkeypatch.setattr(tensorops, "SLAB_POINTS", 1)
+            sliced = M @ arg
+            monkeypatch.undo()
+            assert np.max(np.abs(sliced - y)) <= 1e-14 * np.max(np.abs(y))
+
+    @pytest.mark.parametrize("nt", [1, 3])
+    def test_stacked_factors_match_the_sum_of_kronecker_products(self, nt):
+        # k > 1 factors per stack and two stacks; one row of X (nt = 1) is
+        # a 1-D input of the kernel, several rows a multi-column one.
+        spaces = [SplineSpace.uniform(3, 10), SplineSpace.uniform(3, 2)]
+        geo = builtin_geometry("ellipse_annulus")
+        data = SpatialQuadratureData(spaces, geo)
+        M_s, K_s = spatial_operators(data)
+        rng = np.random.default_rng(5)
+        S = data.mass(data.measure * rng.random(data.grid_shape))
+        temporal = [rng.standard_normal((nt, nt)) for _ in range(4)]
+        terms = list(zip([1.0, 1e-3, 0.5, -2.0], temporal, [M_s, K_s, S, M_s]))
+        op = KroneckerOperator(nt, M_s.shape[0], terms[:2]).plus(terms[2:])
+        x = rng.standard_normal(op.shape[0])
+        ref = kronecker_sparse(op) @ x
+        assert np.max(np.abs(op.matvec(x) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 class TestKroneckerOperator:
     def test_identity_terms(self):
         rng = np.random.default_rng(0)
-        op = KroneckerOperator(3, 4, [(1.0, sp.identity(3), sp.identity(4))])
+        op = KroneckerOperator(3, 4, [(1.0, sp.identity(3), band_matrix(np.eye(4)))])
         x = rng.standard_normal(12)
         assert_allclose(op.matvec(x), x, atol=1e-15)
 
@@ -607,7 +679,7 @@ class TestKroneckerOperator:
         op = KroneckerOperator(
             2,
             3,
-            [(1.3, sp.csr_matrix(A), sp.csr_matrix(B)), (-0.4, sp.csr_matrix(C), sp.csr_matrix(D))],
+            [(1.3, sp.csr_matrix(A), band_matrix(B)), (-0.4, C, band_matrix(D))],
         )
         dense = 1.3 * np.kron(A, B) - 0.4 * np.kron(C, D)
         x = rng.standard_normal(6)
@@ -618,10 +690,19 @@ class TestKroneckerOperator:
         rng = np.random.default_rng(3)
         corr = sp.random(6, 6, density=0.5, random_state=4)
         op = KroneckerOperator(
-            2, 3, [(1.0, sp.identity(2), sp.identity(3))], correction=corr
+            2, 3, [(1.0, sp.identity(2), band_matrix(np.eye(3)))], correction=corr
         )
         x = rng.standard_normal(6)
         assert_allclose(op.matvec(x), x + corr @ x, atol=1e-14)
+
+    def test_spatial_factors_share_one_band_pattern(self):
+        with pytest.raises(TypeError, match="BandMatrix"):
+            KroneckerOperator(2, 3, [(1.0, np.eye(2), np.eye(3))])
+        wide = band_matrix(np.ones((3, 3)))
+        narrow = band_matrix(np.eye(3))
+        op = KroneckerOperator(2, 3, [(1.0, np.eye(2), wide)])
+        with pytest.raises(ValueError, match="one band pattern"):
+            op.plus([(1.0, np.eye(2), narrow)])
 
     def test_zero_state_operator_reduces_to_time_ode(self):
         # Applying the zero-state system operator to a constant-in-space
@@ -644,8 +725,8 @@ class TestKroneckerOperator:
         assert np.max(np.abs(op.matvec(x) - ref)) < 1e-13
 
     def test_stacked_matvec_mixes_factor_formats(self):
-        # CSR, DIA (sp.identity) and dense factors, plus a matrix-free
-        # correction, in one stacked apply.
+        # CSR, DIA (sp.identity) and dense temporal factors, band spatial
+        # factors, plus a matrix-free correction, in one stacked apply.
         st = make_st(d=2, p=2, elements=3)
         geo = builtin_geometry("ellipse_annulus", final_time=2.0)
         MR = random_reaction_operator(st, geo, seed=6)
@@ -658,7 +739,7 @@ class TestKroneckerOperator:
             (1.0, W_t, M_s),
             (1e-3, M_t, K_s),
             (0.7, sp.identity(nt), M_s),
-            (-0.2, dense_t, sp.identity(ns)),
+            (-0.2, dense_t, band_identity(M_s)),
         ]
         op = KroneckerOperator(nt, ns, terms, MR)
         x = rng.standard_normal(st.num_dof)
@@ -677,7 +758,7 @@ class TestKroneckerOperator:
         base_terms = [(1.0, W_t, M_s), (1e-3, M_t, K_s)]
         extra = [
             (0.7, sp.identity(nt), M_s),
-            (-0.2, rng.standard_normal((nt, nt)), sp.identity(ns)),
+            (-0.2, rng.standard_normal((nt, nt)), band_identity(M_s)),
         ]
         base = KroneckerOperator(nt, ns, base_terms)
         x = rng.standard_normal(st.num_dof)
@@ -690,13 +771,16 @@ class TestKroneckerOperator:
         base.correction = None
         assert len(base.terms) == 2
         assert np.array_equal(base.matvec(x), before)
-        # Each spatial factor is a view of the operator's stack and equals
-        # the factor it was given.
+        # Each spatial factor is a view of one of the operator's stacks and
+        # equals the factor it was given; the base's stack is shared.
+        stacks = [space for space, _ in op._stacks]
         for (_, _, smat), given in zip(op.terms, base_terms + extra):
-            assert np.shares_memory(smat.data, op._space_stack.data)
-            assert (smat != given[2]).nnz == 0
+            assert sum(np.shares_memory(smat.data, s) for s in stacks) == 1
+            assert np.array_equal(smat.toarray(), given[2].toarray())
+        for (_, _, smat), (_, _, mine) in zip(op.terms, base.terms):
+            assert np.shares_memory(smat.data, mine.data)
 
     def test_dimension_mismatch(self):
-        op = KroneckerOperator(2, 2, [(1.0, sp.identity(2), sp.identity(2))])
+        op = KroneckerOperator(2, 2, [(1.0, sp.identity(2), band_matrix(np.eye(2)))])
         with pytest.raises(ValueError, match="dimension mismatch"):
             op.matvec(np.zeros(5))

@@ -485,7 +485,9 @@ def test_theta_column_matches_multilinear_oracle(tmp_path):
 
 # A small stabilized solve on the annulus runs every dense factorization the
 # library has (the exact spatial eigenbasis, GMRES's triangular solve and the
-# recovery solve), so a lazy import inside any of them shows too.
+# recovery solve) and every band-matrix product (the Gram assemblies, the
+# operator's matvec and the exact factor's stabilizer diagonals), so a lazy
+# import inside any of them shows too.
 IMPORT_FOOTPRINT_SCRIPT = """
 import sys
 prefix = sys.argv[1]
@@ -512,7 +514,9 @@ print(loaded())
 """
 
 
-@pytest.mark.parametrize("module", ["scipy.interpolate", "scipy.linalg"])
+@pytest.mark.parametrize(
+    "module", ["scipy.interpolate", "scipy.linalg", "scipy.sparse", "scipy"]
+)
 def test_import_and_solve_load_no_module(module):
     import monoiga
 

@@ -28,7 +28,7 @@ from monoiga.linalg import (
     pcg,
     solve_w_system,
 )
-from oracles import kronecker_sparse
+from oracles import band_matrix, kronecker_sparse
 
 RNG = np.random.default_rng(77)
 
@@ -82,7 +82,7 @@ class TestTimePencil:
     def test_interior_block_is_skew(self):
         st = make_st(p=2, elements=6)
         W_t, _ = time_matrices(TimeQuadratureData(st, 1.0))
-        Wi = W_t.toarray()[:-1, :-1]
+        Wi = W_t[:-1, :-1]
         assert np.max(np.abs(Wi + Wi.T)) < 1e-13
 
 
@@ -115,13 +115,15 @@ def separable_surrogate(st, spatial_data, final_time, cm, diff, react):
 
     def kron(factors):
         # Direction d is the slowest.
-        out = factors[0]
+        out = factors[0].toarray()
         for f in factors[1:]:
-            out = sp.kron(f, out, format="csr")
+            out = np.kron(f.toarray(), out)
         return out
 
-    M_s = kron(M)
-    K_s = sum(kron([K[l] if l == a else M[l] for l in range(d)]) for a in range(d))
+    M_s = band_matrix(kron(M))
+    K_s = band_matrix(
+        sum(kron([K[l] if l == a else M[l] for l in range(d)]) for a in range(d))
+    )
     W_t, M_t = time_matrices(TimeQuadratureData(st, final_time))
     terms = [(cm, W_t, M_s), (diff, M_t, K_s), (react, M_t, M_s)]
     return KroneckerOperator(st.num_time, st.num_space, terms), w_mass, w_stiff
@@ -170,7 +172,7 @@ class TestFastDiagPreconditioner:
         st = SpaceTimeSpace(spatial, SplineSpace.uniform(2, 4))
         W_t, M_t = time_matrices(TimeQuadratureData(st, 1.0))
         # collapse space to a single dof by taking the 1x1 leading block
-        Ms1 = sp.csr_matrix(np.array([[1.0]]))
+        Ms1 = band_matrix(np.array([[1.0]]))
         cm = 1.0
         op = KroneckerOperator(st.num_time, 1, [(cm, W_t, Ms1)])
 
@@ -245,7 +247,7 @@ class TestFastDiagPreconditioner:
         Y = np.empty_like(R)
         W_t, M_t = time_matrices(TimeQuadratureData(st, 1.5))
         for k in range(ns):
-            A = cm * W_t.toarray() + (react + diff * lam[k]) * M_t.toarray()
+            A = cm * W_t + (react + diff * lam[k]) * M_t
             for (c, S_t, _), dg in zip(terms, diags):
                 A = A + c * dg[k] * S_t.toarray()
             Y[:, k] = np.linalg.solve(A, R[:, k])
@@ -462,9 +464,9 @@ class TestPCG:
 
 def dense_recovery_system(W_t, M_t, M_s, b, d_e, u):
     """Oracle: the assembled ``(K_t kron M_s, b (M_t kron M_s) u)``."""
-    M_s = M_s.toarray() if sp.issparse(M_s) else M_s
-    L = np.kron((W_t + b * d_e * M_t).toarray(), M_s)
-    return L, b * np.kron(M_t.toarray(), M_s) @ u
+    M_s = M_s.toarray() if hasattr(M_s, "toarray") else M_s
+    L = np.kron(W_t + b * d_e * M_t, M_s)
+    return L, b * np.kron(M_t, M_s) @ u
 
 
 class TestWSystem:
