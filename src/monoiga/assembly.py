@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bspline import tensor_at
+from .bspline import distinct_sorted, tensor_at
 from .geometry import jacobian_det, jacobian_inverse
 from .tensorops import kron_apply, mode_apply, slabs
 
@@ -36,6 +36,7 @@ __all__ = [
     "IterateOnGrid",
     "time_matrices",
     "spatial_operators",
+    "reaction_coefficient",
     "reaction_mass",
     "rhs_vectors",
 ]
@@ -43,9 +44,32 @@ __all__ = [
 
 @functools.lru_cache(maxsize=64)
 def gauss_legendre(q):
-    """Gauss-Legendre nodes and weights on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(q)
+    """Gauss-Legendre nodes and weights on [-1, 1].
+
+    The nodes are the eigenvalues of the Jacobi matrix of the Legendre
+    recurrence (Golub-Welsch), polished by one Newton step on ``P_q``; the
+    weights are ``2 / ((1 - x^2) P_q'(x)^2)``.  Both are symmetrized and the
+    weights scaled to sum to 2, as numpy's ``leggauss`` does, without
+    loading ``numpy.polynomial``.
+    """
+    k = np.arange(1.0, q)
+    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    p, dp = _legendre(q, x)
+    x -= p / dp
+    p, dp = _legendre(q, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x = (x - x[::-1]) / 2.0
+    w = (w + w[::-1]) / 2.0
+    w *= 2.0 / w.sum()
     return x, w
+
+
+def _legendre(q, x):
+    """``P_q(x)`` and ``P_q'(x)`` for ``q >= 1`` by the three-term recurrence."""
+    low, p = np.ones_like(x), x
+    for n in range(1, q):
+        low, p = p, ((2 * n + 1) * x * p - n * low) / (n + 1)
+    return p, q * (x * p - low) / (x * x - 1.0)
 
 
 class QuadratureRule:
@@ -74,7 +98,7 @@ class QuadratureRule:
         if extra_breaks is not None:
             extra = np.asarray(extra_breaks, dtype=float)
             extra = extra[(extra > 0.0) & (extra < 1.0)]
-            cells = np.unique(np.concatenate([cells, extra]))
+            cells = distinct_sorted(np.concatenate([cells, extra]))[0]
         if npoints is None:
             npoints = space.degree + 1
         return cls(cells, npoints)
@@ -153,13 +177,14 @@ class GramPattern:
         n = math.prod(self.sizes)
         self.shape = (n, n)
 
-    def matrix(self, band_values):
+    def matrix(self, band_values, out=None):
         """The :class:`BandMatrix` of the output of :meth:`GramKernel.band_values`.
 
         Along a slow axis a block's window is the band itself, so those
         values move by a transposed copy; along the fastest axis row ``r``
         of a block holds its band at window offset ``r``, one strided copy
-        per ``r``.
+        per ``r``.  The blocks are written into ``out``, a matrix of this
+        pattern (such as a slot of :meth:`stack`), when given.
         """
         d = len(self.sizes)
         c = self.block_rows
@@ -169,13 +194,31 @@ class GramPattern:
         band = band_values.reshape(shape).transpose(
             tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))
         )
-        data = np.zeros(self.block_shape + (c,) + self.window)
+        if out is None:
+            inner = math.prod(self.window)
+            out = BandMatrix(self, np.zeros((math.prod(self.block_shape), c, inner)))
+        else:
+            out.data[...] = 0.0
+        # Splitting the axes of the blocks and the windows is a view.
+        data = out.data.reshape(self.block_shape + (c,) + self.window)
         slow = (slice(None),) * (d - 1)
         for r in range(c):
             rows = band[slow + (slice(r, None, c),)]
             block_rows = slow + (slice(0, rows.shape[d - 1]), r)
             data[block_rows + slow + (slice(r, r + width),)] = rows
-        return BandMatrix(self, data.reshape(-1, c, math.prod(self.window)))
+        return out
+
+    def stack(self, k):
+        """``k`` zero matrices of this pattern, the slots of one stack.
+
+        Matrix ``t`` holds the blocks ``[:, :, t]`` of one array shaped
+        (blocks, c, k, inner), which is the stacked layout of
+        :meth:`apply`, so a :class:`KroneckerOperator` given these matrices
+        in order takes that array as its stack without a copy.
+        """
+        blocks = math.prod(self.block_shape)
+        data = np.zeros((blocks, self.block_rows, k, math.prod(self.window)))
+        return [BandMatrix(self, data[:, :, t]) for t in range(k)]
 
     def apply(self, stacks, X):
         """Apply stacked matrices of this pattern to the columns of ``X``.
@@ -318,9 +361,9 @@ class GramKernel:
             vals = mode_apply(pairs.T, vals, k)
         return vals
 
-    def __call__(self, weights):
-        """The Gram matrix of ``weights`` as a :class:`BandMatrix`."""
-        return self.pattern.matrix(self.band_values(weights))
+    def __call__(self, weights, out=None):
+        """The Gram matrix of ``weights`` as a :class:`BandMatrix` (into ``out``)."""
+        return self.pattern.matrix(self.band_values(weights), out)
 
 
 def banded_gram(tests, trials, weights, bands=None):
@@ -484,14 +527,24 @@ class SpatialQuadratureData:
         c = self.c0[::-1]
         return GramKernel(c, c, self.bands[::-1])
 
-    def mass(self, weights=None):
+    def mass(self, weights=None, out=None):
         """Spatial mass matrix of a complete weight grid, by default the measure.
 
         ``weights`` includes the quadrature measure (e.g. ``measure`` times
         a pointwise weight).  The pair products of the value collocations
         are built on first use and kept, so every weight grid reuses them.
+        The matrix is written into ``out``, one of :meth:`mass_stack`'s,
+        when given.
         """
-        return self._mass_kernel(self.measure if weights is None else weights)
+        return self._mass_kernel(self.measure if weights is None else weights, out)
+
+    def mass_stack(self, k):
+        """``k`` zero matrices in the layout of :meth:`mass`, one stack's slots.
+
+        See :meth:`GramPattern.stack`: mass matrices written into them make
+        one :class:`KroneckerOperator` stack without a copy.
+        """
+        return self._mass_kernel.pattern.stack(k)
 
     def stiffness(self):
         """Pulled-back spatial stiffness matrix."""
@@ -606,12 +659,16 @@ class IterateOnGrid(NamedTuple):
     ``space`` is the potential contracted in space (:func:`contract_space`
     with the value collocations), shaped (N_t, Q_d, ..., Q_1), from which
     any temporal collocation gives a time derivative; ``u`` and ``w`` are
-    the two fields on the grid, shaped (Q_t, Q_d, ..., Q_1).
+    the two fields on the grid, shaped (Q_t, Q_d, ..., Q_1).  ``stack``,
+    when given, is the one array, shaped (m, Q_t, Q_d, ..., Q_1), whose
+    slots are ``u`` and (with ``m = 2``) ``w``, for a last reader to write
+    over.
     """
 
     space: np.ndarray
     u: np.ndarray
     w: np.ndarray
+    stack: np.ndarray = None
 
 
 def field_on_grid(space_time, coeffs, time_colloc, space_collocs):
@@ -633,16 +690,24 @@ def load_vector(time_colloc, space_collocs, parts):
     which already carry the quadrature measure.  Returns
     ``(C_t kron C_s)^T g`` for the grid ``g`` the parts make up; the
     collocations are those of :func:`field_on_grid`.  Time is contracted
-    first, part by part, and space once for their sum, so a caller may form
-    the grid one slab at a time.
+    first, part by part, against the temporal functions that do not vanish
+    on the part's rows (a few per temporal element), and space once for
+    their sum, so a caller may form the grid one slab at a time.  Each part
+    is read before the next is asked for, so a generator of parts may reuse
+    a part's memory once it is resumed.
     """
     X = None
     for rows, grid in parts:
-        part = mode_apply(time_colloc[rows].T, grid, 0)
-        if X is None:
+        colloc = time_colloc[rows]
+        live = np.any(colloc, axis=0)
+        cols = slice(int(live.argmax()), live.size - int(live[::-1].argmax()))
+        part = mode_apply(colloc[:, cols].T, grid, 0)
+        if X is None and len(part) == live.size:
             X = part
         else:
-            X += part
+            if X is None:
+                X = np.zeros((live.size,) + part.shape[1:])
+            X[cols] += part
     return kron_apply([c.T for c in space_collocs], X).reshape(-1)
 
 
@@ -778,20 +843,33 @@ class WeightedMass:
         return self.matvec(x)
 
 
+def reaction_coefficient(constants, u, w, out=None):
+    """The reaction coefficient ``c1 (u - a)(u - 1) + c2 w``, pointwise.
+
+    ``u`` and ``w`` are values at the same points (``w`` may broadcast);
+    the result is written into ``out`` when given, which may be ``w``
+    itself: ``w`` is read before ``out`` is written.
+    """
+    tmp = np.multiply(w, constants["c2"])
+    out = np.subtract(u, constants["a"], out=out)
+    out *= u - 1.0
+    out *= constants["c1"]
+    out += tmp
+    return out
+
+
 def reaction_mass(constants, on_grid, spatial_data, time_data, out=None):
     """Space-time mass matrix weighted by the reaction coefficient of an iterate.
 
-    The coefficient ``c1 (u - a)(u - 1) + c2 w`` is evaluated at the
+    The coefficient (:func:`reaction_coefficient`) is evaluated at the
     quadrature nodes of ``spatial_data`` and ``time_data`` from
     ``on_grid``, the :class:`IterateOnGrid` of the iterates ``u`` and ``w``
     on that grid, so ``reaction_mass(...) @ u`` is the reaction term of the
     weak form.  Returns a :class:`WeightedMass` of size ``N_dof`` of one
     term, whose weight grid is the coefficient times the quadrature measure
-    per quadrature point, written into ``out`` when given.
+    per quadrature point, written into ``out`` when given; ``out`` may be
+    ``on_grid.w``, which each slab reads before writing.
     """
-    c1 = constants["c1"]
-    a = constants["a"]
-    c2 = constants["c2"]
     ct = time_data.c0
     cs = spatial_data.c0
     measure = spatial_data.measure
@@ -799,14 +877,9 @@ def reaction_mass(constants, on_grid, spatial_data, time_data, out=None):
     weights = np.empty(on_grid.u.shape) if out is None else out
     # In place, by slabs: the one grid-sized array is the result.
     for rows in time_data.slabs(measure.size):
-        u_vals = on_grid.u[rows]
-        slab = weights[rows]
-        np.subtract(u_vals, a, out=slab)
-        tmp = u_vals - 1.0
-        slab *= tmp
-        slab *= c1
-        np.multiply(on_grid.w[rows], c2, out=tmp)
-        slab += tmp
+        slab = reaction_coefficient(
+            constants, on_grid.u[rows], on_grid.w[rows], out=weights[rows]
+        )
         slab *= measure
         slab *= times[rows]
     return WeightedMass(ct, cs, weights[None], ct[None])
@@ -826,6 +899,23 @@ def rhs_vectors(source, spatial_data, time_data):
 def _dense(mat):
     """``mat`` as a dense array: an array, or anything with ``toarray()``."""
     return mat.toarray() if hasattr(mat, "toarray") else np.asarray(mat, dtype=float)
+
+
+def _stacked(blocks):
+    """One stack, shaped (blocks, c k, inner), of ``k`` matrices' blocks.
+
+    Row ``r k + t`` of a block is row ``r`` of the block of matrix ``t``
+    (see :meth:`GramPattern.apply`).  When the blocks are the slots of one
+    array in order (:meth:`GramPattern.stack`), that array is the stack;
+    otherwise they are copied into a new one.
+    """
+    base = blocks[0].base
+    if base is not None and base.ndim == 4 and base.shape[2] == len(blocks):
+        slots = [base[:, :, t].__array_interface__ for t in range(len(blocks))]
+        if all(b.__array_interface__ == slot for b, slot in zip(blocks, slots)):
+            return base.reshape(len(base), -1, base.shape[-1])
+    space = np.stack(blocks, axis=2)
+    return space.reshape(len(space), -1, space.shape[-1])
 
 
 class KroneckerOperator:
@@ -878,9 +968,8 @@ class KroneckerOperator:
             self._pattern = pattern
         if not terms:
             return
-        space = np.stack([smat.data for _, _, smat in terms], axis=2)
+        space = _stacked([smat.data for _, _, smat in terms])
         time = np.vstack([coef * _dense(tmat).T for coef, tmat, _ in terms])
-        space = space.reshape(len(space), -1, space.shape[-1])
         self._stacks = self._stacks + [(space, time)]
         self._temporal = self._temporal + [(coef, tmat) for coef, tmat, _ in terms]
 
@@ -898,8 +987,9 @@ class KroneckerOperator:
         """The operator of this one's terms followed by ``terms``.
 
         The result has no correction.  Only ``terms`` are stacked, into a
-        new stack; the result shares this operator's stacks, which stay as
-        they are.
+        new stack (their spatial factors' own array, without a copy, when
+        they are the slots of one :meth:`GramPattern.stack` in order); the
+        result shares this operator's stacks, which stay as they are.
         """
         out = copy.copy(self)
         out.correction = None

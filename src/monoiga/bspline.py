@@ -17,6 +17,19 @@ __all__ = [
 ]
 
 
+def distinct_sorted(values):
+    """The distinct values of a 1D array, ascending, and how often each occurs.
+
+    What ``np.unique(values, return_counts=True)`` returns, without loading
+    ``numpy.ma`` (which ``np.unique`` imports on its first call).
+    """
+    x = np.sort(np.asarray(values, dtype=float))
+    first = np.ones(x.size, dtype=bool)
+    first[1:] = x[1:] != x[:-1]
+    starts = np.flatnonzero(first)
+    return x[starts], np.diff(np.append(starts, x.size))
+
+
 def uniform_open_knots(degree, num_elements):
     """Open knot vector on [0, 1] with ``num_elements`` uniform spans."""
     if num_elements < 1:
@@ -59,7 +72,7 @@ class KnotVector:
             raise ValueError("last knot must have multiplicity exactly degree + 1")
         interior = knots[p + 1 : -p - 1]
         if interior.size:
-            _, counts = np.unique(interior, return_counts=True)
+            _, counts = distinct_sorted(interior)
             if p >= 1 and np.any(counts > p):
                 raise ValueError("interior knot multiplicity exceeds degree")
         self.knots = knots
@@ -73,7 +86,7 @@ class KnotVector:
     @property
     def breakpoints(self):
         """Distinct knots."""
-        return np.unique(self.knots)
+        return distinct_sorted(self.knots)[0]
 
     @property
     def mesh_size(self):
@@ -347,7 +360,7 @@ class SpaceTimeSpace:
         if time.degree < 1:
             raise ValueError("temporal degree must be >= 1")
         interior = time.knots[time.degree + 1 : -time.degree - 1]
-        if interior.size and np.unique(interior, return_counts=True)[1].max() > 1:
+        if interior.size and distinct_sorted(interior)[1].max() > 1:
             raise ValueError("temporal knot vector must have maximal smoothness")
         if time.dimension < 3:
             raise ValueError("temporal space needs at least 3 basis functions")

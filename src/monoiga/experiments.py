@@ -1,7 +1,6 @@
 """Configuration-driven experiment runners and field output writers."""
 
 import ast
-import configparser
 import logging
 import math
 import operator
@@ -408,6 +407,9 @@ def parse_config(path):
     A section or key the format does not define, and a non-empty
     ``[DEFAULT]`` section, raise :class:`ConfigError` naming it.
     """
+    # Imported here: a solve through the API reads no configuration file.
+    import configparser
+
     if not os.path.exists(path):
         raise ConfigError("configuration file %r not found" % path)
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))

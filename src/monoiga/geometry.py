@@ -120,17 +120,17 @@ class GeometryMap:
         quadrature weights per direction (direction 1 first); the result has
         the grid axes of :meth:`tabulate`.  The Jacobians are tabulated and
         reduced to determinants by slabs of the slowest direction
-        (:func:`~monoiga.tensorops.slabs`), so no grid of Jacobians is held;
-        the checks of :func:`jacobian_det` cover the whole grid, and raise
-        what it raises for the grid's determinants.  ``tables`` are as in
-        :meth:`tabulate`.
+        (:func:`~monoiga.tensorops.slabs`), each slab's Jacobians ``d^2``
+        values per point, so no grid of Jacobians is held; the checks of
+        :func:`jacobian_det` cover the whole grid, and raise what it raises
+        for the grid's determinants.  ``tables`` are as in :meth:`tabulate`.
         """
         if tables is None:
             tables = self.collocations(axes, 1)
         grid_shape = tuple(len(axes[l]) for l in reversed(range(self.dim)))
         out = np.empty(grid_shape)
         low, high, singular = np.inf, -np.inf, False
-        for rows in slabs(grid_shape[0], out[0].size):
+        for rows in slabs(grid_shape[0], out[0].size * self.dim**2):
             slab = axes[:-1] + [axes[-1][rows]]
             det, bad = _det_singular(
                 self.tabulate(slab, 1, tables[:-1] + [tables[-1][:, rows]])

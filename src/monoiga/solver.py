@@ -275,16 +275,20 @@ class _Workspace:
 
         One spatial contraction of ``u`` and one temporal contraction with
         the stacked ``jacobian_trials`` give both fields, since
-        ``[C_t; C_t R_t] U_s = [u; w]`` on the grid.  When ``R = 0``, ``w``
-        is a read-only zero-stride view of one zero, not a grid.
+        ``[C_t; C_t R_t] U_s = [u; w]`` on the grid; their ``stack`` has the
+        shape of the Jacobian's weights, which :meth:`linearize` writes over
+        it.  When ``R = 0``, the stack holds ``u`` alone and ``w`` is a
+        read-only zero-stride view of one zero, not a grid.
         """
         u_s = contract_space(self.space_time, u, self.spatial_data.c0)
         trials = self.jacobian_trials
         vals = mode_apply(trials.reshape(-1, trials.shape[-1]), u_s, 0)
+        stack = vals.reshape((len(trials), -1) + vals.shape[1:])
         if self.recovery is None:
-            return IterateOnGrid(u_s, vals, np.broadcast_to(0.0, vals.shape))
-        qt = self.time_data.weights.size
-        return IterateOnGrid(u_s, vals[:qt], vals[qt:])
+            w = np.broadcast_to(0.0, stack.shape[1:])
+        else:
+            w = stack[1]
+        return IterateOnGrid(u_s, stack[0], w, stack)
 
     def system(self, lowrank=None):
         """The operator, preconditioner and ``||P f||`` of one stabilizer.
@@ -310,75 +314,79 @@ class _Workspace:
         norm_pf = float(np.linalg.norm(precond.apply(self.f_vec)))
         return op, precond, norm_pf
 
-    def _jacobian_slabs(self, problem, on_grid, weights):
+    def _jacobian_slabs(self, problem, mass, weights):
         """Form the Jacobian's weights slab by slab; yield the residual's integrand.
 
-        ``weights[0]`` holds ``c`` times the measure on entry, and ``j1`` and
-        ``j2`` (if stacked) are written over ``weights`` one slab of
-        temporal elements at a time, each slab with its own space-time
-        measure (the spatial measure times the temporal weights).  Each
-        slab yields ``(rows, (c - c1 a) u times the measure)`` for
-        :func:`load_vector`, so the integrand is never a whole grid.
+        ``weights`` stacks ``u`` and, when ``R`` is not zero, the grid
+        ``mass`` of ``c`` times the measure (:func:`reaction_mass`, written
+        over ``w``); otherwise ``mass`` is a grid of its own.  One slab of
+        temporal elements at a time, with its own space-time measure (the
+        spatial measure times the temporal weights), each slab yields
+        ``(rows, (c - c1 a) u times the measure)`` for :func:`load_vector`,
+        so the integrand is never a whole grid, after ``j2`` is written over
+        the slab of ``mass`` and ``j1`` over that of ``u``.
         """
         c1, a, c2 = problem.c1, problem.a, problem.c2
         spatial = self.spatial_data.measure
         times = self.time_data.weights
         for rows in self.time_data.slabs(spatial.size):
-            u_vals = on_grid.u[rows]
+            u_vals = weights[0, rows]
             # The outer product by einsum: a broadcast multiply takes twice as long.
             measure = np.einsum("t,...->t...", times[rows], spatial)
             # (c - c1 a) times the measure: the reaction beyond the one in K.
             rest = np.multiply(measure, c1 * a)
-            np.subtract(weights[0, rows], rest, out=rest)
-            j1 = weights[0, rows]
-            np.multiply(u_vals, 2.0, out=j1)
-            j1 -= 1.0 + a
-            j1 *= u_vals
-            j1 *= c1
-            j1 *= measure
-            j1 += rest
+            np.subtract(mass[rows], rest, out=rest)
             if len(weights) > 1:
                 j2 = weights[1, rows]
                 np.multiply(u_vals, c2, out=j2)
                 j2 *= measure
-            rest *= u_vals
-            yield rows, rest
+            integrand = rest * u_vals
+            yield rows, integrand
+            # Integrated: the integrand's memory takes 2 u - 1 - a.
+            factor = np.multiply(u_vals, 2.0, out=integrand)
+            factor -= 1.0 + a
+            j1 = np.multiply(u_vals, factor, out=u_vals)
+            j1 *= c1
+            j1 *= measure
+            j1 += rest
 
     def linearize(self, problem, u, op, on_grid):
         """Residual ``F(u)`` and Jacobian operator at an iterate ``u``, ``w = R u``.
 
         ``op`` is the Kronecker operator ``K`` of :meth:`system` and
-        ``on_grid`` the iterate's :meth:`evaluate`.  With the reaction
-        coefficient ``c = c1 (u - a)(u - 1) + c2 w``,
+        ``on_grid`` the iterate's :meth:`evaluate`, which the Jacobian's
+        weights are written over, so it is not valid afterwards.  With the
+        reaction coefficient ``c = c1 (u - a)(u - 1) + c2 w``,
         ``F(u) = K u + int (c - c1 a) u v - f``, and the Jacobian is ``K``
         plus the :class:`WeightedMass`
         ``C_t^T diag(j1) C_t + C_t^T diag(j2) C_t R_t`` with
         ``j1 = c - c1 a + c1 u (2 u - 1 - a)`` and ``j2 = c2 u``, both times
         the quadrature measure (``j2`` is dropped when ``R = 0``), set as the
         correction of ``op``.  At the zero iterate the remainder vanishes:
-        ``F = -f`` and the Jacobian is ``K``.  The weights and the residual's
-        integrand are formed by slabs of temporal elements
-        (:meth:`_jacobian_slabs`), ``j1`` in place over the reaction mass's
-        grid, so the Jacobian's weights are the only grids made.
+        ``F = -f`` and the Jacobian is ``K``.  :func:`reaction_mass` writes
+        ``c`` times the measure over ``w``, and the weights and the
+        residual's integrand are then formed by slabs of temporal elements
+        (:meth:`_jacobian_slabs`) in place over ``on_grid.stack``, so
+        without ``R = 0`` (where ``c`` takes a grid of its own) no grid is
+        made.
         """
         op.correction = None
         if not np.any(u):
             return -self.f_vec, op
         ct = self.time_data.c0
         cs = self.spatial_data.c0
-        trials = self.jacobian_trials
-        weights = np.empty((len(trials),) + on_grid.u.shape)
-        # c times the measure, which becomes j1.
+        weights = on_grid.stack
+        mass = weights[1] if len(weights) > 1 else np.empty(on_grid.u.shape)
         reaction_mass(
             problem.reaction_constants(),
             on_grid,
             self.spatial_data,
             self.time_data,
-            out=weights[0],
+            out=mass,
         )
-        integrand = self._jacobian_slabs(problem, on_grid, weights)
+        integrand = self._jacobian_slabs(problem, mass, weights)
         residual = op.matvec(u) + load_vector(ct, cs, integrand) - self.f_vec
-        op.correction = WeightedMass(ct, cs, weights, trials)
+        op.correction = WeightedMass(ct, cs, weights, self.jacobian_trials)
         return residual, op
 
 
@@ -451,8 +459,14 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
 
     for k in range(done + 1, done + config.max_iterations + 1):
         drift = 0.0
+        rebuild = stabilized and not (latched and system is not None)
+        if rebuild:
+            # The last step's system is not used again: release its
+            # stabilizer stack and per-mode inverses before this step's
+            # evaluation, indicator and system are built.
+            system = op = precond = jac = None
         on_grid = ws.evaluate(u)
-        if stabilized and not (latched and system is not None):
+        if rebuild:
             if not latched:
                 fresh = compute_theta(
                     problem, u, on_grid, ws.spatial_data, ws.time_data

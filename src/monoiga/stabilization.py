@@ -10,7 +10,13 @@ solver shares with its reaction mass and load vector.
 
 import numpy as np
 
-from .assembly import GramKernel, QuadratureRule, SpatialQuadratureData, contract_space
+from .assembly import (
+    GramKernel,
+    QuadratureRule,
+    SpatialQuadratureData,
+    contract_space,
+    reaction_coefficient,
+)
 from .bspline import KnotVector, SplineSpace
 from .tensorops import abs_max, kron_apply, mode_apply
 
@@ -123,25 +129,20 @@ def compute_tau(time_space):
     return StabilizationWeights(time_space, spaces, coeffs, residual)
 
 
-def _residual(problem, u, u_t, lap, w, f):
-    """``C_m u_t - D lap + c1 u (u - a)(u - 1) + c2 u w - f``, pointwise.
+def _residual(problem, res, u_t, lap, f):
+    """The strong residual ``C_m u_t - D lap + c u - f`` from ``res = c u``.
 
-    ``u_t`` is the physical time derivative and ``lap`` the physical
-    Laplacian; ``f`` is the source sampled at the same points, or None.
-    Evaluated in place on two arrays: on grids of the solver's size each
-    fresh temporary costs more than the arithmetic.
+    ``res`` holds the reaction term (the reaction coefficient of
+    :func:`~monoiga.assembly.reaction_coefficient` times ``u``) and receives
+    the rest in place; ``u_t`` is the physical time derivative and ``lap``
+    the physical Laplacian, both scaled in place, and ``f`` is the source
+    sampled at the same points, or None.  On grids of the solver's size
+    each fresh temporary costs more than the arithmetic.
     """
-    res = u - problem.a
-    tmp = u - 1.0
-    res *= tmp
-    res *= problem.c1
-    np.multiply(w, problem.c2, out=tmp)
-    res += tmp
-    res *= u
-    np.multiply(lap, problem.D, out=tmp)
-    res -= tmp
-    np.multiply(u_t, problem.C_m, out=tmp)
-    res += tmp
+    lap *= problem.D
+    res -= lap
+    u_t *= problem.C_m
+    res += u_t
     if f is not None:
         res -= f
     return res
@@ -222,22 +223,21 @@ def compute_theta(problem, u, on_grid, spatial_data, time_data):
     # contiguous (leading, points, trailing) view: axes (E_t, E_d, ..., E_1).
     rules = [time_data.rule] + spatial_data.rules[::-1]
     npts = time_data.rule.npoints
+    constants = problem.reaction_constants()
     emax = np.empty(tuple(r.num_cells for r in rules))
     dt_max = 0.0
     for rows in time_data.slabs(spatial_data.measure.size):
         cells = slice(rows.start // npts, rows.stop // npts)
+        # The reaction term first, so that its temporaries are freed before
+        # the derivatives are formed.
+        u_vals = on_grid.u[rows]
+        res = reaction_coefficient(constants, u_vals, on_grid.w[rows])
+        res *= u_vals
         u_dt = mode_apply(time_data.c1[rows], on_grid.space, 0)
         dt_max = max(dt_max, abs_max(u_dt))
         u_dt /= T
         lap = mode_apply(time_data.c0[rows], lap_s, 0)
-        res = _residual(
-            problem,
-            on_grid.u[rows],
-            u_dt,
-            lap,
-            on_grid.w[rows],
-            None if f is None else f[rows],
-        )
+        _residual(problem, res, u_dt, lap, None if f is None else f[rows])
         del u_dt, lap
         slab = np.abs(res, out=res)
         lead = 1
@@ -420,7 +420,10 @@ def assemble_stabilization(lowrank, grid, capacitance, eigenvectors):
     matrix.  A single factor over every direction is dense already, and
     ``d_r`` is read from ``S^s_r U``, which the band kernel applies.  The
     spatial profiles of all ranks are interpolated together through the
-    grid's hat matrices.  Both lists are empty at rank zero.
+    grid's hat matrices, and the ``S^s_r`` are assembled into the slots of
+    one stack (:meth:`~monoiga.assembly.SpatialQuadratureData.mass_stack`),
+    which an operator's :meth:`~monoiga.assembly.KroneckerOperator.plus`
+    takes without a copy.  Both lists are empty at rank zero.
     """
     sd = grid.spatial_data
     d = len(sd.c0)
@@ -432,6 +435,7 @@ def assemble_stabilization(lowrank, grid, capacitance, eigenvectors):
     rank = lowrank.rank
     factors = lowrank.space_factors.T.reshape((rank,) + lowrank.indicator.spatial_shape)
     profiles = kron_apply(grid.space_hats, factors)
+    smats = sd.mass_stack(rank)
     terms = []
     precond_terms = []
     for r in range(rank):
@@ -439,7 +443,7 @@ def assemble_stabilization(lowrank, grid, capacitance, eigenvectors):
         prof_t = lowrank.time_profile(r, grid.time_points)
         tmat = grid.time_gram(grid.time_weights * prof_t).toarray()
         weights = sd.measure * profiles[r]
-        smat = sd.mass(weights)
+        smat = sd.mass(weights, out=smats[r])
         if tables is None:
             diag = np.einsum("ik,ik->k", U, smat @ U)
         else:

@@ -6,20 +6,22 @@ length ``N_t * N_s`` therefore reshapes to ``(N_t, n_d, ..., n_1)`` in
 C order.  Per-direction lists run the other way, direction 1 first; the
 helpers below map directions to axes, and :func:`kron_apply` is the one
 per-direction contraction.  Element-wise passes over large grids run over
-slabs of their slowest axis (:func:`slabs`), so their temporaries are
-bounded by ``SLAB_POINTS`` points, not by the grid.
+slabs of their slowest axis (:func:`slabs`), so each of their temporaries
+holds at most ``SLAB_POINTS`` values, not the grid.
 """
 
 import math
 
 import numpy as np
 
-# Points per slab of a grid pass (a slab of doubles is 0.5 MB).  The largest
-# grids of the two benchmark workloads, the cube's 41,472-point space-time
-# grid and 32,768-point refined spatial grid, stay single slabs, so small
-# solves allocate what they did unslabbed (with 4,096 points the cube
-# workload's solve took 0.080 s against 0.068-0.073 s, minimum of 40, one
-# thread of a 2-vCPU Xeon).  On the 8^3 x 16 cube (minimum of 7) the
+# Values per slab of a grid pass (a slab of doubles is 0.5 MB); a pass
+# whose arrays hold several values per point takes fewer points.  The
+# solve passes over the largest grids of the two benchmark workloads, the
+# cube's 41,472-point space-time grid and 32,768-point refined spatial grid,
+# stay single slabs (the refined grid's Jacobians, 9 values per point, take
+# 5), so small solves allocate what they did unslabbed (with 4,096 points
+# the cube workload's solve took 0.080 s against 0.068-0.073 s, minimum of
+# 40, one thread of a 2-vCPU Xeon).  On the 8^3 x 16 cube (minimum of 7) the
 # indicator takes 0.013 s with this budget against 0.015 s at 2^14 and 2^18
 # and 0.022 s unslabbed, and the linearization 0.014 s against 0.017 s,
 # 0.016 s and 0.014 s; at 16^3 x 16 every budget below 331,776 points (one
@@ -93,9 +95,10 @@ def outer_product_grid(vectors):
 def slabs(count, size, least=1):
     """Consecutive slices of ``range(count)`` for a pass over ``count`` items.
 
-    Each item holds ``size`` grid points; a slice takes as many items as fit
-    in ``SLAB_POINTS`` points, and at least ``least``.  A grid of at most
-    ``SLAB_POINTS`` points is a single slab.
+    Each item holds ``size`` values: its grid points, times the values per
+    point where the pass's arrays hold several (a Jacobian's ``d^2``).  A
+    slice takes as many items as fit in ``SLAB_POINTS`` values, and at least
+    ``least``; a pass of at most ``SLAB_POINTS`` values is a single slab.
     """
     step = max(least, SLAB_POINTS // max(size, 1))
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]

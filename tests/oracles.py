@@ -246,12 +246,14 @@ def iterate_on_grid(space_time, u, w, spatial_data, time_data):
 
     Each field is contracted in space, then in time, on its own, so ``w``
     need not be the recovery map of ``u``; the solver's workspace evaluates
-    both from one spatial contraction of ``u`` instead.
+    both from one spatial contraction of ``u`` instead.  Both fields are
+    the slots of the evaluation's ``stack``, as in the workspace's.
     """
     u_s = contract_space(space_time, u, spatial_data.c0)
     w_s = contract_space(space_time, w, spatial_data.c0)
     ct = time_data.c0
-    return IterateOnGrid(u_s, mode_apply(ct, u_s, 0), mode_apply(ct, w_s, 0))
+    stack = np.stack([mode_apply(ct, u_s, 0), mode_apply(ct, w_s, 0)])
+    return IterateOnGrid(u_s, stack[0], stack[1], stack)
 
 
 def kronecker_sparse(op):

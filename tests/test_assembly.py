@@ -17,6 +17,7 @@ from monoiga.assembly import (
     TimeQuadratureData,
     WeightedMass,
     banded_gram,
+    gauss_legendre,
     reaction_mass,
     rhs_vectors,
     spatial_operators,
@@ -61,6 +62,21 @@ class TestQuadrature:
         for k in range(2 * 4):
             val = np.sum(rule.flat_weights * rule.points**k)
             assert_allclose(val, 1.0 / (k + 1), rtol=1e-13)
+
+    @pytest.mark.parametrize("q", range(1, 21))
+    def test_gauss_legendre_matches_numpy(self, q):
+        # numpy's leggauss weights are themselves off by up to 1.8e-15 from
+        # 40-digit values (q = 18 and 20), where these are within 1.6e-16,
+        # so the weights are compared at twice that and checked for
+        # exactness on their own.
+        x, w = gauss_legendre(q)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(q)
+        assert_allclose(x, ref_x, rtol=0, atol=1e-15)
+        assert_allclose(w, ref_w, rtol=0, atol=2e-15)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        for k in range(2 * q):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(np.sum(w * x**k) - exact) <= 1e-15
 
     def test_refined_rule_matches(self):
         space = SplineSpace.uniform(3, 3)
@@ -322,6 +338,24 @@ def test_reaction_mass_writes_its_weights_into_out():
     given = reaction_mass_of(st, geo, u, w, out=out[1])
     assert np.shares_memory(given.data, out)
     assert np.array_equal(out[1], MR.data[0])
+
+
+@pytest.mark.parametrize("budget", [1, 2**40])
+def test_reaction_mass_may_write_over_w(monkeypatch, budget):
+    # Each slab of w is read before the weights are written over it.
+    monkeypatch.setattr(tensorops, "SLAB_POINTS", budget)
+    st = make_st(d=2, p=2, elements=2, elements_t=3)
+    geo = builtin_geometry("ellipse_annulus", final_time=3.0)
+    sdata = SpatialQuadratureData(st.spatial, geo)
+    tdata = TimeQuadratureData(st, geo.final_time)
+    rng = np.random.default_rng(15)
+    u = rng.standard_normal(st.num_dof)
+    w = rng.standard_normal(st.num_dof)
+    MR = reaction_mass(CONSTANTS, iterate_on_grid(st, u, w, sdata, tdata), sdata, tdata)
+    on_grid = iterate_on_grid(st, u, w, sdata, tdata)
+    over = reaction_mass(CONSTANTS, on_grid, sdata, tdata, out=on_grid.w)
+    assert np.shares_memory(over.data, on_grid.stack)
+    assert np.array_equal(on_grid.w, MR.data[0])
 
 
 class TestWeightedMass:
@@ -779,6 +813,37 @@ class TestKroneckerOperator:
             assert np.array_equal(smat.toarray(), given[2].toarray())
         for (_, _, smat), (_, _, mine) in zip(op.terms, base.terms):
             assert np.shares_memory(smat.data, mine.data)
+
+    def test_plus_takes_a_pattern_stack_without_a_copy(self):
+        # Matrices assembled into the slots of GramPattern.stack become the
+        # new stack as they are; the same matrices in any other order, or
+        # separately assembled, are copied into one.
+        st = make_st(d=2, p=2, elements=3)
+        geo = builtin_geometry("ellipse_annulus", final_time=2.0)
+        sdata = SpatialQuadratureData(st.spatial, geo)
+        W_t, M_t = time_matrices(TimeQuadratureData(st, 2.0))
+        nt, ns = st.num_time, st.num_space
+        rng = np.random.default_rng(16)
+        grids = [sdata.measure * rng.random(sdata.grid_shape) for _ in range(3)]
+        slots = sdata.mass_stack(3)
+        mats = [sdata.mass(g, out=slot) for g, slot in zip(grids, slots)]
+        assert all(m is slot for m, slot in zip(mats, slots))
+        base = KroneckerOperator(nt, ns, [(1.0, W_t, sdata.mass())])
+        terms = [(0.5 + t, M_t, m) for t, m in enumerate(mats)]
+        op = base.plus(terms)
+        (space, _) = op._stacks[-1]
+        assert np.shares_memory(space, slots[0].data)
+        copied = base.plus(terms[::-1])
+        assert not np.shares_memory(copied._stacks[-1][0], slots[0].data)
+        ref = [(c, t, sdata.mass(g)) for (c, t, _), g in zip(terms, grids)]
+        assert not np.shares_memory(base.plus(ref)._stacks[-1][0], slots[0].data)
+        x = rng.standard_normal(st.num_dof)
+        want = base.plus(ref).matvec(x)
+        assert np.array_equal(op.matvec(x), want)
+        scale = np.abs(want).max()
+        assert_allclose(copied.matvec(x), want, rtol=0, atol=1e-14 * scale)
+        for m, g in zip(mats, grids):
+            assert np.array_equal(m.toarray(), sdata.mass(g).toarray())
 
     def test_dimension_mismatch(self):
         op = KroneckerOperator(2, 2, [(1.0, sp.identity(2), band_matrix(np.eye(2)))])

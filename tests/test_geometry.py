@@ -202,6 +202,54 @@ def test_measure_is_weights_times_abs_det(monkeypatch, budget):
         assert_allclose(g.measure(axes, weights), ref, rtol=1e-15, atol=0)
 
 
+def warped_cube():
+    """A degree-2 map of the unit cube whose middle control point is moved."""
+    geo = box_geometry([1.0, 1.0, 1.0], degree=2)
+    ctrl = geo.control_points.copy()
+    ctrl[13] += [0.1, -0.05, 0.08]
+    return GeometryMap(geo.spaces, ctrl)
+
+
+@pytest.mark.parametrize("geometry", ["annulus", "cube"])
+def test_measure_slabs_hold_at_most_the_budget_in_values(monkeypatch, geometry):
+    # A slab's Jacobians hold d^2 values per point, and the budget counts
+    # values: one row of the grid per slab at the smallest budget that fits
+    # one, and the whole grid at an unbounded one.  Slabs of one row give
+    # the same measure bit for bit; the whole grid differs in the last bits
+    # only (its slowest direction is contracted by one matrix product
+    # instead of one per row).
+    if geometry == "annulus":
+        geo = builtin_geometry("ellipse_annulus")
+        rules = [QuadratureRule.for_space(SplineSpace.uniform(3, n)) for n in (7, 3)]
+    else:
+        geo = warped_cube()
+        rules = [QuadratureRule.for_space(SplineSpace.uniform(2, n)) for n in (5, 4, 3)]
+    axes = [r.points for r in rules]
+    weights = [r.flat_weights for r in rules]
+    d = geo.dim
+    row = np.prod([a.size for a in axes[:-1]])
+    tabulated = []
+    tabulate = GeometryMap.tabulate
+
+    def recording(self, slab, order=0, tables=None):
+        out = tabulate(self, slab, order, tables)
+        tabulated.append(out.size)
+        return out
+
+    monkeypatch.setattr(GeometryMap, "tabulate", recording)
+    measures = []
+    for budget in (1, row * d * d, 2**40):
+        monkeypatch.setattr(tensorops, "SLAB_POINTS", budget)
+        tabulated.clear()
+        measures.append(geo.measure(axes, weights))
+        if budget == 2**40:
+            assert tabulated == [row * axes[-1].size * d * d]
+        else:
+            assert tabulated == [row * d * d] * axes[-1].size
+    assert np.array_equal(measures[0], measures[1])
+    assert_allclose(measures[0], measures[2], rtol=1e-15, atol=0)
+
+
 def test_check_bijective_accepts_orientation_reversal():
     geo = builtin_geometry("unit_square")
     mirrored = GeometryMap(geo.spaces, geo.control_points[:, ::-1])

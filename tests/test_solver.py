@@ -17,13 +17,16 @@ from monoiga.assembly import (
     KroneckerOperator,
     SpatialQuadratureData,
     TimeQuadratureData,
+    WeightedMass,
     field_on_grid,
+    load_vector,
     reaction_mass,
     rhs_vectors,
     spatial_operators,
     time_matrices,
 )
 from monoiga.bspline import SplineSpace, SpaceTimeSpace
+from monoiga.experiments import make_source
 from monoiga.geometry import builtin_geometry
 from monoiga.linalg import FastDiagPreconditioner, gmres
 from monoiga.solver import (
@@ -658,6 +661,109 @@ class TestFixedPoint:
         assert len(ws.time_data.slabs(ws.spatial_data.measure.size)) == 1
         for slabbed, single in zip(*out):
             assert_allclose(slabbed, single, rtol=0, atol=1e-14 * np.max(np.abs(single)))
+
+    @pytest.mark.parametrize("b", [0.0, 0.5])
+    def test_linearization_over_the_evaluation_matches_a_separate_one(self, b):
+        # The Jacobian's weights are written over the step's evaluation of u
+        # and w; the same weights, residual and Jacobian come from grids of
+        # their own, formed straight from the formulas.
+        problem = make_problem(
+            d=2,
+            p=2,
+            elements=4,
+            b=b,
+            source=lambda x, t: np.sin(np.pi * t) * np.ones(t.shape),
+        )
+        ws = _Workspace(problem, FixedPointConfig())
+        rng = np.random.default_rng(13)
+        u = 0.5 * rng.standard_normal(problem.space.num_dof)
+        delta = rng.standard_normal(problem.space.num_dof)
+        op = ws.system()[0]
+        ku, kd = op.matvec(u), op.matvec(delta)
+        on_grid = ws.evaluate(u)
+        residual, jac = ws.linearize(problem, u, op, on_grid)
+        weights = jac.correction.data
+        assert weights is on_grid.stack
+
+        sd, td = ws.spatial_data, ws.time_data
+        ref = iterate_on_grid(problem.space, u, ws.recover(u), sd, td)
+        uu, ww = ref.u, ref.w
+        c1, a, c2 = problem.c1, problem.a, problem.c2
+        measure = np.multiply.outer(td.weights, sd.measure)
+        c = c1 * (uu - a) * (uu - 1.0) + c2 * ww
+        j1 = (c - c1 * a + c1 * uu * (2.0 * uu - 1.0 - a)) * measure
+        ref_weights = np.stack([j1, c2 * uu * measure]) if b else j1[None]
+        scale = np.max(np.abs(ref_weights))
+        assert weights.shape == ref_weights.shape
+        assert np.max(np.abs(weights - ref_weights)) <= 1e-14 * scale
+        integrand = [(slice(None), (c - c1 * a) * uu * measure)]
+        ref_residual = ku + load_vector(td.c0, sd.c0, integrand) - ws.f_vec
+        scale = np.max(np.abs(ref_residual))
+        assert_allclose(residual, ref_residual, rtol=0, atol=1e-14 * scale)
+        ref_jac = WeightedMass(td.c0, sd.c0, ref_weights, ws.jacobian_trials)
+        want = kd + ref_jac.matvec(delta)
+        got = jac.matvec(delta)
+        assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+    def test_stabilized_solve_peak_is_a_few_grid_arrays(self):
+        # What a stabilized 8^3 x 16 solve holds at its peak, counted in
+        # arrays on the default space-time quadrature grid: the workspace
+        # (the source sample, the operator's stacks and the refined measure)
+        # about 2.5, the step's evaluation, which becomes the Jacobian's
+        # weights, 2, and the step's system, the Krylov basis and a
+        # matvec's contractions.  With a grid of Jacobian weights of its own
+        # and the refined grid's Jacobians tabulated as one slab, the solve
+        # peaked at 9.4.
+        spatial = [SplineSpace.uniform(2, 8)] * 3
+        st = SpaceTimeSpace(spatial, SplineSpace.uniform(2, 16))
+        problem = MonodomainProblem(
+            geometry=builtin_geometry("unit_cube", final_time=80.0),
+            space=st,
+            source=make_source(
+                "layer_pulse_3d",
+                80.0,
+                {},
+                {"window_start": 44.5, "window_end": 59.5},
+            ),
+        )
+        config = FixedPointConfig(stabilization="spline_upwind")
+        tracemalloc.start()
+        try:
+            result = fixed_point_solve(problem, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.converged and max(step["rank"] for step in result.steps) > 0
+        # Three Gauss points per element in every direction.
+        grid_bytes = 8 * (3 * 16) * (3 * 8) ** 3
+        assert peak <= 7.5 * grid_bytes
+
+    def test_last_system_is_released_before_the_next_is_built(self, monkeypatch):
+        # When the indicator is recomputed, the previous step's operator (its
+        # stabilizer stack) is no longer referenced once the next one is
+        # assembled.
+        alive = []
+        assemble = solver.assemble_stabilization
+
+        def counting_assemble(*args):
+            gc.collect()
+            alive.append(
+                sum(
+                    isinstance(o, KroneckerOperator) and len(o._stacks) > 1
+                    for o in gc.get_objects()
+                )
+            )
+            return assemble(*args)
+
+        monkeypatch.setattr(solver, "assemble_stabilization", counting_assemble)
+        problem = make_problem(
+            d=2, p=2, elements=3, source=lambda x, t: np.sin(np.pi * t) * x[:, 0]
+        )
+        config = FixedPointConfig(stabilization="spline_upwind", tolerance=1e-6)
+        result = fixed_point_solve(problem, config)
+        assert result.converged
+        assert len(alive) > 1
+        assert alive == [0] * len(alive)
 
     def test_refined_grid_builds_no_derivative_tables(self, monkeypatch):
         # The stabilizer integrates values only: its refined grid never
