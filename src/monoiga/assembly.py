@@ -658,17 +658,21 @@ class IterateOnGrid(NamedTuple):
 
     ``space`` is the potential contracted in space (:func:`contract_space`
     with the value collocations), shaped (N_t, Q_d, ..., Q_1), from which
-    any temporal collocation gives a time derivative; ``u`` and ``w`` are
-    the two fields on the grid, shaped (Q_t, Q_d, ..., Q_1).  ``stack``,
-    when given, is the one array, shaped (m, Q_t, Q_d, ..., Q_1), whose
-    slots are ``u`` and (with ``m = 2``) ``w``, for a last reader to write
-    over.
+    any temporal collocation gives a time derivative; ``stack``, shaped
+    (2, Q_t, Q_d, ..., Q_1), holds the two fields on the grid, ``u`` and
+    ``w`` in that order, in one array for a last reader to write over.
     """
 
     space: np.ndarray
-    u: np.ndarray
-    w: np.ndarray
-    stack: np.ndarray = None
+    stack: np.ndarray
+
+    @property
+    def u(self):
+        return self.stack[0]
+
+    @property
+    def w(self):
+        return self.stack[1]
 
 
 def field_on_grid(space_time, coeffs, time_colloc, space_collocs):
@@ -846,9 +850,9 @@ class WeightedMass:
 def reaction_coefficient(constants, u, w, out=None):
     """The reaction coefficient ``c1 (u - a)(u - 1) + c2 w``, pointwise.
 
-    ``u`` and ``w`` are values at the same points (``w`` may broadcast);
-    the result is written into ``out`` when given, which may be ``w``
-    itself: ``w`` is read before ``out`` is written.
+    ``u`` and ``w`` are values at the same points; the result is written
+    into ``out`` when given, which may be ``w`` itself: ``w`` is read
+    before ``out`` is written.
     """
     tmp = np.multiply(w, constants["c2"])
     out = np.subtract(u, constants["a"], out=out)

@@ -486,8 +486,10 @@ def _build_problem(config):
     """The problem and source of a configuration, checked before any solve.
 
     Values the constructors reject, a ``section`` or ``grid`` of the wrong
-    length for the geometry, a ``grid`` entry below 2 and an output time
-    outside ``[0, 1]`` raise :class:`ConfigError`.
+    length for the geometry, a ``section`` endpoint outside ``[0, 1]`` or
+    sample count that is not a whole number of at least 1, a ``grid``
+    entry below 2 and an output time outside ``[0, 1]`` raise
+    :class:`ConfigError`.
     """
     try:
         geo = build_geometry(config.geometry, final_time=config.final_time)
@@ -506,11 +508,17 @@ def _build_problem(config):
     except (ValueError, GeometryError) as exc:
         raise ConfigError("invalid configuration value: %s" % exc) from exc
     d = geo.dim
-    if config.section is not None and len(config.section) != 2 * d + 1:
-        raise ConfigError(
-            "section must hold %d start and %d end coordinates and a sample count"
-            % (d, d)
-        )
+    if config.section is not None:
+        if len(config.section) != 2 * d + 1:
+            raise ConfigError(
+                "section must hold %d start and %d end coordinates and a sample count"
+                % (d, d)
+            )
+        *ends, samples = config.section
+        if not all(0.0 <= x <= 1.0 for x in ends):
+            raise ConfigError("section endpoints must lie in [0, 1]")
+        if not (samples >= 1 and float(samples).is_integer()):
+            raise ConfigError("section sample count must be a whole number of at least 1")
     if config.grid_shape is not None:
         if min(config.grid_shape, default=2) < 2:
             raise ConfigError("grid entries must be at least 2")

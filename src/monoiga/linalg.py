@@ -419,23 +419,19 @@ def pcg(op, rhs, precond=None, tol=1e-8, max_iter=None):
     )
 
 
-def solve_w_system(W_t, M_t, recovery_rate, equilibrium_rate, u):
-    """Exact solution of the recovery-variable system.
+def solve_w_system(W_t, M_t, recovery_rate, equilibrium_rate):
+    """The temporal factor ``R_t`` of the recovery-variable system's exact solution.
 
     The system is ``(K_t kron M_s) w = b (M_t kron M_s) u`` with
     ``K_t = W_t + b d_e M_t``.  The same spatial mass sits on both sides, so
-    ``w = b (K_t^{-1} M_t kron I) u``: one small dense matrix applied along
-    the time axis of ``U = u.reshape(N_t, N_s)``.  Raises
-    :class:`DecompositionError` when ``K_t`` is singular.
+    ``w = (R_t kron I) u`` with the dense ``R_t = b K_t^{-1} M_t``, one small
+    matrix applied along the time axis of ``U = u.reshape(N_t, N_s)``, which
+    is returned.  Raises :class:`DecompositionError` when ``K_t`` is
+    singular.
     """
     Kt = _dense(W_t + recovery_rate * equilibrium_rate * M_t)
-    Mt = _dense(M_t)
-    nt = Kt.shape[0]
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if u.size % nt:
-        raise ValueError("potential length incompatible with the temporal factors")
     try:
-        Ht = np.linalg.solve(Kt, Mt)
+        Ht = np.linalg.solve(Kt, _dense(M_t))
     except np.linalg.LinAlgError as exc:
         raise DecompositionError("temporal recovery matrix is singular: %s" % exc) from exc
-    return recovery_rate * (Ht @ u.reshape(nt, -1)).reshape(-1)
+    return recovery_rate * Ht

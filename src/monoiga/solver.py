@@ -21,6 +21,7 @@ operator plus the stabilizer's terms) and one preconditioner, built
 together from the same stabilizer terms (:meth:`_Workspace.system`).
 """
 
+import copy
 import logging
 import time as _time
 import warnings
@@ -210,9 +211,8 @@ class _Workspace:
     and the residual indicator; with stabilization on, the workspace also
     holds the stabilizer's :class:`StabilizationGrid` of the upwind weights.
     It holds the dense temporal factor ``R_t = b K_t^{-1} M_t`` of the
-    recovery map ``w = (R_t kron I) u`` (``None`` when ``b = 0``, where
-    ``R = 0``), the stacked temporal trial factors ``[C_t, C_t R_t]`` of the
-    Jacobian's reaction part (``[C_t]`` when ``R = 0``; they also evaluate
+    recovery map ``w = (R_t kron I) u``, the stacked temporal trial factors
+    ``[C_t, C_t R_t]`` of the Jacobian's reaction part (they also evaluate
     ``u`` and ``w`` together, see :meth:`evaluate`; no space-time measure
     is held, :meth:`linearize` forms it slab by slab), ``operator``, the
     Kronecker operator of the constant terms
@@ -241,16 +241,9 @@ class _Workspace:
             (M_s, K_s),
             (self.W_t, self.M_t),
         )
-        self.recovery = None
+        self.recovery = solve_w_system(self.W_t, self.M_t, problem.b, problem.d_e)
         ct = self.time_data.c0
-        self.jacobian_trials = ct[None]
-        if problem.b != 0:
-            nt = st.num_time
-            eye = np.eye(nt).reshape(-1)
-            self.recovery = solve_w_system(
-                self.W_t, self.M_t, problem.b, problem.d_e, eye
-            ).reshape(nt, nt)
-            self.jacobian_trials = np.stack([ct, ct @ self.recovery])
+        self.jacobian_trials = np.stack([ct, ct @ self.recovery])
         self.stab_grid = None
         if config.stabilization == "spline_upwind":
             self.stab_grid = StabilizationGrid(compute_tau(st.time), st, geo)
@@ -265,8 +258,6 @@ class _Workspace:
 
     def recover(self, u):
         """The recovery field ``w = R u`` of a potential."""
-        if self.recovery is None:
-            return np.zeros_like(u)
         nt = self.recovery.shape[0]
         return (self.recovery @ u.reshape(nt, -1)).reshape(-1)
 
@@ -277,18 +268,12 @@ class _Workspace:
         the stacked ``jacobian_trials`` give both fields, since
         ``[C_t; C_t R_t] U_s = [u; w]`` on the grid; their ``stack`` has the
         shape of the Jacobian's weights, which :meth:`linearize` writes over
-        it.  When ``R = 0``, the stack holds ``u`` alone and ``w`` is a
-        read-only zero-stride view of one zero, not a grid.
+        it.
         """
         u_s = contract_space(self.space_time, u, self.spatial_data.c0)
         trials = self.jacobian_trials
         vals = mode_apply(trials.reshape(-1, trials.shape[-1]), u_s, 0)
-        stack = vals.reshape((len(trials), -1) + vals.shape[1:])
-        if self.recovery is None:
-            w = np.broadcast_to(0.0, stack.shape[1:])
-        else:
-            w = stack[1]
-        return IterateOnGrid(u_s, stack[0], w, stack)
+        return IterateOnGrid(u_s, vals.reshape((2, -1) + vals.shape[1:]))
 
     def system(self, lowrank=None):
         """The operator, preconditioner and ``||P f||`` of one stabilizer.
@@ -314,32 +299,29 @@ class _Workspace:
         norm_pf = float(np.linalg.norm(precond.apply(self.f_vec)))
         return op, precond, norm_pf
 
-    def _jacobian_slabs(self, problem, mass, weights):
+    def _jacobian_slabs(self, problem, weights):
         """Form the Jacobian's weights slab by slab; yield the residual's integrand.
 
-        ``weights`` stacks ``u`` and, when ``R`` is not zero, the grid
-        ``mass`` of ``c`` times the measure (:func:`reaction_mass`, written
-        over ``w``); otherwise ``mass`` is a grid of its own.  One slab of
-        temporal elements at a time, with its own space-time measure (the
-        spatial measure times the temporal weights), each slab yields
+        ``weights`` stacks ``u`` and the grid of ``c`` times the measure
+        (:func:`reaction_mass`, written over ``w``).  One slab of temporal
+        elements at a time, with its own space-time measure (the spatial
+        measure times the temporal weights), each slab yields
         ``(rows, (c - c1 a) u times the measure)`` for :func:`load_vector`,
         so the integrand is never a whole grid, after ``j2`` is written over
-        the slab of ``mass`` and ``j1`` over that of ``u``.
+        the slab of ``c`` and ``j1`` over that of ``u``.
         """
         c1, a, c2 = problem.c1, problem.a, problem.c2
         spatial = self.spatial_data.measure
         times = self.time_data.weights
         for rows in self.time_data.slabs(spatial.size):
-            u_vals = weights[0, rows]
+            u_vals, j2 = weights[:, rows]
             # The outer product by einsum: a broadcast multiply takes twice as long.
             measure = np.einsum("t,...->t...", times[rows], spatial)
             # (c - c1 a) times the measure: the reaction beyond the one in K.
             rest = np.multiply(measure, c1 * a)
-            np.subtract(mass[rows], rest, out=rest)
-            if len(weights) > 1:
-                j2 = weights[1, rows]
-                np.multiply(u_vals, c2, out=j2)
-                j2 *= measure
+            np.subtract(j2, rest, out=rest)
+            np.multiply(u_vals, c2, out=j2)
+            j2 *= measure
             integrand = rest * u_vals
             yield rows, integrand
             # Integrated: the integrand's memory takes 2 u - 1 - a.
@@ -353,41 +335,39 @@ class _Workspace:
     def linearize(self, problem, u, op, on_grid):
         """Residual ``F(u)`` and Jacobian operator at an iterate ``u``, ``w = R u``.
 
-        ``op`` is the Kronecker operator ``K`` of :meth:`system` and
-        ``on_grid`` the iterate's :meth:`evaluate`, which the Jacobian's
-        weights are written over, so it is not valid afterwards.  With the
-        reaction coefficient ``c = c1 (u - a)(u - 1) + c2 w``,
+        ``op`` is the Kronecker operator ``K`` of :meth:`system`, which is
+        not written, and ``on_grid`` the iterate's :meth:`evaluate`, which
+        the Jacobian's weights are written over, so it is not valid
+        afterwards.  With the reaction coefficient
+        ``c = c1 (u - a)(u - 1) + c2 w``,
         ``F(u) = K u + int (c - c1 a) u v - f``, and the Jacobian is ``K``
         plus the :class:`WeightedMass`
         ``C_t^T diag(j1) C_t + C_t^T diag(j2) C_t R_t`` with
         ``j1 = c - c1 a + c1 u (2 u - 1 - a)`` and ``j2 = c2 u``, both times
-        the quadrature measure (``j2`` is dropped when ``R = 0``), set as the
-        correction of ``op``.  At the zero iterate the remainder vanishes:
-        ``F = -f`` and the Jacobian is ``K``.  :func:`reaction_mass` writes
-        ``c`` times the measure over ``w``, and the weights and the
-        residual's integrand are then formed by slabs of temporal elements
-        (:meth:`_jacobian_slabs`) in place over ``on_grid.stack``, so
-        without ``R = 0`` (where ``c`` takes a grid of its own) no grid is
-        made.
+        the quadrature measure: a shallow copy of ``op`` (sharing its
+        stacks) with that correction.  At the zero iterate the remainder
+        vanishes: ``F = -f`` and the Jacobian is ``op`` itself.
+        :func:`reaction_mass` writes ``c`` times the measure over ``w``, and
+        the weights and the residual's integrand are then formed by slabs of
+        temporal elements (:meth:`_jacobian_slabs`) in place over
+        ``on_grid.stack``, so no grid is made.
         """
-        op.correction = None
         if not np.any(u):
             return -self.f_vec, op
         ct = self.time_data.c0
         cs = self.spatial_data.c0
-        weights = on_grid.stack
-        mass = weights[1] if len(weights) > 1 else np.empty(on_grid.u.shape)
         reaction_mass(
             problem.reaction_constants(),
             on_grid,
             self.spatial_data,
             self.time_data,
-            out=mass,
+            out=on_grid.w,
         )
-        integrand = self._jacobian_slabs(problem, mass, weights)
+        integrand = self._jacobian_slabs(problem, on_grid.stack)
         residual = op.matvec(u) + load_vector(ct, cs, integrand) - self.f_vec
-        op.correction = WeightedMass(ct, cs, weights, self.jacobian_trials)
-        return residual, op
+        jac = copy.copy(op)
+        jac.correction = WeightedMass(ct, cs, on_grid.stack, self.jacobian_trials)
+        return residual, jac
 
 
 def fixed_point_solve(problem, config=None):
@@ -464,7 +444,7 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
             # The last step's system is not used again: release its
             # stabilizer stack and per-mode inverses before this step's
             # evaluation, indicator and system are built.
-            system = op = precond = jac = None
+            system = op = precond = None
         on_grid = ws.evaluate(u)
         if rebuild:
             if not latched:
@@ -502,7 +482,7 @@ def _newton(problem, config, ws, t0, start=None, indicator=None):
             atol=config.linear_tol * norm_pf,
         )
         # The Jacobian's weight grid is not needed past its solve.
-        jac.correction = None
+        del jac
         u = u + delta
         step = {
             "sweep": k,

@@ -253,7 +253,7 @@ def iterate_on_grid(space_time, u, w, spatial_data, time_data):
     w_s = contract_space(space_time, w, spatial_data.c0)
     ct = time_data.c0
     stack = np.stack([mode_apply(ct, u_s, 0), mode_apply(ct, w_s, 0)])
-    return IterateOnGrid(u_s, stack[0], stack[1], stack)
+    return IterateOnGrid(u_s, stack)
 
 
 def kronecker_sparse(op):

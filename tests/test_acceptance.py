@@ -244,7 +244,8 @@ def test_criterion_6_dense_oracle_equivalence():
     # recovery-variable solve against a dense solve; kron(M_t, M_s) is SPD,
     # so this right-hand side covers every right-hand side
     u = RNG.standard_normal(st.num_dof)
-    wsol = solve_w_system(W_t, M_t, 0.013, 1.0, u)
+    R_t = solve_w_system(W_t, M_t, 0.013, 1.0)
+    wsol = (R_t @ u.reshape(st.num_time, -1)).reshape(-1)
     L = np.kron(W_t + 0.013 * M_t, M_s.toarray())
     g = 0.013 * np.kron(M_t, M_s.toarray()) @ u
     ref = np.linalg.solve(L, g)

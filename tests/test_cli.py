@@ -93,6 +93,9 @@ def test_bad_config_exits_2(tmp_path):
         ("problem", "D", "nan"),
         ("problem", "a", "nan"),
         ("problem", "C_m", "inf"),
+        ("output", "section", "0.1 1.5 5"),
+        ("output", "section", "0.1 0.9 -3"),
+        ("output", "section", "0.1 0.9 2.5"),
     ],
 )
 def test_invalid_value_exits_2_before_any_solve(

@@ -256,11 +256,14 @@ class TestFixedPoint:
         config = FixedPointConfig(relaxation=1.0, tolerance=1e-9, max_iterations=100)
         result = fixed_point_solve(problem, config)
         assert np.all(result.w == 0.0)
+        # A field of -0.0 would be written as "-0" by the output files.
+        assert not np.signbit(result.w).any()
+        assert not np.any(_Workspace(problem, config).recovery)
 
     def test_potential_ignores_recovery_without_coupling(self):
         # With c2 = 0 the recovery does not feed back into the potential, so
-        # the single-block Jacobian (b = 0, R = 0) and the stacked one
-        # (b > 0) must give the same Newton steps.
+        # the Jacobian's recovery term has zero weights and b = 0 (R = 0)
+        # and b > 0 must give the same Newton steps.
         def solve(b):
             problem = make_problem(
                 d=1,
@@ -692,7 +695,7 @@ class TestFixedPoint:
         measure = np.multiply.outer(td.weights, sd.measure)
         c = c1 * (uu - a) * (uu - 1.0) + c2 * ww
         j1 = (c - c1 * a + c1 * uu * (2.0 * uu - 1.0 - a)) * measure
-        ref_weights = np.stack([j1, c2 * uu * measure]) if b else j1[None]
+        ref_weights = np.stack([j1, c2 * uu * measure])
         scale = np.max(np.abs(ref_weights))
         assert weights.shape == ref_weights.shape
         assert np.max(np.abs(weights - ref_weights)) <= 1e-14 * scale
@@ -704,6 +707,32 @@ class TestFixedPoint:
         want = kd + ref_jac.matvec(delta)
         got = jac.matvec(delta)
         assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+    def test_linearization_leaves_the_step_operator_unwritten(self):
+        # The Jacobian is an operator of its own that shares the step
+        # operator's stacks; the step operator is not written.
+        problem = make_problem(
+            d=2,
+            p=2,
+            elements=3,
+            b=0.5,
+            source=lambda x, t: np.sin(np.pi * t) * np.ones(t.shape),
+        )
+        ws = _Workspace(problem, FixedPointConfig())
+        rng = np.random.default_rng(14)
+        u = 0.5 * rng.standard_normal(problem.space.num_dof)
+        delta = rng.standard_normal(problem.space.num_dof)
+        op = ws.system()[0]
+        before = op.matvec(delta)
+        _, jac = ws.linearize(problem, u, op, ws.evaluate(u))
+        assert jac is not op
+        assert op.correction is None
+        assert isinstance(jac.correction, WeightedMass)
+        assert len(jac._stacks) == len(op._stacks)
+        assert all(mine is shared for mine, shared in zip(jac._stacks, op._stacks))
+        assert np.array_equal(op.matvec(delta), before)
+        zero = np.zeros_like(u)
+        assert ws.linearize(problem, zero, op, ws.evaluate(zero))[1] is op
 
     def test_stabilized_solve_peak_is_a_few_grid_arrays(self):
         # What a stabilized 8^3 x 16 solve holds at its peak, counted in
@@ -877,18 +906,6 @@ class TestFixedPoint:
             for got, want in zip(ws.evaluate(u), ref):
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
-    def test_evaluate_without_recovery_allocates_no_w_grid(self):
-        # With b = 0 the recovery field is zero, and evaluate returns it as a
-        # zero-stride view instead of a grid of zeros.
-        problem = make_problem(d=3, p=2, elements=3, b=0.0)
-        ws = _Workspace(problem, FixedPointConfig())
-        u = np.random.default_rng(3).standard_normal(problem.space.num_dof)
-        on_grid = ws.evaluate(u)
-        assert on_grid.w.shape == on_grid.u.shape
-        assert not on_grid.w.flags.owndata
-        assert set(on_grid.w.strides) == {0}
-        assert not np.any(on_grid.w)
 
 
 class TestEvaluateField:
